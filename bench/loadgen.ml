@@ -5,10 +5,9 @@
    sweep / status / checkpoint-inspect) across them, and measures
    client-side latency per request: write completion to response
    arrival on the monotonic clock.  Results — ok/error counts, latency
-   percentiles, throughput — are printed and merged under --key
-   (optionally nested under --label, e.g. service.shm vs
-   service.ndjson) of BENCH_results.json (schema: DESIGN.md "Bench
-   results file"), read and rewritten with Rc_util.Json.
+   percentiles, throughput — are printed and merged under --key of
+   BENCH_results.json (schema: docs/metrics.md), read and rewritten
+   with Rc_util.Json.
 
    Connection engine: a single thread drives every connection through
    poll(2) (Rc_serve.Evloop) — nonblocking connects, per-connection
@@ -23,7 +22,7 @@
                  [--mix default|light|eco] [--bench NAME]
                  [--sessions N] [--edits N] [--verify-replay]
                  [--deadline-ms MS] [--out FILE.json]
-                 [--key NAME] [--label NAME] [--expect-digest HEX]
+                 [--key NAME] [--expect-digest HEX]
                  [--chaos-kill K --shm PATH]
 
    The request mix is a fixed rotation, so a given (--requests,
@@ -62,7 +61,6 @@ let bench_name = ref "tiny"
 let deadline_ms = ref 0.0 (* 0 = no deadline field *)
 let out_path = ref "BENCH_results.json"
 let out_key = ref "loadgen"
-let out_label = ref ""
 let expect_digest = ref ""
 let chaos_kill = ref 0 (* 0 = no chaos *)
 let shm_path = ref ""
@@ -92,9 +90,6 @@ let args =
       "MS attach this deadline to every async request (default: none)" );
     ("--out", Arg.Set_string out_path, "FILE merge results into this JSON file (default BENCH_results.json)");
     ("--key", Arg.Set_string out_key, "NAME top-level key to merge under (default loadgen)");
-    ( "--label",
-      Arg.Set_string out_label,
-      "NAME nest the result under KEY.LABEL instead of KEY (per-transport comparisons)" );
     ( "--expect-digest",
       Arg.Set_string expect_digest,
       "HEX require every flow response's digest to equal HEX (bit-identity check)" );
@@ -665,11 +660,9 @@ let percentile sorted p =
     let frac = rank -. floor rank in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
-(* merge under --key, or KEY.LABEL with --label (other labels kept).
-   [sub] nests one level deeper still — KEY.LABEL.SUB — preserving the
-   sibling fields of KEY.LABEL, which is how the eco mix lands under
-   service.<transport>.eco without clobbering the transport's flow
-   numbers. *)
+(* merge under --key.  [sub] nests one level deeper — KEY.SUB —
+   preserving the sibling fields of KEY, which is how the eco mix lands
+   under service.eco without clobbering the flow numbers. *)
 let merge_results ?sub doc =
   let existing =
     if Sys.file_exists !out_path then
@@ -683,17 +676,9 @@ let merge_results ?sub doc =
   let obj_fields = function Some (Json.Obj fields) -> fields | _ -> [] in
   let put fields name v = List.remove_assoc name fields @ [ (name, v) ] in
   let doc =
-    match (!out_label, sub) with
-    | "", None -> doc
-    | "", Some s ->
-        (* no transport label: nest SUB directly under KEY *)
-        Json.Obj (put (obj_fields (List.assoc_opt !out_key existing)) s doc)
-    | label, None ->
-        Json.Obj (put (obj_fields (List.assoc_opt !out_key existing)) label doc)
-    | label, Some s ->
-        let prior = obj_fields (List.assoc_opt !out_key existing) in
-        let inner = obj_fields (List.assoc_opt label prior) in
-        Json.Obj (put prior label (Json.Obj (put inner s doc)))
+    match sub with
+    | None -> doc
+    | Some s -> Json.Obj (put (obj_fields (List.assoc_opt !out_key existing)) s doc)
   in
   let fields = put existing !out_key doc in
   Json.to_file !out_path (Json.Obj fields)
@@ -778,8 +763,7 @@ let main_eco () =
       @ restart_fields () @ chaos_fields ())
   in
   merge_results ~sub:"eco" doc;
-  Printf.printf "[loadgen] merged into %s (key %s%s.eco)\n" !out_path !out_key
-    (if !out_label = "" then "" else "." ^ !out_label);
+  Printf.printf "[loadgen] merged into %s (key %s.eco)\n" !out_path !out_key;
   if errors <> [] || (not chaos_ok) || (!verify_replay && replays < sessions) then exit 1
 
 let () =
@@ -839,6 +823,5 @@ let () =
       @ restart_fields () @ chaos_fields ())
   in
   merge_results doc;
-  Printf.printf "[loadgen] merged into %s (key %s%s)\n" !out_path !out_key
-    (if !out_label = "" then "" else "." ^ !out_label);
+  Printf.printf "[loadgen] merged into %s (key %s)\n" !out_path !out_key;
   if n_err > 0 || List.length replies <> total || not chaos_ok then exit 1

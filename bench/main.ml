@@ -426,7 +426,7 @@ let sta_inc_state =
          pos_a
      in
      let sess = Rc_timing.Sta.make_session tech netlist in
-     ignore (Rc_timing.Sta.analyze_incremental sess ~positions:pos_a);
+     ignore (Rc_timing.Sta.analyze_batch sess ~positions:pos_a);
      (sess, pos_a, pos_b, ref false))
 
 let test_sta_incremental =
@@ -435,7 +435,7 @@ let test_sta_incremental =
          let sess, pos_a, pos_b, flip = Lazy.force sta_inc_state in
          let positions = if !flip then pos_a else pos_b in
          flip := not !flip;
-         ignore (Rc_timing.Sta.analyze_incremental sess ~positions)))
+         ignore (Rc_timing.Sta.analyze_batch sess ~positions)))
 
 let micro ?(reduced = false) () =
   Printf.printf "=== Bechamel micro-benchmarks (one kernel per table)%s ===\n%!"
@@ -672,7 +672,7 @@ let results_json micro_timings size_rows (flows, (suite_seq, suite_runs)) =
          merged in by bench/loadgen.exe --key service; absent until a
          loadgen run has been recorded.  schema v7: loadgen --mix eco
          additionally merges ECO edit-latency percentiles under
-         service.<transport>.eco *)
+         service.eco *)
       ("schema_version", J.Int 7);
       ("git_rev", match git_rev () with Some r -> J.String r | None -> J.Null);
       ("jobs", J.Int (Rc_par.Pool.jobs ()));

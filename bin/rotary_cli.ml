@@ -449,7 +449,7 @@ let tcp_conv =
   Arg.conv (parse, print)
 
 let run_serve jobs socket stdio workers max_pending workers_proc tcp shm drain_restart
-    checkpoint_every checkpoint_dir drain_grace transport ring_slots pin_cores session_dir
+    checkpoint_every checkpoint_dir drain_grace _transport pin_cores session_dir
     session_capacity =
   if workers_proc > 0 then begin
     if stdio then begin
@@ -470,8 +470,6 @@ let run_serve jobs socket stdio workers max_pending workers_proc tcp shm drain_r
         allow_restart = drain_restart;
         handle_signals = true;
         exe = None;
-        transport;
-        ring_slots;
         pin_cores;
         session_dir;
         session_capacity;
@@ -563,22 +561,13 @@ let serve_cmd =
                 resume from checkpoints)")
   in
   let transport =
-    let tconv =
-      Arg.enum [ ("shm", Rc_serve.Shm.Shm_rings); ("ndjson", Rc_serve.Shm.Ndjson) ]
-    in
     Arg.(
-      value & opt tconv Rc_serve.Shm.Shm_rings
+      value
+      & opt (some (enum [ ("shm", ()); ("ndjson", ()) ])) None
       & info [ "transport" ] ~docv:"NAME"
-          ~doc:"Supervisor-worker job transport: $(b,shm) (zero-copy shared-memory rings + \
-                arena, the default) or $(b,ndjson) (classic socketpair lines); see \
-                docs/serving.md for the matrix")
-  in
-  let ring_slots =
-    Arg.(
-      value & opt int Rc_serve.Shm.default_ring_slots
-      & info [ "ring-slots" ] ~docv:"N"
-          ~doc:"Per-direction shm ring capacity in descriptors (power of two; raise it \
-                before raising worker counts if p99 climbs under bursty load)")
+          ~deprecated:"deprecated and ignored, jobs always travel over the worker socketpair"
+          ~doc:"Accepted for compatibility and ignored: the supervisor and its workers \
+                always exchange NDJSON lines over a socketpair")
   in
   let pin_cores =
     Arg.(
@@ -611,20 +600,20 @@ let serve_cmd =
     Term.(
       const run_serve $ jobs_arg $ socket $ stdio $ workers $ max_pending $ workers_proc
       $ tcp $ shm $ drain_restart $ checkpoint_every $ checkpoint_dir $ drain_grace
-      $ transport $ ring_slots $ pin_cores $ session_dir $ session_capacity)
+      $ transport $ pin_cores $ session_dir $ session_capacity)
 
 (* --- serve-worker command (internal) --- *)
 
 (* the exec'd child of a supervisor: the socketpair is stdin, the shm
    segment re-attaches by path.  Not meant to be invoked by hand. *)
-let run_serve_worker shm_path slot restarts workers max_pending transport pin_core
-    session_dir session_capacity =
+let run_serve_worker shm_path slot restarts workers max_pending pin_core session_dir
+    session_capacity =
   match Rc_serve.Shm.attach ~path:shm_path () with
   | Error e ->
       Printf.eprintf "serve-worker: %s\n" e;
       exit 1
   | Ok shm ->
-      Rc_serve.Worker.run ~workers ~max_pending ~transport ?pin_core ?session_dir
+      Rc_serve.Worker.run ~workers ~max_pending ?pin_core ?session_dir
         ?session_capacity ~shm ~slot ~restarts ~fd:Unix.stdin ()
 
 let serve_worker_cmd =
@@ -633,12 +622,6 @@ let serve_worker_cmd =
   let restarts = Arg.(value & opt int 0 & info [ "restarts" ] ~docv:"N") in
   let workers = Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N") in
   let max_pending = Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"N") in
-  let transport =
-    let tconv =
-      Arg.enum [ ("ndjson", Rc_serve.Shm.Ndjson); ("shm", Rc_serve.Shm.Shm_rings) ]
-    in
-    Arg.(value & opt tconv Rc_serve.Shm.Ndjson & info [ "transport" ] ~docv:"NAME")
-  in
   let pin_core =
     Arg.(value & opt (some int) None & info [ "pin-core" ] ~docv:"K")
   in
@@ -654,15 +637,13 @@ let serve_worker_cmd =
          "Internal: one worker process of a $(b,serve --workers-proc) supervisor \
           (exec'd with the job socketpair as stdin); do not invoke directly")
     Term.(
-      const run_serve_worker $ shm $ slot $ restarts $ workers $ max_pending $ transport
-      $ pin_core $ session_dir $ session_capacity)
+      const run_serve_worker $ shm $ slot $ restarts $ workers $ max_pending $ pin_core
+      $ session_dir $ session_capacity)
 
 (* --- top command --- *)
 
 let render_top shm =
   let module Shm = Rc_serve.Shm in
-  let module Ring = Rc_serve.Ring in
-  let module Arena = Rc_serve.Arena in
   let now = Int64.to_int (Rc_util.Timer.now_ns ()) in
   let b = Buffer.create 1024 in
   Printf.bprintf b "rotary top — %s (layout v%d, supervisor pid %d%s)\n" (Shm.path shm)
@@ -670,39 +651,22 @@ let render_top shm =
     (match Shm.tcp_port shm with
     | Some p -> Printf.sprintf ", tcp :%d" p
     | None -> "");
-  let arena_util a =
-    Array.fold_left
-      (fun (u, t) (s : Arena.stat) -> (u + s.Arena.s_in_use, t + s.Arena.s_count))
-      (0, 0) (Arena.stats a)
-  in
-  let pu, pt = arena_util (Shm.payload_arena shm) in
-  let cu, ct = arena_util (Shm.ckpt_arena shm) in
-  Printf.bprintf b
-    "transport %s, rings %d slots/dir; payload arena %d/%d extents; ckpt arena %d/%d; \
-     ckpt table %d/%d\n"
-    (Shm.transport_name (Shm.transport shm))
-    (Shm.ring_slots shm) pu pt cu ct (Shm.ckpt_used shm) (Shm.ckpt_entries shm);
-  Printf.bprintf b
-    "%4s %-9s %7s %4s %4s %7s %5s %4s %4s %7s %7s %4s %4s %7s %5s %5s %7s %7s %8s\n" "SLOT"
-    "CTL" "PID" "RST" "CORE" "HB_MS" "INFL" "JRQ" "RRQ" "REQ" "RESP" "QD" "RUN" "DONE"
-    "FAIL" "FALLB" "REDISP" "RESUME" "WALL_MS";
+  Printf.bprintf b "%4s %-9s %7s %4s %4s %7s %5s %7s %7s %4s %4s %7s %5s %7s %7s %8s\n"
+    "SLOT" "CTL" "PID" "RST" "CORE" "HB_MS" "INFL" "REQ" "RESP" "QD" "RUN" "DONE" "FAIL"
+    "REDISP" "RESUME" "WALL_MS";
   Array.iteri
     (fun slot (r : Shm.row) ->
       let w = r.Shm.worker and c = r.Shm.control in
       let hb_ms =
         if w.Shm.heartbeat_ns = 0 then -1 else (now - w.Shm.heartbeat_ns) / 1_000_000
       in
-      Printf.bprintf b
-        "%4d %-9s %7d %4d %4s %7d %5d %4d %4d %7d %7d %4d %4d %7d %5d %5d %7d %7d %8d%s\n"
+      Printf.bprintf b "%4d %-9s %7d %4d %4s %7d %5d %7d %7d %4d %4d %7d %5d %7d %7d %8d%s\n"
         slot
         (Shm.control_state_name c.Shm.c_state)
         w.Shm.pid c.Shm.c_restarts
         (if w.Shm.core >= 0 then string_of_int w.Shm.core else "-")
-        hb_ms c.Shm.c_inflight
-        (Ring.depth (Shm.job_ring shm slot))
-        (Ring.depth (Shm.resp_ring shm slot))
-        w.Shm.requests w.Shm.responses w.Shm.queue_depth w.Shm.running w.Shm.completed
-        w.Shm.failed w.Shm.shm_fallbacks c.Shm.c_redispatched c.Shm.c_resumed
+        hb_ms c.Shm.c_inflight w.Shm.requests w.Shm.responses w.Shm.queue_depth
+        w.Shm.running w.Shm.completed w.Shm.failed c.Shm.c_redispatched c.Shm.c_resumed
         w.Shm.job_wall_ms
         (if r.Shm.w_consistent && r.Shm.c_consistent then "" else "  !torn"))
     (Shm.read_all shm);

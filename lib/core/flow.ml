@@ -380,7 +380,7 @@ let context_of_outcome ?(arm = "") ?(warm = true) (o : outcome) =
   in
   if warm && o.cfg.incremental then
     ignore
-      (Rc_timing.Sta.analyze_incremental
+      (Rc_timing.Sta.analyze_batch
          (Flow_cache.sta_session ctx.Flow_ctx.caches o.cfg.tech o.netlist)
          ~positions:o.positions);
   ctx

@@ -3,7 +3,7 @@
     One value of this type rides in {!Flow_ctx.t} and persists across
     stages and iterations (it is mutable by design, unlike the context).
     It bundles the incremental STA session
-    ({!Rc_timing.Sta.analyze_incremental}), the Eq. 1 candidate-tap
+    ({!Rc_timing.Sta.analyze_batch}), the Eq. 1 candidate-tap
     cache with the warm-started assignment solver
     ({!Rc_assign.Assign.by_netflow} with [~cache]), and the dirty-set
     tracker that stage 6 feeds with its displacement vector.

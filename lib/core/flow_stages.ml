@@ -18,7 +18,7 @@ let run_sta ctx =
   let tech = cfg.Flow_ctx.tech in
   if cfg.Flow_ctx.incremental then
     let session = Flow_cache.sta_session ctx.Flow_ctx.caches tech ctx.Flow_ctx.netlist in
-    Rc_timing.Sta.analyze_incremental session ~positions:ctx.Flow_ctx.positions
+    Rc_timing.Sta.analyze_batch session ~positions:ctx.Flow_ctx.positions
   else Rc_timing.Sta.analyze tech ctx.Flow_ctx.netlist ~positions:ctx.Flow_ctx.positions
 
 (* ---- stage 1: initial placement -------------------------------------- *)

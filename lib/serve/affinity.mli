@@ -1,6 +1,6 @@
 (** Per-process CPU affinity for the supervised worker tier
     ([rotary_cli serve --pin-cores]): pinning worker [i] to core
-    [i mod ncores] keeps its shm ring/arena cache lines resident.
+    [i mod ncores] keeps its working set in that core's caches.
     Linux-only; elsewhere {!pin_self} reports [Unsupported] and the
     worker logs a warning instead of failing. *)
 

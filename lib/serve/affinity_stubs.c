@@ -1,8 +1,7 @@
 /* CPU affinity for supervised worker processes (affinity.ml).
  *
- * Pinning each worker to its own core keeps the shm ring producer and
- * consumer cache lines resident and stops the scheduler migrating a
- * worker mid-flow.  Linux-only; other platforms report "unsupported"
+ * Pinning each worker to its own core keeps its working set in that
+ * core's caches and stops the scheduler migrating a worker mid-flow.  Linux-only; other platforms report "unsupported"
  * and the caller warns instead of failing (the serve tier runs fine
  * unpinned).
  */

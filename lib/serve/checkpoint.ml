@@ -112,29 +112,6 @@ let meta_of_json j =
   let* payload_md5 = field "payload_md5" to_string_opt in
   Ok { version; bench; mode; iteration; converged; payload_bytes; payload_md5 }
 
-(* ---- blob stores ------------------------------------------------------ *)
-
-(* Pluggable non-file checkpoint tiers, dispatched on a path prefix.
-   The shm transport registers a "shm:" store backed by the segment's
-   checkpoint arena (transport.ml); files remain the cold tier and the
-   default.  A store receives/returns the exact RCCKPT bytes a file
-   would hold, so the two tiers are interchangeable and resume is
-   bit-identical either way. *)
-
-type blob_store = {
-  bs_save : key:string -> iteration:int -> string -> (string, string) result;
-      (* returns the resume token recorded in the saved list *)
-  bs_load : string -> (string, string) result;
-}
-
-let blob_stores : (string * blob_store) list ref = ref []
-
-let register_blob_store ~prefix bs =
-  blob_stores := (prefix, bs) :: List.remove_assoc prefix !blob_stores
-
-let blob_store_for path =
-  List.find_opt (fun (p, _) -> String.starts_with ~prefix:p path) !blob_stores
-
 (* ---- save ------------------------------------------------------------- *)
 
 let payload_of_ctx (ctx : Flow_ctx.t) =
@@ -156,8 +133,7 @@ let payload_of_ctx (ctx : Flow_ctx.t) =
     p_trace = Flow_trace.events ctx.Flow_ctx.trace;
   }
 
-(* the exact bytes a checkpoint file holds — shared by the file tier
-   and the blob stores, so resume is bit-identical from either *)
+(* the exact bytes a checkpoint file holds *)
 let to_blob (ctx : Flow_ctx.t) =
   let payload = payload_of_ctx ctx in
   let blob = Marshal.to_string payload [] in
@@ -179,17 +155,37 @@ let to_blob (ctx : Flow_ctx.t) =
   Buffer.add_string b blob;
   (meta, Buffer.contents b)
 
+(* checkpoint files this process wrote, and writes that failed; a
+   supervised worker publishes both in its shm row *)
+let saves = Atomic.make 0
+let save_failures = Atomic.make 0
+let save_counts () = (Atomic.get saves, Atomic.get save_failures)
+
 let save ~path (ctx : Flow_ctx.t) =
   let meta, bytes = to_blob ctx in
-  (* atomic publish: never expose a torn file to a concurrent reader or
-     leave one behind after a crash mid-write *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc bytes);
-  Sys.rename tmp path;
-  meta
+  (* atomic publish through a uniquely named temp file: never expose a
+     torn file to a concurrent reader, leave one behind after a crash
+     mid-write, or interleave two writers of the same path *)
+  match
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+        ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+    in
+    (* flush inside the protected body: a failed write must raise here,
+       not vanish in the close and get renamed into place *)
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc bytes;
+        flush oc);
+    Sys.rename tmp path
+  with
+  | () ->
+      Atomic.incr saves;
+      meta
+  | exception e ->
+      Atomic.incr save_failures;
+      raise e
 
 (* ---- load ------------------------------------------------------------- *)
 
@@ -205,73 +201,40 @@ let check_magic_line first =
       | None -> Error "checkpoint: malformed version in magic line")
   | _ -> Error "checkpoint: bad magic (not a rotary checkpoint file)"
 
-let read_header ic =
+(* The one RCCKPT validator.  [next_line] yields the magic line, then
+   the metadata line: [inspect] pulls them off a file channel and reads
+   no further; [parse_blob] pulls them out of the whole file's bytes and
+   goes on to check the payload. *)
+let parse_header next_line =
   let ( let* ) = Result.bind in
-  let* first =
-    match input_line ic with
-    | l -> Ok l
-    | exception End_of_file -> Error "checkpoint: empty file"
-  in
+  let* first = Option.to_result ~none:"checkpoint: empty file" (next_line ()) in
   let* () = check_magic_line first in
   let* meta_line =
-    match input_line ic with
-    | l -> Ok l
-    | exception End_of_file -> Error "checkpoint: truncated before metadata"
+    Option.to_result ~none:"checkpoint: truncated before metadata" (next_line ())
   in
   let* j = Rc_util.Json.of_string meta_line in
   meta_of_json j
 
-(* header + validated marshal blob out of in-memory RCCKPT bytes (a
-   blob-store checkpoint); same checks as the file path *)
 let parse_blob s =
   let ( let* ) = Result.bind in
-  let* i1 =
-    match String.index_opt s '\n' with
-    | Some i -> Ok i
-    | None -> Error "checkpoint: empty file"
+  let pos = ref 0 in
+  let next_line () =
+    if !pos >= String.length s then None
+    else
+      let stop = Option.value (String.index_from_opt s !pos '\n') ~default:(String.length s) in
+      let line = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      Some line
   in
-  let* () = check_magic_line (String.sub s 0 i1) in
-  let* i2 =
-    match String.index_from_opt s (i1 + 1) '\n' with
-    | Some i -> Ok i
-    | None -> Error "checkpoint: truncated before metadata"
-  in
-  let* j = Rc_util.Json.of_string (String.sub s (i1 + 1) (i2 - i1 - 1)) in
-  let* meta = meta_of_json j in
-  let* blob =
-    if String.length s - i2 - 1 <> meta.payload_bytes then
-      Error "checkpoint: truncated payload"
-    else Ok (String.sub s (i2 + 1) meta.payload_bytes)
-  in
+  let* meta = parse_header next_line in
+  let start = min !pos (String.length s) in
+  let rest = String.length s - start in
   let* () =
-    let d = hex (Digest.string blob) in
-    if d = meta.payload_md5 then Ok ()
-    else Error (Printf.sprintf "checkpoint: payload digest mismatch (%s != %s)" d meta.payload_md5)
-  in
-  Ok (meta, (Marshal.from_string (blob : string) 0 : payload))
-
-let with_in_bin path f =
-  match open_in_bin path with
-  | ic -> Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-  | exception Sys_error e -> Error e
-
-let inspect ~path =
-  match blob_store_for path with
-  | Some (_, bs) ->
-      Result.bind (bs.bs_load path) (fun s -> Result.map fst (parse_blob s))
-  | None -> with_in_bin path read_header
-
-let read_payload ic (meta : meta) =
-  let ( let* ) = Result.bind in
-  let* blob =
-    match really_input_string ic meta.payload_bytes with
-    | b -> Ok b
-    | exception End_of_file -> Error "checkpoint: truncated payload"
-  in
-  let* () =
-    if pos_in ic <> in_channel_length ic then Error "checkpoint: trailing bytes after payload"
+    if rest < meta.payload_bytes then Error "checkpoint: truncated payload"
+    else if rest > meta.payload_bytes then Error "checkpoint: trailing bytes after payload"
     else Ok ()
   in
+  let blob = String.sub s start meta.payload_bytes in
   let* () =
     let d = hex (Digest.string blob) in
     if d = meta.payload_md5 then Ok ()
@@ -280,7 +243,14 @@ let read_payload ic (meta : meta) =
   (* the digest was verified above, so unmarshalling is safe for files
      written by [save]; a hand-crafted file with a matching digest can
      still crash Marshal, which is why sockets never carry blobs *)
-  Ok (Marshal.from_string (blob : string) 0 : payload)
+  Ok (meta, (Marshal.from_string (blob : string) 0 : payload))
+
+let inspect ~path =
+  match
+    In_channel.with_open_bin path (fun ic -> parse_header (fun () -> In_channel.input_line ic))
+  with
+  | r -> r
+  | exception Sys_error e -> Error e
 
 (* re-warm the incremental caches from the restored placement: one
    analyze on identical positions primes the STA session, after which
@@ -293,7 +263,7 @@ let warm_caches (ctx : Flow_ctx.t) =
       Flow_cache.sta_session ctx.Flow_ctx.caches ctx.Flow_ctx.cfg.Flow_ctx.tech
         ctx.Flow_ctx.netlist
     in
-    ignore (Rc_timing.Sta.analyze_incremental session ~positions:ctx.Flow_ctx.positions)
+    ignore (Rc_timing.Sta.analyze_batch session ~positions:ctx.Flow_ctx.positions)
   end
 
 let ctx_of_payload ?netlist ?(warm = true) p =
@@ -325,27 +295,15 @@ let ctx_of_payload ?netlist ?(warm = true) p =
   if warm then warm_caches ctx;
   ctx
 
-(* rebuild a context straight from RCCKPT bytes — the session store's
-   rehydration path, which holds the bytes already (shm arena entry or
-   a just-read escrow file) *)
 let load_blob ?netlist ?warm s =
   let ( let* ) = Result.bind in
   let* meta, payload = parse_blob s in
   Ok (meta, ctx_of_payload ?netlist ?warm payload)
 
 let load ?netlist ?warm ~path () =
-  match blob_store_for path with
-  | Some (_, bs) ->
-      let ( let* ) = Result.bind in
-      let* s = bs.bs_load path in
-      let* meta, payload = parse_blob s in
-      Ok (meta, ctx_of_payload ?netlist ?warm payload)
-  | None ->
-      with_in_bin path (fun ic ->
-          let ( let* ) = Result.bind in
-          let* meta = read_header ic in
-          let* payload = read_payload ic meta in
-          Ok (meta, ctx_of_payload ?netlist ?warm payload))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> load_blob ?netlist ?warm s
+  | exception Sys_error e -> Error e
 
 (* ---- session conveniences --------------------------------------------- *)
 
@@ -356,32 +314,17 @@ type saver = {
 
 let saver ?(every = 1) ~dir ~name () =
   if every < 1 then invalid_arg "Checkpoint.saver: every must be >= 1";
-  match blob_store_for dir with
-  | Some (_, bs) ->
-      (* blob-store tier ("shm:sid<N>"): best-effort — a full arena or
-         table skips the save (the store counts it) and the flow keeps
-         going with its previous checkpoint *)
-      let saved = ref [] in
-      let save_iteration (ctx : Flow_ctx.t) =
-        let k = ctx.Flow_ctx.iteration in
-        if k mod every = 0 || ctx.Flow_ctx.converged then
-          match bs.bs_save ~key:dir ~iteration:k (snd (to_blob ctx)) with
-          | Ok token -> saved := (k, token) :: !saved
-          | Error _ -> ()
-      in
-      { save_iteration; saved = (fun () -> List.rev !saved) }
-  | None ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      let saved = ref [] in
-      let save_iteration (ctx : Flow_ctx.t) =
-        let k = ctx.Flow_ctx.iteration in
-        if k mod every = 0 || ctx.Flow_ctx.converged then begin
-          let path = Filename.concat dir (Printf.sprintf "%s.iter-%d.ckpt" name k) in
-          ignore (save ~path ctx);
-          saved := (k, path) :: !saved
-        end
-      in
-      { save_iteration; saved = (fun () -> List.rev !saved) }
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let saved = ref [] in
+  let save_iteration (ctx : Flow_ctx.t) =
+    let k = ctx.Flow_ctx.iteration in
+    if k mod every = 0 || ctx.Flow_ctx.converged then begin
+      let path = Filename.concat dir (Printf.sprintf "%s.iter-%d.ckpt" name k) in
+      ignore (save ~path ctx);
+      saved := (k, path) :: !saved
+    end
+  in
+  { save_iteration; saved = (fun () -> List.rev !saved) }
 
 let run_with_checkpoints ?every ~dir ~name ?guard cfg =
   let s = saver ?every ~dir ~name () in

@@ -49,41 +49,23 @@ type meta = {
 
 val json_of_meta : meta -> Rc_util.Json.t
 
-(** {1 Blob stores}
-
-    Pluggable non-file checkpoint tiers, dispatched on a path prefix.
-    The shm transport registers a ["shm:"] store backed by the
-    segment's checkpoint arena ({!Transport}), so the serving hot path
-    never touches the filesystem; files remain the cold/persistent
-    tier.  A store carries the {e exact} RCCKPT bytes a file would
-    hold — resume is bit-identical from either tier. *)
-
-type blob_store = {
-  bs_save : key:string -> iteration:int -> string -> (string, string) result;
-      (** Persist one checkpoint's bytes under [key] (the
-          checkpoint-dir token, e.g. ["shm:sid7"]); returns the resume
-          token recorded in the {!saver}'s saved list.  Errors are
-          treated as best-effort skips. *)
-  bs_load : string -> (string, string) result;  (** Token -> bytes. *)
-}
-
-val register_blob_store : prefix:string -> blob_store -> unit
-(** Route every [save]/[load]/[inspect]/{!saver} path starting with
-    [prefix] through the store (replacing any store with the same
-    prefix — process-wide, call once at worker startup). *)
-
 val to_blob : Flow_ctx.t -> meta * string
-(** The exact bytes {!save} would write — for blob stores. *)
+(** The exact bytes {!save} would write. *)
 
 val save : path:string -> Flow_ctx.t -> meta
-(** Snapshot an iteration-boundary context.  The write is atomic
-    (temp file + rename): a crash mid-save never leaves a torn
-    checkpoint behind. *)
+(** Snapshot an iteration-boundary context.  The write is atomic (a
+    uniquely named temp file, then rename): a crash mid-save never
+    leaves a torn checkpoint behind, and two writers of one path never
+    interleave.  Raises [Sys_error] when the file cannot be written. *)
+
+val save_counts : unit -> int * int
+(** [(written, failed)]: checkpoint files this process has saved with
+    {!save}, and {!save} calls that raised.  A supervised worker
+    publishes both in its shm row ([ckpt_saves] / [ckpt_skips]). *)
 
 val inspect : path:string -> (meta, string) result
-(** Read and validate only the header — cheap, no unmarshalling.
-    Routes through a registered blob store when the path prefix
-    matches, like {!load}. *)
+(** Read and validate only the header — cheap, no unmarshalling.  The
+    same header checks as {!load}, which goes on to the payload. *)
 
 val load :
   ?netlist:Rc_netlist.Netlist.t ->
@@ -95,17 +77,16 @@ val load :
     embedded config (or use [netlist] for flows on imported circuits),
     restore every loop-visible field, and (unless [warm:false]) prime
     the incremental STA session from the restored placement.  Errors —
-    wrong magic, unsupported version, truncation, digest mismatch — are
-    returned, never raised. *)
+    unreadable file, wrong magic, unsupported version, truncation,
+    trailing bytes, digest mismatch — are returned, never raised. *)
 
 val load_blob :
   ?netlist:Rc_netlist.Netlist.t ->
   ?warm:bool ->
   string ->
   (meta * Flow_ctx.t, string) result
-(** {!load} over in-memory RCCKPT bytes instead of a path — the
-    {!Session} store's rehydration path (it already holds the bytes
-    from the shm checkpoint arena or an escrow file). *)
+(** {!load} over in-memory RCCKPT bytes instead of a path; {!load}
+    reads the file and calls this, so both validate identically. *)
 
 val resume :
   ?guard:(Flow_ctx.t -> unit) ->
@@ -129,10 +110,7 @@ type saver = {
 val saver : ?every:int -> dir:string -> name:string -> unit -> saver
 (** A hook that writes [dir/name.iter-<k>.ckpt] at every [every]-th
     iteration boundary (default every iteration, always including a
-    converged one).  Creates [dir] if missing.  When [dir] matches a
-    registered blob-store prefix, checkpoints go to the store instead
-    (best-effort: a full store skips the save and the flow continues
-    with its previous checkpoint). *)
+    converged one).  Creates [dir] if missing. *)
 
 val run_with_checkpoints :
   ?every:int ->

@@ -414,13 +414,6 @@ let run_flow (r : flow_request) token =
           let outcome, checkpoints =
             Checkpoint.run_with_checkpoints ~every ~dir ~name ~guard:(guard_of token) cfg
           in
-          (* shm-arena checkpoints are supervisor plumbing, freed when
-             the response lands — never expose their tokens to clients *)
-          let checkpoints =
-            List.filter
-              (fun (_, p) -> not (String.starts_with ~prefix:"shm:" p))
-              checkpoints
-          in
           json_of_outcome ~checkpoints outcome)
 
 let run_report (r : report_request) token =

@@ -33,25 +33,19 @@ type t = {
 }
 
 let create ?workers ?max_pending ?(identity = { worker_id = 0; restarts = 0 })
-    ?session_capacity ?session_tier ?session_dir () =
-  let tier =
-    match session_tier with
-    | Some tier -> tier
+    ?session_capacity ?session_dir () =
+  let dir =
+    match session_dir with
+    | Some d -> d
     | None ->
-        let dir =
-          match session_dir with
-          | Some d -> d
-          | None ->
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "rotary-eco-%d" (Unix.getpid ()))
-        in
-        Session.file_tier ~dir
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "rotary-eco-%d" (Unix.getpid ()))
   in
   {
     sched = Scheduler.create ?workers ?max_pending ();
     identity;
-    sessions = Session.create ?capacity:session_capacity ~tier ();
+    sessions = Session.create ?capacity:session_capacity ~dir ();
     lock = Mutex.create ();
     flushed = Condition.create ();
     stop = false;

@@ -26,16 +26,15 @@ val create :
   ?max_pending:int ->
   ?identity:identity ->
   ?session_capacity:int ->
-  ?session_tier:Session.tier ->
   ?session_dir:string ->
   unit ->
   t
 (** A server with its own {!Scheduler} ([workers] domains, bounded
     queue of [max_pending]) and its own {!Session} store for the online
-    ECO ops ([session_capacity] resident sessions, escrowed through
-    [session_tier] — default a {!Session.file_tier} under [session_dir],
-    itself defaulting to a per-process temp directory).  Exposed for
-    in-process tests; the entry points below call it themselves. *)
+    ECO ops ([session_capacity] resident sessions, escrowed as files
+    under [session_dir], defaulting to a per-process temp directory).
+    Exposed for in-process tests; the entry points below call it
+    themselves. *)
 
 val scheduler : t -> Scheduler.t
 (** The server's scheduler — the {!Worker} heartbeat reads its counts

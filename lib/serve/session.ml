@@ -4,12 +4,6 @@ module Json = Rc_util.Json
 module Metrics = Rc_obs.Metrics
 open Rc_core
 
-type tier = {
-  t_save : sid:int -> iteration:int -> string -> (unit, string) result;
-  t_load : sid:int -> (string, string) result;
-  t_free : sid:int -> unit;
-}
-
 (* Session counters in the shm export table (Metrics.export_names).
    Residency is a delta counter (+1 on becoming resident, -1 on losing
    residency), not a gauge: counter shards sum exactly across the
@@ -21,57 +15,12 @@ let m_evictions = Metrics.counter "serve.session.evictions"
 let m_rehydrations = Metrics.counter "serve.session.rehydrations"
 let m_resident = Metrics.counter "serve.session.resident"
 
-(* ---------- tiers ---------- *)
-
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
   else begin
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let file_tier ~dir =
-  let path sid = Filename.concat dir (Printf.sprintf "eco-sid%d.ckpt" sid) in
-  let t_save ~sid ~iteration:_ bytes =
-    try
-      mkdir_p dir;
-      let tmp = Filename.temp_file ~temp_dir:dir "eco-" ".tmp" in
-      let oc = open_out_bin tmp in
-      output_string oc bytes;
-      close_out oc;
-      Sys.rename tmp (path sid);
-      Ok ()
-    with exn -> Error (Printexc.to_string exn)
-  in
-  let t_load ~sid =
-    let p = path sid in
-    if not (Sys.file_exists p) then
-      Error (Printf.sprintf "no escrow for session %d under %s" sid dir)
-    else
-      try
-        let ic = open_in_bin p in
-        let bytes = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Ok bytes
-      with exn -> Error (Printexc.to_string exn)
-  in
-  let t_free ~sid = try Sys.remove (path sid) with Sys_error _ -> () in
-  { t_save; t_load; t_free }
-
-let chain hot cold =
-  let t_save ~sid ~iteration bytes =
-    match hot.t_save ~sid ~iteration bytes with
-    | Ok () -> Ok ()
-    | Error _ -> cold.t_save ~sid ~iteration bytes
-  in
-  let t_load ~sid =
-    match hot.t_load ~sid with Ok b -> Ok b | Error _ -> cold.t_load ~sid
-  in
-  let t_free ~sid =
-    hot.t_free ~sid;
-    cold.t_free ~sid
-  in
-  { t_save; t_load; t_free }
 
 (* ---------- store ---------- *)
 
@@ -87,7 +36,7 @@ type entry = {
 }
 
 type t = {
-  tier : tier;
+  dir : string;  (* escrow directory, shared by sibling workers *)
   capacity : int;
   lock : Mutex.t;  (* guards [entries], [clock], [next_sid] *)
   entries : (int, entry) Hashtbl.t;
@@ -95,9 +44,9 @@ type t = {
   mutable next_sid : int;  (* single-process id allocation *)
 }
 
-let create ?(capacity = 8) ~tier () =
+let create ?(capacity = 8) ~dir () =
   {
-    tier;
+    dir;
     capacity = max 1 capacity;
     lock = Mutex.create ();
     entries = Hashtbl.create 16;
@@ -152,32 +101,38 @@ let evict_over_capacity t ~keep =
       by_age
   end
 
+let escrow_path t sid = Filename.concat t.dir (Printf.sprintf "eco-sid%d.ckpt" sid)
+
 let escrow t e ctx =
-  let _meta, bytes = Checkpoint.to_blob ctx in
-  match t.tier.t_save ~sid:e.e_sid ~iteration:ctx.Flow_ctx.iteration bytes with
-  | Ok () -> e.e_escrowed <- true
-  | Error msg ->
+  match
+    mkdir_p t.dir;
+    Checkpoint.save ~path:(escrow_path t e.e_sid) ctx
+  with
+  | _meta -> e.e_escrowed <- true
+  | exception exn ->
       (* Keep the session resident and non-evictable until the next
          successful escrow; crash recovery degrades to the last one. *)
       e.e_escrowed <- false;
-      Printf.eprintf "[session] sid %d escrow failed: %s\n%!" e.e_sid msg
+      Printf.eprintf "[session] sid %d escrow failed: %s\n%!" e.e_sid (Printexc.to_string exn)
+
+let free_escrow t sid = try Sys.remove (escrow_path t sid) with Sys_error _ -> ()
 
 (* Call with [e.e_lock] held. *)
 let rehydrate t e =
-  match t.tier.t_load ~sid:e.e_sid with
-  | Error msg -> Error msg
-  | Ok bytes -> (
-      match Checkpoint.load_blob bytes with
-      | Error msg ->
-          Error (Printf.sprintf "session %d escrow unreadable: %s" e.e_sid msg)
-      | Ok (meta, ctx) ->
-          e.e_ctx <- Some ctx;
-          e.e_applied <- meta.Checkpoint.iteration;
-          e.e_digest <- Checkpoint.digest_of_ctx ctx;
-          e.e_escrowed <- true;
-          Metrics.incr m_rehydrations;
-          Metrics.add m_resident 1;
-          Ok ctx)
+  let path = escrow_path t e.e_sid in
+  if not (Sys.file_exists path) then
+    Error (Printf.sprintf "no escrow for session %d under %s" e.e_sid t.dir)
+  else
+    match Checkpoint.load ~path () with
+    | Error msg -> Error (Printf.sprintf "session %d escrow unreadable: %s" e.e_sid msg)
+    | Ok (meta, ctx) ->
+        e.e_ctx <- Some ctx;
+        e.e_applied <- meta.Checkpoint.iteration;
+        e.e_digest <- Checkpoint.digest_of_ctx ctx;
+        e.e_escrowed <- true;
+        Metrics.incr m_rehydrations;
+        Metrics.add m_resident 1;
+        Ok ctx
 
 (* Find the session's entry, admitting a shell for an unknown sid so a
    redispatched op can rehydrate a crashed sibling's escrow.  Returns
@@ -207,8 +162,8 @@ let find_or_admit t sid =
 
 (* Call with [e.e_lock] held: the resident context, rehydrating from
    escrow when evicted (or when the sid is only known to the shared
-   tier -- the crash-recovery path).  A shell whose tier probe fails
-   was never a session at all and is forgotten. *)
+   escrow directory -- the crash-recovery path).  A shell with no
+   escrow file was never a session at all and is forgotten. *)
 let resident_ctx t e =
   match e.e_ctx with
   | Some ctx -> Ok ctx
@@ -414,8 +369,8 @@ let close_session t sid _token =
   match e with
   | None ->
       (* Tolerate closing an escrow-only session (e.g. after a restart):
-         just release the tier's copy. *)
-      t.tier.t_free ~sid;
+         just release its escrow file. *)
+      free_escrow t sid;
       Json.Obj [ ("session", Json.Int sid); ("closed", Json.Bool true) ]
   | Some e ->
       let json =
@@ -427,7 +382,7 @@ let close_session t sid _token =
               (session_fields sid e @ [ ("closed", Json.Bool true) ]))
       in
       with_lock t.lock (fun () -> Hashtbl.remove t.entries sid);
-      t.tier.t_free ~sid;
+      free_escrow t sid;
       json
 
 let job_of_op t (op : Protocol.op) =

@@ -10,16 +10,15 @@
     {1 Escrow and eviction}
 
     After {e every} applied batch the session's full state is escrowed
-    through the {!tier} as RCCKPT bytes ({!Checkpoint.to_blob}) — the
-    shm checkpoint arena when the worker runs the shm transport
-    (["shm:sid<N>"], falling back to files when the arena is full), a
-    session directory otherwise.  Eviction under the LRU [capacity]
-    therefore just drops the resident context; the next op on the
-    session rehydrates it transparently from escrow
-    ({!Checkpoint.load_blob}, STA session re-warmed).  The same path
-    serves crash recovery: a sibling worker that receives a
-    redispatched edit finds no resident entry, loads the crashed
-    worker's escrow from the shared tier, and continues.
+    as a checkpoint file, [dir/eco-sid<N>.ckpt], written and read
+    through {!Checkpoint.save} / {!Checkpoint.load} (atomic temp file +
+    rename; the directory is created on first save).  Eviction under
+    the LRU [capacity] therefore just drops the resident context; the
+    next op on the session rehydrates it transparently from its escrow
+    file (STA session re-warmed).  The same path serves crash recovery:
+    every worker of a supervisor shares one escrow directory, so a
+    sibling that receives a redispatched edit finds no resident entry,
+    loads the crashed worker's escrow, and continues.
 
     {1 Replay bit-identity}
 
@@ -40,35 +39,13 @@
     predecessors (scheduler domains may overtake each other), then
     errors. *)
 
-(** Where escrowed session state lives.  [t_save] persists one
-    checkpoint's RCCKPT bytes for a session (replacing any prior one),
-    [t_load] returns the latest bytes, [t_free] releases everything
-    the session holds (idempotent). *)
-type tier = {
-  t_save : sid:int -> iteration:int -> string -> (unit, string) result;
-  t_load : sid:int -> (string, string) result;
-  t_free : sid:int -> unit;
-}
-
-val file_tier : dir:string -> tier
-(** Escrow under [dir/eco-sid<N>.ckpt] (atomic temp-file + rename
-    writes; the directory is created on first save).  The cold tier —
-    and the whole tier for the ndjson transport, where the directory is
-    shared by every worker so siblings can rehydrate each other's
-    sessions. *)
-
-val chain : tier -> tier -> tier
-(** [chain hot cold]: save into [hot], falling back to [cold] when the
-    hot tier refuses (e.g. a full shm arena); loads probe [hot] then
-    [cold]; frees release both. *)
-
 type t
 
-val create : ?capacity:int -> tier:tier -> unit -> t
-(** A store keeping at most [capacity] (default 8) sessions resident;
-    beyond that the least-recently-used escrowed session is evicted.
-    Counters surface as [serve.session.*] metrics (shm export table /
-    [rotary_cli top]). *)
+val create : ?capacity:int -> dir:string -> unit -> t
+(** A store escrowing under [dir] and keeping at most [capacity]
+    (default 8) sessions resident; beyond that the least-recently-used
+    escrowed session is evicted.  Counters surface as [serve.session.*]
+    metrics (shm export table / [rotary_cli top]). *)
 
 val job_of_op : t -> Protocol.op -> (Cancel.t -> Rc_util.Json.t) option
 (** The scheduler job body for a session op ([Some] exactly when

@@ -1,21 +1,13 @@
-(* Shared-memory segment: per-worker metrics *and* the zero-copy job
-   transport between the supervisor and its worker processes.
+(* Shared-memory counter segment: per-worker metrics of the supervised
+   service tier.
 
    The segment is a plain file mapped MAP_SHARED by every party: the
    supervisor creates it and owns the header plus one *control* region
    per worker (pid, restarts, dispatch state); each worker process owns
-   the *worker* region of its slot (liveness heartbeat, scheduler
-   counters, the fixed Rc_obs.Metrics export table).  `rotary_cli top`
-   maps the file read-only.
-
-   Layout v2 appends the transport regions after the v1 counter slots:
-   per-worker SPSC descriptor ring pairs (job ring supervisor->worker,
-   response ring worker->supervisor; see ring.ml), a size-classed
-   payload arena for request/response bodies (arena.ml), a checkpoint
-   arena holding RCCKPT blobs so crash recovery never round-trips the
-   filesystem, and a fixed table mapping in-flight session ids to their
-   latest checkpoint blob.  Ring and arena geometry is recorded in the
-   header, so [attach] reconstructs the exact offsets.
+   the *worker* region of its slot (liveness heartbeat, scheduler and
+   checkpoint counters, the fixed Rc_obs.Metrics export table).
+   `rotary_cli top` maps the file read-only.  Job and response bodies
+   never pass through here: they ride each worker's NDJSON socketpair.
 
    Counter-region consistency is seqlock-style, per region: the writer
    bumps the region's sequence word to odd, writes the fields, bumps it
@@ -27,18 +19,14 @@
    the sequence odd forever — returns the torn row flagged
    [consistent = false] instead of spinning.
 
-   Layout v2 (documented field-by-field in docs/serving.md; all cells
+   Layout v3 (documented field-by-field in docs/operations.md; all cells
    are native 63-bit OCaml ints, 8 bytes each):
 
-     page 0              header (write-once at create; tcp_port and
-                         transport are the mutable exceptions)
+     page 0              header (write-once at create; tcp_port is the
+                         mutable exception)
      page 1 + i          slot for worker i:
        words 0..255      worker region   (written by worker i)
        words 256..511    control region  (written by the supervisor)
-     then                per-worker ring pairs (job, response)
-     then                payload arena   (control words + extents)
-     then                checkpoint arena
-     then                checkpoint table (n_ckpt_entries x 8 words)
 
    [layout_version] bumps on any relayout; [attach] rejects other
    versions (and foreign files) with a descriptive error. *)
@@ -47,9 +35,8 @@ type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 external get_acq : ba -> int -> int = "rc_shm_get" [@@noalloc]
 external set_rel : ba -> int -> int -> unit = "rc_shm_set" [@@noalloc]
-external cas : ba -> int -> int -> int -> bool = "rc_shm_cas" [@@noalloc]
 
-let layout_version = 2
+let layout_version = 3
 let magic = 0x4745534d48534352 (* the bytes "RCSHMSEG", read as a little-endian int *)
 let slot_words = 512
 let header_words = 512
@@ -65,85 +52,8 @@ let h_pid = 4
 let h_created_s = 5
 let h_tcp_port = 6
 let h_solver_fields = 7
-let h_ring_slots = 8
-let h_transport = 9
-let h_pay_classes = 10
-let h_ckpt_classes = 11
-let h_ckpt_entries = 12
-let h_pay_table = 16 (* (size, count) pairs, up to [max_classes] *)
-let h_ckpt_table = 32
-let max_classes = 8
 
-(* transport defaults; the create-time spec is recorded in the header *)
-let default_ring_slots = 512
-
-let default_payload_spec =
-  Arena.[| { size = 1 lsl 10; count = 1024 }; { size = 1 lsl 13; count = 256 };
-           { size = 1 lsl 16; count = 128 }; { size = 1 lsl 19; count = 16 } |]
-
-let default_ckpt_spec =
-  Arena.[| { size = 1 lsl 16; count = 64 }; { size = 1 lsl 20; count = 16 } |]
-
-let default_ckpt_entries = 256
-
-type transport = Ndjson | Shm_rings
-
-let transport_code = function Ndjson -> 0 | Shm_rings -> 1
-let transport_of_code = function 1 -> Shm_rings | _ -> Ndjson
-let transport_name = function Ndjson -> "ndjson" | Shm_rings -> "shm"
-
-let transport_of_name = function
-  | "ndjson" -> Some Ndjson
-  | "shm" -> Some Shm_rings
-  | _ -> None
-
-(* ---- geometry ----------------------------------------------------------- *)
-
-type geometry = {
-  g_workers : int;
-  g_ring_slots : int;
-  g_pay_spec : Arena.spec array;
-  g_ckpt_spec : Arena.spec array;
-  g_ckpt_entries : int;
-  g_rings_base : int;
-  g_ring_words : int; (* one ring *)
-  g_pay_base : int;
-  g_ck_base : int;
-  g_table_base : int;
-  g_total_words : int;
-}
-
-let ckpt_entry_words = 8
-
-let geometry ~n_workers ~ring_slots ~pay_spec ~ckpt_spec ~ckpt_entries =
-  let rings_base = header_words + (n_workers * slot_words) in
-  let ring_words = Ring.words ~slots:ring_slots in
-  let pay_base = rings_base + (n_workers * 2 * ring_words) in
-  let ck_base = pay_base + Arena.words_needed pay_spec in
-  let table_base = ck_base + Arena.words_needed ckpt_spec in
-  {
-    g_workers = n_workers;
-    g_ring_slots = ring_slots;
-    g_pay_spec = pay_spec;
-    g_ckpt_spec = ckpt_spec;
-    g_ckpt_entries = ckpt_entries;
-    g_rings_base = rings_base;
-    g_ring_words = ring_words;
-    g_pay_base = pay_base;
-    g_ck_base = ck_base;
-    g_table_base = table_base;
-    g_total_words = table_base + (ckpt_entries * ckpt_entry_words);
-  }
-
-type t = {
-  ba : ba;
-  n_workers : int;
-  path : string;
-  geo : geometry;
-  rings : (Ring.t * Ring.t) array; (* (job, response) per worker *)
-  pay : Arena.t;
-  ck : Arena.t;
-}
+type t = { ba : ba; n_workers : int; path : string }
 
 (* ---- rows -------------------------------------------------------------- *)
 
@@ -193,8 +103,6 @@ type worker_row = {
   running : int;
   job_wall_ms : int;
   core : int;  (* pinned CPU core, -1 = unpinned *)
-  shm_jobs : int;
-  shm_responses : int;
   shm_fallbacks : int;
   ckpt_saves : int;
   ckpt_skips : int;
@@ -218,8 +126,6 @@ let empty_worker_row =
     running = 0;
     job_wall_ms = 0;
     core = -1;
-    shm_jobs = 0;
-    shm_responses = 0;
     shm_fallbacks = 0;
     ckpt_saves = 0;
     ckpt_skips = 0;
@@ -256,55 +162,21 @@ type row = {
 
 (* ---- mapping ----------------------------------------------------------- *)
 
+let total_words n_workers = header_words + (n_workers * slot_words)
+
 let map_fd fd ~words =
   Bigarray.array1_of_genarray
     (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| words |])
 
-let write_spec_table ba base spec =
-  Array.iteri
-    (fun i (s : Arena.spec) ->
-      set_rel ba (base + (2 * i)) s.size;
-      set_rel ba (base + (2 * i) + 1) s.count)
-    spec
-
-let read_spec_table ba base n =
-  Array.init n (fun i ->
-      Arena.{ size = get_acq ba (base + (2 * i)); count = get_acq ba (base + (2 * i) + 1) })
-
-let build ~init ba geo path =
-  let ring_at k = geo.g_rings_base + (k * geo.g_ring_words) in
-  let mk_ring base =
-    if init then Ring.init ba ~base ~slots:geo.g_ring_slots
-    else Ring.attach ba ~base ~slots:geo.g_ring_slots
-  in
-  let rings =
-    Array.init geo.g_workers (fun i -> (mk_ring (ring_at (2 * i)), mk_ring (ring_at ((2 * i) + 1))))
-  in
-  let pay =
-    if init then Arena.init ba ~base:geo.g_pay_base geo.g_pay_spec
-    else Arena.attach ba ~base:geo.g_pay_base geo.g_pay_spec
-  in
-  let ck =
-    if init then Arena.init ba ~base:geo.g_ck_base geo.g_ckpt_spec
-    else Arena.attach ba ~base:geo.g_ck_base geo.g_ckpt_spec
-  in
-  { ba; n_workers = geo.g_workers; path; geo; rings; pay; ck }
-
-let create ?(ring_slots = default_ring_slots) ?(payload_spec = default_payload_spec)
-    ?(ckpt_spec = default_ckpt_spec) ?(ckpt_entries = default_ckpt_entries) ~path ~n_workers () =
+let create ~path ~n_workers () =
   if n_workers < 1 then invalid_arg "Shm.create: n_workers must be >= 1";
-  if Array.length payload_spec > max_classes || Array.length ckpt_spec > max_classes then
-    invalid_arg "Shm.create: too many arena classes";
-  if ckpt_entries < 1 then invalid_arg "Shm.create: ckpt_entries must be >= 1";
-  let geo =
-    geometry ~n_workers ~ring_slots ~pay_spec:payload_spec ~ckpt_spec ~ckpt_entries
-  in
+  let words = total_words n_workers in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      Unix.ftruncate fd (geo.g_total_words * 8);
-      let ba = map_fd fd ~words:geo.g_total_words in
+      Unix.ftruncate fd (words * 8);
+      let ba = map_fd fd ~words in
       set_rel ba h_magic magic;
       set_rel ba h_version layout_version;
       set_rel ba h_workers n_workers;
@@ -313,14 +185,7 @@ let create ?(ring_slots = default_ring_slots) ?(payload_spec = default_payload_s
       set_rel ba h_created_s (int_of_float (Unix.time ()));
       set_rel ba h_tcp_port 0;
       set_rel ba h_solver_fields n_solver;
-      set_rel ba h_ring_slots ring_slots;
-      set_rel ba h_transport (transport_code Ndjson);
-      set_rel ba h_pay_classes (Array.length payload_spec);
-      set_rel ba h_ckpt_classes (Array.length ckpt_spec);
-      set_rel ba h_ckpt_entries ckpt_entries;
-      write_spec_table ba h_pay_table payload_spec;
-      write_spec_table ba h_ckpt_table ckpt_spec;
-      build ~init:true ba geo path)
+      { ba; n_workers; path })
 
 let attach ~path () =
   (* O_RDWR even for readers: Unix.map_file always maps the pages
@@ -345,25 +210,15 @@ let attach ~path () =
                    (get_acq header h_version) layout_version)
             else
               let n_workers = get_acq header h_workers in
-              let n_pay = get_acq header h_pay_classes in
-              let n_ck = get_acq header h_ckpt_classes in
               if n_workers < 1 || n_workers > 4096 then
                 Error (Printf.sprintf "%s: implausible worker count %d" path n_workers)
-              else if n_pay < 1 || n_pay > max_classes || n_ck < 1 || n_ck > max_classes
-              then Error (Printf.sprintf "%s: implausible arena class counts" path)
               else
-                let geo =
-                  geometry ~n_workers
-                    ~ring_slots:(get_acq header h_ring_slots)
-                    ~pay_spec:(read_spec_table header h_pay_table n_pay)
-                    ~ckpt_spec:(read_spec_table header h_ckpt_table n_ck)
-                    ~ckpt_entries:(get_acq header h_ckpt_entries)
-                in
-                if bytes < geo.g_total_words * 8 then
+                let words = total_words n_workers in
+                if bytes < words * 8 then
                   Error
                     (Printf.sprintf "%s: truncated (%d bytes < %d expected)" path bytes
-                       (geo.g_total_words * 8))
-                else Ok (build ~init:false (map_fd fd ~words:geo.g_total_words) geo path))
+                       (words * 8))
+                else Ok { ba = map_fd fd ~words; n_workers; path })
 
 let n_workers t = t.n_workers
 let path t = t.path
@@ -373,127 +228,9 @@ let created_s t = get_acq t.ba h_created_s
 let tcp_port t = match get_acq t.ba h_tcp_port with 0 -> None | p -> Some p
 let set_tcp_port t port = set_rel t.ba h_tcp_port port
 
-let transport t = transport_of_code (get_acq t.ba h_transport)
-let set_transport t tr = set_rel t.ba h_transport (transport_code tr)
-let ring_slots t = t.geo.g_ring_slots
-
 let slot_base t i =
   if i < 0 || i >= t.n_workers then invalid_arg "Shm: slot out of range";
   header_words + (i * slot_words)
-
-(* ---- transport accessors ----------------------------------------------- *)
-
-let job_ring t i =
-  if i < 0 || i >= t.n_workers then invalid_arg "Shm: slot out of range";
-  fst t.rings.(i)
-
-let resp_ring t i =
-  if i < 0 || i >= t.n_workers then invalid_arg "Shm: slot out of range";
-  snd t.rings.(i)
-
-let payload_arena t = t.pay
-let ckpt_arena t = t.ck
-
-(* ---- checkpoint table ---------------------------------------------------
-
-   [n_ckpt_entries] entries of 8 words: [seq; sid; iteration; handle;
-   len; 3 pad].  An entry is claimed by CASing sid from 0 (workers
-   racing on behalf of different sessions); the blob fields are
-   seqlock'd under [seq] because the claiming worker republishes on
-   every checkpointed iteration while the supervisor may be reading for
-   a crash redispatch.  [len] = 0 means "claimed, no blob yet".  The
-   supervisor releases the entry (and its extent) when the session's
-   response is delivered. *)
-
-let ckpt_entries t = t.geo.g_ckpt_entries
-let entry_base t k = t.geo.g_table_base + (k * ckpt_entry_words)
-
-let ckpt_used t =
-  let used = ref 0 in
-  for k = 0 to ckpt_entries t - 1 do
-    if get_acq t.ba (entry_base t k + 1) <> 0 then incr used
-  done;
-  !used
-
-let ckpt_claim t ~sid =
-  if sid = 0 then invalid_arg "Shm.ckpt_claim: sid 0 is the free marker";
-  let n = ckpt_entries t in
-  let rec find k = (* already claimed for this sid (resume on a sibling)? *)
-    if k >= n then None
-    else if get_acq t.ba (entry_base t k + 1) = sid then Some k
-    else find (k + 1)
-  in
-  match find 0 with
-  | Some k -> Some k
-  | None ->
-      let rec grab k =
-        if k >= n then None
-        else
-          let b = entry_base t k in
-          if get_acq t.ba (b + 1) = 0 && cas t.ba (b + 1) 0 sid then Some k else grab (k + 1)
-      in
-      grab 0
-
-(* returns the replaced blob's handle, for the caller to decref *)
-let ckpt_publish t ~entry ~iteration ~handle ~len =
-  let b = entry_base t entry in
-  let ba = t.ba in
-  let old_handle = get_acq ba (b + 3) and old_len = get_acq ba (b + 4) in
-  set_rel ba b (get_acq ba b + 1);
-  set_rel ba (b + 2) iteration;
-  set_rel ba (b + 3) handle;
-  set_rel ba (b + 4) len;
-  set_rel ba b (get_acq ba b + 1);
-  if old_len > 0 then Some old_handle else None
-
-let max_read_retries = 1000
-
-let ckpt_find t ~sid =
-  let n = ckpt_entries t in
-  let rec scan k =
-    if k >= n then None
-    else
-      let b = entry_base t k in
-      if get_acq t.ba (b + 1) <> sid then scan (k + 1)
-      else
-        let rec snap tries =
-          let s1 = get_acq t.ba b in
-          let iteration = get_acq t.ba (b + 2) in
-          let handle = get_acq t.ba (b + 3) in
-          let len = get_acq t.ba (b + 4) in
-          if s1 land 1 = 0 && get_acq t.ba b = s1 then Some (k, iteration, handle, len)
-          else if tries >= max_read_retries then None (* torn: writer died mid-publish *)
-          else begin
-            Domain.cpu_relax ();
-            snap (tries + 1)
-          end
-        in
-        (match snap 0 with
-        | Some (_, _, _, len) when len = 0 -> None (* claimed, never published *)
-        | r -> r)
-  in
-  scan 0
-
-(* returns the blob handle to decref, if one was published *)
-let ckpt_release t ~sid =
-  let n = ckpt_entries t in
-  let rec scan k =
-    if k >= n then None
-    else
-      let b = entry_base t k in
-      if get_acq t.ba (b + 1) <> sid then scan (k + 1)
-      else begin
-        let handle = get_acq t.ba (b + 3) and len = get_acq t.ba (b + 4) in
-        set_rel t.ba b (get_acq t.ba b + 1);
-        set_rel t.ba (b + 2) 0;
-        set_rel t.ba (b + 3) 0;
-        set_rel t.ba (b + 4) 0;
-        set_rel t.ba (b + 1) 0;
-        set_rel t.ba b (get_acq t.ba b + 1);
-        if len > 0 then Some handle else None
-      end
-  in
-  scan 0
 
 (* ---- seqlock write ----------------------------------------------------- *)
 
@@ -524,13 +261,17 @@ let write_worker t ~slot (r : worker_row) =
       set_rel ba (base + 13) r.running;
       set_rel ba (base + 14) r.job_wall_ms;
       set_rel ba (base + 15) r.core;
-      set_rel ba (base + 16) r.shm_jobs;
-      set_rel ba (base + 17) r.shm_responses;
-      set_rel ba (base + 18) r.shm_fallbacks;
-      set_rel ba (base + 19) r.ckpt_saves;
-      set_rel ba (base + 20) r.ckpt_skips;
-      set_rel ba (base + 21) (Array.length r.solver);
-      Array.iteri (fun k v -> set_rel ba (base + 22 + k) v) r.solver)
+      set_rel ba (base + 16) r.shm_fallbacks;
+      set_rel ba (base + 17) r.ckpt_saves;
+      set_rel ba (base + 18) r.ckpt_skips;
+      set_rel ba (base + 19) (Array.length r.solver);
+      (* a loop, not Array.iteri: nothing is allocated between the two
+         sequence bumps, so the writer never starts a stop-the-world
+         minor GC mid-write and leaves readers spinning on an odd
+         sequence (on a shared core, for the whole time slice) *)
+      for k = 0 to Array.length r.solver - 1 do
+        set_rel ba (base + 20 + k) r.solver.(k)
+      done)
 
 let write_control t ~slot (r : control_row) =
   let base = slot_base t slot + control_base in
@@ -545,6 +286,8 @@ let write_control t ~slot (r : control_row) =
       set_rel ba (base + 7) r.c_resumed)
 
 (* ---- seqlock read ------------------------------------------------------ *)
+
+let max_read_retries = 1000
 
 (* read [len] words after the sequence word at [base] into a consistent
    snapshot; [false] marks a torn read (retry budget exhausted, e.g. a
@@ -578,14 +321,14 @@ let read_region ba ~base ~len =
   in
   go 0
 
-let worker_words = 21 + n_solver
+let worker_words = 19 + n_solver
 let control_words = 7
 
 let read_row t ~slot =
   let base = slot_base t slot in
   let w, w_consistent = read_region t.ba ~base ~len:worker_words in
   let c, c_consistent = read_region t.ba ~base:(base + control_base) ~len:control_words in
-  let n_solver_in = min n_solver (max 0 w.(20)) in
+  let n_solver_in = min n_solver (max 0 w.(18)) in
   {
     worker =
       {
@@ -604,12 +347,10 @@ let read_row t ~slot =
         running = w.(12);
         job_wall_ms = w.(13);
         core = w.(14);
-        shm_jobs = w.(15);
-        shm_responses = w.(16);
-        shm_fallbacks = w.(17);
-        ckpt_saves = w.(18);
-        ckpt_skips = w.(19);
-        solver = Array.init n_solver (fun k -> if k < n_solver_in then w.(21 + k) else 0);
+        shm_fallbacks = w.(15);
+        ckpt_saves = w.(16);
+        ckpt_skips = w.(17);
+        solver = Array.init n_solver (fun k -> if k < n_solver_in then w.(19 + k) else 0);
       };
     control =
       {
@@ -629,7 +370,7 @@ let read_all t = Array.init t.n_workers (fun i -> read_row t ~slot:i)
 
 (* ---- rendering --------------------------------------------------------- *)
 
-let json_of_row t i (r : row) =
+let json_of_row i (r : row) =
   let module J = Rc_util.Json in
   J.Obj
     [
@@ -641,22 +382,8 @@ let json_of_row t i (r : row) =
       ("requests", J.Int r.worker.requests);
       ("responses", J.Int r.worker.responses);
       ("core", if r.worker.core < 0 then J.Null else J.Int r.worker.core);
-      ( "rings",
-        J.Obj
-          [
-            ("job_depth", J.Int (Ring.depth (job_ring t i)));
-            ("resp_depth", J.Int (Ring.depth (resp_ring t i)));
-            ("slots", J.Int (ring_slots t));
-          ] );
-      ( "shm",
-        J.Obj
-          [
-            ("jobs", J.Int r.worker.shm_jobs);
-            ("responses", J.Int r.worker.shm_responses);
-            ("fallbacks", J.Int r.worker.shm_fallbacks);
-            ("ckpt_saves", J.Int r.worker.ckpt_saves);
-            ("ckpt_skips", J.Int r.worker.ckpt_skips);
-          ] );
+      ( "checkpoints",
+        J.Obj [ ("saves", J.Int r.worker.ckpt_saves); ("skips", J.Int r.worker.ckpt_skips) ] );
       ( "jobs",
         J.Obj
           [
@@ -687,20 +414,6 @@ let json_of_row t i (r : row) =
           ] );
     ]
 
-let json_of_arena a =
-  let module J = Rc_util.Json in
-  J.List
-    (Array.to_list
-       (Array.map
-          (fun (s : Arena.stat) ->
-            J.Obj
-              [
-                ("size", J.Int s.s_size);
-                ("count", J.Int s.s_count);
-                ("in_use", J.Int s.s_in_use);
-              ])
-          (Arena.stats a)))
-
 let to_json t =
   let module J = Rc_util.Json in
   J.Obj
@@ -710,15 +423,5 @@ let to_json t =
       ("supervisor_pid", J.Int (supervisor_pid t));
       ("created_unix_s", J.Int (created_s t));
       ("tcp_port", match tcp_port t with None -> J.Null | Some p -> J.Int p);
-      ("transport", J.String (transport_name (transport t)));
-      ("ring_slots", J.Int (ring_slots t));
-      ( "arena",
-        J.Obj
-          [
-            ("payload", json_of_arena t.pay);
-            ("checkpoint", json_of_arena t.ck);
-            ( "ckpt_entries",
-              J.Obj [ ("used", J.Int (ckpt_used t)); ("total", J.Int (ckpt_entries t)) ] );
-          ] );
-      ("workers", J.List (Array.to_list (Array.mapi (json_of_row t) (read_all t))));
+      ("workers", J.List (Array.to_list (Array.mapi json_of_row (read_all t))));
     ]

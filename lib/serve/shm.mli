@@ -1,24 +1,21 @@
-(** Mmap'd shared-memory segment: per-worker counters {e and} the
-    zero-copy job transport of the supervised service tier.
+(** Mmap'd shared-memory counter segment of the supervised service
+    tier: per-worker liveness and counters, read live by
+    [rotary_cli top] and the supervisor's [status] op.  Job and
+    response bodies never pass through it — they ride the NDJSON
+    socketpair between the supervisor and each worker.
 
-    {1 Layout (version 2)}
+    {1 Layout (version 3)}
 
-    A segment is one 4096-byte header page, one 4096-byte counter slot
-    per worker, then the transport regions: per-worker {!Ring} pairs
-    (job ring supervisor→worker, response ring worker→supervisor), a
-    size-classed payload {!Arena} for request/response bodies, a
-    checkpoint {!Arena} holding RCCKPT blobs, and a checkpoint table
-    mapping in-flight session ids to their latest blob.  Every cell is
-    a native OCaml int (8 bytes); ring and arena geometry is recorded
-    in the header so {!attach} reconstructs exact offsets.  The
-    field-by-field layout is documented in [docs/serving.md];
-    {!layout_version} bumps on any change and {!attach} rejects
-    segments of other versions.
+    A segment is one 4096-byte header page followed by one 4096-byte
+    counter slot per worker.  Every cell is a native OCaml int (8
+    bytes).  The field-by-field layout is documented in
+    [docs/operations.md]; {!layout_version} bumps on any change and
+    {!attach} rejects segments of other versions.
 
     A counter slot holds two independently seqlock'd regions: the
     {e worker region} (words 0–255, written only by that worker's
     heartbeat thread — pid, state, heartbeat timestamp, scheduler and
-    transport counters, pinned core, and the fixed
+    checkpoint counters, pinned core, and the fixed
     {!Rc_obs.Metrics.export_names} solver table) and the {e control
     region} (words 256–511, written only by the supervisor).
 
@@ -34,15 +31,6 @@
 val layout_version : int
 
 type t
-
-type transport = Ndjson | Shm_rings
-
-val transport_name : transport -> string
-(** ["ndjson"] / ["shm"] — the [--transport] flag values. *)
-
-val transport_of_name : string -> transport option
-
-val default_ring_slots : int
 
 (** {1 Worker-region rows} *)
 
@@ -66,11 +54,11 @@ type worker_row = {
   running : int;
   job_wall_ms : int;  (** total scheduler job wall time, milliseconds. *)
   core : int;  (** CPU core this worker pinned itself to; -1 = unpinned. *)
-  shm_jobs : int;  (** jobs received through the shm job ring. *)
-  shm_responses : int;  (** responses sent through the shm response ring. *)
-  shm_fallbacks : int;  (** messages that fell back to the socketpair. *)
-  ckpt_saves : int;  (** checkpoints published into the shm arena. *)
-  ckpt_skips : int;  (** checkpoint saves skipped (arena/table full). *)
+  shm_fallbacks : int;
+      (** Always 0: there is no shared-memory job path to fall back
+          from.  Kept so readers of the row keep working. *)
+  ckpt_saves : int;  (** checkpoint files this worker wrote. *)
+  ckpt_skips : int;  (** checkpoint file writes that failed. *)
   solver : int array;  (** {!Rc_obs.Metrics.export_names} order. *)
 }
 
@@ -103,25 +91,14 @@ type row = {
 
 (** {1 Lifecycle} *)
 
-val create :
-  ?ring_slots:int ->
-  ?payload_spec:Arena.spec array ->
-  ?ckpt_spec:Arena.spec array ->
-  ?ckpt_entries:int ->
-  path:string ->
-  n_workers:int ->
-  unit ->
-  t
+val create : path:string -> n_workers:int -> unit -> t
 (** Create (truncating any existing file) and map a segment writable,
-    initializing rings, arena freelists and the checkpoint table.  The
-    geometry options default to the sizes in [docs/serving.md] and are
-    recorded in the header. *)
+    with every slot empty. *)
 
 val attach : path:string -> unit -> (t, string) result
-(** Map an existing segment, validating magic, layout version and size,
-    and reconstructing ring/arena offsets from the header.  Worker
-    processes attach to produce/consume their slot's rings; observers
-    ([rotary_cli top]) attach and must only read.  Errors are
+(** Map an existing segment, validating magic, layout version and size.
+    Worker processes attach to write their slot's worker region;
+    observers ([rotary_cli top]) attach and must only read.  Errors are
     descriptive strings, never exceptions. *)
 
 val n_workers : t -> int
@@ -134,58 +111,6 @@ val tcp_port : t -> int option
     tools discover the server from the segment alone. *)
 
 val set_tcp_port : t -> int -> unit
-
-val transport : t -> transport
-(** The transport the supervisor selected ([--transport]), for [top]
-    and attaching workers. *)
-
-val set_transport : t -> transport -> unit
-
-val ring_slots : t -> int
-
-(** {1 Transport regions} *)
-
-val job_ring : t -> int -> Ring.t
-(** Worker [i]'s job ring (producer: supervisor; consumer: worker). *)
-
-val resp_ring : t -> int -> Ring.t
-(** Worker [i]'s response ring (producer: worker; consumer: supervisor). *)
-
-val payload_arena : t -> Arena.t
-(** Request/response bodies referenced from ring descriptors. *)
-
-val ckpt_arena : t -> Arena.t
-(** RCCKPT blobs referenced from the checkpoint table. *)
-
-(** {2 Checkpoint table}
-
-    Fixed table of [sid -> latest checkpoint blob] entries.  Workers
-    {!ckpt_claim} an entry per checkpointed session and republish it
-    every checkpointed iteration ({!ckpt_publish}); after a crash the
-    supervisor {!ckpt_find}s the entry and redispatches the flow with a
-    ["shm:sid<N>"] resume path, and {!ckpt_release}s it once the
-    session's response is delivered.  Blob field reads are seqlock'd;
-    a torn entry (writer SIGKILLed mid-publish) reads as absent, which
-    degrades to rerunning the flow from scratch — still
-    digest-identical. *)
-
-val ckpt_entries : t -> int
-val ckpt_used : t -> int
-
-val ckpt_claim : t -> sid:int -> int option
-(** Entry index for [sid]: the existing entry, or a freshly CAS-claimed
-    free one; [None] = table full (skip checkpointing). *)
-
-val ckpt_publish : t -> entry:int -> iteration:int -> handle:int -> len:int -> int option
-(** Seqlock-publish a new blob for the entry; returns the replaced
-    blob's arena handle for the caller to {!Arena.decref}. *)
-
-val ckpt_find : t -> sid:int -> (int * int * int * int) option
-(** [(entry, iteration, handle, len)] of the latest published blob for
-    [sid], or [None] (absent, unpublished, or torn). *)
-
-val ckpt_release : t -> sid:int -> int option
-(** Free the entry; returns the blob handle to {!Arena.decref}. *)
 
 (** {1 Access} *)
 
@@ -203,6 +128,5 @@ val read_row : t -> slot:int -> row
 val read_all : t -> row array
 
 val to_json : t -> Rc_util.Json.t
-(** The whole segment as JSON — header fields, ring depths, arena
-    utilization, plus one object per worker — the [rotary_cli top
-    --json] document. *)
+(** The whole segment as JSON — header fields plus one object per
+    worker — the [rotary_cli top --json] document. *)

@@ -1,5 +1,4 @@
-/* Atomic accessors for the shared-memory segment (shm.ml, ring.ml,
- * arena.ml).
+/* Atomic accessors for the shared-memory counter segment (shm.ml).
  *
  * The segment is an mmap'd file of native-int cells shared between the
  * supervisor, its worker processes, and read-only observers
@@ -7,19 +6,8 @@
  * store-release ordering across processes; plain Bigarray accesses
  * only promise per-access atomicity on x86, so every cell access goes
  * through these stubs.
- *
- * On top of the v1 acquire/release pair, layout v2 adds:
- *   - seq_cst load/store for the ring doorbell handshake (a Dekker
- *     store-load pattern: consumer stores "waiting" then loads "head",
- *     producer stores "head" then loads "waiting" — release/acquire
- *     alone can lose the wakeup);
- *   - compare-and-swap and fetch-and-add for the arena freelists,
- *     extent refcounts and checkpoint-table claims (multi-writer);
- *   - bulk byte copies in/out of the mapping for arena payloads
- *     (descriptor publication via the ring's head store orders them).
  */
 
-#include <string.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
 
@@ -33,53 +21,5 @@ CAMLprim value rc_shm_set(value ba, value i, value v)
 {
   intnat *p = (intnat *) Caml_ba_data_val(ba);
   __atomic_store_n(&p[Long_val(i)], Long_val(v), __ATOMIC_RELEASE);
-  return Val_unit;
-}
-
-CAMLprim value rc_shm_get_sc(value ba, value i)
-{
-  intnat *p = (intnat *) Caml_ba_data_val(ba);
-  return Val_long(__atomic_load_n(&p[Long_val(i)], __ATOMIC_SEQ_CST));
-}
-
-CAMLprim value rc_shm_set_sc(value ba, value i, value v)
-{
-  intnat *p = (intnat *) Caml_ba_data_val(ba);
-  __atomic_store_n(&p[Long_val(i)], Long_val(v), __ATOMIC_SEQ_CST);
-  return Val_unit;
-}
-
-CAMLprim value rc_shm_cas(value ba, value i, value expected, value desired)
-{
-  intnat *p = (intnat *) Caml_ba_data_val(ba);
-  intnat exp = Long_val(expected);
-  int ok = __atomic_compare_exchange_n(&p[Long_val(i)], &exp, Long_val(desired),
-                                       0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
-  return Val_bool(ok);
-}
-
-CAMLprim value rc_shm_faa(value ba, value i, value delta)
-{
-  intnat *p = (intnat *) Caml_ba_data_val(ba);
-  return Val_long(__atomic_fetch_add(&p[Long_val(i)], Long_val(delta),
-                                     __ATOMIC_SEQ_CST));
-}
-
-/* memcpy [len] bytes from [src] (an OCaml string/bytes, at [spos]) to
- * byte offset [off] of the mapping.  No OCaml allocation; the caller
- * sequences visibility via a ring publish or seqlock. */
-CAMLprim value rc_shm_put_bytes(value ba, value off, value src, value spos,
-                                value len)
-{
-  char *p = (char *) Caml_ba_data_val(ba);
-  memcpy(p + Long_val(off), Bytes_val(src) + Long_val(spos), Long_val(len));
-  return Val_unit;
-}
-
-CAMLprim value rc_shm_get_bytes(value ba, value off, value dst, value dpos,
-                                value len)
-{
-  char *p = (char *) Caml_ba_data_val(ba);
-  memcpy(Bytes_val(dst) + Long_val(dpos), p + Long_val(off), Long_val(len));
   return Val_unit;
 }

@@ -55,8 +55,6 @@ type config = {
   allow_restart : bool;
   handle_signals : bool;
   exe : string option;  (* worker executable; default Sys.executable_name *)
-  transport : Shm.transport;
-  ring_slots : int;  (* per-direction ring capacity under Shm_rings *)
   pin_cores : bool;  (* pin worker k to core k mod ncores *)
   session_dir : string option;  (* shared ECO escrow dir; default checkpoint_dir/sessions *)
   session_capacity : int option;  (* resident sessions per worker *)
@@ -85,8 +83,7 @@ type pending = {
   p_client_id : Json.t;
   p_respond : string -> unit;  (* writes one NDJSON response line *)
   mutable p_fields : (string * Json.t) list;  (* request fields, "id" = sid *)
-  p_injected_dir : string option;  (* injected checkpoint tier: a filesystem
-                                      directory, or "shm:sid<N>" (arena) *)
+  p_injected_dir : string option;  (* injected per-request checkpoint directory *)
   p_session : int option;  (* the ECO session a session_* op belongs to:
                               dispatch prefers the session's pinned worker *)
   p_session_close : bool;  (* a session_close: unpin on delivery *)
@@ -131,10 +128,6 @@ let pop_event t =
         Condition.wait t.ev_cond t.ev_lock
       done;
       Queue.pop t.evq)
-
-(* signal handlers may run in any thread, including one holding ev_lock;
-   a fresh thread acquires it without risk of self-deadlock *)
-let push_event_async t e = ignore (Thread.create (fun () -> push_event t e) ())
 
 let rec mkdir_p dir =
   if dir = "" || dir = "/" || dir = "." || Sys.file_exists dir then ()
@@ -235,22 +228,13 @@ let rewrite_response p j =
       Json.Obj fields
   | other -> other
 
-let is_shm_dir d = String.starts_with ~prefix:"shm:" d
+(* the injected directory goes before the response does, so a client
+   that has its answer never sees the directory again *)
+let cleanup_injected p = Option.iter remove_dir p.p_injected_dir
 
-(* drop whatever injected checkpoint tier a session used: the arena
-   entry + blob for "shm:sid<N>" paths, the directory otherwise *)
-let cleanup_injected t p =
-  match p.p_injected_dir with
-  | None -> ()
-  | Some d when is_shm_dir d -> (
-      match Transport.sid_of_key d with
-      | Some sid -> Transport.ckpt_free t.shm ~sid
-      | None -> ())
-  | Some dir -> remove_dir dir
-
-let fail_pending t p msg =
-  p.p_respond (Json.to_line (Protocol.response_error ~id:p.p_client_id msg));
-  cleanup_injected t p
+let fail_pending p msg =
+  cleanup_injected p;
+  p.p_respond (Json.to_line (Protocol.response_error ~id:p.p_client_id msg))
 
 (* a delivered session_close unpins its session.  NOT under t.lock
    (fail_pending runs under it; a leaked pin after a failed close is
@@ -293,66 +277,29 @@ let pick_worker_for t p =
               Some w
           | None -> None))
 
-(* under t.lock.  Under Shm_rings the request body rides the job ring
-   (arena payload + descriptor), degrading to an NDJSON line on the
-   socketpair when a ring or the arena is full; [defer] batches ring
-   staging — the caller publishes each touched slot once. *)
-let dispatch_sid ?defer t sid =
+(* under t.lock *)
+let dispatch_sid t sid =
   match Hashtbl.find_opt t.pendings sid with
   | None -> ()
   | Some p ->
       if t.stopping then (
         Hashtbl.remove t.pendings sid;
-        fail_pending t p "supervisor shutting down")
+        fail_pending p "supervisor shutting down")
       else (
         match pick_worker_for t p with
-        | None ->
+        | Some w when send_fields w p.p_fields ->
+            p.p_worker <- w.slot;
+            w.inflight <- w.inflight + 1;
+            publish_control t w
+        | _ ->
             p.p_worker <- -1;
-            Queue.push sid t.parked
-        | Some w ->
-            let sent =
-              match t.cfg.transport with
-              | Shm.Shm_rings when w.oc <> None -> (
-                  let line = Json.to_line (Json.Obj p.p_fields) in
-                  match defer with
-                  | Some touched ->
-                      if Transport.stage_job t.shm ~slot:w.slot ~sid line then (
-                        Hashtbl.replace touched w.slot ();
-                        true)
-                      else send_fields w p.p_fields
-                  | None -> (
-                      match Transport.send_job t.shm ~slot:w.slot ~sid line with
-                      | `Sent doorbell ->
-                          if doorbell then
-                            ignore (send_line w Transport.doorbell_line);
-                          true
-                      | `Full -> send_fields w p.p_fields))
-              | _ -> send_fields w p.p_fields
-            in
-            if sent then (
-              p.p_worker <- w.slot;
-              w.inflight <- w.inflight + 1;
-              publish_control t w)
-            else (
-              p.p_worker <- -1;
-              Queue.push sid t.parked))
+            Queue.push sid t.parked)
 
-(* under t.lock: batched re-dispatch — stage everything, then one
-   publish + doorbell per touched ring *)
+(* under t.lock *)
 let unpark t =
   let sids = Queue.fold (fun acc sid -> sid :: acc) [] t.parked in
   Queue.clear t.parked;
-  let sids = List.rev sids in
-  match t.cfg.transport with
-  | Shm.Ndjson -> List.iter (dispatch_sid t) sids
-  | Shm.Shm_rings ->
-      let touched = Hashtbl.create 4 in
-      List.iter (dispatch_sid ~defer:touched t) sids;
-      Hashtbl.iter
-        (fun slot () ->
-          if Transport.publish_jobs t.shm ~slot then
-            ignore (send_line t.workers.(slot) Transport.doorbell_line))
-        touched
+  List.iter (dispatch_sid t) (List.rev sids)
 
 (* ---- worker lifecycle --------------------------------------------------- *)
 
@@ -374,63 +321,9 @@ let take_pending t sid =
             publish_control t w);
           Some p)
 
-(* per-worker reader thread.  Ndjson: every line is a response.  Under
-   Shm_rings the fd is the doorbell + fallback channel: drain the
-   response ring, arm its waiting flag (re-draining if a publish beat
-   the arm), and only then block on the fd; non-doorbell lines are
-   fallback NDJSON responses. *)
-let rec reader_loop t slot ic =
-  match t.cfg.transport with
-  | Shm.Ndjson -> (
-      match input_line ic with
-      | line ->
-          deliver t (String.trim line);
-          reader_loop t slot ic
-      | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
-          push_event t (Dead slot))
-  | Shm.Shm_rings -> (
-      drain_responses t slot;
-      let ring = Shm.resp_ring t.shm slot in
-      if not (Ring.arm ring) then reader_loop t slot ic
-      else
-        match input_line ic with
-        | line ->
-            Ring.disarm ring;
-            let line = String.trim line in
-            if line <> "" && not (Transport.is_doorbell line) then deliver t line;
-            reader_loop t slot ic
-        | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
-            Ring.disarm ring;
-            push_event t (Dead slot))
-
-and drain_responses t slot =
-  List.iter
-    (fun (sid, body) -> deliver_shm t sid body)
-    (Transport.recv_responses t.shm ~slot)
-
-(* a ring-borne response: the worker serialized it with the session id
-   first, so the client id is restored by byte splice — no JSON parse
-   on the hot path (the parse fallback covers unexpected shapes) *)
-and deliver_shm t sid body =
-  match take_pending t sid with
-  | None -> ()  (* stale response for a re-dispatched job *)
-  | Some p ->
-      (match Transport.splice_client_id body ~client_id:p.p_client_id with
-      | Some line -> p.p_respond line
-      | None -> (
-          match Json.of_string body with
-          | Ok j -> p.p_respond (Json.to_line (rewrite_response p j))
-          | Error _ ->
-              p.p_respond
-                (Json.to_line
-                   (Protocol.response_error ~id:p.p_client_id
-                      "malformed worker response"))));
-      cleanup_injected t p;
-      cleanup_session t p
-
 (* a finished job's response line from a worker: map the synthetic id
    back to the client's, normalise injected checkpoints, deliver *)
-and deliver t line =
+let deliver t line =
   if line <> "" then
     match Json.of_string line with
     | Error _ -> ()  (* not a response line; drop *)
@@ -441,9 +334,17 @@ and deliver t line =
         match take_pending t sid with
         | None -> ()  (* stale response for a re-dispatched job *)
         | Some p ->
+            cleanup_injected p;
             p.p_respond (Json.to_line (rewrite_response p j));
-            cleanup_injected t p;
             cleanup_session t p)
+
+(* per-worker reader thread: every line is a response *)
+let rec reader_loop t slot ic =
+  match input_line ic with
+  | line ->
+      deliver t (String.trim line);
+      reader_loop t slot ic
+  | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> push_event t (Dead slot)
 
 let spawn t w =
   let parent_end, child_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -459,7 +360,6 @@ let spawn t w =
          "--restarts"; string_of_int w.restarts;
          "--workers"; string_of_int (Option.value t.cfg.sched_workers ~default:2);
          "--max-pending"; string_of_int (Option.value t.cfg.max_pending ~default:64);
-         "--transport"; Shm.transport_name t.cfg.transport;
          "--session-dir";
          Option.value t.cfg.session_dir
            ~default:(Filename.concat t.cfg.checkpoint_dir "sessions");
@@ -512,21 +412,11 @@ let redispatch t crashed p =
   p.p_attempts <- p.p_attempts + 1;
   if p.p_attempts >= max_attempts then (
     Hashtbl.remove t.pendings p.p_sid;
-    fail_pending t p
+    fail_pending p
       (Printf.sprintf "job failed after %d attempts (worker crashes)" p.p_attempts))
   else (
     crashed.redispatched <- crashed.redispatched + 1;
-    let resume =
-      match p.p_injected_dir with
-      | Some d when is_shm_dir d ->
-          (* the sibling worker resolves "shm:sid<N>" straight from the
-             shared checkpoint arena — no filesystem round-trip *)
-          if Option.is_some (Transport.ckpt_latest t.shm ~sid:p.p_sid) then Some d
-          else None
-      | Some dir -> latest_checkpoint dir
-      | None -> None
-    in
-    (match resume with
+    (match Option.bind p.p_injected_dir latest_checkpoint with
     | Some path ->
         crashed.resumed <- crashed.resumed + 1;
         let keep = [ "priority"; "deadline_ms" ] in
@@ -541,10 +431,6 @@ let redispatch t crashed p =
 let handle_dead t slot =
   let pid = Mutex.protect t.lock (fun () -> t.workers.(slot).pid) in
   if pid > 0 then reap pid;
-  (* responses the dead worker published but never rang for are still
-     valid — deliver them before redispatching what's left (outside
-     t.lock: the reader thread is gone once Dead is queued) *)
-  if t.cfg.transport = Shm.Shm_rings then drain_responses t slot;
   Mutex.protect t.lock (fun () ->
       let w = t.workers.(slot) in
       (match w.fd with
@@ -559,13 +445,10 @@ let handle_dead t slot =
       in
       List.iter (fun p -> p.p_worker <- -1) victims;
       (* sessions pinned to the dead slot re-pin on their next dispatch;
-         the sibling rehydrates from the shared escrow tier *)
+         the sibling rehydrates from the shared escrow directory *)
       Hashtbl.filter_map_inplace
         (fun _ s -> if s = slot then None else Some s)
         t.affinity;
-      (* reclaim the slot's rings before anything respawns: orphaned
-         extents freed, head/tail/waiting zeroed for the fresh image *)
-      if t.cfg.transport = Shm.Shm_rings then Transport.reset_rings t.shm ~slot;
       if t.stopping then (
         w.state <- Down;
         w.pid <- 0;
@@ -573,7 +456,7 @@ let handle_dead t slot =
         List.iter
           (fun p ->
             Hashtbl.remove t.pendings p.p_sid;
-            fail_pending t p "supervisor shutting down")
+            fail_pending p "supervisor shutting down")
           victims)
       else (
         if not was_draining then
@@ -635,7 +518,6 @@ let status_json t =
           [
             ("pid", Json.Int (Unix.getpid ()));
             ("workers", Json.Int (Array.length t.workers));
-            ("transport", Json.String (Shm.transport_name t.cfg.transport));
             ( "tcp_port",
               match Shm.tcp_port t.shm with Some p -> Json.Int p | None -> Json.Null );
             ("parked", Json.Int (Mutex.protect t.lock (fun () -> Queue.length t.parked)));
@@ -674,18 +556,10 @@ let forward t ~respond_line ~(req : Protocol.request) line =
             let sid = t.next_sid in
             t.next_sid <- sid + 1;
             let injected_dir =
-              if is_flow && not client_manages_checkpoints then
-                match t.cfg.transport with
-                | Shm.Shm_rings ->
-                    (* checkpoint straight into the shared arena; the
-                       filesystem tier stays cold *)
-                    Some (Transport.key_of_sid sid)
-                | Shm.Ndjson ->
-                    let dir =
-                      Filename.concat t.cfg.checkpoint_dir (Printf.sprintf "sid%d" sid)
-                    in
-                    mkdir_p dir;
-                    Some dir
+              if is_flow && not client_manages_checkpoints then (
+                let dir = Filename.concat t.cfg.checkpoint_dir (Printf.sprintf "sid%d" sid) in
+                mkdir_p dir;
+                Some dir)
               else None
             in
             (* session ops: pin the dispatch to the session's worker and
@@ -889,7 +763,7 @@ let handle_stop t =
             | None -> ()
             | Some p ->
                 Hashtbl.remove t.pendings sid;
-                fail_pending t p "supervisor shutting down")
+                fail_pending p "supervisor shutting down")
           t.parked;
         Queue.clear t.parked));
   poke_listeners t;
@@ -915,14 +789,28 @@ let handle_stop t =
 
 (* ---- entry point -------------------------------------------------------- *)
 
+(* SIGTERM and SIGINT drain and stop, SIGHUP rolls.  The three signals
+   are blocked in every supervisor thread and consumed here: an OCaml
+   handler runs only at a poll point, and an idle supervisor reaches
+   none — its main thread waits on the event condition and every other
+   thread sits in accept or read. *)
+let signals = [ Sys.sigterm; Sys.sigint; Sys.sighup ]
+
+let signal_loop t =
+  while true do
+    if Thread.wait_signal signals = Sys.sighup then (
+      if t.cfg.allow_restart then push_event t Roll)
+    else push_event t Stop
+  done
+
 let run cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* before any thread exists, so every supervisor thread inherits the
+     mask and only [signal_loop] ever sees these signals *)
+  if cfg.handle_signals then ignore (Thread.sigmask Unix.SIG_BLOCK signals);
   mkdir_p cfg.checkpoint_dir;
   mkdir_p (Filename.dirname cfg.shm_path);
-  let shm =
-    Shm.create ~ring_slots:cfg.ring_slots ~path:cfg.shm_path ~n_workers:cfg.workers ()
-  in
-  Shm.set_transport shm cfg.transport;
+  let shm = Shm.create ~path:cfg.shm_path ~n_workers:cfg.workers () in
   let t =
     {
       cfg;
@@ -987,19 +875,11 @@ let run cfg =
         Some fd
   in
   Mutex.protect t.lock (fun () -> Array.iter (fun w -> spawn t w) t.workers);
-  if cfg.handle_signals then (
-    let stop _ = push_event_async t Stop in
-    let roll _ = if cfg.allow_restart then push_event_async t Roll in
-    try
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sighup (Sys.Signal_handle roll)
-    with Invalid_argument _ -> ());
+  if cfg.handle_signals then ignore (Thread.create signal_loop t);
   Option.iter (fun fd -> ignore (Thread.create (fun () -> accept_loop t fd) ())) unix_lfd;
   Option.iter (fun fd -> ignore (Thread.create (fun () -> accept_loop t fd) ())) tcp_lfd;
   Printf.eprintf
-    "rotary supervisor: %d worker processes, %s transport, shm %s%s%s\n%!" cfg.workers
-    (Shm.transport_name cfg.transport) cfg.shm_path
+    "rotary supervisor: %d worker processes, shm %s%s%s\n%!" cfg.workers cfg.shm_path
     (match cfg.unix_path with Some p -> ", unix " ^ p | None -> "")
     (match Shm.tcp_port shm with
     | Some p -> Printf.sprintf ", tcp :%d" p

@@ -32,7 +32,8 @@ type config = {
   shm_path : string;  (** Counter segment file, created (truncated). *)
   checkpoint_dir : string;
       (** Base directory for supervisor-injected per-request checkpoint
-          directories. *)
+          directories ([sid<N>], deleted once the response is
+          delivered). *)
   checkpoint_every : int;
       (** Injected [checkpoint_every] for fresh client flows that do
           not manage their own checkpointing. *)
@@ -41,23 +42,15 @@ type config = {
           before SIGKILL (crash recovery then resumes its jobs). *)
   allow_restart : bool;  (** Accept the [restart] op and SIGHUP. *)
   handle_signals : bool;
-      (** Install SIGTERM/SIGINT (shutdown) and SIGHUP (roll)
-          handlers; off for in-process tests. *)
+      (** Block SIGTERM/SIGINT (shutdown) and SIGHUP (roll) in every
+          supervisor thread and consume them in a thread that waits for
+          them; for a process that runs one supervisor from its main
+          thread, off for in-process tests. *)
   exe : string option;
       (** Worker executable, exec'd as [EXE serve-worker --slot ...];
           defaults to [Sys.executable_name].  Embedders whose binary is
           not [rotary_cli] (e.g. the test runner) must point this at
           one that is. *)
-  transport : Shm.transport;
-      (** Job transport.  {!Shm.Shm_rings}: request/response bodies
-          ride the per-worker shm rings + payload arena (socketpair
-          demoted to doorbell/control/fallback) and injected
-          checkpoints live in the shared checkpoint arena
-          (["shm:sid<N>"] paths, no filesystem round-trip on crash
-          resume).  {!Shm.Ndjson}: classic NDJSON socketpair. *)
-  ring_slots : int;
-      (** Per-direction ring capacity under {!Shm.Shm_rings}
-          (descriptors; {!Shm.default_ring_slots} is a good default). *)
   pin_cores : bool;
       (** Spawn worker [k] with [--pin-core k] (pin to core
           [k mod ncores] via {!Affinity}; warn-noop where
@@ -65,9 +58,7 @@ type config = {
   session_dir : string option;
       (** ECO session escrow directory, shared by every worker so a
           sibling can rehydrate a crashed worker's sessions; defaults
-          to [checkpoint_dir/sessions].  Under {!Shm.Shm_rings} the shm
-          checkpoint arena is the hot escrow tier and this directory
-          the fallback. *)
+          to [checkpoint_dir/sessions]. *)
   session_capacity : int option;
       (** Resident-session LRU capacity per worker ({!Session}). *)
 }

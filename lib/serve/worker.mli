@@ -1,17 +1,9 @@
 (** The exec'd side of one supervisor socketpair
     ([rotary_cli serve-worker], the socketpair dup2'd to stdin): a full
     {!Server}/{!Scheduler} speaking NDJSON over the inherited fd, plus
-    the [{"ctl":"drain"}] (rolling restart) and [{"ctl":"ring"}]
-    (shm doorbell) control forms, plus a heartbeat thread publishing
-    this slot's liveness, counters and transport stats into the {!Shm}
-    segment every ~50 ms.
-
-    Under [transport = Shm.Shm_rings], jobs arrive as descriptors in
-    this slot's shm job ring (payloads in the shared arena) and
-    responses return through the response ring, with the fd as
-    doorbell + fallback; the worker also registers the ["shm:"]
-    {!Checkpoint.blob_store} so checkpoints and crash resumes ride the
-    shared checkpoint arena instead of the filesystem.
+    the [{"ctl":"drain"}] control form (rolling restart), plus a
+    heartbeat thread publishing this slot's liveness and counters into
+    the {!Shm} segment every ~50 ms.
 
     The worker is a fresh process image (spawned via
     [Unix.create_process], see [docs/operations.md]), so creating
@@ -21,7 +13,6 @@
 val run :
   ?workers:int ->
   ?max_pending:int ->
-  ?transport:Shm.transport ->
   ?pin_core:int ->
   ?session_capacity:int ->
   ?session_dir:string ->
@@ -32,15 +23,14 @@ val run :
   unit ->
   'a
 (** [run ~shm ~slot ~restarts ~fd ()] serves request lines from [fd]
-    (and, under the shm transport, from the slot's job ring) until EOF
-    or a drain control, then drains and [Unix._exit]s — it never
-    returns.  [workers]/[max_pending] size the internal scheduler;
-    [slot]/[restarts] become the server's {!Server.identity} and select
-    the shm row written; [pin_core] pins the process via
-    {!Affinity.pin_self} (warns and continues if unsupported).
+    until EOF or a drain control, then drains and [Unix._exit]s — it
+    never returns.  [workers]/[max_pending] size the internal
+    scheduler; [slot]/[restarts] become the server's
+    {!Server.identity} and select the shm row written; [pin_core] pins
+    the process via {!Affinity.pin_self} (warns and continues if
+    unsupported).  The row's [ckpt_saves]/[ckpt_skips] are this
+    process's {!Checkpoint.save_counts}.
 
     [session_capacity]/[session_dir] configure the ECO {!Session}
     store: the escrow directory must be shared by all sibling workers
-    (crash recovery rehydrates from it); under the shm transport the
-    segment's checkpoint arena is the hot escrow tier and the directory
-    the fallback. *)
+    (crash recovery rehydrates from it). *)

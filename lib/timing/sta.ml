@@ -290,7 +290,7 @@ let analyze_batch sess ~positions =
   | Some s ->
       let st = s.st in
       if Array.length positions <> st.n then
-        invalid_arg "Sta.analyze_incremental: positions length mismatch";
+        invalid_arg "Sta.analyze_batch: positions length mismatch";
       let dirty = s.dirty in
       let n_dirty = ref 0 in
       for c = 0 to st.n - 1 do
@@ -349,8 +349,6 @@ let analyze_batch sess ~positions =
         s.last <- result;
         result
       end
-
-let analyze_incremental = analyze_batch
 
 let adjacencies t = t.pairs
 let n_pairs t = List.length t.pairs

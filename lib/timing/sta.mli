@@ -46,9 +46,6 @@ val analyze_batch : session -> positions:Rc_geom.Point.t array -> t
     [timing.sta.cone_recomputes] / [timing.sta.cone_reuses] /
     [timing.sta.dirty_cells] metrics. *)
 
-val analyze_incremental : session -> positions:Rc_geom.Point.t array -> t
-(** Alias of {!analyze_batch} (the historical name). *)
-
 val invalidate_cells : session -> int list -> unit
 (** Mark cells dirty for the next analysis regardless of whether their
     coordinates changed — the targeted-invalidation hook used by the

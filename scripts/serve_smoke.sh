@@ -86,19 +86,19 @@ wait "$SERVER_PID"
 
 # ---------------------------------------------------------------------------
 # Supervisor tier: prefork workers behind a TCP front door, chaos drill,
-# live shm counters via `top`, rolling restart under load — once per
-# transport (shm rings and the ndjson fallback), then a light-mix
-# throughput comparison with a minimum shm/ndjson ratio gate.
+# ECO sessions across a worker kill, live shm counters via `top`,
+# rolling restart under load, injected-checkpoint cleanup, then a
+# light-mix batch against a clean supervisor for the BENCH artifact.
 # ---------------------------------------------------------------------------
 
 supervisor_drill() {
-  local T=$1
-  local SUPSOCK="$DIR/sup-$T.sock"
+  local SUPSOCK="$DIR/sup.sock"
   local SHM="$SUPSOCK.shm"
+  local SUPCK="$DIR/sup-ck"
 
-  echo "== [$T] supervisor up (2 worker processes, TCP front door)"
+  echo "== supervisor up (2 worker processes, TCP front door)"
   "$BIN" serve --socket "$SUPSOCK" --workers-proc 2 --tcp 127.0.0.1:0 \
-    --drain-restart --transport "$T" --pin-cores &
+    --drain-restart --pin-cores --checkpoint-dir "$SUPCK" &
   SERVER_PID=$!
   for _ in $(seq 100); do [ -S "$SUPSOCK" ] && [ -f "$SHM" ] && break; sleep 0.1; done
   [ -S "$SUPSOCK" ] || { echo "supervisor socket never appeared"; exit 1; }
@@ -108,30 +108,28 @@ supervisor_drill() {
     | python3 -c 'import json,sys; print(json.load(sys.stdin)["tcp_port"])')
   echo "   tcp port $PORT"
 
-  echo "== [$T] chaos drill: 600-request TCP batch, kill -9 one worker mid-batch"
+  echo "== chaos drill: 600-request TCP batch, kill -9 one worker mid-batch"
   # light mix = 1-in-5 flows; every flow response's digest must equal the
   # uninterrupted reference, including the flows resumed after the kill
   "$LOADGEN" --tcp "127.0.0.1:$PORT" --conns 32 --requests 600 --mix light \
     --bench tiny --chaos-kill 50 --shm "$SHM" --expect-digest "$REF" \
-    --key service_chaos --label "$T" --out "$DIR/BENCH_chaos.json"
+    --key service_chaos --out "$DIR/BENCH_chaos.json"
 
-  echo "== [$T] ECO act: flow + edit-session traffic, kill -9 mid-edit-sequence"
+  echo "== ECO act: flow + edit-session traffic, kill -9 mid-edit-sequence"
   # a background flow batch and held-open edit sessions in flight
   # together; the chaos kill lands while edits stream; afterwards
   # --verify-replay replays every session's exact batches onto fresh
   # sessions and requires the final digests to be bit-identical
   "$LOADGEN" --socket "$SUPSOCK" --conns 2 --requests 6 --mix light --bench tiny \
-    --expect-digest "$REF" --key service_eco_bg --label "$T" \
-    --out "$DIR/BENCH_eco_bg.json" &
+    --expect-digest "$REF" --key service_eco_bg --out "$DIR/BENCH_eco_bg.json" &
   MIXED_PID=$!
   "$LOADGEN" --socket "$SUPSOCK" --mix eco --bench tiny --sessions 3 --edits 5 \
     --verify-replay --chaos-kill 8 --shm "$SHM" \
-    --key service_eco --label "$T" --out "$DIR/BENCH_eco.json"
+    --key service_eco --out "$DIR/BENCH_eco.json"
   wait "$MIXED_PID"
-  python3 - "$DIR/BENCH_eco.json" "$T" <<'EOF'
+  python3 - "$DIR/BENCH_eco.json" <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-eco = doc["service_eco"][sys.argv[2]]["eco"]
+eco = json.load(open(sys.argv[1]))["service_eco"]["eco"]
 assert eco["errors"] == 0, eco
 assert eco["replayed"] == eco["sessions"], eco
 assert eco["edit_latency"]["p99_s"] > 0, eco
@@ -144,40 +142,40 @@ EOF
   "$BIN" top --shm "$SHM" --once | grep -q "sess" \
     || { echo "top missing session-store line"; exit 1; }
 
-  echo "== [$T] top reads live per-worker counters from shm"
+  echo "== top reads live per-worker counters from shm"
   TOP=$("$BIN" top --shm "$SHM" --once --json)
-  python3 - "$TOP" "$T" <<'EOF'
+  python3 - "$TOP" <<'EOF'
 import json, sys
 doc = json.loads(sys.argv[1])
-transport = sys.argv[2]
-assert doc["layout_version"] == 2, doc
-assert doc["transport"] == transport, doc
+assert doc["layout_version"] == 3, doc
+# the counters-only segment carries no transport state
+assert set(doc) == {"path", "layout_version", "supervisor_pid", "created_unix_s",
+                    "tcp_port", "workers"}, sorted(doc)
 workers = doc["workers"]
 assert len(workers) == 2, workers
 for w in workers:
     assert w["consistent"], w
     assert w["pid"] > 0, w
     assert w["control"]["state"] == "up", w
-    assert w["rings"]["slots"] > 0, w
-# the chaos kill above must be visible as a completed respawn
+    assert "rings" not in w and "shm" not in w, w
+# the chaos kills above must be visible as completed respawns
 assert sum(w["control"]["restarts"] for w in workers) >= 1, workers
-# the batch's flows ran on the workers
+# the batch's flows ran on the workers, and the replayed sessions'
+# escrows were written as checkpoint files
 assert sum(w["jobs"]["completed"] for w in workers) > 0, workers
-if transport == "shm":
-    # flows moved through the rings, not the socketpair fallback
-    assert sum(w["shm"]["jobs"] for w in workers) > 0, workers
-    assert sum(w["shm"]["responses"] for w in workers) > 0, workers
+assert sum(w["checkpoints"]["saves"] for w in workers) > 0, workers
 cores = [w["core"] for w in workers]
 pinned = sum(1 for c in cores if c is not None)
 if pinned == 0:
     print("   top: warning: no worker reports a pinned core (unsupported platform?)")
-print("   top: %d workers up, %d restarts, %d jobs completed, cores %s"
+print("   top: %d workers up, %d restarts, %d jobs completed, %d checkpoint files, cores %s"
       % (len(workers),
          sum(w["control"]["restarts"] for w in workers),
-         sum(w["jobs"]["completed"] for w in workers), cores))
+         sum(w["jobs"]["completed"] for w in workers),
+         sum(w["checkpoints"]["saves"] for w in workers), cores))
 EOF
 
-  echo "== [$T] rolling restart under load (zero dropped requests)"
+  echo "== rolling restart under load (zero dropped requests)"
   "$LOADGEN" --socket "$SUPSOCK" --conns 4 --requests 20 --mix light --bench tiny \
     --expect-digest "$REF" --key service_roll --out "$DIR/BENCH_roll.json" &
   LOADGEN_PID=$!
@@ -186,36 +184,27 @@ EOF
   python3 -c 'import json,sys; r = json.loads(sys.argv[1]); assert r["ok"], r' "$ROLL"
   wait "$LOADGEN_PID"
 
-  echo "== [$T] arena leak check: every extent and table entry returned"
-  TOP=$("$BIN" top --shm "$SHM" --once --json)
-  python3 - "$TOP" <<'EOF'
-import json, sys
-doc = json.loads(sys.argv[1])
-arena = doc["arena"]
-for tier in ("payload", "checkpoint"):
-    for cls in arena[tier]:
-        assert cls["in_use"] == 0, (tier, arena[tier])
-assert arena["ckpt_entries"]["used"] == 0, arena
-for w in doc["workers"]:
-    assert w["rings"]["job_depth"] == 0 and w["rings"]["resp_depth"] == 0, w
-print("   arenas leak-free, rings drained")
-EOF
+  echo "== checkpoint leak check: no injected per-request directory outlives its response"
+  # the supervisor deletes a request's sid<N> directory before it writes
+  # the response, so once every response above is in, none may be left
+  LEFT=$(find "$SUPCK" -mindepth 1 -maxdepth 1 -name 'sid*')
+  [ -z "$LEFT" ] || { echo "injected checkpoint directories left behind:"; echo "$LEFT"; exit 1; }
+  echo "   $SUPCK holds no sid<N> directory"
 
-  echo "== [$T] supervisor status aggregates the worker tier"
+  echo "== supervisor status aggregates the worker tier"
   STATUS=$(request_on "$SUPSOCK" '{"id":10,"op":"status"}')
-  python3 - "$STATUS" "$T" <<'EOF'
+  python3 - "$STATUS" <<'EOF'
 import json, sys
 r = json.loads(sys.argv[1])
 assert r["ok"], r
 sup = r["result"]["supervisor"]
 assert sup["workers"] == 2, sup
-assert sup["transport"] == sys.argv[2], sup
+assert "transport" not in sup, sup
 assert len(sup["per_worker"]) == 2, sup
-print("   status: supervisor pid %d, %d workers, transport %s"
-      % (sup["pid"], sup["workers"], sup["transport"]))
+print("   status: supervisor pid %d, %d workers" % (sup["pid"], sup["workers"]))
 EOF
 
-  echo "== [$T] graceful supervisor shutdown"
+  echo "== graceful supervisor shutdown"
   SHUT=$(request_on "$SUPSOCK" '{"id":11,"op":"shutdown"}')
   python3 -c 'import json,sys; r = json.loads(sys.argv[1]); assert r["ok"], r' "$SHUT"
   wait "$SERVER_PID"
@@ -223,56 +212,37 @@ EOF
   [ ! -f "$SHM" ] || { echo "shm segment not removed on drain"; exit 1; }
 }
 
-supervisor_drill shm
-supervisor_drill ndjson
+supervisor_drill
 
 # ---------------------------------------------------------------------------
-# Throughput comparison: the same light-mix batch against a clean
-# supervisor on each transport, merged under BENCH service.<transport>,
-# then a minimum shm/ndjson throughput ratio gate (SMOKE_MIN_SHM_RATIO;
-# kept modest for CI — the flows' solver time dominates a small batch).
+# BENCH artifact: the same light-mix batch against a clean supervisor,
+# merged under BENCH service, plus ECO edit latency under service.eco.
 # ---------------------------------------------------------------------------
 
 BENCH_CONNS=${SMOKE_BENCH_CONNS:-64}
 BENCH_REQUESTS=${SMOKE_BENCH_REQUESTS:-600}
 
 bench_pass() {
-  local T=$1
-  local SUPSOCK="$DIR/bench-$T.sock"
+  local SUPSOCK="$DIR/bench.sock"
   local SHM="$SUPSOCK.shm"
-  echo "== [$T] light-mix throughput: $BENCH_REQUESTS requests over $BENCH_CONNS conns"
-  "$BIN" serve --socket "$SUPSOCK" --workers-proc 2 --tcp 127.0.0.1:0 \
-    --transport "$T" --pin-cores &
+  echo "== light-mix throughput: $BENCH_REQUESTS requests over $BENCH_CONNS conns"
+  "$BIN" serve --socket "$SUPSOCK" --workers-proc 2 --tcp 127.0.0.1:0 --pin-cores &
   SERVER_PID=$!
   for _ in $(seq 100); do [ -S "$SUPSOCK" ] && [ -f "$SHM" ] && break; sleep 0.1; done
   [ -S "$SUPSOCK" ] || { echo "supervisor socket never appeared"; exit 1; }
   PORT=$("$BIN" top --shm "$SHM" --once --json \
     | python3 -c 'import json,sys; print(json.load(sys.stdin)["tcp_port"])')
   "$LOADGEN" --tcp "127.0.0.1:$PORT" --conns "$BENCH_CONNS" --requests "$BENCH_REQUESTS" \
-    --mix light --bench tiny --expect-digest "$REF" \
-    --key service --label "$T" --out BENCH_results.json
-  # edit-latency percentiles for the artifact, merged as service.<T>.eco
-  # (schema v7) next to the transport's flow numbers
+    --mix light --bench tiny --expect-digest "$REF" --key service --out BENCH_results.json
+  # edit-latency percentiles for the artifact, merged as service.eco
+  # next to the flow numbers
   "$LOADGEN" --tcp "127.0.0.1:$PORT" --mix eco --bench tiny --sessions 2 --edits 4 \
-    --verify-replay --key service --label "$T" --out BENCH_results.json
+    --verify-replay --key service --out BENCH_results.json
   SHUT=$(request_on "$SUPSOCK" '{"id":11,"op":"shutdown"}')
   python3 -c 'import json,sys; r = json.loads(sys.argv[1]); assert r["ok"], r' "$SHUT"
   wait "$SERVER_PID"
 }
 
-bench_pass shm
-bench_pass ndjson
+bench_pass
 
-python3 - "${SMOKE_MIN_SHM_RATIO:-0.9}" <<'EOF'
-import json, sys
-doc = json.load(open("BENCH_results.json"))
-svc = doc["service"]
-shm, nd = svc["shm"], svc["ndjson"]
-ratio = shm["throughput_per_s"] / nd["throughput_per_s"]
-print("   shm   : %8.2f req/s, p99 %.4f s" % (shm["throughput_per_s"], shm["latency"]["p99_s"]))
-print("   ndjson: %8.2f req/s, p99 %.4f s" % (nd["throughput_per_s"], nd["latency"]["p99_s"]))
-print("   shm/ndjson throughput ratio %.3f (gate %s)" % (ratio, sys.argv[1]))
-assert ratio >= float(sys.argv[1]), (ratio, sys.argv[1])
-EOF
-
-echo "serve smoke: OK (digest $REF reproduced across server crash, worker kill -9 on both transports, rolling restart, and ECO edit sessions)"
+echo "serve smoke: OK (digest $REF reproduced across server crash, worker kill -9, rolling restart, and ECO edit sessions)"

@@ -61,12 +61,12 @@ let test_sta_incremental_matches () =
             (* step 0: cold; later steps displace 0 %, 5 %, 30 %, 100 % ... *)
             if step > 0 then
               perturb rng ~frac:[| 0.0; 0.05; 0.3; 1.0; 0.1 |].((step - 1) mod 5) ~amp:25.0 pos;
-            let inc = Rc_timing.Sta.analyze_incremental sess ~positions:pos in
+            let inc = Rc_timing.Sta.analyze_batch sess ~positions:pos in
             let cold = Rc_timing.Sta.analyze tech netlist ~positions:pos in
             check_sta_equal (Printf.sprintf "jobs=%d step %d" jobs step) cold inc
           done;
           (* identical positions again: the pure-replay tier *)
-          let replay = Rc_timing.Sta.analyze_incremental sess ~positions:pos in
+          let replay = Rc_timing.Sta.analyze_batch sess ~positions:pos in
           let cold = Rc_timing.Sta.analyze tech netlist ~positions:pos in
           check_sta_equal (Printf.sprintf "jobs=%d replay" jobs) cold replay))
     [ 1; 2; 4 ]

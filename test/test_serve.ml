@@ -80,6 +80,23 @@ let test_checkpoint_inspect () =
       Alcotest.(check int) "iteration" k meta.Checkpoint.iteration;
       Alcotest.(check bool) "payload non-empty" true (meta.Checkpoint.payload_bytes > 0)
 
+(* every checkpoint file written counts once; a write that cannot land
+   (its directory is gone) raises and counts as a failure *)
+let test_checkpoint_save_counts () =
+  let saves0, failures0 = Checkpoint.save_counts () in
+  let _, checkpoints =
+    Checkpoint.run_with_checkpoints ~every:1 ~dir:temp_dir ~name:"counts" tiny_cfg
+  in
+  let saves1, failures1 = Checkpoint.save_counts () in
+  Alcotest.(check int) "one count per file" (List.length checkpoints) (saves1 - saves0);
+  Alcotest.(check int) "no failures" failures0 failures1;
+  let _, ctx = Result.get_ok (Checkpoint.load ~path:(snd (List.hd checkpoints)) ()) in
+  (match Checkpoint.save ~path:(Filename.concat temp_dir "no-such-dir/x.ckpt") ctx with
+  | _ -> Alcotest.fail "save into a missing directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (pair int int)) "failure counted" (saves1, failures1 + 1)
+    (Checkpoint.save_counts ())
+
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -125,6 +142,10 @@ let test_checkpoint_rejects_corruption () =
   let p = Filename.concat temp_dir "truncated.ckpt" in
   write_file p (String.sub valid 0 (String.length valid - 100));
   check_load_error "truncated" p "truncated";
+  (* bytes past the payload the header declares *)
+  let p = Filename.concat temp_dir "trailing.ckpt" in
+  write_file p (valid ^ "x");
+  check_load_error "trailing bytes" p "trailing bytes after payload";
   (* missing file is an error, not an exception *)
   check_load_error "missing file" (Filename.concat temp_dir "nope.ckpt") "nope.ckpt"
 
@@ -704,8 +725,6 @@ let sample_worker_row =
     running = 2;
     job_wall_ms = 1234;
     core = 1;
-    shm_jobs = 11;
-    shm_responses = 12;
     shm_fallbacks = 13;
     ckpt_saves = 14;
     ckpt_skips = 15;
@@ -834,308 +853,6 @@ let test_shm_seqlock_consistency () =
   Alcotest.(check bool) "reads mostly consistent" true (!consistent_reads > 10_000);
   Sys.remove path
 
-(* ---- SPSC descriptor ring ---------------------------------------------- *)
-
-(* ring/arena tests run on a plain in-process bigarray: the atomics
-   stubs only care about the backing memory, not whether it is mmap'd *)
-let make_ba words =
-  let ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words in
-  Bigarray.Array1.fill ba 0;
-  ba
-
-let desc ?(kind = 1) ?(handle = 0) ?(len = 0) ?(aux = 0) sid =
-  { Ring.kind; sid; handle; len; aux }
-
-let test_ring_full_empty_wraparound () =
-  let slots = 4 in
-  let ba = make_ba (Ring.words ~slots + 8) in
-  let prod = Ring.init ba ~base:8 ~slots in
-  let cons = Ring.attach ba ~base:8 ~slots in
-  Alcotest.(check int) "capacity" slots (Ring.capacity prod);
-  Alcotest.(check bool) "fresh ring pops Empty" true (Ring.try_pop cons = Ring.Empty);
-  (* several fill/drain cycles push the free-running indices past the
-     slot count, so the modulo wraparound is exercised repeatedly *)
-  for round = 0 to 5 do
-    for i = 0 to slots - 1 do
-      Alcotest.(check bool)
-        (Printf.sprintf "push %d.%d accepted" round i)
-        true
-        (Ring.try_push prod (desc ~len:i ((round * slots) + i)) <> None)
-    done;
-    Alcotest.(check (option bool))
-      "push into a full ring refused" None
-      (Ring.try_push prod (desc 999));
-    Alcotest.(check bool) "stage into a full ring refused" false
-      (Ring.try_stage prod (desc 999));
-    Alcotest.(check int) "depth at capacity" slots (Ring.depth cons);
-    for i = 0 to slots - 1 do
-      match Ring.try_pop cons with
-      | Ring.Desc d ->
-          Alcotest.(check int)
-            (Printf.sprintf "pop %d.%d in order" round i)
-            ((round * slots) + i)
-            d.Ring.sid
-      | Ring.Empty | Ring.Torn -> Alcotest.failf "pop %d.%d: ring empty or torn" round i
-    done;
-    Alcotest.(check bool) "drained ring pops Empty" true (Ring.try_pop cons = Ring.Empty)
-  done
-
-let test_ring_batched_publish () =
-  let slots = 8 in
-  let ba = make_ba (Ring.words ~slots) in
-  let prod = Ring.init ba ~base:0 ~slots in
-  let cons = Ring.attach ba ~base:0 ~slots in
-  for i = 1 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "stage %d accepted" i)
-      true
-      (Ring.try_stage prod (desc i))
-  done;
-  (* staged-but-unpublished descriptors must be invisible to the consumer *)
-  Alcotest.(check int) "depth before publish" 0 (Ring.depth cons);
-  Alcotest.(check bool) "pop before publish" true (Ring.try_pop cons = Ring.Empty);
-  ignore (Ring.publish prod);
-  Alcotest.(check int) "whole batch visible at once" 3 (Ring.depth cons);
-  for i = 1 to 3 do
-    match Ring.try_pop cons with
-    | Ring.Desc d -> Alcotest.(check int) "batched order" i d.Ring.sid
-    | Ring.Empty | Ring.Torn -> Alcotest.fail "batched descriptor missing"
-  done
-
-let test_ring_doorbell_handshake () =
-  let slots = 4 in
-  let ba = make_ba (Ring.words ~slots) in
-  let prod = Ring.init ba ~base:0 ~slots in
-  let cons = Ring.attach ba ~base:0 ~slots in
-  (* empty ring: safe to sleep, and the next publish owes a doorbell *)
-  Alcotest.(check bool) "arm on empty ring" true (Ring.arm cons);
-  Alcotest.(check (option bool))
-    "publish into an armed ring rings the doorbell" (Some true)
-    (Ring.try_push prod (desc 1));
-  (match Ring.try_pop cons with
-  | Ring.Desc d -> Alcotest.(check int) "woken consumer reads the descriptor" 1 d.Ring.sid
-  | Ring.Empty | Ring.Torn -> Alcotest.fail "descriptor missing after doorbell");
-  (* the publish consumed the flag: an unarmed consumer gets no doorbell *)
-  Alcotest.(check (option bool))
-    "no doorbell when unarmed" (Some false)
-    (Ring.try_push prod (desc 2));
-  (* arming with descriptors already pending must refuse the sleep *)
-  Alcotest.(check bool) "arm with pending descriptors" false (Ring.arm cons)
-
-let test_ring_torn_slot_rejected () =
-  let slots = 4 in
-  let ba = make_ba (Ring.words ~slots) in
-  let prod = Ring.init ba ~base:0 ~slots in
-  let cons = Ring.attach ba ~base:0 ~slots in
-  ignore (Ring.try_push prod (desc 7));
-  (* clobber the stamp, as a producer killed mid-write would leave it *)
-  let stamp = Ring.header_words in
-  ba.{stamp} <- ba.{stamp} + 41;
-  Alcotest.(check bool) "stamp mismatch pops Torn" true (Ring.try_pop cons = Ring.Torn)
-
-(* a consumer racing a live producer must see every descriptor intact
-   and in order — never Torn, never a mixed-field read *)
-let test_ring_concurrent_producer () =
-  let slots = 8 in
-  let ba = make_ba (Ring.words ~slots) in
-  let prod = Ring.init ba ~base:0 ~slots in
-  let cons = Ring.attach ba ~base:0 ~slots in
-  let total = 5_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        let i = ref 0 in
-        while !i < total do
-          if Ring.try_push prod (desc ~len:(!i * 3) ~aux:(!i lxor 0x55) !i) <> None then
-            incr i
-          else Unix.sleepf 0.0002
-        done)
-  in
-  let seen = ref 0 in
-  while !seen < total do
-    match Ring.try_pop cons with
-    | Ring.Empty -> Unix.sleepf 0.0002
-    | Ring.Torn -> Alcotest.fail "torn descriptor under a well-behaved producer"
-    | Ring.Desc d ->
-        if d.Ring.sid <> !seen || d.Ring.len <> !seen * 3 || d.Ring.aux <> !seen lxor 0x55
-        then
-          Alcotest.failf "descriptor %d torn or out of order: sid=%d len=%d aux=%d" !seen
-            d.Ring.sid d.Ring.len d.Ring.aux;
-        incr seen
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "ring drained" true (Ring.try_pop cons = Ring.Empty)
-
-(* ---- shared arena ------------------------------------------------------ *)
-
-let test_arena_refcount () =
-  (* a single-extent class: after the extent is freed its header word is
-     the end-of-list link (0), so the underflow guard fires reliably *)
-  let spec = [| { Arena.size = 64; count = 1 } |] in
-  let ba = make_ba (Arena.words_needed spec) in
-  let a = Arena.init ba ~base:0 spec in
-  Alcotest.(check int) "fresh arena leak-free" 0 (Arena.in_use a);
-  let h = match Arena.alloc a 10 with Some h -> h | None -> Alcotest.fail "alloc" in
-  Alcotest.(check int) "small alloc lands in the small class" 64 (Arena.capacity a h);
-  Arena.write a h "hello extent";
-  Alcotest.(check string) "payload roundtrip" "hello extent" (Arena.read a h ~len:12);
-  (* a second owner keeps the extent alive across the first decref *)
-  Arena.incref a h;
-  Arena.decref a h;
-  Alcotest.(check int) "still held by the second owner" 1 (Arena.in_use a);
-  Alcotest.(check string) "payload survives the first decref" "hello extent"
-    (Arena.read a h ~len:12);
-  Arena.decref a h;
-  Alcotest.(check int) "freed at refcount zero" 0 (Arena.in_use a);
-  Alcotest.check_raises "decref past zero is a bug"
-    (Invalid_argument "Arena.decref: refcount underflow") (fun () -> Arena.decref a h)
-
-let test_arena_exhaustion () =
-  let spec = [| { Arena.size = 64; count = 2 }; { Arena.size = 256; count = 1 } |] in
-  let ba = make_ba (Arena.words_needed spec) in
-  let a = Arena.init ba ~base:0 spec in
-  let h1 = Option.get (Arena.alloc a 64) in
-  let h2 = Option.get (Arena.alloc a 64) in
-  (* the small class is empty: the next small alloc falls up a class *)
-  let h3 = Option.get (Arena.alloc a 64) in
-  Alcotest.(check int) "fall-up class" 256 (Arena.capacity a h3);
-  Alcotest.(check bool) "every fitting class exhausted" true (Arena.alloc a 1 = None);
-  Alcotest.(check bool) "payload larger than any class" true (Arena.alloc a 300 = None);
-  (* freeing re-arms the class *)
-  Arena.decref a h2;
-  let h4 = match Arena.alloc a 64 with Some h -> h | None -> Alcotest.fail "realloc" in
-  Alcotest.(check int) "freed extent reused in its class" 64 (Arena.capacity a h4);
-  let stats = Arena.stats a in
-  Alcotest.(check int) "small class occupancy" 2 stats.(0).Arena.s_in_use;
-  Alcotest.(check int) "large class occupancy" 1 stats.(1).Arena.s_in_use;
-  Arena.decref a h1;
-  Arena.decref a h3;
-  Arena.decref a h4;
-  Alcotest.(check int) "leak-free after freeing everything" 0 (Arena.in_use a)
-
-(* ---- zero-copy transport ----------------------------------------------- *)
-
-let test_transport_roundtrip () =
-  let path = Filename.concat temp_dir "transport.shm" in
-  let shm = Shm.create ~ring_slots:8 ~path ~n_workers:1 () in
-  let w = Transport.worker_side shm ~slot:0 in
-  (* supervisor -> worker: two staged jobs, one publish *)
-  Alcotest.(check bool) "stage job 1" true
-    (Transport.stage_job shm ~slot:0 ~sid:1 {|{"op":"flow","bench":"tiny"}|});
-  Alcotest.(check bool) "stage job 2" true
-    (Transport.stage_job shm ~slot:0 ~sid:2 {|{"op":"status"}|});
-  ignore (Transport.publish_jobs shm ~slot:0);
-  let { Transport.items; torn } = Transport.recv_jobs w in
-  Alcotest.(check bool) "no torn jobs" false torn;
-  Alcotest.(check (list (pair int string)))
-    "job bodies arrive byte-identical"
-    [ (1, {|{"op":"flow","bench":"tiny"}|}); (2, {|{"op":"status"}|}) ]
-    items;
-  (* request extents are dropped at copy time, not at job completion *)
-  Alcotest.(check int) "payload arena leak-free after recv" 0
-    (Arena.in_use (Shm.payload_arena shm));
-  (* worker -> supervisor *)
-  (match Transport.send_response w ~sid:2 {|{"id":2,"ok":true}|} with
-  | `Sent _ -> ()
-  | `Full -> Alcotest.fail "response ring unexpectedly full");
-  Alcotest.(check (list (pair int string)))
-    "response delivered"
-    [ (2, {|{"id":2,"ok":true}|}) ]
-    (Transport.recv_responses shm ~slot:0);
-  Alcotest.(check int) "payload arena leak-free after responses" 0
-    (Arena.in_use (Shm.payload_arena shm));
-  let jobs, resps, fallbacks, _, _ = Transport.counters w in
-  Alcotest.(check int) "shm_jobs counted" 2 jobs;
-  Alcotest.(check int) "shm_responses counted" 1 resps;
-  Alcotest.(check int) "no fallbacks" 0 fallbacks;
-  Sys.remove path
-
-let test_transport_ring_exhaustion_falls_back () =
-  let path = Filename.concat temp_dir "exhaust.shm" in
-  let shm = Shm.create ~ring_slots:2 ~path ~n_workers:1 () in
-  Alcotest.(check bool) "fill 1" true (Transport.stage_job shm ~slot:0 ~sid:1 "a");
-  Alcotest.(check bool) "fill 2" true (Transport.stage_job shm ~slot:0 ~sid:2 "b");
-  ignore (Transport.publish_jobs shm ~slot:0);
-  (match Transport.send_job shm ~slot:0 ~sid:3 "c" with
-  | `Full -> ()
-  | `Sent _ -> Alcotest.fail "send into a full ring must report `Full");
-  (* the refused job must not leak its extent *)
-  Alcotest.(check int) "arena holds only the two ringed jobs" 2
-    (Arena.in_use (Shm.payload_arena shm));
-  Sys.remove path
-
-let test_transport_splice_client_id () =
-  let check_splice name line client_id expect =
-    Alcotest.(check (option string)) name expect (Transport.splice_client_id line ~client_id)
-  in
-  check_splice "int id"
-    {|{"id":42,"ok":true,"result":{"x":1}}|}
-    (Json.Int 7)
-    (Some {|{"id":7,"ok":true,"result":{"x":1}}|});
-  check_splice "string id"
-    {|{"id":42,"ok":true}|}
-    (Json.String "req-9")
-    (Some {|{"id":"req-9","ok":true}|});
-  check_splice "unexpected leading field" {|{"ok":true,"id":42}|} (Json.Int 7) None;
-  check_splice "not json" "doorbell" (Json.Int 7) None
-
-let test_transport_ckpt_table () =
-  let path = Filename.concat temp_dir "ckpt_table.shm" in
-  let shm = Shm.create ~path ~n_workers:1 () in
-  Alcotest.(check (option int)) "no checkpoint yet" None (Transport.ckpt_latest shm ~sid:5);
-  (match Transport.ckpt_save shm ~sid:5 ~iteration:1 "RCCKPT blob one" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Transport.ckpt_save shm ~sid:5 ~iteration:2 "RCCKPT blob two!" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check (option int)) "latest iteration" (Some 2) (Transport.ckpt_latest shm ~sid:5);
-  (match Transport.ckpt_load shm ~sid:5 with
-  | Ok s -> Alcotest.(check string) "latest blob wins" "RCCKPT blob two!" s
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "one table entry" 1 (Shm.ckpt_used shm);
-  Alcotest.(check int) "one live blob" 1 (Arena.in_use (Shm.ckpt_arena shm));
-  Transport.ckpt_free shm ~sid:5;
-  Transport.ckpt_free shm ~sid:5 (* idempotent *);
-  Alcotest.(check int) "table entry released" 0 (Shm.ckpt_used shm);
-  Alcotest.(check int) "blob freed with the entry" 0 (Arena.in_use (Shm.ckpt_arena shm));
-  Sys.remove path
-
-(* the crash-recovery acceptance criterion: a flow checkpointed into
-   the shared arena and resumed straight from it (as a sibling worker
-   does after a crash — no filesystem round-trip) must reproduce the
-   uninterrupted run's digest, at jobs in {1, 2} *)
-let test_resume_from_shm_digest_identity () =
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun () ->
-          let uninterrupted = Flow.run tiny_cfg in
-          let d0 = Checkpoint.digest_of_outcome uninterrupted in
-          let path = Filename.concat temp_dir (Printf.sprintf "resume-j%d.shm" jobs) in
-          let shm = Shm.create ~path ~n_workers:1 () in
-          let w = Transport.worker_side shm ~slot:0 in
-          Checkpoint.register_blob_store ~prefix:"shm:" (Transport.blob_store w);
-          let _, saved =
-            Checkpoint.run_with_checkpoints ~every:1 ~dir:(Transport.key_of_sid 1)
-              ~name:"shm-resume" tiny_cfg
-          in
-          Alcotest.(check bool) "checkpoints published into the arena" true
-            (List.length saved >= 2);
-          let last_iter = fst (List.hd (List.rev saved)) in
-          Alcotest.(check (option int))
-            "table carries the latest iteration" (Some last_iter)
-            (Transport.ckpt_latest shm ~sid:1);
-          (match Checkpoint.resume ~path:(Transport.key_of_sid 1) () with
-          | Error e -> Alcotest.failf "resume from shm (jobs=%d): %s" jobs e
-          | Ok resumed ->
-              Alcotest.(check string)
-                (Printf.sprintf "digest after shm resume (jobs=%d)" jobs)
-                d0
-                (Checkpoint.digest_of_outcome resumed));
-          Transport.ckpt_free shm ~sid:1;
-          Alcotest.(check int) "ckpt arena leak-free" 0 (Arena.in_use (Shm.ckpt_arena shm));
-          Sys.remove path))
-    [ 1; 2 ]
-
 (* ---- supervisor -------------------------------------------------------- *)
 
 (* the test binary is not rotary_cli, so point the supervisor at the
@@ -1143,7 +860,7 @@ let test_resume_from_shm_digest_identity () =
 let rotary_cli_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/rotary_cli.exe"
 
-let with_supervisor ?(workers = 2) ?(transport = Shm.Ndjson) ?session_capacity name f =
+let with_supervisor ?(workers = 2) ?session_capacity name f =
   let sock = Filename.concat temp_dir (name ^ ".sock") in
   let shm_path = sock ^ ".shm" in
   let cfg =
@@ -1160,8 +877,6 @@ let with_supervisor ?(workers = 2) ?(transport = Shm.Ndjson) ?session_capacity n
       allow_restart = true;
       handle_signals = false;
       exe = Some rotary_cli_exe;
-      transport;
-      ring_slots = Shm.default_ring_slots;
       pin_cores = false;
       session_dir = None;
       session_capacity;
@@ -1215,14 +930,12 @@ let wait_for ?(timeout_s = 20.0) msg pred =
 (* The chaos drill: SIGKILL the worker running a flow mid-iteration; the
    supervisor must respawn the slot and resume or rerun the flow on a
    sibling, and the response digest must equal an uninterrupted run's. *)
-let test_supervisor_chaos_kill transport () =
+let test_supervisor_chaos_kill () =
   let reference =
     Checkpoint.digest_of_outcome
       (Flow.run (Flow.default_config ~mode:Flow.Netflow Bench_suite.s9234))
   in
-  with_supervisor ~transport
-    ("chaos-" ^ Shm.transport_name transport)
-    (fun ~sock ~shm_path ->
+  with_supervisor "chaos" (fun ~sock ~shm_path ->
       let fd = connect_unix sock in
       let ic = Unix.in_channel_of_descr fd in
       send_line fd {|{"id":1,"op":"flow","bench":"s9234"}|};
@@ -1253,14 +966,12 @@ let test_supervisor_chaos_kill transport () =
 
 (* rolling restart under load: every pipelined request answered exactly
    once with the right digest, and every slot cycled through a respawn *)
-let test_supervisor_rolling_restart transport () =
+let test_supervisor_rolling_restart () =
   let reference =
     Checkpoint.digest_of_outcome
       (Flow.run (Flow.default_config ~mode:Flow.Netflow Bench_suite.tiny))
   in
-  with_supervisor ~transport
-    ("roll-" ^ Shm.transport_name transport)
-    (fun ~sock ~shm_path ->
+  with_supervisor "roll" (fun ~sock ~shm_path ->
       let fd = connect_unix sock in
       let ic = Unix.in_channel_of_descr fd in
       let n = 12 in
@@ -1296,10 +1007,8 @@ let test_supervisor_rolling_restart transport () =
    from the shared escrow tier; the remaining edits must answer and the
    final digest must equal a scratch replay of the same walk through
    the same supervisor *)
-let test_supervisor_session_crash transport () =
-  with_supervisor ~transport
-    ("eco-crash-" ^ Shm.transport_name transport)
-    (fun ~sock ~shm_path ->
+let test_supervisor_session_crash () =
+  with_supervisor "eco-crash" (fun ~sock ~shm_path ->
       let fd = connect_unix sock in
       let ic = Unix.in_channel_of_descr fd in
       send_line fd {|{"id":1,"op":"session_open","bench":"tiny"}|};
@@ -1372,6 +1081,70 @@ let test_supervisor_session_crash transport () =
       close_in_noerr ic;
       try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* SIGTERM, SIGINT and SIGHUP as masked in /proc/PID/status (bits 14, 1
+   and 0), or None where there is no /proc *)
+let blocked_stop_signals pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun l ->
+          match String.split_on_char ':' l with
+          | [ "SigBlk"; mask ] -> Some (int_of_string ("0x" ^ String.trim mask) land 0x4003)
+          | _ -> None)
+        (String.split_on_char '\n' status)
+
+(* an idle supervisor must act on SIGTERM: the real CLI with two worker
+   processes, signalled once both report serving, exits within 5 s and
+   removes its socket and shm files.  It is started with the deprecated
+   --transport shm, which must be accepted with a warning, and no stop
+   signal may stay blocked in the workers it spawned. *)
+let test_supervisor_sigterm_idle () =
+  let sock = Filename.concat temp_dir "sigterm.sock" in
+  let shm_path = sock ^ ".shm" in
+  let log = Filename.concat temp_dir "sigterm.log" in
+  let log_fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process rotary_cli_exe
+      [| rotary_cli_exe; "serve"; "--workers-proc"; "2"; "--workers"; "1"; "--transport"; "shm";
+         "--socket"; sock |]
+      Unix.stdin log_fd log_fd
+  in
+  Unix.close log_fd;
+  let exited = ref false in
+  let poll_exit () =
+    if not !exited then exited := fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0;
+    !exited
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if not (poll_exit ()) then (
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)))
+    (fun () ->
+      let workers = ref [||] in
+      wait_for ~timeout_s:60.0 "both workers serving" (fun () ->
+          Sys.file_exists sock
+          &&
+          match Shm.attach ~path:shm_path () with
+          | Ok shm ->
+              let rows = Shm.read_all shm in
+              workers := Array.map (fun r -> r.Shm.worker.Shm.pid) rows;
+              Array.for_all (fun r -> r.Shm.worker.Shm.state = Shm.W_serving) rows
+          | Error _ -> false);
+      Array.iter
+        (fun wpid ->
+          match blocked_stop_signals wpid with
+          | Some mask -> Alcotest.(check int) "no stop signal blocked in a worker" 0 mask
+          | None -> ())
+        !workers;
+      Unix.kill pid Sys.sigterm;
+      wait_for ~timeout_s:5.0 "supervisor exit after SIGTERM" poll_exit;
+      Alcotest.(check bool) "socket removed" false (Sys.file_exists sock);
+      Alcotest.(check bool) "shm segment removed" false (Sys.file_exists shm_path);
+      Alcotest.(check bool) "deprecated --transport warned about" true
+        (contains (read_file log) "deprecated"))
+
 let () =
   Alcotest.run "rc_serve"
     [
@@ -1381,6 +1154,8 @@ let () =
             test_checkpoint_bit_identity;
           Alcotest.test_case "inspect header" `Quick test_checkpoint_inspect;
           Alcotest.test_case "rejects corruption" `Quick test_checkpoint_rejects_corruption;
+          Alcotest.test_case "counts file writes and failures" `Quick
+            test_checkpoint_save_counts;
         ] );
       ("cancel", [ Alcotest.test_case "token semantics" `Quick test_cancel_token ]);
       ( "scheduler",
@@ -1423,44 +1198,15 @@ let () =
           Alcotest.test_case "seqlock consistency under a concurrent writer" `Quick
             test_shm_seqlock_consistency;
         ] );
-      ( "ring",
-        [
-          Alcotest.test_case "full/empty/wraparound" `Quick test_ring_full_empty_wraparound;
-          Alcotest.test_case "batched publish visibility" `Quick test_ring_batched_publish;
-          Alcotest.test_case "doorbell handshake" `Quick test_ring_doorbell_handshake;
-          Alcotest.test_case "torn slot rejected" `Quick test_ring_torn_slot_rejected;
-          Alcotest.test_case "intact under a concurrent producer" `Quick
-            test_ring_concurrent_producer;
-        ] );
-      ( "arena",
-        [
-          Alcotest.test_case "refcounted extents" `Quick test_arena_refcount;
-          Alcotest.test_case "exhaustion and class fall-up" `Quick test_arena_exhaustion;
-        ] );
-      ( "transport",
-        [
-          Alcotest.test_case "zero-copy job/response roundtrip" `Quick
-            test_transport_roundtrip;
-          Alcotest.test_case "full ring degrades to fallback" `Quick
-            test_transport_ring_exhaustion_falls_back;
-          Alcotest.test_case "client id splice" `Quick test_transport_splice_client_id;
-          Alcotest.test_case "checkpoint table lifecycle" `Quick test_transport_ckpt_table;
-          Alcotest.test_case "resume from shm is digest-identical (jobs 1/2)" `Slow
-            test_resume_from_shm_digest_identity;
-        ] );
       ( "supervisor",
         [
           Alcotest.test_case "crash recovery is digest-identical (ndjson)" `Slow
-            (test_supervisor_chaos_kill Shm.Ndjson);
-          Alcotest.test_case "crash recovery is digest-identical (shm)" `Slow
-            (test_supervisor_chaos_kill Shm.Shm_rings);
+            test_supervisor_chaos_kill;
           Alcotest.test_case "rolling restart loses nothing (ndjson)" `Slow
-            (test_supervisor_rolling_restart Shm.Ndjson);
-          Alcotest.test_case "rolling restart loses nothing (shm)" `Slow
-            (test_supervisor_rolling_restart Shm.Shm_rings);
+            test_supervisor_rolling_restart;
           Alcotest.test_case "session crash rehydrates digest-identically (ndjson)" `Slow
-            (test_supervisor_session_crash Shm.Ndjson);
-          Alcotest.test_case "session crash rehydrates digest-identically (shm)" `Slow
-            (test_supervisor_session_crash Shm.Shm_rings);
+            test_supervisor_session_crash;
+          Alcotest.test_case "idle supervisor exits on SIGTERM" `Slow
+            test_supervisor_sigterm_idle;
         ] );
     ]
