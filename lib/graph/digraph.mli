@@ -5,7 +5,7 @@
     residual network. Edges carry a float weight and an arbitrary
     payload index so algorithms can report which edge they used. *)
 
-type edge = { src : int; dst : int; mutable weight : float; tag : int }
+type edge = { src : int; dst : int; weight : float; tag : int }
 
 type t
 
@@ -21,21 +21,12 @@ val add_edge : ?tag:int -> t -> int -> int -> float -> unit
     Parallel edges are allowed. [tag] defaults to -1.
     @raise Invalid_argument on out-of-range vertices. *)
 
-val add_edge_get : ?tag:int -> t -> int -> int -> float -> edge
-(** Like {!add_edge} but returns the edge record, whose weight may later
-    be rewritten in place with {!set_weight} — how the Δ binary search of
-    cost-driven scheduling reuses one window graph across its probes. *)
-
-val set_weight : edge -> float -> unit
-(** Rewrite an edge's weight in place. The edge keeps its position in
-    the adjacency structure, so iteration order is unchanged. *)
-
 val out_edges : t -> int -> edge list
 (** Outgoing edges of a vertex, in insertion order. *)
 
 val iter_out : t -> int -> (edge -> unit) -> unit
-(** Iterate a vertex's outgoing edges without allocating (reverse
-    insertion order) — the hot path of the shortest-path solvers. *)
+(** Iterate a vertex's outgoing edges without allocating, in reverse
+    insertion order (the order {!freeze} keeps). *)
 
 val iter_edges : t -> (edge -> unit) -> unit
 (** Iterate over every edge once. *)
@@ -44,3 +35,27 @@ val fold_edges : t -> init:'a -> f:('a -> edge -> 'a) -> 'a
 
 val in_degree : t -> int array
 (** In-degree of every vertex (computed fresh on each call). *)
+
+(** {1 Frozen adjacency}
+
+    A compressed, array-backed copy of a graph for the solvers that walk
+    it many times (the SPFA of {!Shortest_path}): vertex [v]'s out-edges
+    occupy slots [ptr.(v)] to [ptr.(v + 1) - 1], in {!iter_out} order
+    (last added first), with head [heads.(k)] and weight [weights.(k)].
+    The weights may be rewritten in place between solves — how the
+    binary searches of skew scheduling re-weight one frozen graph per
+    probe instead of rebuilding it. *)
+
+type frozen = { ptr : int array; heads : int array; weights : float array }
+
+val freeze : t -> frozen
+(** The frozen copy of a graph. *)
+
+val freeze_edges :
+  n:int -> src:int array -> dst:int array -> weight:float array -> frozen * int array
+(** [freeze_edges ~n ~src ~dst ~weight] is [freeze] of the [n]-vertex
+    graph built by adding edge [e] = [src.(e) -> dst.(e)] of weight
+    [weight.(e)] for [e] in increasing order, built without the list
+    graph.  The second result maps each edge index to its slot.
+    @raise Invalid_argument on out-of-range vertices, a negative [n] or
+    edge arrays of different lengths. *)

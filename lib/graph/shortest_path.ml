@@ -80,70 +80,82 @@ let pred_cycle pred mark n =
   done;
   !found
 
-(* Queue-based Bellman-Ford (SPFA): near-linear on the sparse
-   difference-constraint graphs of skew scheduling. A vertex dequeued
-   more than |V| times certifies a reachable negative cycle; on
-   infeasible graphs that certificate is O(|V|·|E|), so the predecessor
-   forest is additionally scanned for a cycle every ~|V| successful
-   relaxations — amortized O(1) per relaxation, and it fires as soon as
-   the negative cycle materializes instead of after |V| revisits.
-   Feasible graphs never grow a predecessor cycle, so their distance
-   output (and hence every caller-visible result) is unchanged. *)
-let bellman_ford g ~sources =
-  let n = Digraph.n_vertices g in
+(* Queue-based Bellman-Ford (SPFA) over a frozen adjacency: near-linear
+   on the sparse difference-constraint graphs of skew scheduling. A
+   vertex dequeued more than |V| times certifies a reachable negative
+   cycle; on infeasible graphs that certificate is O(|V|·|E|), so the
+   predecessor forest is additionally scanned for a cycle every ~|V|
+   successful relaxations — amortized O(1) per relaxation, and it fires
+   as soon as the negative cycle materializes instead of after |V|
+   revisits. Feasible graphs never grow a predecessor cycle, so their
+   distance output (and hence every caller-visible result) is unchanged.
+   The FIFO is an int ring of |V| slots: the in_queue guard keeps each
+   vertex in it at most once. *)
+let spfa (g : Digraph.frozen) ~sources =
+  let n = Array.length g.Digraph.ptr - 1 in
+  let ptr = g.Digraph.ptr and heads = g.Digraph.heads and weights = g.Digraph.weights in
   let dist = Array.make n infinity and pred = Array.make n (-1) in
   let in_queue = Array.make n false and dequeues = Array.make n 0 in
-  let queue = Queue.create () in
+  let ring = Array.make (max n 1) 0 and head = ref 0 and len = ref 0 in
+  let push v =
+    let tail = !head + !len in
+    ring.(if tail >= n then tail - n else tail) <- v;
+    incr len
+  in
   List.iter
     (fun s ->
       if dist.(s) <> 0.0 then begin
         dist.(s) <- 0.0;
         in_queue.(s) <- true;
-        Queue.add s queue
+        push s
       end)
     sources;
   let cycle_at = ref (-1) in
   let mark = Array.make (max n 1) (-1) in
   let relaxations = ref 0 in
   let check_every = max 64 n in
-  (try
-     while not (Queue.is_empty queue) do
-       let u = Queue.pop queue in
-       in_queue.(u) <- false;
-       dequeues.(u) <- dequeues.(u) + 1;
-       if dequeues.(u) > n then begin
-         cycle_at := u;
-         raise Exit
-       end;
-       Digraph.iter_out g u (fun (e : Digraph.edge) ->
-           let nd = dist.(u) +. e.weight in
-           if nd < dist.(e.dst) -. 1e-12 then begin
-             dist.(e.dst) <- nd;
-             pred.(e.dst) <- u;
-             incr relaxations;
-             if !relaxations >= check_every then begin
-               relaxations := 0;
-               let c = pred_cycle pred mark n in
-               if c >= 0 then begin
-                 cycle_at := c;
-                 raise Exit
-               end
-             end;
-             if not in_queue.(e.dst) then begin
-               in_queue.(e.dst) <- true;
-               Queue.add e.dst queue
-             end
-           end)
-     done
-   with Exit -> ());
+  while !len > 0 && !cycle_at < 0 do
+    let u = ring.(!head) in
+    head := if !head + 1 = n then 0 else !head + 1;
+    decr len;
+    in_queue.(u) <- false;
+    dequeues.(u) <- dequeues.(u) + 1;
+    if dequeues.(u) > n then cycle_at := u
+    else begin
+      let k = ref ptr.(u) in
+      while !k < ptr.(u + 1) && !cycle_at < 0 do
+        let v = heads.(!k) in
+        (* dist.(u) is re-read per edge: a negative self-loop lowers it
+           mid-scan *)
+        let nd = dist.(u) +. weights.(!k) in
+        if nd < dist.(v) -. 1e-12 then begin
+          dist.(v) <- nd;
+          pred.(v) <- u;
+          incr relaxations;
+          if !relaxations >= check_every then begin
+            relaxations := 0;
+            cycle_at := pred_cycle pred mark n
+          end;
+          if !cycle_at < 0 && not in_queue.(v) then begin
+            in_queue.(v) <- true;
+            push v
+          end
+        end;
+        incr k
+      done
+    end
+  done;
   if !cycle_at >= 0 then Either.Right (extract_cycle pred !cycle_at n)
   else Either.Left { dist; pred }
 
-let feasible_potentials g =
-  let sources = List.init (Digraph.n_vertices g) Fun.id in
-  match bellman_ford g ~sources with
+let bellman_ford g ~sources = spfa (Digraph.freeze g) ~sources
+
+let potentials (g : Digraph.frozen) =
+  match spfa g ~sources:(List.init (Array.length g.Digraph.ptr - 1) Fun.id) with
   | Either.Left { dist; _ } -> Some dist
   | Either.Right _ -> None
+
+let feasible_potentials g = potentials (Digraph.freeze g)
 
 let path_to r v =
   if v < 0 || v >= Array.length r.dist || r.dist.(v) = infinity then None

@@ -18,7 +18,15 @@ val dijkstra_multi : Digraph.t -> sources:int list -> result
 
 val bellman_ford : Digraph.t -> sources:int list -> (result, int list) Either.t
 (** [Left result] when no negative cycle is reachable; [Right cycle]
-    returns the vertex list of one reachable negative cycle (in order). *)
+    returns the vertex list of one reachable negative cycle (in order).
+    Runs {!spfa} on the {!Digraph.freeze} of the graph. *)
+
+val spfa : Digraph.frozen -> sources:int list -> (result, int list) Either.t
+(** {!bellman_ford} on a frozen adjacency: a queue-based Bellman-Ford
+    that scans each vertex's edge slots in order, with a predecessor-
+    forest cycle check every ~|V| successful relaxations.  Reads the
+    weights as they are at the call, so a caller may rewrite
+    [weights] between calls. *)
 
 val feasible_potentials : Digraph.t -> float array option
 (** Solve the difference-constraint system where each edge [u -> v] of
@@ -26,6 +34,9 @@ val feasible_potentials : Digraph.t -> float array option
     virtual super-source connected to every vertex with weight 0 and
     returns the potentials, or [None] if a negative cycle makes the
     system infeasible. *)
+
+val potentials : Digraph.frozen -> float array option
+(** {!feasible_potentials} on a frozen adjacency. *)
 
 val path_to : result -> int -> int list option
 (** Reconstruct the source-to-vertex path from predecessor pointers;

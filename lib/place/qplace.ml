@@ -11,13 +11,7 @@ type result = {
 
 (* ---- quadratic system assembly ------------------------------------- *)
 
-type system = {
-  movable : int array;  (* movable cell ids *)
-  index : int array;  (* cell id -> movable index or -1 *)
-  matrix : Rc_sparse.Csr.t;
-  rhs_x : float array;
-  rhs_y : float array;
-}
+type system = { matrix : Rc_sparse.Csr.t; rhs_x : float array; rhs_y : float array }
 
 let center_anchor_weight = 1e-6
 
@@ -67,7 +61,42 @@ let movable_index netlist =
   done;
   (movable, index)
 
-let build_system netlist ~chip ~extra_springs =
+(* The net Laplacian of one flat placement call, assembled once.  A
+   spreading round only adds anchor springs, which touch nothing but the
+   diagonal and the right-hand side, so [system] derives each round's
+   system from this one without re-assembling it.
+
+   Bit-identity invariant.  A round's system equals, bit for bit, what
+   [Csr.of_entries] assembles from the entries pushed in this order: the
+   net entries (nets in id order, sinks in order), one center anchor per
+   row, then the springs.  [of_entries] sums duplicates left to right
+   over the entries last to first, and a right-hand side accumulates in
+   push order.  So for row r:
+   - diagonal = ((springs of r, last to first) + center anchor)
+                + net contributions of r, last to first;
+   - rhs = (pads, then the center anchor: the stored prefix)
+           + springs of r, first to last;
+   - off-diagonals come from nets alone and are final after the one
+     assembly.
+   Every diagonal includes the positive center anchor, so with
+   non-negative spring weights none sums to zero and the stored pattern
+   is the same in every round.  Change none of these orders: the flow
+   digests depend on every bit. *)
+type laplacian = {
+  movable : int array;  (* movable cell ids *)
+  index : int array;  (* cell id -> movable index or -1 *)
+  base : Rc_sparse.Csr.t;  (* nets + center anchor: every diagonal stored *)
+  dptr : int array;  (* row r's net diagonal contributions are *)
+  dval : float array;  (* dval.(dptr.(r) .. dptr.(r + 1) - 1), in push order *)
+  rhs_x0 : float array;  (* after the pads and the center anchor *)
+  rhs_y0 : float array;
+}
+
+(* anchor springs in push order: spring k pulls movable row rows.(k)
+   toward (px.(k), py.(k)) with weight w.(k) *)
+type springs = { rows : int array; px : float array; py : float array; w : float array }
+
+let laplacian netlist ~chip =
   let movable, index = movable_index netlist in
   let m = Array.length movable in
   let buf = ebuf_create () in
@@ -95,16 +124,73 @@ let build_system netlist ~chip ~extra_springs =
       let k = 1 + Array.length net.sinks in
       let w = 2.0 /. float_of_int k in
       Array.iter (fun s -> connect net.driver s w) net.sinks);
+  let n_net = buf.en in
   (* regularization: tie every movable cell very weakly to die center *)
   let c = Rect.center chip in
   for i = 0 to m - 1 do
     add_fixed i center_anchor_weight c
   done;
+  let base = Rc_sparse.Csr.of_entries ~rows:m ~cols:m ~len:buf.en buf.ei buf.ej buf.ev in
+  (* bucket the net diagonal entries by row, keeping push order *)
+  let dptr = Array.make (m + 1) 0 in
+  for k = 0 to n_net - 1 do
+    let i = buf.ei.(k) in
+    if i = buf.ej.(k) then dptr.(i + 1) <- dptr.(i + 1) + 1
+  done;
+  for i = 1 to m do
+    dptr.(i) <- dptr.(i) + dptr.(i - 1)
+  done;
+  let dval = Array.make dptr.(m) 0.0 and cursor = Array.sub dptr 0 m in
+  for k = 0 to n_net - 1 do
+    let i = buf.ei.(k) in
+    if i = buf.ej.(k) then begin
+      dval.(cursor.(i)) <- buf.ev.(k);
+      cursor.(i) <- cursor.(i) + 1
+    end
+  done;
+  { movable; index; base; dptr; dval; rhs_x0 = rhs_x; rhs_y0 = rhs_y }
+
+(* the system with [springs] (segments in push order) folded in, in the
+   orders the invariant above fixes *)
+let system lap springs =
+  let m = Array.length lap.movable in
+  (* -0.0 is the exact additive identity: -0.0 +. w = w for every w *)
+  let diag = Array.make m (-0.0) in
   List.iter
-    (fun (cell, p, w) -> if index.(cell) >= 0 then add_fixed index.(cell) w p)
-    extra_springs;
-  let matrix = Rc_sparse.Csr.of_entries ~rows:m ~cols:m ~len:buf.en buf.ei buf.ej buf.ev in
-  { movable; index; matrix; rhs_x; rhs_y }
+    (fun sp ->
+      for k = Array.length sp.rows - 1 downto 0 do
+        let r = sp.rows.(k) in
+        diag.(r) <- diag.(r) +. sp.w.(k)
+      done)
+    (List.rev springs);
+  for r = 0 to m - 1 do
+    let acc = ref (diag.(r) +. center_anchor_weight) in
+    for t = lap.dptr.(r + 1) - 1 downto lap.dptr.(r) do
+      acc := !acc +. lap.dval.(t)
+    done;
+    diag.(r) <- !acc
+  done;
+  let rhs_x = Array.copy lap.rhs_x0 and rhs_y = Array.copy lap.rhs_y0 in
+  List.iter
+    (fun sp ->
+      for k = 0 to Array.length sp.rows - 1 do
+        let r = sp.rows.(k) and w = sp.w.(k) in
+        rhs_x.(r) <- rhs_x.(r) +. (w *. sp.px.(k));
+        rhs_y.(r) <- rhs_y.(r) +. (w *. sp.py.(k))
+      done)
+    springs;
+  { matrix = Rc_sparse.Csr.with_diagonal lap.base diag; rhs_x; rhs_y }
+
+(* one spring of weight [w] per movable row, row r toward (px.(r), py.(r)) *)
+let row_springs px py w =
+  let m = Array.length px in
+  { rows = Array.init m Fun.id; px; py; w = Array.make m w }
+
+let target_springs (targets : Point.t array) alpha =
+  row_springs
+    (Array.map (fun (p : Point.t) -> p.Point.x) targets)
+    (Array.map (fun (p : Point.t) -> p.Point.y) targets)
+    alpha
 
 (* The x and y systems share the matrix but are otherwise independent —
    the flow's first hot kernel.  With jobs > 1 the two CG solves run on
@@ -121,18 +207,66 @@ let solve_system ?wsx ?wsy ?x0 ?y0 sys =
   in
   (rx.Rc_sparse.Cg.x, ry.Rc_sparse.Cg.x, rx.Rc_sparse.Cg.iterations + ry.Rc_sparse.Cg.iterations)
 
-let assemble_positions netlist sys xs ys =
+let assemble_positions netlist index xs ys =
   let n = Netlist.n_cells netlist in
   Array.init n (fun c ->
-      if sys.index.(c) >= 0 then Point.make xs.(sys.index.(c)) ys.(sys.index.(c))
+      if index.(c) >= 0 then Point.make xs.(index.(c)) ys.(index.(c))
       else Netlist.pad_position netlist c)
 
 (* ---- recursive-bisection spreading targets -------------------------- *)
 
-let spreading_targets rng chip m xs ys =
+(* Each bisection node orders its cells by one coordinate and hands
+   each half to a child.  The order must be the permutation the stdlib
+   heap sort ([Array.sort]) leaves on the node's input order, which the
+   parent's order fixes; with equal keys that permutation depends on the
+   input order, with distinct keys it is the unique sorted order.
+
+   So besides [idx] (every node's cells in its input order, as the
+   parent left them) the cells are kept sorted by x in [sx] and by y in
+   [sy]: sorted once at the root, then stably partitioned into the two
+   halves at every node, so each node's range of [sx]/[sy] holds its own
+   cells, sorted.  A node whose keys are distinct takes its order from
+   there in linear time; a node with two equal keys, or any call with a
+   nan key, heap-sorts its input order.  That sort's
+   keys are typed [float array] and compared with [Float.compare],
+   which orders floats like the polymorphic [compare] (nan least and
+   equal to itself, -0.0 = 0.0): the same comparisons, the same
+   permutation, no boxed keys. *)
+let spreading_targets rng chip m (xs : float array) (ys : float array) =
   let targets = Array.make m Point.zero in
   (* indices into the movable arrays *)
   let idx = Array.init m Fun.id in
+  let presorted = not (Array.exists Float.is_nan xs || Array.exists Float.is_nan ys) in
+  let sorted_by keys =
+    let a = Array.init m Fun.id in
+    Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) a;
+    a
+  in
+  let sx = if presorted then sorted_by xs else [||] in
+  let sy = if presorted then sorted_by ys else [||] in
+  let in_left = Bytes.create m and tmp = Array.make m 0 in
+  let partition a lo mid hi =
+    let l = ref lo and r = ref mid in
+    for k = lo to hi - 1 do
+      let c = a.(k) in
+      if Bytes.get in_left c = 'l' then begin
+        tmp.(!l) <- c;
+        incr l
+      end
+      else begin
+        tmp.(!r) <- c;
+        incr r
+      end
+    done;
+    Array.blit tmp lo a lo (hi - lo)
+  in
+  let distinct (keys : float array) a lo hi =
+    let ok = ref true in
+    for k = lo + 1 to hi - 1 do
+      if keys.(a.(k)) = keys.(a.(k - 1)) then ok := false
+    done;
+    !ok
+  in
   let rec go (region : Rect.t) lo hi horizontal =
     let count = hi - lo in
     if count <= 2 then
@@ -144,12 +278,21 @@ let spreading_targets rng chip m xs ys =
             (region.Rect.ymin +. (jy *. Rect.height region))
       done
     else begin
-      let sub = Array.sub idx lo count in
-      if horizontal then
-        Array.sort (fun a b -> compare xs.(a) xs.(b)) sub
-      else Array.sort (fun a b -> compare ys.(a) ys.(b)) sub;
-      Array.blit sub 0 idx lo count;
+      let keys = if horizontal then xs else ys and own = if horizontal then sx else sy in
+      if presorted && distinct keys own lo hi then Array.blit own lo idx lo count
+      else begin
+        let sub = Array.sub idx lo count in
+        Array.sort (fun a b -> Float.compare keys.(a) keys.(b)) sub;
+        Array.blit sub 0 idx lo count
+      end;
       let mid = lo + (count / 2) in
+      if presorted then begin
+        for k = lo to hi - 1 do
+          Bytes.set in_left idx.(k) (if k < mid then 'l' else 'r')
+        done;
+        partition sx lo mid hi;
+        partition sy lo mid hi
+      end;
       let frac = float_of_int (mid - lo) /. float_of_int count in
       if horizontal then begin
         let split = region.Rect.xmin +. (frac *. Rect.width region) in
@@ -307,7 +450,7 @@ let system_of_mgraph g ~springs =
     rhs_y.(i) <- wy
   done;
   let matrix = Rc_sparse.Csr.of_entries ~rows:g.gm ~cols:g.gm ~len:buf.en buf.ei buf.ej buf.ev in
-  (matrix, rhs_x, rhs_y)
+  { matrix; rhs_x; rhs_y }
 
 (* one level of first-choice / heavy-edge coarsening: match each vertex
    (in index order) to its heaviest still-unmatched neighbor, merge the
@@ -429,11 +572,7 @@ let initial_multilevel ~seed netlist ~chip =
   let xs = ref [||] and ys = ref [||] in
   Rc_par.Pool.region (fun () ->
       let relax g ~wsx ~wsy ~springs ~x0 ~y0 =
-        let matrix, rhs_x, rhs_y = system_of_mgraph g ~springs in
-        let x, y, it =
-          solve_system ~wsx ~wsy ?x0 ?y0
-            { movable = [||]; index = [||]; matrix; rhs_x; rhs_y }
-        in
+        let x, y, it = solve_system ~wsx ~wsy ?x0 ?y0 (system_of_mgraph g ~springs) in
         iters := !iters + it;
         (x, y)
       in
@@ -490,36 +629,32 @@ let initial_multilevel ~seed netlist ~chip =
 let initial_flat ~seed ~spread_rounds netlist ~chip =
   let rng = Rc_util.Rng.create seed in
   let iters = ref 0 in
-  (* pass 1: pure connectivity solve *)
-  let sys0 = build_system netlist ~chip ~extra_springs:[] in
+  let lap = laplacian netlist ~chip in
   (* every round solves the same-size system: share two CG workspaces
      (one per axis — the solves run concurrently) across all rounds *)
-  let m = Array.length sys0.movable in
+  let m = Array.length lap.movable in
   let wsx = Rc_sparse.Cg.workspace m and wsy = Rc_sparse.Cg.workspace m in
   let xs = ref [||] and ys = ref [||] in
   (* one batch region for the whole spreading stage: every round's x/y
      solve pair publishes a sub-job to the captive workers instead of
      waking the pool per solve *)
   Rc_par.Pool.region (fun () ->
-      let x0, y0, it0 = solve_system ~wsx ~wsy sys0 in
+      (* pass 1: pure connectivity solve *)
+      let x0, y0, it0 = solve_system ~wsx ~wsy (system lap []) in
       xs := x0;
       ys := y0;
       iters := !iters + it0;
       (* spreading rounds with growing anchor strength *)
       for round = 1 to spread_rounds do
-        let targets = spreading_targets rng chip (Array.length sys0.movable) !xs !ys in
+        let targets = spreading_targets rng chip m !xs !ys in
         let alpha = 0.01 *. (2.0 ** float_of_int round) in
-        let springs =
-          Array.to_list
-            (Array.mapi (fun i c -> (c, targets.(i), alpha)) sys0.movable)
-        in
-        let sys = build_system netlist ~chip ~extra_springs:springs in
+        let sys = system lap [ target_springs targets alpha ] in
         let x, y, it = solve_system ~wsx ~wsy ~x0:!xs ~y0:!ys sys in
         xs := x;
         ys := y;
         iters := !iters + it
       done);
-  let spread = assemble_positions netlist sys0 !xs !ys in
+  let spread = assemble_positions netlist lap.index !xs !ys in
   let legal = legalize netlist ~chip ~site:10.0 spread in
   { positions = legal; hpwl = Wirelength.total netlist legal; solver_iterations = !iters }
 
@@ -539,25 +674,29 @@ let incremental ?(stability = 0.004) netlist ~chip ~prev ~pseudo =
   let n = Netlist.n_cells netlist in
   if Array.length prev <> n then invalid_arg "Qplace.incremental: prev length mismatch";
   let rng = Rc_util.Rng.create 23 in
-  let base_springs =
-    List.filter_map
-      (fun c -> if Netlist.movable netlist c then Some (c, prev.(c), stability) else None)
-      (List.init n Fun.id)
-    @ List.map (fun pn -> (pn.cell, pn.anchor, pn.weight)) pseudo
-  in
-  let sys0 = build_system netlist ~chip ~extra_springs:base_springs in
-  let m = Array.length sys0.movable in
+  let lap = laplacian netlist ~chip in
+  let m = Array.length lap.movable in
   let wsx = Rc_sparse.Cg.workspace m and wsy = Rc_sparse.Cg.workspace m in
-  let x0 = Array.make m 0.0 and y0 = Array.make m 0.0 in
-  Array.iteri
-    (fun i c ->
-      x0.(i) <- prev.(c).Point.x;
-      y0.(i) <- prev.(c).Point.y)
-    sys0.movable;
+  let x0 = Array.map (fun c -> prev.(c).Point.x) lap.movable in
+  let y0 = Array.map (fun c -> prev.(c).Point.y) lap.movable in
+  (* a stability spring per movable cell toward its previous location,
+     then the pseudo-nets on movable cells, in that order *)
+  let pseudo = Array.of_list (List.filter (fun pn -> lap.index.(pn.cell) >= 0) pseudo) in
+  let base_springs =
+    [
+      row_springs x0 y0 stability;
+      {
+        rows = Array.map (fun pn -> lap.index.(pn.cell)) pseudo;
+        px = Array.map (fun pn -> pn.anchor.Point.x) pseudo;
+        py = Array.map (fun pn -> pn.anchor.Point.y) pseudo;
+        w = Array.map (fun pn -> pn.weight) pseudo;
+      };
+    ]
+  in
   let xs = ref x0 and ys = ref y0 and iters = ref 0 in
   (* same batch-region discipline as [initial] *)
   Rc_par.Pool.region (fun () ->
-      let x, y, it = solve_system ~wsx ~wsy ~x0:!xs ~y0:!ys sys0 in
+      let x, y, it = solve_system ~wsx ~wsy ~x0:!xs ~y0:!ys (system lap base_springs) in
       xs := x;
       ys := y;
       iters := !iters + it;
@@ -566,19 +705,15 @@ let incremental ?(stability = 0.004) netlist ~chip ~prev ~pseudo =
          pass ends with (0.01·2⁵), so incremental results stay
          comparable *)
       for round = 3 to 5 do
-        let targets = spreading_targets rng chip (Array.length sys0.movable) !xs !ys in
+        let targets = spreading_targets rng chip m !xs !ys in
         let alpha = 0.01 *. (2.0 ** float_of_int round) in
-        let springs =
-          base_springs
-          @ Array.to_list (Array.mapi (fun i c -> (c, targets.(i), alpha)) sys0.movable)
-        in
-        let sys = build_system netlist ~chip ~extra_springs:springs in
+        let sys = system lap (base_springs @ [ target_springs targets alpha ]) in
         let x, y, it = solve_system ~wsx ~wsy ~x0:!xs ~y0:!ys sys in
         xs := x;
         ys := y;
         iters := !iters + it
       done);
-  let spread = assemble_positions netlist sys0 !xs !ys in
+  let spread = assemble_positions netlist lap.index !xs !ys in
   let legal = legalize netlist ~chip ~site:10.0 spread in
   { positions = legal; hpwl = Wirelength.total netlist legal; solver_iterations = !iters }
 

@@ -76,3 +76,47 @@ val legalize :
   Rc_geom.Point.t array
 (** Snap movable cells to distinct sites of a [site]-pitch grid,
     spiraling outward from the ideal site when occupied. *)
+
+(** {1 Kernels of the flat schedule}
+
+    The pieces {!initial} (below the multilevel threshold) and
+    {!incremental} are built from, exposed so that tests can hold them
+    bit-identical to reference implementations. *)
+
+type system = {
+  matrix : Rc_sparse.Csr.t;  (** The quadratic form, over movable rows. *)
+  rhs_x : float array;
+  rhs_y : float array;
+}
+
+type laplacian
+(** The net Laplacian of one netlist and die, assembled once: the
+    sparsity pattern with every diagonal stored, the final off-diagonal
+    values, each row's net diagonal contributions in push order, and
+    the right-hand side after pad connections and the weak center
+    anchor.  Movable cells are the rows, in cell-id order. *)
+
+type springs = {
+  rows : int array;  (** Movable row of spring [k]. *)
+  px : float array;  (** Anchor x of spring [k]. *)
+  py : float array;  (** Anchor y of spring [k]. *)
+  w : float array;  (** Weight of spring [k] (non-negative). *)
+}
+(** Anchor springs, as parallel arrays in push order. *)
+
+val laplacian : Rc_netlist.Netlist.t -> chip:Rc_geom.Rect.t -> laplacian
+
+val system : laplacian -> springs list -> system
+(** The system with the spring segments (in push order) folded into the
+    diagonal and the right-hand side, bit-identical to assembling the
+    nets, the center anchor and then the springs through
+    {!Rc_sparse.Csr.of_entries}: a diagonal sums the springs last to
+    first, then the center anchor, then the net contributions last to
+    first; a right-hand side adds the springs first to last. *)
+
+val spreading_targets :
+  Rc_util.Rng.t -> Rc_geom.Rect.t -> int -> float array -> float array -> Rc_geom.Point.t array
+(** [spreading_targets rng die m xs ys] assigns each of the [m] cells at
+    [(xs.(i), ys.(i))] a target in its leaf of a recursive bisection of
+    [die] that splits the cells in half, alternating axes; each target
+    is jittered inside its leaf with [rng]. *)

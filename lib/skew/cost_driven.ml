@@ -16,33 +16,29 @@ let solve_minmax_graph ?(tolerance = 1e-3) problem ~slack ~anchors =
      (clock value 0) encoding the window constraints at a given Δ:
        t̂_i ≤ t_c + Δ            — edge  ref → i  weight t_c + Δ
        t̂_i ≥ t_c + 2·t_ci − Δ   — edge  i → ref  weight Δ − t_c − 2·t_ci
-     Only those 2n window edges depend on Δ, so the graph is built once
-     and shared by every probe of the binary search, with the window
-     weights rewritten in place.  [set_weight] keeps each edge's slot in
-     the adjacency structure, so the SPFA oracle sees the same edge order
-     a fresh build would produce and the search trajectory is unchanged —
-     the probes just stop paying for 2·|pairs| edge allocations each. *)
-  let base = Skew_problem.constraint_graph problem ~slack in
-  let g = Rc_graph.Digraph.create (n + 1) in
-  Rc_graph.Digraph.iter_edges base (fun e ->
-      Rc_graph.Digraph.add_edge g e.Rc_graph.Digraph.src e.Rc_graph.Digraph.dst
-        e.Rc_graph.Digraph.weight);
-  let upper = Array.make n None and lower = Array.make n None in
-  Array.iteri
-    (fun i _ ->
-      upper.(i) <- Some (Rc_graph.Digraph.add_edge_get g n i 0.0);
-      lower.(i) <- Some (Rc_graph.Digraph.add_edge_get g i n 0.0))
-    anchors;
+     Only those 2n window edges depend on Δ, so the graph is frozen once
+     — the constraint edges at [slack], then per flip-flop i its upper
+     edge (2i) and lower edge (2i + 1) — and every probe of the binary
+     search rewrites just the window weights in place.  Each vertex's
+     slots keep the edge order a per-probe rebuild would have, so the
+     SPFA's search trajectory is unchanged. *)
+  let src, dst, base = Skew_problem.constraint_edges problem in
+  let nc = Array.length src in
+  let g, slot =
+    Rc_graph.Digraph.freeze_edges ~n:(n + 1)
+      ~src:(Array.append src (Array.init (2 * n) (fun e -> if e land 1 = 0 then n else e / 2)))
+      ~dst:(Array.append dst (Array.init (2 * n) (fun e -> if e land 1 = 0 then e / 2 else n)))
+      ~weight:(Array.append (Array.map (fun b -> b -. slack) base) (Array.make (2 * n) 0.0))
+  in
+  let weights = g.Rc_graph.Digraph.weights in
   let probe delta =
     Rc_obs.Metrics.incr m_probes;
     Array.iteri
       (fun i a ->
-        Option.iter (fun e -> Rc_graph.Digraph.set_weight e (a.t_c +. delta)) upper.(i);
-        Option.iter
-          (fun e -> Rc_graph.Digraph.set_weight e (delta -. a.t_c -. (2.0 *. a.t_ci)))
-          lower.(i))
+        weights.(slot.(nc + (2 * i))) <- a.t_c +. delta;
+        weights.(slot.(nc + (2 * i) + 1)) <- delta -. a.t_c -. (2.0 *. a.t_ci))
       anchors;
-    match Rc_graph.Shortest_path.bellman_ford g ~sources:[ n ] with
+    match Rc_graph.Shortest_path.spfa g ~sources:[ n ] with
     | Either.Right _ -> None
     | Either.Left r ->
         let skews =
@@ -154,33 +150,47 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~anchors ~skews =
   check_sizes problem anchors;
   let n = problem.Skew_problem.n in
   let t = Array.copy skews in
-  (* per-FF inequality lists derived from the pair constraints at the
-     given slack: t_i <= t_j + ub, t_i >= t_j + lb *)
-  let uppers = Array.make n [] and lowers = Array.make n [] in
-  List.iter
-    (fun { Skew_problem.i; j; d_max; d_min } ->
-      if i <> j then begin
-        let setup = problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack in
-        let hold = slack +. problem.Skew_problem.t_hold -. d_min in
-        (* (6) t_i - t_j <= setup ; (7) t_i - t_j >= hold *)
-        uppers.(i) <- (j, setup) :: uppers.(i);
-        lowers.(i) <- (j, hold) :: lowers.(i);
-        (* symmetric view for t_j *)
-        lowers.(j) <- (i, -.setup) :: lowers.(j);
-        uppers.(j) <- (i, -.hold) :: uppers.(j)
-      end)
-    problem.Skew_problem.pairs;
+  (* per-FF inequalities derived from the pair constraints at the given
+     slack, t_i <= t_j + ub and t_i >= t_j + lb, as one frozen adjacency
+     (an edge i → j per inequality pair) with two weight arrays.  Pair p
+     adds edge 2p for t_i and edge 2p + 1, the symmetric view, for t_j;
+     each FF's slots run last-added first, the order the bounds are
+     folded in *)
+  let pairs =
+    Array.of_list (List.filter (fun { Skew_problem.i; j; _ } -> i <> j) problem.Skew_problem.pairs)
+  in
+  let ne = 2 * Array.length pairs in
+  let src = Array.make ne 0 and dst = Array.make ne 0 in
+  let ub = Array.make ne 0.0 and lb = Array.make ne 0.0 in
+  Array.iteri
+    (fun p { Skew_problem.i; j; d_max; d_min } ->
+      let setup = problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack in
+      let hold = slack +. problem.Skew_problem.t_hold -. d_min in
+      (* (6) t_i - t_j <= setup ; (7) t_i - t_j >= hold *)
+      src.(2 * p) <- i;
+      dst.(2 * p) <- j;
+      ub.(2 * p) <- setup;
+      lb.(2 * p) <- hold;
+      (* symmetric view for t_j *)
+      src.((2 * p) + 1) <- j;
+      dst.((2 * p) + 1) <- i;
+      ub.((2 * p) + 1) <- -.hold;
+      lb.((2 * p) + 1) <- -.setup)
+    pairs;
+  let g, slot = Rc_graph.Digraph.freeze_edges ~n ~src ~dst ~weight:ub in
+  let ptr = g.Rc_graph.Digraph.ptr and heads = g.Rc_graph.Digraph.heads in
+  let upper = g.Rc_graph.Digraph.weights and lower = Array.make ne 0.0 in
+  Array.iteri (fun e k -> lower.(k) <- lb.(e)) slot;
   for _ = 1 to sweeps do
     for i = 0 to n - 1 do
-      let hi =
-        List.fold_left (fun acc (j, ub) -> Float.min acc (t.(j) +. ub)) infinity uppers.(i)
-      in
-      let lo =
-        List.fold_left (fun acc (j, lb) -> Float.max acc (t.(j) +. lb)) neg_infinity lowers.(i)
-      in
-      if lo <= hi then begin
+      let hi = ref infinity and lo = ref neg_infinity in
+      for k = ptr.(i) to ptr.(i + 1) - 1 do
+        hi := Float.min !hi (t.(heads.(k)) +. upper.(k));
+        lo := Float.max !lo (t.(heads.(k)) +. lower.(k))
+      done;
+      if !lo <= !hi then begin
         let ideal = anchors.(i).t_c +. anchors.(i).t_ci in
-        t.(i) <- Float.min hi (Float.max lo ideal)
+        t.(i) <- Float.min !hi (Float.max !lo ideal)
       end
     done
   done;

@@ -4,10 +4,6 @@ let normalize skews =
   let lo = Array.fold_left Float.min infinity skews in
   if lo = infinity then skews else Array.map (fun s -> s -. lo) skews
 
-let feasible_skews problem ~slack =
-  let g = Skew_problem.constraint_graph problem ~slack in
-  Rc_graph.Shortest_path.feasible_potentials g
-
 let solve_graph ?(tolerance = 1e-3) problem =
   let hi0 = Skew_problem.slack_upper_bound problem in
   if hi0 = infinity then
@@ -15,14 +11,25 @@ let solve_graph ?(tolerance = 1e-3) problem =
        with the trivial bound *)
     Some { skews = Array.make problem.Skew_problem.n 0.0; slack = infinity }
   else begin
-    match feasible_skews problem ~slack:hi0 with
+    (* every probe of the search below tests one slack M on the same
+       constraint graph, so it is frozen once and each probe rewrites
+       all its weights to base − M in place *)
+    let src, dst, base = Skew_problem.constraint_edges problem in
+    let g, slot =
+      Rc_graph.Digraph.freeze_edges ~n:problem.Skew_problem.n ~src ~dst ~weight:base
+    in
+    let feasible_skews slack =
+      Array.iteri (fun e b -> g.Rc_graph.Digraph.weights.(slot.(e)) <- b -. slack) base;
+      Rc_graph.Shortest_path.potentials g
+    in
+    match feasible_skews hi0 with
     | Some p -> Some { skews = normalize p; slack = hi0 }
     | None ->
         (* find a feasible lower bracket by doubling downward *)
         let rec find_lo lo attempts =
           if attempts = 0 then None
           else
-            match feasible_skews problem ~slack:lo with
+            match feasible_skews lo with
             | Some p -> Some (lo, p)
             | None -> find_lo (lo -. (2.0 *. (hi0 -. lo) +. 1.0)) (attempts - 1)
         in
@@ -32,7 +39,7 @@ let solve_graph ?(tolerance = 1e-3) problem =
             let lo = ref lo0 and hi = ref hi0 and best = ref p0 in
             while !hi -. !lo > tolerance do
               let mid = 0.5 *. (!lo +. !hi) in
-              match feasible_skews problem ~slack:mid with
+              match feasible_skews mid with
               | Some p ->
                   best := p;
                   lo := mid

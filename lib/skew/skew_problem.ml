@@ -18,15 +18,27 @@ let make ~n ~pairs ~period ~t_setup ~t_hold =
     pairs;
   { n; pairs; period; t_setup; t_hold }
 
-let constraint_graph t ~slack =
-  let g = Rc_graph.Digraph.create t.n in
-  List.iter
-    (fun { i; j; d_max; d_min } ->
+let constraint_edges t =
+  let np = List.length t.pairs in
+  let src = Array.make (2 * np) 0 and dst = Array.make (2 * np) 0 in
+  let base = Array.make (2 * np) 0.0 in
+  List.iteri
+    (fun p { i; j; d_max; d_min } ->
       (* (6)  t̂_i − t̂_j ≤ T − D_max − t_setup − M  :  edge j → i *)
-      Rc_graph.Digraph.add_edge g j i (t.period -. d_max -. t.t_setup -. slack);
+      src.(2 * p) <- j;
+      dst.(2 * p) <- i;
+      base.(2 * p) <- t.period -. d_max -. t.t_setup;
       (* (7)  t̂_j − t̂_i ≤ D_min − t_hold − M       :  edge i → j *)
-      Rc_graph.Digraph.add_edge g i j (d_min -. t.t_hold -. slack))
+      src.((2 * p) + 1) <- i;
+      dst.((2 * p) + 1) <- j;
+      base.((2 * p) + 1) <- d_min -. t.t_hold)
     t.pairs;
+  (src, dst, base)
+
+let constraint_graph t ~slack =
+  let src, dst, base = constraint_edges t in
+  let g = Rc_graph.Digraph.create t.n in
+  Array.iteri (fun e b -> Rc_graph.Digraph.add_edge g src.(e) dst.(e) (b -. slack)) base;
   g
 
 let check t ~slack ~skews =

@@ -32,6 +32,14 @@ val constraint_graph : t -> slack:float -> Rc_graph.Digraph.t
     [T − D_max − t_setup − M]; constraint (7) the hold edge [i → j]
     with weight [D_min − t_hold − M]. *)
 
+val constraint_edges : t -> int array * int array * float array
+(** The edges of {!constraint_graph} as [(src, dst, base)] arrays in the
+    order it adds them: pair [p] (in list order) gives the setup edge
+    [2p] and the hold edge [2p + 1].  An edge's weight at slack [M] is
+    [base.(e) -. M]; [base] is [T − D_max − t_setup] (setup) or
+    [D_min − t_hold] (hold), evaluated left to right, so the weights
+    are bit-identical to {!constraint_graph}'s. *)
+
 val check : t -> slack:float -> skews:float array -> bool
 (** Verify that a skew assignment satisfies every long- and short-path
     constraint at slack [M] (with 1e-6 tolerance). *)

@@ -82,55 +82,48 @@ let of_entries ~rows:n_rows ~cols:n_cols ~len ri ci vs =
     if ri.(k) < 0 || ri.(k) >= n_rows || ci.(k) < 0 || ci.(k) >= n_cols then
       invalid_arg "Csr.of_entries: index out of range"
   done;
-  (* stable counting sort of entry slots into rows, iterating k
-     descending so each row's slot list is in reverse entry order *)
-  let count = Array.make (n_rows + 1) 0 in
-  for k = 0 to len - 1 do
-    count.(ri.(k) + 1) <- count.(ri.(k) + 1) + 1
-  done;
-  for i = 1 to n_rows do
-    count.(i) <- count.(i) + count.(i - 1)
-  done;
-  let start = Array.copy count in
-  let slot = Array.make len 0 in
-  let cursor = Array.copy count in
-  for k = len - 1 downto 0 do
-    let i = ri.(k) in
-    slot.(cursor.(i)) <- k;
-    cursor.(i) <- cursor.(i) + 1
-  done;
+  (* two stable counting passes (LSD radix on (row, col)): entry slots
+     by column, visiting k descending, then stably by row.  Each row's
+     slots come out in column order with ties in descending entry index,
+     i.e. reverse entry order, so the duplicate sums below run in list
+     order of the prepend-built equivalent *)
+  let counting_pass ~buckets key src dst =
+    let cursor = Array.make (buckets + 1) 0 in
+    Array.iter (fun k -> cursor.(key.(k) + 1) <- cursor.(key.(k) + 1) + 1) src;
+    for b = 1 to buckets do
+      cursor.(b) <- cursor.(b) + cursor.(b - 1)
+    done;
+    Array.iter
+      (fun k ->
+        dst.(cursor.(key.(k))) <- k;
+        cursor.(key.(k)) <- cursor.(key.(k)) + 1)
+      src;
+    cursor
+  in
+  let by_col = Array.make len 0 and slot = Array.make len 0 in
+  ignore (counting_pass ~buckets:n_cols ci (Array.init len (fun k -> len - 1 - k)) by_col);
+  (* the row pass returns its cursors: row_end.(i) is one past row i's
+     last slot *)
+  let row_end = counting_pass ~buckets:n_rows ri by_col slot in
   let row_ptr = Array.make (n_rows + 1) 0 in
   let col_idx = Array.make len 0 and values = Array.make len 0.0 in
-  let out = ref 0 in
+  let out = ref 0 and k = ref 0 in
   for i = 0 to n_rows - 1 do
     row_ptr.(i) <- !out;
-    let lo = start.(i) and hi = start.(i + 1) in
-    if hi > lo then begin
-      (* order the row's slots by column; ties keep descending entry
-         index, i.e. reverse entry order, so duplicate sums below run in
-         list order of the prepend-built equivalent *)
-      let seg = Array.sub slot lo (hi - lo) in
-      Array.sort
-        (fun a b ->
-          let c = compare ci.(a) ci.(b) in
-          if c <> 0 then c else compare b a)
-        seg;
-      let k = ref 0 and nseg = Array.length seg in
-      while !k < nseg do
-        let col = ci.(seg.(!k)) in
-        let acc = ref vs.(seg.(!k)) in
-        incr k;
-        while !k < nseg && ci.(seg.(!k)) = col do
-          acc := !acc +. vs.(seg.(!k));
-          incr k
-        done;
-        if !acc <> 0.0 then begin
-          col_idx.(!out) <- col;
-          values.(!out) <- !acc;
-          incr out
-        end
-      done
-    end
+    while !k < row_end.(i) do
+      let col = ci.(slot.(!k)) in
+      let acc = ref vs.(slot.(!k)) in
+      incr k;
+      while !k < row_end.(i) && ci.(slot.(!k)) = col do
+        acc := !acc +. vs.(slot.(!k));
+        incr k
+      done;
+      if !acc <> 0.0 then begin
+        col_idx.(!out) <- col;
+        values.(!out) <- !acc;
+        incr out
+      end
+    done
   done;
   row_ptr.(n_rows) <- !out;
   {
@@ -141,22 +134,39 @@ let of_entries ~rows:n_rows ~cols:n_cols ~len ri ci vs =
     values = Vec.of_array (Array.sub values 0 !out);
   }
 
-let get t i j =
-  if i < 0 || i >= t.n_rows || j < 0 || j >= t.n_cols then
-    invalid_arg "Csr.get: index out of range";
+(* storage slot of entry (i, j), or -1 when structurally absent *)
+let slot t i j =
   let lo = ref t.row_ptr.{i} and hi = ref (t.row_ptr.{i + 1} - 1) in
-  let result = ref 0.0 in
+  let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let c = t.col_idx.{mid} in
     if c = j then begin
-      result := t.values.{mid};
+      found := mid;
       lo := !hi + 1
     end
     else if c < j then lo := mid + 1
     else hi := mid - 1
   done;
-  !result
+  !found
+
+let get t i j =
+  if i < 0 || i >= t.n_rows || j < 0 || j >= t.n_cols then
+    invalid_arg "Csr.get: index out of range";
+  let k = slot t i j in
+  if k < 0 then 0.0 else t.values.{k}
+
+let with_diagonal t d =
+  if t.n_rows <> t.n_cols then invalid_arg "Csr.with_diagonal: not square";
+  if Array.length d <> t.n_rows then invalid_arg "Csr.with_diagonal: size mismatch";
+  let values = Vec.create (nnz t) in
+  Vec.blit t.values values;
+  for i = 0 to t.n_rows - 1 do
+    let k = slot t i i in
+    if k < 0 then invalid_arg "Csr.with_diagonal: diagonal entry not stored";
+    values.{k} <- d.(i)
+  done;
+  { t with values }
 
 let spmv t x y =
   if Vec.length x <> t.n_cols || Vec.length y <> t.n_rows then

@@ -20,13 +20,24 @@ val of_entries :
   rows:int -> cols:int -> len:int -> int array -> int array -> float array -> t
 (** [of_entries ~rows ~cols ~len ri ci vs] assembles from the first
     [len] slots of three parallel entry arrays — the million-entry
-    counterpart of {!of_triplets} (counting sort, no per-row tables,
-    no boxed list).  Duplicates are summed in reverse entry order and
-    exact-zero sums dropped, which is precisely how {!of_triplets}
-    treats a list built by prepending the same entries, so switching a
-    caller from one to the other is bit-identical.
+    counterpart of {!of_triplets} (no per-row tables, no boxed list).
+    Two stable counting passes order the entry slots: by column,
+    visiting the entries last to first, then by row.  Duplicates are
+    thus summed in reverse entry order and exact-zero sums dropped,
+    which is precisely how {!of_triplets} treats a list built by
+    prepending the same entries, so switching a caller from one to the
+    other is bit-identical.
     @raise Invalid_argument on out-of-range indices, negative dims or a
     bad [len]. *)
+
+val with_diagonal : t -> float array -> t
+(** [with_diagonal a d] is [a] with its main diagonal replaced by [d]
+    (entries of [d] are stored as given, zeros included).  The sparsity
+    pattern is shared with [a], only the values are copied — how a
+    placement call re-weights one assembled Laplacian per spreading
+    round.
+    @raise Invalid_argument if [a] is not square, [d] has the wrong
+    length or some diagonal entry of [a] is not stored. *)
 
 val rows : t -> int
 val cols : t -> int

@@ -1,0 +1,339 @@
+(* Reference implementations of the flow's flat kernels, in their plain
+   list-based forms: the placement system assembled per round through
+   Csr.of_entries, the spreading sort on polymorphic compare, the
+   list-folding skew refine, and the list-walking SPFA with the skew
+   searches rebuilt on it per probe.  The tests hold the library
+   kernels to these bit for bit, never to a tolerance: the flow digests
+   depend on every bit. *)
+
+open Rc_geom
+open Rc_netlist
+
+(* ---- placement assembly: one Csr.of_entries per system ---------------- *)
+
+let center_anchor_weight = 1e-6
+
+type ebuf = {
+  mutable ei : int array;
+  mutable ej : int array;
+  mutable ev : float array;
+  mutable en : int;
+}
+
+let ebuf_create () = { ei = Array.make 16 0; ej = Array.make 16 0; ev = Array.make 16 0.0; en = 0 }
+
+let ebuf_push b i j v =
+  if b.en = Array.length b.ei then begin
+    let c = 2 * b.en in
+    let gi = Array.make c 0 and gj = Array.make c 0 and gv = Array.make c 0.0 in
+    Array.blit b.ei 0 gi 0 b.en;
+    Array.blit b.ej 0 gj 0 b.en;
+    Array.blit b.ev 0 gv 0 b.en;
+    b.ei <- gi;
+    b.ej <- gj;
+    b.ev <- gv
+  end;
+  b.ei.(b.en) <- i;
+  b.ej.(b.en) <- j;
+  b.ev.(b.en) <- v;
+  b.en <- b.en + 1
+
+let movable_index netlist =
+  let n = Netlist.n_cells netlist in
+  let index = Array.make n (-1) in
+  let movable = List.filter (Netlist.movable netlist) (List.init n Fun.id) |> Array.of_list in
+  Array.iteri (fun i c -> index.(c) <- i) movable;
+  (movable, index)
+
+(* [extra_springs] are (cell id, anchor, weight); springs on fixed cells
+   are skipped *)
+let build_system netlist ~chip ~extra_springs =
+  let movable, index = movable_index netlist in
+  let m = Array.length movable in
+  let buf = ebuf_create () in
+  let rhs_x = Array.make m 0.0 and rhs_y = Array.make m 0.0 in
+  let add_diag i w = ebuf_push buf i i w in
+  let add_pair i j w =
+    ebuf_push buf i i w;
+    ebuf_push buf j j w;
+    ebuf_push buf i j (-.w);
+    ebuf_push buf j i (-.w)
+  in
+  let add_fixed i w (p : Point.t) =
+    add_diag i w;
+    rhs_x.(i) <- rhs_x.(i) +. (w *. p.Point.x);
+    rhs_y.(i) <- rhs_y.(i) +. (w *. p.Point.y)
+  in
+  let connect a b w =
+    match (index.(a), index.(b)) with
+    | -1, -1 -> ()
+    | ia, -1 -> add_fixed ia w (Netlist.pad_position netlist b)
+    | -1, ib -> add_fixed ib w (Netlist.pad_position netlist a)
+    | ia, ib -> if ia <> ib then add_pair ia ib w
+  in
+  Netlist.iter_nets netlist (fun _ net ->
+      let k = 1 + Array.length net.Netlist.sinks in
+      let w = 2.0 /. float_of_int k in
+      Array.iter (fun s -> connect net.Netlist.driver s w) net.Netlist.sinks);
+  let c = Rect.center chip in
+  for i = 0 to m - 1 do
+    add_fixed i center_anchor_weight c
+  done;
+  List.iter
+    (fun (cell, p, w) -> if index.(cell) >= 0 then add_fixed index.(cell) w p)
+    extra_springs;
+  let matrix = Rc_sparse.Csr.of_entries ~rows:m ~cols:m ~len:buf.en buf.ei buf.ej buf.ev in
+  (matrix, rhs_x, rhs_y)
+
+(* ---- spreading targets: polymorphic compare on the keys --------------- *)
+
+let spreading_targets rng chip m xs ys =
+  let targets = Array.make m Point.zero in
+  let idx = Array.init m Fun.id in
+  let rec go (region : Rect.t) lo hi horizontal =
+    let count = hi - lo in
+    if count <= 2 then
+      for k = lo to hi - 1 do
+        let jx = Rc_util.Rng.float_in rng 0.3 0.7 and jy = Rc_util.Rng.float_in rng 0.3 0.7 in
+        targets.(idx.(k)) <-
+          Point.make
+            (region.Rect.xmin +. (jx *. Rect.width region))
+            (region.Rect.ymin +. (jy *. Rect.height region))
+      done
+    else begin
+      let sub = Array.sub idx lo count in
+      if horizontal then Array.sort (fun a b -> compare xs.(a) xs.(b)) sub
+      else Array.sort (fun a b -> compare ys.(a) ys.(b)) sub;
+      Array.blit sub 0 idx lo count;
+      let mid = lo + (count / 2) in
+      let frac = float_of_int (mid - lo) /. float_of_int count in
+      if horizontal then begin
+        let split = region.Rect.xmin +. (frac *. Rect.width region) in
+        go (Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:split
+              ~ymax:region.Rect.ymax) lo mid (not horizontal);
+        go (Rect.make ~xmin:split ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
+              ~ymax:region.Rect.ymax) mid hi (not horizontal)
+      end
+      else begin
+        let split = region.Rect.ymin +. (frac *. Rect.height region) in
+        go (Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
+              ~ymax:split) lo mid (not horizontal);
+        go (Rect.make ~xmin:region.Rect.xmin ~ymin:split ~xmax:region.Rect.xmax
+              ~ymax:region.Rect.ymax) mid hi (not horizontal)
+      end
+    end
+  in
+  go chip 0 m (Rect.width chip >= Rect.height chip);
+  targets
+
+(* ---- list-walking Bellman-Ford ----------------------------------------- *)
+
+let extract_cycle pred start n =
+  let seen = Hashtbl.create 16 in
+  let rec walk v steps =
+    if v < 0 || steps > 2 * (n + 1) then [ start ]
+    else if Hashtbl.mem seen v then begin
+      let cycle = ref [] and u = ref pred.(v) in
+      cycle := [ v ];
+      while !u <> v && !u >= 0 do
+        cycle := !u :: !cycle;
+        u := pred.(!u)
+      done;
+      !cycle
+    end
+    else begin
+      Hashtbl.add seen v ();
+      walk pred.(v) (steps + 1)
+    end
+  in
+  walk start 0
+
+let pred_cycle pred mark n =
+  Array.fill mark 0 n (-1);
+  let found = ref (-1) in
+  let v = ref 0 in
+  while !found < 0 && !v < n do
+    if mark.(!v) < 0 then begin
+      let u = ref !v in
+      while !found < 0 && !u >= 0 && mark.(!u) < 0 do
+        mark.(!u) <- !v;
+        u := pred.(!u)
+      done;
+      if !found < 0 && !u >= 0 && mark.(!u) = !v then found := !u
+    end;
+    incr v
+  done;
+  !found
+
+let bellman_ford g ~sources =
+  let n = Rc_graph.Digraph.n_vertices g in
+  let dist = Array.make n infinity and pred = Array.make n (-1) in
+  let in_queue = Array.make n false and dequeues = Array.make n 0 in
+  let queue = Queue.create () in
+  List.iter
+    (fun s ->
+      if dist.(s) <> 0.0 then begin
+        dist.(s) <- 0.0;
+        in_queue.(s) <- true;
+        Queue.add s queue
+      end)
+    sources;
+  let cycle_at = ref (-1) in
+  let mark = Array.make (max n 1) (-1) in
+  let relaxations = ref 0 in
+  let check_every = max 64 n in
+  (try
+     while not (Queue.is_empty queue) do
+       let u = Queue.pop queue in
+       in_queue.(u) <- false;
+       dequeues.(u) <- dequeues.(u) + 1;
+       if dequeues.(u) > n then begin
+         cycle_at := u;
+         raise Exit
+       end;
+       Rc_graph.Digraph.iter_out g u (fun (e : Rc_graph.Digraph.edge) ->
+           let nd = dist.(u) +. e.weight in
+           if nd < dist.(e.dst) -. 1e-12 then begin
+             dist.(e.dst) <- nd;
+             pred.(e.dst) <- u;
+             incr relaxations;
+             if !relaxations >= check_every then begin
+               relaxations := 0;
+               let c = pred_cycle pred mark n in
+               if c >= 0 then begin
+                 cycle_at := c;
+                 raise Exit
+               end
+             end;
+             if not in_queue.(e.dst) then begin
+               in_queue.(e.dst) <- true;
+               Queue.add e.dst queue
+             end
+           end)
+     done
+   with Exit -> ());
+  if !cycle_at >= 0 then Either.Right (extract_cycle pred !cycle_at n)
+  else Either.Left (dist, pred)
+
+let feasible_potentials g =
+  match bellman_ford g ~sources:(List.init (Rc_graph.Digraph.n_vertices g) Fun.id) with
+  | Either.Left (dist, _) -> Some dist
+  | Either.Right _ -> None
+
+(* ---- skew scheduling on rebuilt list graphs ---------------------------- *)
+
+open Rc_skew
+
+(* binary search on Δ, building the window graph afresh per probe in the
+   edge order the probes once rewrote in place *)
+let solve_minmax_graph ?(tolerance = 1e-3) problem ~slack ~(anchors : Cost_driven.anchor array) =
+  let n = problem.Skew_problem.n in
+  let base = Skew_problem.constraint_graph problem ~slack in
+  let probe delta =
+    let g = Rc_graph.Digraph.create (n + 1) in
+    Rc_graph.Digraph.iter_edges base (fun e ->
+        Rc_graph.Digraph.add_edge g e.Rc_graph.Digraph.src e.Rc_graph.Digraph.dst
+          e.Rc_graph.Digraph.weight);
+    Array.iteri
+      (fun i (a : Cost_driven.anchor) ->
+        Rc_graph.Digraph.add_edge g n i (a.t_c +. delta);
+        Rc_graph.Digraph.add_edge g i n (delta -. a.t_c -. (2.0 *. a.t_ci)))
+      anchors;
+    match bellman_ford g ~sources:[ n ] with
+    | Either.Right _ -> None
+    | Either.Left (dist, _) ->
+        Some
+          (Array.init n (fun i ->
+               if dist.(i) < infinity then dist.(i) else anchors.(i).t_c +. anchors.(i).t_ci))
+  in
+  let span =
+    Array.fold_left
+      (fun acc (a : Cost_driven.anchor) -> Float.max acc (Float.abs a.t_c +. (2.0 *. a.t_ci)))
+      0.0 anchors
+  in
+  let hi0 = (2.0 *. span) +. (4.0 *. problem.Skew_problem.period) +. 1.0 in
+  match probe hi0 with
+  | None -> None
+  | Some skews0 ->
+      let lo = ref 0.0 and hi = ref hi0 and best = ref skews0 and best_d = ref hi0 in
+      (match probe 0.0 with
+      | Some s ->
+          best := s;
+          best_d := 0.0;
+          hi := 0.0
+      | None -> ());
+      while !hi -. !lo > tolerance do
+        let mid = 0.5 *. (!lo +. !hi) in
+        match probe mid with
+        | Some s ->
+            best := s;
+            best_d := mid;
+            hi := mid
+        | None -> lo := mid
+      done;
+      Some (!best, !best_d)
+
+(* max-slack search with a fresh constraint graph per probe; returns the
+   un-normalized potentials and the slack *)
+let solve_max_slack ?(tolerance = 1e-3) problem =
+  let feasible_skews slack =
+    feasible_potentials (Skew_problem.constraint_graph problem ~slack)
+  in
+  let hi0 = Skew_problem.slack_upper_bound problem in
+  if hi0 = infinity then None
+  else
+    match feasible_skews hi0 with
+    | Some p -> Some (p, hi0)
+    | None -> (
+        let rec find_lo lo attempts =
+          if attempts = 0 then None
+          else
+            match feasible_skews lo with
+            | Some p -> Some (lo, p)
+            | None -> find_lo (lo -. ((2.0 *. (hi0 -. lo)) +. 1.0)) (attempts - 1)
+        in
+        match find_lo (Float.min 0.0 hi0) 64 with
+        | None -> None
+        | Some (lo0, p0) ->
+            let lo = ref lo0 and hi = ref hi0 and best = ref p0 in
+            while !hi -. !lo > tolerance do
+              let mid = 0.5 *. (!lo +. !hi) in
+              match feasible_skews mid with
+              | Some p ->
+                  best := p;
+                  lo := mid
+              | None -> hi := mid
+            done;
+            Some (!best, !lo))
+
+let refine_toward_anchors ?(sweeps = 8) problem ~slack ~(anchors : Cost_driven.anchor array)
+    ~skews =
+  let n = problem.Skew_problem.n in
+  let t = Array.copy skews in
+  let uppers = Array.make n [] and lowers = Array.make n [] in
+  List.iter
+    (fun { Skew_problem.i; j; d_max; d_min } ->
+      if i <> j then begin
+        let setup = problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack in
+        let hold = slack +. problem.Skew_problem.t_hold -. d_min in
+        uppers.(i) <- (j, setup) :: uppers.(i);
+        lowers.(i) <- (j, hold) :: lowers.(i);
+        lowers.(j) <- (i, -.setup) :: lowers.(j);
+        uppers.(j) <- (i, -.hold) :: uppers.(j)
+      end)
+    problem.Skew_problem.pairs;
+  for _ = 1 to sweeps do
+    for i = 0 to n - 1 do
+      let hi =
+        List.fold_left (fun acc (j, ub) -> Float.min acc (t.(j) +. ub)) infinity uppers.(i)
+      in
+      let lo =
+        List.fold_left (fun acc (j, lb) -> Float.max acc (t.(j) +. lb)) neg_infinity lowers.(i)
+      in
+      if lo <= hi then begin
+        let ideal = anchors.(i).t_c +. anchors.(i).t_ci in
+        t.(i) <- Float.min hi (Float.max lo ideal)
+      end
+    done
+  done;
+  t

@@ -181,6 +181,56 @@ let prop_dijkstra_matches_bellman =
             (fun x y -> (x = infinity && y = infinity) || Float.abs (x -. y) < 1e-6)
             d.dist b.dist)
 
+(* The array SPFA against the list-walking reference: the same verdict,
+   the same dist/pred bits or the same cycle.  Even seeds are random
+   difference-constraint graphs whose negative share grows with the
+   seed, with self-loops and parallel edges; odd seeds are skew
+   constraint graphs at a slack from well below to past the two-cycle
+   bound.  Either kind comes out feasible or infeasible, so both
+   verdicts (and both cycle certificates) are exercised. *)
+let prop_spfa_matches_reference =
+  QCheck.Test.make ~name:"array SPFA is bit-identical to the list-walking reference"
+    ~count:400 QCheck.small_int (fun seed ->
+      let rng = Rc_util.Rng.create ((seed * 613) + 7) in
+      let n = 1 + Rc_util.Rng.int rng 40 in
+      let g =
+        if seed land 1 = 0 then begin
+          let g = Digraph.create n in
+          let neg = float_of_int (seed mod 7) in
+          for _ = 1 to Rc_util.Rng.int rng (4 * n) do
+            Digraph.add_edge g (Rc_util.Rng.int rng n) (Rc_util.Rng.int rng n)
+              (Rc_util.Rng.float_in rng (-.neg) 10.0)
+          done;
+          g
+        end
+        else begin
+          let pairs =
+            List.init (Rc_util.Rng.int rng (3 * n)) (fun _ ->
+                let d_min = Rc_util.Rng.float_in rng 20.0 300.0 in
+                {
+                  Rc_skew.Skew_problem.i = Rc_util.Rng.int rng n;
+                  j = Rc_util.Rng.int rng n;
+                  d_max = d_min +. Rc_util.Rng.float_in rng 0.0 500.0;
+                  d_min;
+                })
+          in
+          let pr =
+            Rc_skew.Skew_problem.make ~n ~pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+          in
+          Rc_skew.Skew_problem.constraint_graph pr ~slack:(Rc_util.Rng.float_in rng (-100.0) 300.0)
+        end
+      in
+      let sources =
+        if Rc_util.Rng.bool rng then List.init n Fun.id
+        else List.init (1 + Rc_util.Rng.int rng 3) (fun _ -> Rc_util.Rng.int rng n)
+      in
+      let bits = Array.map Int64.bits_of_float in
+      match (Shortest_path.bellman_ford g ~sources, Reference_kernels.bellman_ford g ~sources) with
+      | Either.Left r, Either.Left (dist, pred) ->
+          bits r.Shortest_path.dist = bits dist && r.Shortest_path.pred = pred
+      | Either.Right c, Either.Right c_ref -> c = c_ref
+      | _ -> false)
+
 let () =
   Alcotest.run "rc_graph"
     [
@@ -202,6 +252,7 @@ let () =
             test_bellman_ford_negative_cycle;
           Alcotest.test_case "difference constraints" `Quick test_feasible_potentials;
           QCheck_alcotest.to_alcotest prop_dijkstra_matches_bellman;
+          QCheck_alcotest.to_alcotest prop_spfa_matches_reference;
         ] );
       ( "dag",
         [
