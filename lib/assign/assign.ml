@@ -36,7 +36,8 @@ let count_tap_cases taps ff_positions =
         | Tapping.Snaked -> m_case4))
     taps
 
-let check_inputs arr ff_positions targets =
+let check_inputs ~fn ~candidates arr ff_positions targets =
+  if candidates < 1 then invalid_arg (fn ^ ": candidates must be at least 1");
   if Ring_array.n_rings arr = 0 then invalid_arg "Assign: empty ring array";
   if Array.length ff_positions <> Array.length targets then
     invalid_arg "Assign: positions/targets size mismatch"
@@ -296,8 +297,9 @@ let m_shard_repairs = Rc_obs.Metrics.counter "assign.netflow.shard_repairs"
    (deterministic merge by flip-flop index, any job count).  Shards are
    capacity-sliced from the global capacities; flip-flops a shard
    cannot place (local capacity exhausted) go through a sequential
-   repair pass over the remaining global capacity, nearest rings
-   first, so the result is always a complete assignment. *)
+   repair pass over the remaining global capacity (cheapest pooled
+   candidate, else nearest ring with room), so the result is always a
+   complete assignment. *)
 let solve_sharded tech arr ~capacities pl ~ff_positions ~targets =
   let n = pl.n_ffs in
   let g = Ring_array.grid arr in
@@ -378,6 +380,7 @@ let solve_sharded tech arr ~capacities pl ~ff_positions ~targets =
     if rj >= 0 then cap_left.(rj) <- cap_left.(rj) - 1
   done;
   let repair_taps = Hashtbl.create 16 in
+  let centres = Array.init nr (fun rj -> Rc_geom.Rect.center (Ring_array.ring arr rj).Ring.rect) in
   for i = 0 to n - 1 do
     if ring_of_ff.(i) < 0 then begin
       Rc_obs.Metrics.incr m_shard_repairs;
@@ -396,24 +399,28 @@ let solve_sharded tech arr ~capacities pl ~ff_positions ~targets =
         cap_left.(rj) <- cap_left.(rj) - 1
       end
       else begin
-        (* ... else walk outward over all rings (total capacity covers
-           n, so this always terminates with a ring) *)
-        let rec widen = function
-          | [] -> invalid_arg "Assign.by_netflow: unassignable flip-flop"
-          | rj :: rest ->
-              if cap_left.(rj) > 0 then begin
-                let tap =
-                  Tapping.solve tech (Ring_array.ring arr rj) ~ff:ff_positions.(i)
-                    ~target:targets.(i)
-                in
-                Rc_obs.Metrics.incr m_candidate_solves;
-                ring_of_ff.(i) <- rj;
-                cap_left.(rj) <- cap_left.(rj) - 1;
-                Hashtbl.replace repair_taps i tap
-              end
-              else widen rest
-        in
-        widen (Ring_array.rings_near arr ff_positions.(i) nr)
+        (* ... else the nearest ring with capacity left: the least
+           (Manhattan distance to the ring centre, ring id), the order
+           [Ring_array.rings_near] sorts by (total capacity covers n, so
+           one always has room) *)
+        let p = ff_positions.(i) in
+        let best = ref (-1) and best_d = ref infinity in
+        for rj = 0 to nr - 1 do
+          if cap_left.(rj) > 0 then begin
+            let d = Rc_geom.Point.manhattan centres.(rj) p in
+            if !best < 0 || Float.compare d !best_d < 0 then begin
+              best := rj;
+              best_d := d
+            end
+          end
+        done;
+        let rj = !best in
+        if rj < 0 then invalid_arg "Assign.by_netflow: unassignable flip-flop";
+        let tap = Tapping.solve tech (Ring_array.ring arr rj) ~ff:p ~target:targets.(i) in
+        Rc_obs.Metrics.incr m_candidate_solves;
+        ring_of_ff.(i) <- rj;
+        cap_left.(rj) <- cap_left.(rj) - 1;
+        Hashtbl.replace repair_taps i tap
       end
     end
   done;
@@ -426,7 +433,7 @@ let solve_sharded tech arr ~capacities pl ~ff_positions ~targets =
   finish tech arr ~ff_positions taps ring_of_ff
 
 let by_netflow ?(candidates = 6) ?capacities ?cache tech arr ~ff_positions ~targets =
-  check_inputs arr ff_positions targets;
+  check_inputs ~fn:"Assign.by_netflow" ~candidates arr ff_positions targets;
   let n = Array.length ff_positions in
   let capacities =
     match capacities with
@@ -557,7 +564,7 @@ let assignment_from_bins tech arr ~ff_positions pl bins =
   finish tech arr ~ff_positions taps (Array.copy bins)
 
 let by_ilp ?(candidates = 6) tech arr ~ff_positions ~targets =
-  check_inputs arr ff_positions targets;
+  check_inputs ~fn:"Assign.by_ilp" ~candidates arr ff_positions targets;
   let timer = Rc_util.Timer.start () in
   let n = Array.length ff_positions in
   let pl = candidate_taps_batch tech arr ~ff_positions ~targets ~candidates in
@@ -595,7 +602,7 @@ type bb_stats = {
 }
 
 let by_branch_bound ?(candidates = 6) ?limits tech arr ~ff_positions ~targets =
-  check_inputs arr ff_positions targets;
+  check_inputs ~fn:"Assign.by_branch_bound" ~candidates arr ff_positions targets;
   let n = Array.length ff_positions in
   let pl = candidate_taps_batch tech arr ~ff_positions ~targets ~candidates in
   let p, triples, _cap = build_minmax_problem tech arr pl in

@@ -121,11 +121,13 @@ val by_netflow :
     nearest candidate ring with its in-shard candidates, and the
     per-shard flows run as ordered pool sub-jobs — deterministic for
     any job count.  Flip-flops a shard cannot place locally are
-    repaired sequentially against the remaining global capacity
-    (nearest rings first), so the assignment is always complete; the
-    warm tier is bypassed on this path.
-    @raise Invalid_argument on size mismatches or infeasible total
-    capacity. *)
+    repaired sequentially against the remaining global capacity: the
+    cheapest pooled candidate ring with room, else the ring with room
+    whose centre is nearest (Manhattan distance, ties to the lower ring
+    id).  So the assignment is always complete; the warm tier is
+    bypassed on this path.
+    @raise Invalid_argument on size mismatches, infeasible total
+    capacity, or [candidates < 1]. *)
 
 type ilp_stats = {
   lp_optimum : float;  (** OPT(LP), fF. *)
@@ -144,7 +146,8 @@ val by_ilp :
   t * ilp_stats
 (** LP-relaxation + greedy rounding for the min-max-load formulation
     (Eq. 3). No capacity constraints — load balancing is implicit in the
-    objective, as in the paper. *)
+    objective, as in the paper.
+    @raise Invalid_argument if [candidates < 1]. *)
 
 type bb_stats = {
   bb_objective : float;  (** Incumbent objective, fF ([infinity] if none). *)
@@ -164,4 +167,5 @@ val by_branch_bound :
   t option * bb_stats
 (** Exact branch & bound on the same ILP, truncated by [limits]
     (default 60 s). Returns [None] when no incumbent was found in
-    budget — the paper saw the same on three of five circuits. *)
+    budget — the paper saw the same on three of five circuits.
+    @raise Invalid_argument if [candidates < 1]. *)

@@ -44,7 +44,10 @@ let build ~n_items ~n_bins ~capacities candidates =
 let solve ~n_items ~n_bins ~capacities candidates =
   validate ~n_items ~n_bins ~capacities candidates;
   let net, source, sink, _, _, cand_arcs = build ~n_items ~n_bins ~capacities candidates in
-  let outcome = Mcmf.solve net ~source ~sink ~amount:n_items in
+  (* costs are non-negative, so the zero dual is the one {!Mcmf.solve}
+     would start from *)
+  let potentials = Array.make (Mcmf.n_vertices net) 0.0 in
+  let outcome = Mcmf.solve_unit_supply net ~potentials ~source ~sink ~amount:n_items in
   let assignment = Array.make n_items (-1) in
   let total_cost = ref 0.0 in
   List.iter

@@ -1,7 +1,7 @@
 (* Residual-network representation: forward and backward arcs are stored
    interleaved; arc i and arc (i lxor 1) are mutual inverses.
 
-   Two successive-shortest-path cores share this representation:
+   Three successive-shortest-path cores share this representation:
 
    - the {e bucket-Dijkstra} core (the default behind [solve] and
      [solve_warm]): Dijkstra on reduced costs over a 64-bucket radix
@@ -10,6 +10,9 @@
      augmentation work is proportional to the explored region, not the
      network), and a CSR-packed adjacency frozen lazily from the
      [first]/[next] chains;
+   - the {e lazy-source} core ([solve_unit_supply]): the same search,
+     step for step, on unit-supply bipartite networks, settling the
+     unassigned items that would relax nothing without visiting them;
    - the {e reference} core ([solve_reference]): the original
      binary-heap full-Dijkstra implementation, kept verbatim as the
      identity baseline for the QCheck A/B tests and the [mcmf_scaled]
@@ -249,6 +252,11 @@ let m_augmentations = Rc_obs.Metrics.counter "netflow.mcmf.augmentations"
 let m_flow_units = Rc_obs.Metrics.counter "netflow.mcmf.flow_units"
 let m_bf_runs = Rc_obs.Metrics.counter "netflow.mcmf.bellman_ford_runs"
 let m_scanned = Rc_obs.Metrics.counter "netflow.mcmf.dijkstra_scans"
+let m_sweep_skips = Rc_obs.Metrics.counter "netflow.mcmf.sweep_skips"
+
+let touch s v =
+  s.touched.(s.n_touched) <- v;
+  s.n_touched <- s.n_touched + 1
 
 let bellman_ford_potentials t source =
   (* Vertices unreachable from [source] must NOT be mapped down to 0.0:
@@ -306,8 +314,11 @@ let bellman_ford_potentials t source =
    - unscanned u -> scanned v: d(v) <= d(sink), so rc' >= rc >= 0;
    - unscanned -> unscanned: unchanged.
    Every label write is undone through the touched stack, so one
-   augmentation costs O(explored region), not O(n). *)
-let augment ?(amount = max_int) t ~pot ~source ~sink =
+   augmentation costs O(explored region), not O(n).
+
+   [flow0]/[cost0] resume the running totals of an earlier core on the
+   same network, so the cost sums in the same order as one run would. *)
+let augment ?(amount = max_int) ?(flow0 = 0) ?(cost0 = 0.0) t ~pot ~source ~sink =
   if source < 0 || source >= t.n || sink < 0 || sink >= t.n then
     invalid_arg "Mcmf.solve: vertex out of range";
   if Array.length pot <> t.n then invalid_arg "Mcmf: potentials length mismatch";
@@ -319,13 +330,10 @@ let augment ?(amount = max_int) t ~pot ~source ~sink =
   and heap = s.heap in
   let adj_ptr = t.adj_ptr and adj_arc = t.adj_arc in
   let heads = t.heads and caps = t.caps and costs = t.costs in
-  let total_flow = ref 0 and total_cost = ref 0.0 in
+  let total_flow = ref flow0 and total_cost = ref cost0 in
   let continue = ref true in
   let dq = ref 0.0 and vq = ref 0 in
-  let touch v =
-    s.touched.(s.n_touched) <- v;
-    s.n_touched <- s.n_touched + 1
-  in
+  let touch v = touch s v in
   while !continue && !total_flow < amount do
     (* reset only what the previous augmentation touched *)
     for i = 0 to s.n_touched - 1 do
@@ -400,6 +408,557 @@ let augment ?(amount = max_int) t ~pot ~source ~sink =
   done;
   Rc_obs.Metrics.incr m_solves;
   { flow = !total_flow; cost = !total_cost }
+
+(* ---- lazy-source core (unit-supply bipartite networks) --------------- *)
+
+(* [solve_unit_supply] replays the bucket-Dijkstra core step for step on
+   a network shaped source -> items (capacity 1, cost 0) -> bins ->
+   sink with no flow routed yet.  Each augmentation of the generic core
+   scans the source, then every unassigned item, and most items relax
+   nothing.  Three facts let this core settle those items unvisited:
+
+   1. An unassigned item's only residual in-arc is its source arc and
+      its potential equals the source's bit for bit, so its label is
+      exactly 0.0.  All unassigned items therefore share the source's
+      potential; an item's own entry is written back when it is
+      assigned, and for the rest at the end.
+   2. Zero-key radix entries pop newest-first, so the items (pushed by
+      the source scan in CSR order) settle in reverse source-CSR order,
+      the sweep order, and every zero-key vertex an item pushes settles
+      before the next item.
+   3. An item's relaxation value [0.0 +. max 0 ((c +. p) -. pot b)] is
+      monotone in its arc cost [c].  A min-cost tree per bin over the
+      arcs into it, in sweep order, finds the first item that would
+      lower the bin's label past [dist b -. 1e-12] without visiting the
+      items that would not.
+
+   Skipped items still count as Dijkstra scans, so [dijkstra_scans]
+   keeps the generic count; [sweep_skips] tallies them.  The entry
+   check ([sweep_build]) verifies the shape, the zero flow and the
+   potentials, and the core hands over to the generic one if the shared
+   potential would ever split (see [sweep_run]). *)
+
+type sweep = {
+  items : int array;  (* sweep position -> item vertex *)
+  src_arc : int array;  (* sweep position -> the item's source arc *)
+  pos_of : int array;  (* vertex -> sweep position, -1 if not an item *)
+  bin_of : int array;  (* vertex -> bin index, -1 if not a bin *)
+  bins : int array;  (* bin index -> vertex *)
+  alive : bool array;  (* sweep position -> still unassigned *)
+  fen : int array;  (* Fenwick tree (1-based) counting alive positions *)
+  lf_off : int array;  (* bin -> first leaf; a bin's leaves follow sweep order *)
+  lf_pos : int array;  (* leaf -> sweep position of its item *)
+  lf_of_arc : int array;  (* item -> bin arc -> its leaf *)
+  tr_off : int array;  (* bin -> offset of its tree in [tr] *)
+  tr_cap : int array;  (* bin -> leaf slots of its tree, a power of two *)
+  tr : float array;  (* per-bin min trees over arc costs; dead = infinity *)
+  nx : int array;  (* bin -> first sweep position that relaxes it, or max_int *)
+  nx0 : int array;  (* bin -> [nx] at an augmentation's start (all labels infinite) *)
+  tt : int array;  (* min tournament over [nx], bin b at [tt_cap + b] *)
+  tt_cap : int;
+  bl_off : int array;  (* bin -> its segment of [bl_slot] *)
+  bl_len : int array;
+  bl_slot : int array;  (* a bin's sink arcs and open reverse arcs, as ascending CSR slots *)
+  slot_of : int array;  (* arc out of a bin -> its CSR slot *)
+  dirty : int array;  (* bins whose [nx] needs a new search *)
+  mutable n_dirty : int;
+  in_dirty : bool array;
+  moved : int array;  (* bins whose [nx] may differ from [nx0] *)
+  mutable n_moved : int;
+  in_moved : bool array;
+  regs : float array;  (* [r_d]: label being scanned; [r_pv]: its potential *)
+  dq : float ref;
+  vq : int ref;
+  mutable sweeping : bool;  (* in the zero phase: note relabelled bins *)
+}
+
+let r_d = 0
+let r_pv = 1
+
+let pow2_at_least k =
+  let p = ref 1 in
+  while !p < k do
+    p := 2 * !p
+  done;
+  !p
+
+(* Build the sweep over [t], or [None] if the network or the potentials
+   break one of the facts above.  [t] must be frozen. *)
+let sweep_build t ~pot ~source ~sink =
+  let n = t.n in
+  let adj_ptr = t.adj_ptr and adj_arc = t.adj_arc in
+  let heads = t.heads and caps = t.caps and costs = t.costs in
+  let ok = ref (source <> sink) in
+  for v = 0 to n - 1 do
+    if not (Float.is_finite pot.(v)) then ok := false
+  done;
+  let pos_of = Array.make n (-1) and bin_of = Array.make n (-1) in
+  let deg = adj_ptr.(source + 1) - adj_ptr.(source) in
+  let items = Array.make deg 0 and src_arc = Array.make deg 0 in
+  let p_src = Int64.bits_of_float pot.(source) in
+  (* source -> item arcs, positions in reverse CSR order *)
+  for k = 0 to deg - 1 do
+    let a = adj_arc.(adj_ptr.(source) + k) in
+    let u = heads.(a) in
+    if
+      a land 1 = 1 || caps.(a) <> 1 || caps.(a lxor 1) <> 0 || costs.(a) <> 0.0
+      || u = source || u = sink || pos_of.(u) >= 0
+      || Int64.bits_of_float pot.(u) <> p_src
+    then ok := false
+    else begin
+      let p = deg - 1 - k in
+      items.(p) <- u;
+      src_arc.(p) <- a;
+      pos_of.(u) <- p
+    end
+  done;
+  (* item -> bin arcs; the only arc into an item is its source arc *)
+  let n_bins = ref 0 and arcs_in = Array.make n 0 in
+  if !ok then
+    for p = 0 to deg - 1 do
+      let v = items.(p) in
+      for k = adj_ptr.(v) to adj_ptr.(v + 1) - 1 do
+        let a = adj_arc.(k) in
+        let u = heads.(a) in
+        if a land 1 = 1 then (if a <> src_arc.(p) lxor 1 then ok := false)
+        else if
+          u = source || u = sink || pos_of.(u) >= 0 || caps.(a) <> 1
+          || caps.(a lxor 1) <> 0 || Float.is_nan costs.(a)
+        then ok := false
+        else begin
+          if bin_of.(u) < 0 then begin
+            bin_of.(u) <- !n_bins;
+            incr n_bins
+          end;
+          arcs_in.(u) <- arcs_in.(u) + 1
+        end
+      done
+    done;
+  let nb = !n_bins in
+  let bins = Array.make nb 0 in
+  Array.iteri (fun v b -> if b >= 0 then bins.(b) <- v) bin_of;
+  (* bins reach the sink, and are reached from items only *)
+  if !ok then
+    Array.iter
+      (fun v ->
+        for k = adj_ptr.(v) to adj_ptr.(v + 1) - 1 do
+          let a = adj_arc.(k) in
+          if a land 1 = 0 then (if heads.(a) <> sink || caps.(a lxor 1) <> 0 then ok := false)
+          else if pos_of.(heads.(a)) < 0 then ok := false
+        done)
+      bins;
+  if !ok then
+    for k = adj_ptr.(sink) to adj_ptr.(sink + 1) - 1 do
+      if adj_arc.(k) land 1 = 0 then ok := false
+    done;
+  if not !ok then None
+  else begin
+    let lf_off = Array.make (nb + 1) 0 in
+    for b = 0 to nb - 1 do
+      lf_off.(b + 1) <- lf_off.(b) + arcs_in.(bins.(b))
+    done;
+    let tr_cap = Array.init nb (fun b -> pow2_at_least (lf_off.(b + 1) - lf_off.(b))) in
+    let tr_off = Array.make nb 0 in
+    let size = ref 0 in
+    for b = 0 to nb - 1 do
+      tr_off.(b) <- !size;
+      size := !size + (2 * tr_cap.(b))
+    done;
+    let tr = Array.make (max 1 !size) infinity in
+    let lf_pos = Array.make lf_off.(nb) 0 and lf_of_arc = Array.make t.m (-1) in
+    let fill = Array.sub lf_off 0 (max 1 nb) in
+    for p = 0 to deg - 1 do
+      let v = items.(p) in
+      for k = adj_ptr.(v) to adj_ptr.(v + 1) - 1 do
+        let a = adj_arc.(k) in
+        if a land 1 = 0 then begin
+          let b = bin_of.(heads.(a)) in
+          let l = fill.(b) in
+          fill.(b) <- l + 1;
+          lf_pos.(l) <- p;
+          lf_of_arc.(a) <- l;
+          tr.(tr_off.(b) + tr_cap.(b) + l - lf_off.(b)) <- costs.(a)
+        end
+      done
+    done;
+    for b = 0 to nb - 1 do
+      let o = tr_off.(b) in
+      for i = tr_cap.(b) - 1 downto 1 do
+        let x = tr.(o + (2 * i)) and y = tr.(o + (2 * i) + 1) in
+        tr.(o + i) <- (if y < x then y else x)
+      done
+    done;
+    let fen = Array.make (deg + 1) 0 in
+    for i = 1 to deg do
+      fen.(i) <- i land -i
+    done;
+    let tt_cap = pow2_at_least (max 1 nb) in
+    (* no flow yet: a bin's only residual arcs are those to the sink *)
+    let bl_off = Array.make (nb + 1) 0 and bl_len = Array.make nb 0 in
+    for b = 0 to nb - 1 do
+      let v = bins.(b) in
+      bl_off.(b + 1) <- bl_off.(b) + adj_ptr.(v + 1) - adj_ptr.(v)
+    done;
+    let bl_slot = Array.make (max 1 bl_off.(nb)) 0 and slot_of = Array.make t.m (-1) in
+    for b = 0 to nb - 1 do
+      let v = bins.(b) in
+      for k = adj_ptr.(v) to adj_ptr.(v + 1) - 1 do
+        let a = adj_arc.(k) in
+        slot_of.(a) <- k;
+        if a land 1 = 0 then begin
+          bl_slot.(bl_off.(b) + bl_len.(b)) <- k;
+          bl_len.(b) <- bl_len.(b) + 1
+        end
+      done
+    done;
+    Some
+      {
+        items; src_arc; pos_of; bin_of; bins;
+        alive = Array.make deg true;
+        fen; lf_off; lf_pos; lf_of_arc; tr_off; tr_cap; tr;
+        nx = Array.make nb max_int;
+        nx0 = Array.make nb max_int;
+        tt = Array.make (2 * tt_cap) max_int;
+        tt_cap; bl_off; bl_len; bl_slot; slot_of;
+        dirty = Array.make nb 0; n_dirty = 0; in_dirty = Array.make nb false;
+        moved = Array.make nb 0; n_moved = 0; in_moved = Array.make nb false;
+        regs = Array.make 2 0.0;
+        dq = ref 0.0; vq = ref 0;
+        sweeping = false;
+      }
+  end
+
+let fen_remove f p =
+  let i = ref (p + 1) in
+  while !i < Array.length f do
+    f.(!i) <- f.(!i) - 1;
+    i := !i + (!i land - !i)
+  done
+
+(* alive positions in [0, p] *)
+let fen_prefix f p =
+  let s = ref 0 and i = ref (p + 1) in
+  while !i > 0 do
+    s := !s + f.(!i);
+    i := !i - (!i land - !i)
+  done;
+  !s
+
+let set_nx sw b x =
+  sw.nx.(b) <- x;
+  let tt = sw.tt in
+  let i = ref (sw.tt_cap + b) in
+  tt.(!i) <- x;
+  while !i > 1 do
+    i := !i lsr 1;
+    let l = tt.(2 * !i) and r = tt.((2 * !i) + 1) in
+    tt.(!i) <- (if r < l then r else l)
+  done
+
+let mark_dirty sw b =
+  if b >= 0 && not sw.in_dirty.(b) then begin
+    sw.in_dirty.(b) <- true;
+    sw.dirty.(sw.n_dirty) <- b;
+    sw.n_dirty <- sw.n_dirty + 1
+  end
+
+let mark_moved sw b =
+  if not sw.in_moved.(b) then begin
+    sw.in_moved.(b) <- true;
+    sw.moved.(sw.n_moved) <- b;
+    sw.n_moved <- sw.n_moved + 1
+  end
+
+(* First live leaf of bin [b] (a finite cost): the first item that
+   relaxes [b] while its label is infinite. *)
+let first_live sw b =
+  let o = sw.tr_off.(b) and cap = sw.tr_cap.(b) and tr = sw.tr in
+  if not (tr.(o + 1) < infinity) then max_int
+  else begin
+    let i = ref 1 in
+    while !i < cap do
+      i := if tr.(o + (2 * !i)) < infinity then 2 * !i else (2 * !i) + 1
+    done;
+    sw.lf_pos.(sw.lf_off.(b) + !i - cap)
+  end
+
+(* First sweep position after [cur] whose item relaxes bin [b] under the
+   current labels: the leftmost leaf past [cur] whose relaxation value
+   beats [dist b -. 1e-12].  By monotonicity a subtree holds one iff its
+   minimum does, so the walk moves right past failing subtrees and
+   descends into the first passing one. *)
+let next_relaxing sw pot dist ~p_item b cur =
+  let lo0 = sw.lf_off.(b) and hi0 = sw.lf_off.(b + 1) in
+  let lo = ref lo0 and hi = ref hi0 in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if sw.lf_pos.(mid) <= cur then lo := mid + 1 else hi := mid
+  done;
+  if !lo >= hi0 then max_int
+  else begin
+    let o = sw.tr_off.(b) and cap = sw.tr_cap.(b) and tr = sw.tr in
+    let v = sw.bins.(b) in
+    let p = pot.(p_item) and pb = pot.(v) and thr = dist.(v) -. 1e-12 in
+    let i = ref (cap + !lo - lo0) and res = ref (-2) in
+    while !res = -2 do
+      (* the generic core's relaxation value for an arc of this cost *)
+      let rc = tr.(o + !i) +. p -. pb in
+      let rc = if rc < 0.0 then 0.0 else rc in
+      if 0.0 +. rc < thr then begin
+        if !i >= cap then res := !i - cap else i := 2 * !i
+      end
+      else begin
+        while !i land 1 = 1 do
+          i := !i lsr 1
+        done;
+        if !i = 0 then res := -1 else incr i
+      end
+    done;
+    if !res < 0 then max_int else sw.lf_pos.(lo0 + !res)
+  end
+
+(* The generic relaxation of [v]'s residual arcs at label [regs.(r_d)]
+   and potential [regs.(r_pv)]; in the zero phase a relabelled bin is
+   marked for a new search.  A bin walks only its live slots, in CSR
+   order, instead of one mostly dead reverse arc per candidate. *)
+let sweep_scan t s sw pot v =
+  let d = sw.regs.(r_d) and pv = sw.regs.(r_pv) in
+  let dist = s.dist and heads = t.heads and caps = t.caps and costs = t.costs in
+  let b = sw.bin_of.(v) in
+  let live = b >= 0 in
+  let lo = if live then sw.bl_off.(b) else t.adj_ptr.(v) in
+  let hi = if live then lo + sw.bl_len.(b) - 1 else t.adj_ptr.(v + 1) - 1 in
+  for j = lo to hi do
+    let a = t.adj_arc.(if live then sw.bl_slot.(j) else j) in
+    if caps.(a) > 0 then begin
+      let u = heads.(a) in
+      let rc = costs.(a) +. pv -. pot.(u) in
+      let rc = if rc < 0.0 then 0.0 else rc in
+      let nd = d +. rc in
+      if nd < dist.(u) -. 1e-12 then begin
+        if s.pred_arc.(u) < 0 && dist.(u) = infinity then touch s u;
+        dist.(u) <- nd;
+        s.pred_arc.(u) <- a;
+        rheap_push s.heap (key_of_float nd) nd u;
+        if sw.sweeping then mark_dirty sw sw.bin_of.(u)
+      end
+    end
+  done
+
+(* Pop and scan as the generic core does until the sink settles or the
+   heap is empty; with [zero_only], stop instead once the zero-key
+   bucket is empty, leaving the floor where it is.  True iff the sink
+   settled. *)
+let sweep_settle t s sw pot ~sink ~zero_only =
+  let heap = s.heap and dist = s.dist and scanned = s.scanned in
+  let sink_done = ref false in
+  while
+    (not !sink_done) && ((not zero_only) || heap.blen.(0) > 0) && rheap_pop heap sw.dq sw.vq
+  do
+    let v = !(sw.vq) and d = !(sw.dq) in
+    if d <= dist.(v) +. 1e-12 && not scanned.(v) then begin
+      scanned.(v) <- true;
+      s.scan_order.(s.n_scanned) <- v;
+      s.n_scanned <- s.n_scanned + 1;
+      if v = sink then sink_done := true
+      else begin
+        sw.regs.(r_d) <- d;
+        sw.regs.(r_pv) <- pot.(v);
+        sweep_scan t s sw pot v
+      end
+    end
+  done;
+  !sink_done
+
+(* One unit moved along path arc [a]: if it runs item -> bin, the bin's
+   reverse arc opens and its slot joins the bin's live slots; if it runs
+   bin -> item (a reverse arc), that slot closes. *)
+let sweep_track t sw a =
+  if a land 1 = 0 then begin
+    let b = sw.bin_of.(t.heads.(a)) in
+    if b >= 0 then begin
+      let k = sw.slot_of.(a lxor 1) and o = sw.bl_off.(b) in
+      let j = ref (o + sw.bl_len.(b)) in
+      while !j > o && sw.bl_slot.(!j - 1) > k do
+        sw.bl_slot.(!j) <- sw.bl_slot.(!j - 1);
+        decr j
+      done;
+      sw.bl_slot.(!j) <- k;
+      sw.bl_len.(b) <- sw.bl_len.(b) + 1
+    end
+  end
+  else begin
+    let b = sw.bin_of.(t.heads.(a lxor 1)) in
+    if b >= 0 then begin
+      let k = sw.slot_of.(a) and o = sw.bl_off.(b) in
+      let last = o + sw.bl_len.(b) - 1 in
+      let j = ref o in
+      while sw.bl_slot.(!j) <> k do
+        incr j
+      done;
+      Array.blit sw.bl_slot (!j + 1) sw.bl_slot !j (last - !j);
+      sw.bl_len.(b) <- sw.bl_len.(b) - 1
+    end
+  end
+
+(* An item got its unit: drop its arcs from the bins' trees. *)
+let sweep_assign t sw v =
+  let p = sw.pos_of.(v) in
+  sw.alive.(p) <- false;
+  fen_remove sw.fen p;
+  for k = t.adj_ptr.(v) to t.adj_ptr.(v + 1) - 1 do
+    let a = t.adj_arc.(k) in
+    if a land 1 = 0 then begin
+      let b = sw.bin_of.(t.heads.(a)) in
+      let o = sw.tr_off.(b) and tr = sw.tr in
+      let i = ref (sw.tr_cap.(b) + sw.lf_of_arc.(a) - sw.lf_off.(b)) in
+      tr.(o + !i) <- infinity;
+      while !i > 1 do
+        i := !i lsr 1;
+        let x = tr.(o + (2 * !i)) and y = tr.(o + (2 * !i) + 1) in
+        tr.(o + !i) <- (if y < x then y else x)
+      done;
+      if sw.nx0.(b) = p then sw.nx0.(b) <- first_live sw b;
+      mark_moved sw b
+    end
+  done
+
+(* The augmentation loop of [augment], replayed over the sweep.  Returns
+   the running totals and whether the shared item potential split (the
+   sink settled before the last item with a label that moves the
+   scanned items' potential), in which case the per-item potentials are
+   already written out and the generic core must finish the solve. *)
+let sweep_run t sw ~pot ~source ~sink ~amount =
+  let s = scratch_of t in
+  let dist = s.dist and pred_arc = s.pred_arc and scanned = s.scanned in
+  let heads = t.heads and caps = t.caps and costs = t.costs in
+  let n_items = Array.length sw.items in
+  for b = 0 to Array.length sw.bins - 1 do
+    sw.nx0.(b) <- first_live sw b;
+    set_nx sw b sw.nx0.(b)
+  done;
+  let n_alive = ref n_items in
+  let total_flow = ref 0 and total_cost = ref 0.0 in
+  let continue = ref true and split = ref false in
+  while !continue && !total_flow < amount do
+    for i = 0 to s.n_touched - 1 do
+      let v = s.touched.(i) in
+      dist.(v) <- infinity;
+      pred_arc.(v) <- -1;
+      scanned.(v) <- false
+    done;
+    s.n_touched <- 0;
+    s.n_scanned <- 0;
+    rheap_clear s.heap;
+    for k = 0 to sw.n_moved - 1 do
+      let b = sw.moved.(k) in
+      sw.in_moved.(b) <- false;
+      set_nx sw b sw.nx0.(b)
+    done;
+    sw.n_moved <- 0;
+    (* the source settles first; its scan is implicit *)
+    dist.(source) <- 0.0;
+    touch s source;
+    scanned.(source) <- true;
+    s.scan_order.(0) <- source;
+    s.n_scanned <- 1;
+    (* zero phase: the items that relax something, in sweep order, each
+       followed by the zero-key vertices it reaches *)
+    let sink_done = ref false and processed = ref 0 and last = ref (-1) in
+    sw.sweeping <- true;
+    while (not !sink_done) && sw.tt.(1) < max_int do
+      let q = sw.tt.(1) in
+      let v = sw.items.(q) in
+      incr processed;
+      last := q;
+      dist.(v) <- 0.0;
+      pred_arc.(v) <- sw.src_arc.(q);
+      touch s v;
+      scanned.(v) <- true;
+      s.scan_order.(s.n_scanned) <- v;
+      s.n_scanned <- s.n_scanned + 1;
+      (* bins that had [q] as their next item need a new search *)
+      for k = t.adj_ptr.(v) to t.adj_ptr.(v + 1) - 1 do
+        let a = t.adj_arc.(k) in
+        if a land 1 = 0 then begin
+          let b = sw.bin_of.(heads.(a)) in
+          if sw.nx.(b) = q then mark_dirty sw b
+        end
+      done;
+      sw.regs.(r_d) <- 0.0;
+      sw.regs.(r_pv) <- pot.(source);
+      sweep_scan t s sw pot v;
+      sink_done := sweep_settle t s sw pot ~sink ~zero_only:true;
+      for k = 0 to sw.n_dirty - 1 do
+        let b = sw.dirty.(k) in
+        sw.in_dirty.(b) <- false;
+        if not !sink_done then begin
+          set_nx sw b (next_relaxing sw pot dist ~p_item:source b q);
+          mark_moved sw b
+        end
+      done;
+      sw.n_dirty <- 0
+    done;
+    sw.sweeping <- false;
+    let item_scans = if !sink_done then fen_prefix sw.fen !last else !n_alive in
+    if not !sink_done then sink_done := sweep_settle t s sw pot ~sink ~zero_only:false;
+    let skips = item_scans - !processed in
+    Rc_obs.Metrics.add m_scanned (s.n_scanned + skips);
+    Rc_obs.Metrics.add m_sweep_skips skips;
+    if not !sink_done then continue := false
+    else begin
+      let ds = dist.(sink) in
+      let p_old = pot.(source) in
+      for i = 0 to s.n_scanned - 1 do
+        let v = s.scan_order.(i) in
+        let p = sw.pos_of.(v) in
+        if p < 0 || not sw.alive.(p) then pot.(v) <- pot.(v) +. dist.(v) -. ds
+      done;
+      (* an item settles at 0.0 with the source's potential, so a
+         scanned item's new potential is the source's *)
+      let p_new = pot.(source) in
+      let bottleneck = ref (amount - !total_flow) in
+      let v = ref sink and first = ref (-1) in
+      while !v <> source do
+        let a = pred_arc.(!v) in
+        if caps.(a) < !bottleneck then bottleneck := caps.(a);
+        let u = heads.(a lxor 1) in
+        if u = source then first := !v;
+        v := u
+      done;
+      let f = !bottleneck in
+      let v = ref sink in
+      while !v <> source do
+        let a = pred_arc.(!v) in
+        caps.(a) <- caps.(a) - f;
+        caps.(a lxor 1) <- caps.(a lxor 1) + f;
+        total_cost := !total_cost +. (float_of_int f *. costs.(a));
+        sweep_track t sw a;
+        v := heads.(a lxor 1)
+      done;
+      total_flow := !total_flow + f;
+      Rc_obs.Metrics.incr m_augmentations;
+      Rc_obs.Metrics.add m_flow_units f;
+      pot.(!first) <- p_new;
+      sweep_assign t sw !first;
+      if item_scans < !n_alive
+         && Int64.bits_of_float p_new <> Int64.bits_of_float p_old
+      then begin
+        (* the items past [last] were not scanned and keep [p_old] *)
+        for p = 0 to n_items - 1 do
+          if sw.alive.(p) then pot.(sw.items.(p)) <- (if p <= !last then p_new else p_old)
+        done;
+        split := true;
+        continue := false
+      end;
+      decr n_alive
+    end
+  done;
+  if not !split then
+    for p = 0 to n_items - 1 do
+      if sw.alive.(p) then pot.(sw.items.(p)) <- pot.(source)
+    done;
+  (!total_flow, !total_cost, !split)
 
 (* ---- reference core (binary heap, full Dijkstra) --------------------- *)
 
@@ -496,6 +1055,21 @@ let solve_reference ?amount t ~source ~sink =
 
 let solve_warm ?amount t ~potentials ~source ~sink =
   augment ?amount t ~pot:potentials ~source ~sink
+
+let solve_unit_supply ?(amount = max_int) t ~potentials ~source ~sink =
+  if source < 0 || source >= t.n || sink < 0 || sink >= t.n then
+    invalid_arg "Mcmf.solve: vertex out of range";
+  if Array.length potentials <> t.n then invalid_arg "Mcmf: potentials length mismatch";
+  freeze t;
+  match sweep_build t ~pot:potentials ~source ~sink with
+  | None -> augment ~amount t ~pot:potentials ~source ~sink
+  | Some sw ->
+      let flow, cost, split = sweep_run t sw ~pot:potentials ~source ~sink ~amount in
+      if split then augment ~amount ~flow0:flow ~cost0:cost t ~pot:potentials ~source ~sink
+      else begin
+        Rc_obs.Metrics.incr m_solves;
+        { flow; cost }
+      end
 
 let feasible_potentials t ~source =
   Rc_obs.Metrics.incr m_bf_runs;

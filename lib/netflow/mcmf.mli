@@ -46,6 +46,22 @@ val solve_warm :
     warm solve. A warm solve on an all-zero dual of a fresh
     non-negative-cost network behaves exactly like {!solve}. *)
 
+val solve_unit_supply :
+  ?amount:int -> t -> potentials:float array -> source:int -> sink:int -> outcome
+(** {!solve_warm} for unit-supply bipartite networks, by a core that
+    skips the items a search would settle without relaxing anything.
+    The network must be a fresh assignment network: [source] feeds each
+    item through one arc of capacity 1 and cost 0, items feed bins
+    through arcs of capacity 1, bins feed only [sink], and no flow is
+    routed yet; every item's potential must equal the source's bit for
+    bit.  Otherwise, or if the items' shared potential would split
+    mid-solve, the generic core runs (or takes over).  Either way the
+    augmenting paths, the flows, the cost and the final [potentials]
+    are bit-identical to {!solve_warm}, and so is every
+    [netflow.mcmf.*] counter but one: the items settled without a scan
+    (still counted in [dijkstra_scans]) are also counted in
+    [netflow.mcmf.sweep_skips]. *)
+
 val feasible_potentials : t -> source:int -> float array
 (** Bellman-Ford duals of the current residual network: potentials under
     which every residual arc has non-negative reduced cost (assuming no

@@ -97,6 +97,29 @@ let test_netflow_optimal_vs_exhaustive () =
   go 0 0.0;
   Alcotest.(check (float 0.01)) "netflow is optimal" !best a.Assign.total_cost
 
+(* A candidate count below 1 is rejected up front.  Before, 0 on a ring
+   grid up to 4x4 never returned (the widen retry doubled 0 to 0), on
+   larger grids it raised a bare index error, and a negative count died
+   in Bigarray.create. *)
+let test_candidates_below_one () =
+  let arr, ff_positions, targets = mk_state ~n_ffs:10 ~grid:4 9 in
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Printf.sprintf "by_netflow ~candidates:%d" k)
+        (Invalid_argument "Assign.by_netflow: candidates must be at least 1") (fun () ->
+          ignore (Assign.by_netflow ~candidates:k tech arr ~ff_positions ~targets));
+      Alcotest.check_raises (Printf.sprintf "by_ilp ~candidates:%d" k)
+        (Invalid_argument "Assign.by_ilp: candidates must be at least 1") (fun () ->
+          ignore (Assign.by_ilp ~candidates:k tech arr ~ff_positions ~targets));
+      Alcotest.check_raises (Printf.sprintf "by_branch_bound ~candidates:%d" k)
+        (Invalid_argument "Assign.by_branch_bound: candidates must be at least 1") (fun () ->
+          ignore (Assign.by_branch_bound ~candidates:k tech arr ~ff_positions ~targets)))
+    [ 0; -3 ];
+  (* one candidate still works: the widen retry grows it *)
+  let a = Assign.by_netflow ~candidates:1 tech arr ~ff_positions ~targets in
+  Alcotest.(check bool) "candidates:1 assigns all" true
+    (Array.for_all (fun r -> r >= 0) a.Assign.ring_of_ff)
+
 let test_ilp_beats_netflow_on_max_load () =
   let arr, ff_positions, targets = mk_state 6 in
   let nf = Assign.by_netflow tech arr ~ff_positions ~targets in
@@ -194,6 +217,7 @@ let () =
           Alcotest.test_case "capacities respected" `Quick test_netflow_capacity_respected;
           Alcotest.test_case "infeasible capacity" `Quick test_netflow_infeasible_capacity;
           Alcotest.test_case "optimal vs exhaustive" `Quick test_netflow_optimal_vs_exhaustive;
+          Alcotest.test_case "candidates below one rejected" `Quick test_candidates_below_one;
         ] );
       ( "candidate pool",
         [

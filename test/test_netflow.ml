@@ -229,6 +229,117 @@ let prop_bucket_dijkstra_matches_reference_general =
       let rb = Mcmf.solve_reference (build ()) ~source:0 ~sink:1 in
       ra.Mcmf.flow = rb.Mcmf.flow && ra.Mcmf.cost = rb.Mcmf.cost)
 
+(* Oracle for the lazy-source core: on random unit-supply bipartite
+   networks it must replay the generic core exactly — per-arc flow, the
+   cost's bits, every final potential's bits and the Dijkstra scan count.
+   The draws favour ties, which is where a different settle order would
+   show: small integers, zeros, and values 1e-13 apart (inside the
+   core's 1e-12 slack).  Bins may have zero capacity, total capacity may
+   fall short of the items, items may have no arcs, an (item, bin) pair
+   may repeat, the source arcs go in a shuffled order, and some draws
+   start from non-zero (even infeasible) bin and sink potentials or from
+   -0.0, which splits the items' shared potential and hands the solve
+   to the generic core mid-way. *)
+let random_unit_supply seed =
+  let rng = Rc_util.Rng.create ((seed * 131) + 17) in
+  let n_items = Rc_util.Rng.int_in rng 1 24 in
+  let n_bins = Rc_util.Rng.int_in rng 1 6 in
+  let caps = Array.init n_bins (fun _ -> Rc_util.Rng.int_in rng 0 4) in
+  let cost =
+    match Rc_util.Rng.int rng 4 with
+    | 0 -> fun () -> float_of_int (Rc_util.Rng.int rng 5)
+    | 1 -> fun () -> if Rc_util.Rng.bool rng then 0.0 else float_of_int (Rc_util.Rng.int rng 3)
+    | 2 -> fun () -> 7.0 +. (float_of_int (Rc_util.Rng.int rng 4) *. 1e-13)
+    | _ -> fun () -> Rc_util.Rng.float rng 50.0
+  in
+  let cands =
+    List.concat
+      (List.init n_items (fun i ->
+           List.init (Rc_util.Rng.int rng 5) (fun _ ->
+               (i, Rc_util.Rng.int rng n_bins, cost ()))))
+  in
+  let order = Array.init n_items Fun.id in
+  Rc_util.Rng.shuffle rng order;
+  let n = n_items + n_bins + 2 in
+  let source = 0 and sink = n - 1 in
+  let pot0 =
+    match Rc_util.Rng.int rng 8 with
+    | 0 -> Array.make n (-0.0)
+    | 1 ->
+        let k = Rc_util.Rng.float_in rng (-3.0) 3.0 in
+        Array.init n (fun v ->
+            if v <= n_items then k else Rc_util.Rng.float_in rng (-5.0) 5.0)
+    | _ -> Array.make n 0.0
+  in
+  let build () =
+    let net = Mcmf.create n in
+    Array.iter
+      (fun i -> ignore (Mcmf.add_arc net ~src:source ~dst:(1 + i) ~capacity:1 ~cost:0.0))
+      order;
+    Array.iteri
+      (fun j cap ->
+        ignore (Mcmf.add_arc net ~src:(1 + n_items + j) ~dst:sink ~capacity:cap ~cost:0.0))
+      caps;
+    let arcs =
+      List.map
+        (fun (i, j, c) ->
+          Mcmf.add_arc net ~src:(1 + i) ~dst:(1 + n_items + j) ~capacity:1 ~cost:c)
+        cands
+    in
+    (net, arcs)
+  in
+  (build, pot0, source, sink, n_items)
+
+let scans = Rc_obs.Metrics.counter "netflow.mcmf.dijkstra_scans"
+let augmentations = Rc_obs.Metrics.counter "netflow.mcmf.augmentations"
+
+let prop_unit_supply_matches_generic =
+  QCheck.Test.make ~name:"lazy-source core bit-identical to the generic core" ~count:3000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Rc_obs.Metrics.set_enabled true;
+      let build, pot0, source, sink, n_items = random_unit_supply seed in
+      let run solve =
+        let net, arcs = build () in
+        let pot = Array.copy pot0 in
+        let s0 = Rc_obs.Metrics.count scans and a0 = Rc_obs.Metrics.count augmentations in
+        let r = solve net pot in
+        ( r.Mcmf.flow,
+          Int64.bits_of_float r.Mcmf.cost,
+          List.map (Mcmf.flow_on net) arcs,
+          Array.map Int64.bits_of_float pot,
+          Rc_obs.Metrics.count scans - s0,
+          Rc_obs.Metrics.count augmentations - a0 )
+      in
+      let amount = if seed mod 5 = 0 then max 1 (n_items / 2) else n_items in
+      let generic =
+        run (fun net potentials -> Mcmf.solve_warm ~amount net ~potentials ~source ~sink)
+      in
+      let lazy_ =
+        run (fun net potentials -> Mcmf.solve_unit_supply ~amount net ~potentials ~source ~sink)
+      in
+      generic = lazy_)
+
+(* The core settles the no-op items without a scan, yet counts them *)
+let test_unit_supply_skips () =
+  Rc_obs.Metrics.set_enabled true;
+  let skips = Rc_obs.Metrics.counter "netflow.mcmf.sweep_skips" in
+  (* 40 items all wanting bin 0 (capacity 1) at rising cost, bin 1 costly *)
+  let n_items = 40 in
+  let cands =
+    List.concat
+      (List.init n_items (fun i ->
+           [
+             { Assignment.item = i; bin = 0; cost = 1.0 +. float_of_int i };
+             { Assignment.item = i; bin = 1; cost = 100.0 };
+           ]))
+  in
+  let k0 = Rc_obs.Metrics.count skips in
+  let r = Assignment.solve ~n_items ~n_bins:2 ~capacities:[| 1; n_items |] cands in
+  Alcotest.(check int) "all assigned" n_items r.Assignment.assigned;
+  Alcotest.(check bool) "items settled without a scan" true
+    (Rc_obs.Metrics.count skips - k0 > 0)
+
 let () =
   Alcotest.run "rc_netflow"
     [
@@ -242,6 +353,8 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           QCheck_alcotest.to_alcotest prop_bucket_dijkstra_matches_reference;
           QCheck_alcotest.to_alcotest prop_bucket_dijkstra_matches_reference_general;
+          QCheck_alcotest.to_alcotest prop_unit_supply_matches_generic;
+          Alcotest.test_case "lazy-source core skips no-op items" `Quick test_unit_supply_skips;
         ] );
       ( "assignment",
         [

@@ -175,6 +175,45 @@ let test_sharded_assignment () =
     (a.Rc_assign.Assign.ring_of_ff = b.Rc_assign.Assign.ring_of_ff
     && a.Rc_assign.Assign.total_cost = b.Rc_assign.Assign.total_cost)
 
+(* The sharded path on a clustered instance: 4,500 flip-flops drawn
+   from a Gaussian around the die centre of a 12x12 array (sigma = 12%
+   of the die side), snapped to a 10 um grid.  That gives 9 shards,
+   central ones holding more flip-flops than slots, so the per-shard
+   flows see many exact cost ties and the repair pass runs.  The ring
+   choice and the cost's bits are pinned: any change to the order in
+   which ties are settled moves them. *)
+let test_sharded_pinned () =
+  let tech = Rc_tech.Tech.default in
+  let grid = 12 in
+  let schip = Bench_suite.chip_of_grid grid in
+  let arr = Rc_rotary.Ring_array.create ~chip:schip ~grid () in
+  let n = 4500 in
+  let rng = Rc_util.Rng.create 4242 in
+  let side = Rc_geom.Rect.width schip in
+  let c = Rc_geom.Rect.center schip in
+  let draw mean hi =
+    let v = Rc_util.Rng.gaussian rng ~mean ~sigma:(0.12 *. side) in
+    Float.min hi (Float.max 0.0 (10.0 *. Float.round (v /. 10.0)))
+  in
+  let ff_positions =
+    Array.init n (fun _ ->
+        let x = draw c.Rc_geom.Point.x (Rc_geom.Rect.width schip) in
+        let y = draw c.Rc_geom.Point.y (Rc_geom.Rect.height schip) in
+        Rc_geom.Point.make x y)
+  in
+  let targets = Array.init n (fun i -> float_of_int (i mod 7) *. 10.0) in
+  Rc_obs.Metrics.set_enabled true;
+  let repairs = Rc_obs.Metrics.counter "assign.netflow.shard_repairs" in
+  let r0 = Rc_obs.Metrics.count repairs in
+  let a = Rc_assign.Assign.by_netflow tech arr ~ff_positions ~targets in
+  let rings =
+    String.concat "," (Array.to_list (Array.map string_of_int a.Rc_assign.Assign.ring_of_ff))
+  in
+  Alcotest.(check bool) "repairs ran" true (Rc_obs.Metrics.count repairs - r0 > 0);
+  Alcotest.(check string) "ring_of_ff digest" "7645f480f2fd154904acbcfb5c88b60c" (Digest.to_hex (Digest.string rings));
+  Alcotest.(check string) "total_cost bits" "415d9af7f48c0065"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float a.Rc_assign.Assign.total_cost))
+
 (* Scaled-down full-flow smoke: a 10k-cell hierarchical circuit through
    the whole six-stage flow, bit-identical at jobs 1 and 2. *)
 let scale10k =
@@ -217,6 +256,7 @@ let () =
         [
           Alcotest.test_case "multilevel V-cycle placement" `Quick test_vcycle;
           Alcotest.test_case "sharded netflow assignment" `Quick test_sharded_assignment;
+          Alcotest.test_case "sharded assignment pinned (clustered)" `Quick test_sharded_pinned;
         ] );
       ("flow", [ Alcotest.test_case "10k flow smoke jobs 1/2" `Slow test_flow_smoke ]);
     ]
