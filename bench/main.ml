@@ -343,11 +343,10 @@ let test_mcmf =
          let n_items, n_bins, capacities, cands = Lazy.force mcmf_state in
          ignore (Rc_netflow.Assignment.solve ~n_items ~n_bins ~capacities cands)))
 
-(* old vs new MCMF core at scaling-suite size: a bipartite instance
-   shaped like the size20k assignment (~12% flip-flops of 20k cells
-   over an 8x8 ring array).  Each run rebuilds the network (solve
-   consumes capacity), so both variants carry the identical build
-   overhead and the delta is pure solver time. *)
+(* the MCMF core at scaling-suite size: a bipartite instance shaped
+   like the size20k assignment (~12% flip-flops of 20k cells over an
+   8x8 ring array).  Each run rebuilds the network (solve consumes
+   capacity), so the figure includes the build. *)
 let mcmf_scaled_state =
   lazy
     (let n_items = 2400 and n_bins = 64 in
@@ -377,17 +376,11 @@ let build_mcmf_scaled () =
     cand_bin;
   (net, source, sink, n_items)
 
-let test_mcmf_scaled_new =
+let test_mcmf_scaled =
   Test.make ~name:"mcmf_scaled:bucket-dijkstra"
     (Staged.stage (fun () ->
          let net, source, sink, amount = build_mcmf_scaled () in
          ignore (Rc_netflow.Mcmf.solve net ~source ~sink ~amount)))
-
-let test_mcmf_scaled_old =
-  Test.make ~name:"mcmf_scaled:reference"
-    (Staged.stage (fun () ->
-         let net, source, sink, amount = build_mcmf_scaled () in
-         ignore (Rc_netflow.Mcmf.solve_reference net ~source ~sink ~amount)))
 
 (* per-flip-flop Eq. 1 candidate construction: nearest rings + one tap
    solve per candidate (the input to stage 3, cached by Assign.cache) *)
@@ -453,8 +446,7 @@ let micro ?(reduced = false) () =
         test_fig2;
         test_cg;
         test_mcmf;
-        test_mcmf_scaled_new;
-        test_mcmf_scaled_old;
+        test_mcmf_scaled;
         test_eq1_candidates;
         test_sta_cold;
         test_sta_incremental;

@@ -133,7 +133,7 @@ let flow_cmd =
       value & flag
       & info [ "no-incremental" ]
           ~doc:"Disable the cross-iteration incremental caches (dirty-set STA, Eq. 1 tap cache, \
-                warm-started assignment); results are bit-identical either way, only slower")
+                assignment replay); results are bit-identical either way, only slower")
   in
   let checkpoint_every =
     Arg.(

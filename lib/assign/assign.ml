@@ -140,7 +140,7 @@ let candidate_taps_batch tech arr ~ff_positions ~targets ~candidates =
       Rc_obs.Metrics.add m_candidate_solves solves);
   pl
 
-(* --- Candidate-tap cache + warm-assignment session ---------------- *)
+(* --- Candidate-tap cache + cached assignment solver ---------------- *)
 
 let m_tap_hits = Rc_obs.Metrics.counter "assign.tapcache.hits"
 let m_tap_misses = Rc_obs.Metrics.counter "assign.tapcache.misses"
@@ -283,8 +283,8 @@ let retarget tech arr t ~ff_positions ~ff ~ring ~target =
 
 (* Above this many flip-flops the single global min-cost flow is
    replaced by one flow per ring-neighborhood shard; every paper
-   circuit sits far under it, so the exact global solve (and its warm
-   tiers) is untouched. *)
+   circuit sits far under it, so the exact global solve (and its
+   replay) is untouched. *)
 let shard_threshold = 4096
 
 let m_shard_solves = Rc_obs.Metrics.counter "assign.netflow.shard_solves"
@@ -471,8 +471,8 @@ let by_netflow ?(candidates = 6) ?capacities ?cache tech arr ~ff_positions ~targ
       | Some cc -> candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates:k
     in
     if n >= shard_threshold then
-      (* the sharded path replaces both the global solve and its warm
-         tier; the widen/repair loop lives inside [solve_sharded] *)
+      (* the sharded path replaces both the global solve and its
+         replay; the widen/repair loop lives inside [solve_sharded] *)
       solve_sharded tech arr ~capacities pl ~ff_positions ~targets
     else begin
     (* candidate arcs in (ff, nearest-ring) order, built back to front *)

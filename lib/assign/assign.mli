@@ -59,7 +59,7 @@ type cache
 (** Cross-iteration reuse state for {!by_netflow}: a per-flip-flop cache
     of Eq. 1 candidate-tap solves (a slot is reused only when the
     flip-flop's position, delay target, and candidate count match the
-    cached solve bit-for-bit) plus a warm-started
+    cached solve bit-for-bit) plus a cached
     {!Rc_netflow.Assignment.solver}. Reuse is reported under the
     [assign.tapcache.hits] / [misses] / [invalidations] and
     [netflow.assignment.*] metrics. *)
@@ -78,7 +78,7 @@ val cache_invalidate : cache -> ff:int -> unit
 
 val cache_reset : cache -> unit
 (** Empty the cache in place: candidate-tap segments, the retained
-    pool, and the warm assignment solver.  Used when the ring array or
+    pool, and the cached assignment solver.  Used when the ring array or
     technology changes (e.g. a clock-period edit), after which every
     cached solve is against the wrong geometry. *)
 
@@ -111,7 +111,7 @@ val by_netflow :
     [Ring_array.default_capacities ~slack:1.3]. If capacities leave some
     flip-flop unassigned the candidate set is widened automatically.
     With [cache], unchanged flip-flops reuse their cached candidate taps
-    and the flow network is replayed or warm-started when possible; the
+    and an unchanged candidate list replays the last flow result; the
     result is bit-identical to the uncached call.
 
     Above 4096 flip-flops (far past every Table II circuit, so the
@@ -124,7 +124,7 @@ val by_netflow :
     repaired sequentially against the remaining global capacity: the
     cheapest pooled candidate ring with room, else the ring with room
     whose centre is nearest (Manhattan distance, ties to the lower ring
-    id).  So the assignment is always complete; the warm tier is
+    id).  So the assignment is always complete; the cached solver is
     bypassed on this path.
     @raise Invalid_argument on size mismatches, infeasible total
     capacity, or [candidates < 1]. *)

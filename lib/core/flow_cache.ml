@@ -2,7 +2,7 @@
    context. The context itself is functional (stages map ctx -> ctx);
    the caches are deliberately not — they are sessions whose whole point
    is to persist across iterations: the incremental STA session, the
-   Eq. 1 candidate-tap cache with its warm-started assignment solver,
+   Eq. 1 candidate-tap cache with its replaying assignment solver,
    and the dirty-set tracker fed by stage 6's displacement vector.
 
    Every cache matches on exact inputs, so a flow run with caching

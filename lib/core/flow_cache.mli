@@ -4,7 +4,7 @@
     stages and iterations (it is mutable by design, unlike the context).
     It bundles the incremental STA session
     ({!Rc_timing.Sta.analyze_batch}), the Eq. 1 candidate-tap
-    cache with the warm-started assignment solver
+    cache with the replaying assignment solver
     ({!Rc_assign.Assign.by_netflow} with [~cache]), and the dirty-set
     tracker that stage 6 feeds with its displacement vector.
 
@@ -24,7 +24,7 @@ val sta_session : t -> Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_timing.Sta.s
     netlist. *)
 
 val assign_cache : t -> Rc_assign.Assign.cache
-(** The candidate-tap + warm-assignment cache for stage 3. *)
+(** The candidate-tap + assignment cache for stage 3. *)
 
 val reset : t -> unit
 (** Drop everything: the STA session (which embeds the technology) and

@@ -76,7 +76,7 @@ type t = {
          implicitly through the instrumented solver layers *)
   caches : Flow_cache.t;
       (* cross-iteration recomputation state (incremental STA session,
-         tap cache, warm assignment solver, dirty-set tracker); consulted
+         tap cache, cached assignment solver, dirty-set tracker); consulted
          by stages only when [cfg.incremental] is set *)
 }
 

@@ -74,7 +74,7 @@ type t = {
           per-stage metric deltas when recording is enabled *)
   caches : Flow_cache.t;
       (** cross-iteration recomputation state (incremental STA session,
-          candidate-tap cache, warm assignment solver, dirty-set
+          candidate-tap cache, cached assignment solver, dirty-set
           tracker); consulted by stages only when [cfg.incremental] *)
 }
 

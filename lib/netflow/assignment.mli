@@ -21,30 +21,15 @@ val solve :
     @raise Invalid_argument on shape mismatches or out-of-range
     candidates. *)
 
-(** {2 Warm-started solving across placement iterations}
+(** {2 Cached solving across placement iterations}
 
-    A {!solver} keeps the min-cost-flow network of its last solve alive
-    so that the next call can reuse it. Three tiers, coarsest first:
-
-    - {b replay} — the candidate list is identical (same (item, bin)
-      pairs in the same order, same costs): the cached result is
-      returned without touching the network. This is what the flow
-      epilogue's re-assignment hits.
-    - {b warm} — same arc structure, but some items' costs changed and
-      their fraction is at most [warm_threshold]: the dirty items'
-      routed paths are evicted ({!Mcmf.unroute}), the cost deltas
-      applied in place ({!Mcmf.set_cost}), optimality of the retained
-      flow restored by negative-cycle cancellation, and only the evicted
-      units re-routed from recomputed duals.
-    - {b scratch} — anything else (structure changed, too many dirty
-      items, or cycle cancellation hit its limit): a fresh network is
-      built and solved exactly like {!solve}, so the result is
-      bit-identical to the cold path by construction.
-
-    Set the environment variable [ROTARY_WARM_CHECK=1] to cross-check
-    every warm solve against a cold {!solve} of the same input (raises
-    [Failure] on divergence) — the debug mode for the incremental
-    layer. *)
+    A {!solver} keeps the candidate list of its last solve and the
+    result. A list identical to that one — same (item, bin, cost)
+    triples in the same order — replays the cached result
+    ([netflow.assignment.replays]); this is what the flow epilogue's
+    re-assignment hits. Any other list runs {!solve} and becomes the
+    cached one ([netflow.assignment.scratch_solves]). Either way the
+    result is the one {!solve} returns for the list, bit for bit. *)
 
 type solver
 
@@ -52,9 +37,7 @@ val make_solver : n_items:int -> n_bins:int -> capacities:int array -> solver
 (** A reusable solver for a fixed item/bin universe. Capacities are
     captured at creation time. *)
 
-val solve_with : ?warm_threshold:float -> solver -> candidate list -> result
-(** Solve through the tiered reuse logic above. [warm_threshold]
-    (default 0.25) is the largest dirty-item fraction still worth a warm
-    re-solve; above it the solver rebuilds from scratch. The returned
+val solve_with : solver -> candidate list -> result
+(** Replay the cached result or solve cold, as above. The returned
     arrays are fresh copies, never aliases of solver state.
     @raise Invalid_argument as {!solve}. *)

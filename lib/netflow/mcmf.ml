@@ -1,7 +1,7 @@
 (* Residual-network representation: forward and backward arcs are stored
    interleaved; arc i and arc (i lxor 1) are mutual inverses.
 
-   Three successive-shortest-path cores share this representation:
+   Two successive-shortest-path cores share this representation:
 
    - the {e bucket-Dijkstra} core (the default behind [solve] and
      [solve_warm]): Dijkstra on reduced costs over a 64-bucket radix
@@ -12,15 +12,11 @@
      [first]/[next] chains;
    - the {e lazy-source} core ([solve_unit_supply]): the same search,
      step for step, on unit-supply bipartite networks, settling the
-     unassigned items that would relax nothing without visiting them;
-   - the {e reference} core ([solve_reference]): the original
-     binary-heap full-Dijkstra implementation, kept verbatim as the
-     identity baseline for the QCheck A/B tests and the [mcmf_scaled]
-     bench kernel.
+     unassigned items that would relax nothing without visiting them.
 
-   Both cores augment along exact shortest paths, so they ship the same
-   flows at the same cost (bit-identical whenever shortest paths are
-   unique, which holds for generic float costs). *)
+   The tests hold the bucket-Dijkstra core to a plain binary-heap
+   successive-shortest-path solver and the lazy-source core to the
+   bucket-Dijkstra one. *)
 
 type t = {
   n : int;
@@ -262,8 +258,8 @@ let bellman_ford_potentials t source =
   (* Vertices unreachable from [source] must NOT be mapped down to 0.0:
      an arc out of such a vertex into the reachable region would then get
      reduced cost [cost - pot(head)], which can be negative, and later
-     augmentations (e.g. from a warm start) would see an inconsistent
-     dual. Instead every non-source vertex starts at a large *finite*
+     augmentations would see an inconsistent dual. Instead every
+     non-source vertex starts at a large *finite*
      sentinel [big] and the sweep relaxes to a fixpoint; any fixpoint of
      the relaxation satisfies pot(head) <= pot(tail) + cost on every
      residual arc, which is all the Dijkstra stage needs. [big] exceeds
@@ -300,8 +296,7 @@ let bellman_ford_potentials t source =
 (* ---- bucket-Dijkstra core (the default) ------------------------------ *)
 
 (* Successive shortest paths from a given feasible dual. [pot] is
-   mutated in place, so after the call it holds the final potentials —
-   a warm start for a later re-solve of the mutated network.
+   mutated in place, so after the call it holds the final potentials.
 
    Each augmentation runs Dijkstra on reduced costs over the radix heap
    and stops as soon as the sink is scanned; the duals of scanned
@@ -960,80 +955,6 @@ let sweep_run t sw ~pot ~source ~sink ~amount =
     done;
   (!total_flow, !total_cost, !split)
 
-(* ---- reference core (binary heap, full Dijkstra) --------------------- *)
-
-(* The pre-rewrite implementation, kept verbatim: full Dijkstra sweeps
-   on a binary heap, potentials updated over every reachable vertex.
-   The A/B identity baseline for tests and the [mcmf_scaled] bench. *)
-let augment_reference ?(amount = max_int) t ~pot ~source ~sink =
-  if source < 0 || source >= t.n || sink < 0 || sink >= t.n then
-    invalid_arg "Mcmf.solve: vertex out of range";
-  if Array.length pot <> t.n then invalid_arg "Mcmf: potentials length mismatch";
-  let dist = Array.make t.n infinity in
-  let pred_arc = Array.make t.n (-1) in
-  let total_flow = ref 0 and total_cost = ref 0.0 in
-  let continue = ref true in
-  while !continue && !total_flow < amount do
-    (* Dijkstra on reduced costs *)
-    Array.fill dist 0 t.n infinity;
-    Array.fill pred_arc 0 t.n (-1);
-    dist.(source) <- 0.0;
-    let heap = Rc_graph.Heap.create () in
-    Rc_graph.Heap.push heap 0.0 source;
-    let rec loop () =
-      match Rc_graph.Heap.pop_min heap with
-      | None -> ()
-      | Some (d, v) ->
-          if d <= dist.(v) +. 1e-12 then begin
-            let a = ref t.first.(v) in
-            while !a >= 0 do
-              if t.caps.(!a) > 0 then begin
-                let u = t.heads.(!a) in
-                let rc = t.costs.(!a) +. pot.(v) -. pot.(u) in
-                let rc = if rc < 0.0 then 0.0 else rc in
-                let nd = d +. rc in
-                if nd < dist.(u) -. 1e-12 then begin
-                  dist.(u) <- nd;
-                  pred_arc.(u) <- !a;
-                  Rc_graph.Heap.push heap nd u
-                end
-              end;
-              a := t.next.(!a)
-            done
-          end;
-          loop ()
-    in
-    loop ();
-    if dist.(sink) = infinity then continue := false
-    else begin
-      for v = 0 to t.n - 1 do
-        if dist.(v) < infinity then pot.(v) <- pot.(v) +. dist.(v)
-      done;
-      (* bottleneck along the path *)
-      let bottleneck = ref (amount - !total_flow) in
-      let v = ref sink in
-      while !v <> source do
-        let a = pred_arc.(!v) in
-        if t.caps.(a) < !bottleneck then bottleneck := t.caps.(a);
-        v := t.heads.(a lxor 1)
-      done;
-      let f = !bottleneck in
-      let v = ref sink in
-      while !v <> source do
-        let a = pred_arc.(!v) in
-        t.caps.(a) <- t.caps.(a) - f;
-        t.caps.(a lxor 1) <- t.caps.(a lxor 1) + f;
-        total_cost := !total_cost +. (float_of_int f *. t.costs.(a));
-        v := t.heads.(a lxor 1)
-      done;
-      total_flow := !total_flow + f;
-      Rc_obs.Metrics.incr m_augmentations;
-      Rc_obs.Metrics.add m_flow_units f
-    end
-  done;
-  Rc_obs.Metrics.incr m_solves;
-  { flow = !total_flow; cost = !total_cost }
-
 let initial_potentials t source =
   let has_negative = ref false in
   for a = 0 to t.m - 1 do
@@ -1048,10 +969,6 @@ let initial_potentials t source =
 let solve ?amount t ~source ~sink =
   let pot = initial_potentials t source in
   augment ?amount t ~pot ~source ~sink
-
-let solve_reference ?amount t ~source ~sink =
-  let pot = initial_potentials t source in
-  augment_reference ?amount t ~pot ~source ~sink
 
 let solve_warm ?amount t ~potentials ~source ~sink =
   augment ?amount t ~pot:potentials ~source ~sink
@@ -1070,114 +987,6 @@ let solve_unit_supply ?(amount = max_int) t ~potentials ~source ~sink =
         Rc_obs.Metrics.incr m_solves;
         { flow; cost }
       end
-
-let feasible_potentials t ~source =
-  Rc_obs.Metrics.incr m_bf_runs;
-  bellman_ford_potentials t source
-
-let set_cost t a cost =
-  if a < 0 || a >= t.m then invalid_arg "Mcmf.set_cost: bad arc";
-  t.costs.(a) <- cost;
-  t.costs.(a lxor 1) <- -.cost
-
-let cost_of t a =
-  if a < 0 || a >= t.m then invalid_arg "Mcmf.cost_of: bad arc";
-  t.costs.(a)
-
-let unroute t a amount =
-  if a < 0 || a >= t.m then invalid_arg "Mcmf.unroute: bad arc";
-  if amount < 0 || amount > t.caps.(a lxor 1) then
-    invalid_arg "Mcmf.unroute: amount exceeds routed flow";
-  t.caps.(a) <- t.caps.(a) + amount;
-  t.caps.(a lxor 1) <- t.caps.(a lxor 1) - amount
-
-let m_cancellations = Rc_obs.Metrics.counter "netflow.mcmf.cycle_cancellations"
-
-(* After unrouting some flow and rewriting arc costs, the retained flow
-   may no longer be min-cost for its own value — the residual then holds
-   a negative cycle, and successive shortest paths would build on a
-   broken dual. One Klein step: Bellman-Ford from a virtual super-source
-   (all distances start at 0); continued relaxation past n rounds proves
-   a negative residual cycle, recovered by scanning the predecessor
-   forest. Returns [Some arcs] around the cycle, [None] if the residual
-   is clean, raises [Exit] in the (theoretically impossible) case where
-   relaxation persists but no predecessor cycle is found. *)
-let find_negative_cycle t =
-  let dist = Array.make t.n 0.0 and pred = Array.make t.n (-1) in
-  let tail a = t.heads.(a lxor 1) in
-  let improving = ref true and rounds = ref 0 in
-  while !improving && !rounds <= t.n do
-    improving := false;
-    incr rounds;
-    for v = 0 to t.n - 1 do
-      let a = ref t.first.(v) in
-      while !a >= 0 do
-        if t.caps.(!a) > 0 then begin
-          let u = t.heads.(!a) in
-          let nd = dist.(v) +. t.costs.(!a) in
-          if nd < dist.(u) -. 1e-9 then begin
-            dist.(u) <- nd;
-            pred.(u) <- !a;
-            improving := true
-          end
-        end;
-        a := t.next.(!a)
-      done
-    done
-  done;
-  if not !improving then None
-  else begin
-    (* find a cycle in the predecessor forest *)
-    let mark = Array.make t.n (-1) in
-    let found = ref (-1) in
-    let v = ref 0 in
-    while !found < 0 && !v < t.n do
-      if mark.(!v) < 0 then begin
-        let u = ref !v in
-        while !found < 0 && !u >= 0 && mark.(!u) < 0 do
-          mark.(!u) <- !v;
-          u := if pred.(!u) < 0 then -1 else tail pred.(!u)
-        done;
-        if !found < 0 && !u >= 0 && mark.(!u) = !v then found := !u
-      end;
-      incr v
-    done;
-    if !found < 0 then raise Exit;
-    let arcs = ref [] and u = ref !found in
-    let finished = ref false in
-    while not !finished do
-      let a = pred.(!u) in
-      arcs := a :: !arcs;
-      u := tail a;
-      if !u = !found then finished := true
-    done;
-    Some !arcs
-  end
-
-let cancel_negative_cycles ?(limit = max_int) t =
-  let cancelled = ref 0 and outcome = ref None and stop = ref false in
-  (try
-     while not !stop do
-       if !cancelled > limit then stop := true
-       else
-         match find_negative_cycle t with
-         | None ->
-             outcome := Some !cancelled;
-             stop := true
-         | Some arcs ->
-             let bottleneck =
-               List.fold_left (fun acc a -> min acc t.caps.(a)) max_int arcs
-             in
-             List.iter
-               (fun a ->
-                 t.caps.(a) <- t.caps.(a) - bottleneck;
-                 t.caps.(a lxor 1) <- t.caps.(a lxor 1) + bottleneck)
-               arcs;
-             incr cancelled;
-             Rc_obs.Metrics.incr m_cancellations
-     done
-   with Exit -> ());
-  !outcome
 
 let flow_on t a =
   if a < 0 || a >= t.m then invalid_arg "Mcmf.flow_on: bad arc";

@@ -28,23 +28,14 @@ val solve : ?amount:int -> t -> source:int -> sink:int -> outcome
     early sink termination and touched-set resets, so per-augmentation
     work scales with the explored region rather than the network. *)
 
-val solve_reference : ?amount:int -> t -> source:int -> sink:int -> outcome
-(** The pre-rewrite successive-shortest-path core (binary heap, full
-    Dijkstra sweeps, O(n) potential updates), kept as the identity
-    baseline: on networks where shortest paths are unique it ships the
-    same flow at the bit-identical cost as {!solve}. Used by the QCheck
-    A/B tests and the [mcmf_scaled] bench kernel. *)
-
 val solve_warm :
   ?amount:int -> t -> potentials:float array -> source:int -> sink:int -> outcome
-(** Like {!solve}, but resume from caller-supplied dual [potentials]
-    instead of computing them fresh — the warm start after {!unroute} and
-    {!set_cost} edits to a previously solved network. [potentials] must
-    be feasible for the current residual (every residual arc's reduced
-    cost non-negative, e.g. from {!feasible_potentials}); it is mutated
-    in place and holds the final duals on return, ready for the next
-    warm solve. A warm solve on an all-zero dual of a fresh
-    non-negative-cost network behaves exactly like {!solve}. *)
+(** Like {!solve}, but start from caller-supplied dual [potentials]
+    instead of computing them fresh. [potentials] must be feasible for
+    the current residual (every residual arc's reduced cost
+    non-negative); it is mutated in place and holds the final duals on
+    return. A solve on an all-zero dual of a fresh non-negative-cost
+    network behaves exactly like {!solve}. *)
 
 val solve_unit_supply :
   ?amount:int -> t -> potentials:float array -> source:int -> sink:int -> outcome
@@ -61,35 +52,6 @@ val solve_unit_supply :
     [netflow.mcmf.*] counter but one: the items settled without a scan
     (still counted in [dijkstra_scans]) are also counted in
     [netflow.mcmf.sweep_skips]. *)
-
-val feasible_potentials : t -> source:int -> float array
-(** Bellman-Ford duals of the current residual network: potentials under
-    which every residual arc has non-negative reduced cost (assuming no
-    negative residual cycle). Vertices unreachable from [source] are held
-    at a large finite sentinel rather than collapsed to zero, so arcs
-    leaving them never acquire negative reduced cost. *)
-
-val set_cost : t -> arc -> float -> unit
-(** Rewrite an arc's cost in place (the reverse arc gets the negated
-    cost). Any flow already routed on the arc keeps its old accounted
-    cost; warm-start callers re-route affected flow via {!unroute}. *)
-
-val cost_of : t -> arc -> float
-(** Current cost of an arc. *)
-
-val unroute : t -> arc -> int -> unit
-(** [unroute t a f] cancels [f] units of flow previously routed on arc
-    [a], restoring its residual capacity. Used to evict a stale path
-    before a warm re-solve.
-    @raise Invalid_argument if [f] exceeds the routed flow. *)
-
-val cancel_negative_cycles : ?limit:int -> t -> int option
-(** Restore min-cost optimality of the currently routed flow after
-    {!unroute}/{!set_cost} edits by cancelling negative residual cycles
-    (Klein's method). Returns [Some k] with the number of cycles
-    cancelled once the residual is clean, or [None] if more than [limit]
-    cancellations were needed — the caller's cue to fall back to a
-    scratch solve. *)
 
 val flow_on : t -> arc -> int
 (** Flow routed on an arc by the last {!solve} call. *)

@@ -355,7 +355,6 @@ let export_names =
     "netflow.mcmf.augmentations";
     "netflow.mcmf.flow_units";
     "netflow.assignment.replays";
-    "netflow.assignment.warm_solves";
     "assign.candidate_solves";
     "assign.tapcache.hits";
     "assign.tapcache.misses";

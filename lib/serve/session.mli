@@ -5,7 +5,7 @@
     ([session_open]) and advanced one edit batch at a time
     ([session_edit] → {!Rc_core.Flow.apply_edits}), keeping the
     incremental machinery warm between batches: the STA session, the
-    Eq. 1 candidate-tap cache, and the warm-started assignment solver.
+    Eq. 1 candidate-tap cache, and the cached assignment solver.
 
     {1 Escrow and eviction}
 

@@ -19,7 +19,7 @@
    the sequence odd forever — returns the torn row flagged
    [consistent = false] instead of spinning.
 
-   Layout v3 (documented field-by-field in docs/operations.md; all cells
+   Layout v4 (documented field-by-field in docs/operations.md; all cells
    are native 63-bit OCaml ints, 8 bytes each):
 
      page 0              header (write-once at create; tcp_port is the
@@ -36,7 +36,7 @@ type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 external get_acq : ba -> int -> int = "rc_shm_get" [@@noalloc]
 external set_rel : ba -> int -> int -> unit = "rc_shm_set" [@@noalloc]
 
-let layout_version = 3
+let layout_version = 4
 let magic = 0x4745534d48534352 (* the bytes "RCSHMSEG", read as a little-endian int *)
 let slot_words = 512
 let header_words = 512

@@ -147,7 +147,7 @@ EOF
   python3 - "$TOP" <<'EOF'
 import json, sys
 doc = json.loads(sys.argv[1])
-assert doc["layout_version"] == 3, doc
+assert doc["layout_version"] == 4, doc
 # the counters-only segment carries no transport state
 assert set(doc) == {"path", "layout_version", "supervisor_pid", "created_unix_s",
                     "tcp_port", "workers"}, sorted(doc)

@@ -1,10 +1,10 @@
 (* Reference implementations of the flow's flat kernels, in their plain
    list-based forms: the placement system assembled per round through
    Csr.of_entries, the spreading sort on polymorphic compare, the
-   list-folding skew refine, and the list-walking SPFA with the skew
-   searches rebuilt on it per probe.  The tests hold the library
-   kernels to these bit for bit, never to a tolerance: the flow digests
-   depend on every bit. *)
+   list-folding skew refine, the list-walking SPFA with the skew
+   searches rebuilt on it per probe, and the binary-heap min-cost flow.
+   The tests hold the library kernels to these bit for bit, never to a
+   tolerance: the flow digests depend on every bit. *)
 
 open Rc_geom
 open Rc_netlist
@@ -337,3 +337,90 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~(anchors : Cost_driven.a
     done
   done;
   t
+
+(* ---- min-cost flow: binary-heap successive shortest paths -------------- *)
+
+(* Successive shortest paths with a full Dijkstra sweep on a binary
+   heap per augmentation and potentials updated over every reached
+   vertex: the reference for [Mcmf.solve]'s bucket-Dijkstra core.
+   [arcs] are (src, dst, capacity, cost) on vertices [0, n); costs must
+   be non-negative, so the zero dual is feasible, as in [Mcmf.solve].
+   Each arc is stored beside its reverse and a vertex's arcs are walked
+   newest first, the residual layout of [Mcmf].  Returns the max flow
+   and its cost. *)
+let mcmf ~n arcs ~source ~sink =
+  let m = 2 * List.length arcs in
+  let heads = Array.make m 0 and caps = Array.make m 0 and costs = Array.make m 0.0 in
+  let next = Array.make m (-1) and first = Array.make n (-1) in
+  let push a tail head cap cost =
+    heads.(a) <- head;
+    caps.(a) <- cap;
+    costs.(a) <- cost;
+    next.(a) <- first.(tail);
+    first.(tail) <- a
+  in
+  List.iteri
+    (fun i (src, dst, cap, cost) ->
+      if cost < 0.0 then invalid_arg "Reference_kernels.mcmf: negative cost";
+      push (2 * i) src dst cap cost;
+      push ((2 * i) + 1) dst src 0 (-.cost))
+    arcs;
+  let pot = Array.make n 0.0 in
+  let dist = Array.make n infinity and pred_arc = Array.make n (-1) in
+  let total_flow = ref 0 and total_cost = ref 0.0 in
+  let continue = ref true in
+  while !continue do
+    Array.fill dist 0 n infinity;
+    Array.fill pred_arc 0 n (-1);
+    dist.(source) <- 0.0;
+    let heap = Rc_graph.Heap.create () in
+    Rc_graph.Heap.push heap 0.0 source;
+    let rec loop () =
+      match Rc_graph.Heap.pop_min heap with
+      | None -> ()
+      | Some (d, v) ->
+          if d <= dist.(v) +. 1e-12 then begin
+            let a = ref first.(v) in
+            while !a >= 0 do
+              if caps.(!a) > 0 then begin
+                let u = heads.(!a) in
+                let rc = costs.(!a) +. pot.(v) -. pot.(u) in
+                let rc = if rc < 0.0 then 0.0 else rc in
+                let nd = d +. rc in
+                if nd < dist.(u) -. 1e-12 then begin
+                  dist.(u) <- nd;
+                  pred_arc.(u) <- !a;
+                  Rc_graph.Heap.push heap nd u
+                end
+              end;
+              a := next.(!a)
+            done
+          end;
+          loop ()
+    in
+    loop ();
+    if dist.(sink) = infinity then continue := false
+    else begin
+      for v = 0 to n - 1 do
+        if dist.(v) < infinity then pot.(v) <- pot.(v) +. dist.(v)
+      done;
+      let bottleneck = ref max_int in
+      let v = ref sink in
+      while !v <> source do
+        let a = pred_arc.(!v) in
+        if caps.(a) < !bottleneck then bottleneck := caps.(a);
+        v := heads.(a lxor 1)
+      done;
+      let f = !bottleneck in
+      let v = ref sink in
+      while !v <> source do
+        let a = pred_arc.(!v) in
+        caps.(a) <- caps.(a) - f;
+        caps.(a lxor 1) <- caps.(a lxor 1) + f;
+        total_cost := !total_cost +. (float_of_int f *. costs.(a));
+        v := heads.(a lxor 1)
+      done;
+      total_flow := !total_flow + f
+    end
+  done;
+  (!total_flow, !total_cost)

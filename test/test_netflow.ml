@@ -147,53 +147,46 @@ let prop_assignment_matches_brute_force =
       end)
 
 (* A/B identity: the bucket-Dijkstra core must ship the same flow at the
-   bit-identical cost as the legacy binary-heap core on random bipartite
-   assignment networks. Costs are continuous (uniform floats), so
-   shortest paths are unique with probability 1 and both cores choose
+   bit-identical cost as the binary-heap reference core
+   ([Reference_kernels.mcmf]) on random bipartite assignment networks,
+   both built from one arc list. Costs are continuous (uniform floats),
+   so shortest paths are unique with probability 1 and both cores choose
    the same arcs — the comparison is [=] on the cost, not a tolerance. *)
+let matches_reference ~n arcs ~source ~sink =
+  let net = Mcmf.create n in
+  List.iter
+    (fun (src, dst, capacity, cost) -> ignore (Mcmf.add_arc net ~src ~dst ~capacity ~cost))
+    arcs;
+  let r = Mcmf.solve net ~source ~sink in
+  let flow, cost = Reference_kernels.mcmf ~n arcs ~source ~sink in
+  r.Mcmf.flow = flow && r.Mcmf.cost = cost
+
 let random_bipartite seed =
   let rng = Rc_util.Rng.create ((seed * 53) + 11) in
   let n_items = Rc_util.Rng.int_in rng 2 14 in
   let n_bins = Rc_util.Rng.int_in rng 2 6 in
   let caps = Array.init n_bins (fun _ -> Rc_util.Rng.int_in rng 1 4) in
-  let build () =
-    let n = Mcmf.create (2 + n_items + n_bins) in
-    let source = 0 and sink = 1 in
-    for i = 0 to n_items - 1 do
-      ignore (Mcmf.add_arc n ~src:source ~dst:(2 + i) ~capacity:1 ~cost:0.0)
-    done;
-    for j = 0 to n_bins - 1 do
-      ignore
-        (Mcmf.add_arc n ~src:(2 + n_items + j) ~dst:sink ~capacity:caps.(j)
-           ~cost:0.0)
-    done;
-    (n, source, sink)
-  in
-  (* one shared cost draw, replayed into both networks *)
   let costs =
     Array.init n_items (fun _ ->
         Array.init n_bins (fun _ -> Rc_util.Rng.float rng 100.0))
   in
-  let with_cands (n, source, sink) =
-    for i = 0 to n_items - 1 do
-      for j = 0 to n_bins - 1 do
-        ignore
-          (Mcmf.add_arc n ~src:(2 + i) ~dst:(2 + n_items + j) ~capacity:1
-             ~cost:costs.(i).(j))
-      done
-    done;
-    (n, source, sink)
+  (* source 0, sink 1, items from 2, then bins *)
+  let item i = 2 + i and bin j = 2 + n_items + j in
+  let arcs =
+    List.init n_items (fun i -> (0, item i, 1, 0.0))
+    @ List.init n_bins (fun j -> (bin j, 1, caps.(j), 0.0))
+    @ List.concat
+        (List.init n_items (fun i ->
+             List.init n_bins (fun j -> (item i, bin j, 1, costs.(i).(j)))))
   in
-  (with_cands (build ()), with_cands (build ()))
+  (2 + n_items + n_bins, arcs)
 
 let prop_bucket_dijkstra_matches_reference =
   QCheck.Test.make
     ~name:"bucket-Dijkstra core bit-identical to reference core" ~count:120
     QCheck.small_int (fun seed ->
-      let (na, sa, ka), (nb, sb, kb) = random_bipartite seed in
-      let ra = Mcmf.solve na ~source:sa ~sink:ka in
-      let rb = Mcmf.solve_reference nb ~source:sb ~sink:kb in
-      ra.Mcmf.flow = rb.Mcmf.flow && ra.Mcmf.cost = rb.Mcmf.cost)
+      let n, arcs = random_bipartite seed in
+      matches_reference ~n arcs ~source:0 ~sink:1)
 
 let prop_bucket_dijkstra_matches_reference_general =
   (* general layered networks with parallel arcs and wider capacities *)
@@ -217,17 +210,7 @@ let prop_bucket_dijkstra_matches_reference_general =
         add (2 + i) (2 + n_mid + j) (Rc_util.Rng.int_in rng 1 3)
           (Rc_util.Rng.float rng 50.0)
       done;
-      let arcs = List.rev !arcs in
-      let build () =
-        let net = Mcmf.create n in
-        List.iter (fun (src, dst, capacity, cost) ->
-            ignore (Mcmf.add_arc net ~src ~dst ~capacity ~cost))
-          arcs;
-        net
-      in
-      let ra = Mcmf.solve (build ()) ~source:0 ~sink:1 in
-      let rb = Mcmf.solve_reference (build ()) ~source:0 ~sink:1 in
-      ra.Mcmf.flow = rb.Mcmf.flow && ra.Mcmf.cost = rb.Mcmf.cost)
+      matches_reference ~n (List.rev !arcs) ~source:0 ~sink:1)
 
 (* Oracle for the lazy-source core: on random unit-supply bipartite
    networks it must replay the generic core exactly — per-arc flow, the

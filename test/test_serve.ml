@@ -802,39 +802,50 @@ let test_shm_attach_validation () =
 
 (* seqlock: a reader racing a writer must never observe a mixed row.
    The writer publishes rows whose every field carries the same value, so
-   any consistent-flagged read with unequal fields is a torn read. *)
+   any consistent-flagged read with unequal fields is a torn read.  The
+   schedule is fixed in rounds: the writer writes a burst of rows while
+   the reader races it, then parks on an atomic until the next round.
+   Reads taken while it is parked must all be consistent and carry its
+   last value. *)
 let test_shm_seqlock_consistency () =
   let path = Filename.concat temp_dir "seqlock.shm" in
   let shm = Shm.create ~path ~n_workers:1 () in
-  let stop = Atomic.make false in
+  let rounds = 20 and burst = 500 and parked_reads = 200 in
+  (* [go]: the round the writer may run; [parked]: the last round it
+     finished, with [last] the value of its last row *)
+  let go = Atomic.make 0 and parked = Atomic.make 0 and last = Atomic.make 0 in
   let writer =
     Domain.spawn (fun () ->
-        let k = ref 1 in
-        while not (Atomic.get stop) do
-          let v = !k in
-          Shm.write_worker shm ~slot:0
-            {
-              Shm.empty_worker_row with
-              Shm.pid = v;
-              started_ns = v;
-              heartbeat_ns = v;
-              requests = v;
-              responses = v;
-              submitted = v;
-              completed = v;
-              queue_depth = v;
-              job_wall_ms = v;
-            };
-          incr k
+        let k = ref 0 in
+        for round = 1 to rounds do
+          while Atomic.get go < round do
+            Domain.cpu_relax ()
+          done;
+          for _ = 1 to burst do
+            incr k;
+            let v = !k in
+            Shm.write_worker shm ~slot:0
+              {
+                Shm.empty_worker_row with
+                Shm.pid = v;
+                started_ns = v;
+                heartbeat_ns = v;
+                requests = v;
+                responses = v;
+                submitted = v;
+                completed = v;
+                queue_depth = v;
+                job_wall_ms = v;
+              }
+          done;
+          Atomic.set last !k;
+          Atomic.set parked round
         done;
         !k)
   in
   let reader = match Shm.attach ~path () with Ok r -> r | Error e -> Alcotest.fail e in
-  let consistent_reads = ref 0 in
-  for _ = 1 to 20_000 do
-    let r = Shm.read_row reader ~slot:0 in
+  let check_whole (r : Shm.row) =
     if r.Shm.w_consistent then begin
-      incr consistent_reads;
       let w = r.Shm.worker in
       let v = w.Shm.pid in
       if
@@ -846,11 +857,27 @@ let test_shm_seqlock_consistency () =
         Alcotest.failf "torn row passed the seqlock: pid=%d started=%d requests=%d" v
           w.Shm.started_ns w.Shm.requests
     end
-  done;
-  Atomic.set stop true;
+  in
+  (* on a failure, release the writer so it runs out instead of spinning *)
+  Fun.protect
+    ~finally:(fun () -> Atomic.set go max_int)
+    (fun () ->
+      for round = 1 to rounds do
+        Atomic.set go round;
+        while Atomic.get parked < round do
+          check_whole (Shm.read_row reader ~slot:0)
+        done;
+        let v = Atomic.get last in
+        for _ = 1 to parked_reads do
+          let r = Shm.read_row reader ~slot:0 in
+          if not (r.Shm.w_consistent && r.Shm.worker.Shm.pid = v) then
+            Alcotest.failf "round %d, writer parked: consistent=%b pid=%d, last write %d" round
+              r.Shm.w_consistent r.Shm.worker.Shm.pid v;
+          check_whole r
+        done
+      done);
   let writes = Domain.join writer in
   Alcotest.(check bool) "writer made progress" true (writes > 100);
-  Alcotest.(check bool) "reads mostly consistent" true (!consistent_reads > 10_000);
   Sys.remove path
 
 (* ---- supervisor -------------------------------------------------------- *)
