@@ -36,9 +36,8 @@
    --verify-replay then opens a fresh session per finished one,
    replays the identical batches, and requires the final digest to be
    bit-identical to the incremental session's — the replay-identity
-   anchor of docs/serving.md.  Session ids are stamped by the server,
-   so the same binary drives both the supervisor and a single-process
-   server.
+   anchor of docs/serving.md.  Session ids are stamped by the
+   supervisor.
 
    Chaos mode (--chaos-kill K with --shm PATH) is the supervisor tier's
    CI drill: once K responses have arrived, the busiest worker process

@@ -448,42 +448,35 @@ let tcp_conv =
   let print fmt (h, p) = Format.fprintf fmt "%s:%d" h p in
   Arg.conv (parse, print)
 
-let run_serve jobs socket stdio workers max_pending workers_proc tcp shm drain_restart
-    checkpoint_every checkpoint_dir drain_grace _transport pin_cores session_dir
-    session_capacity =
-  if workers_proc > 0 then begin
-    if stdio then begin
-      Printf.eprintf "error: --stdio and --workers-proc are mutually exclusive\n";
-      exit 1
-    end;
-    Rc_serve.Supervisor.run
-      {
-        Rc_serve.Supervisor.workers = workers_proc;
-        sched_workers = Some workers;
-        max_pending = Some max_pending;
-        unix_path = Some socket;
-        tcp;
-        shm_path = Option.value shm ~default:(socket ^ ".shm");
-        checkpoint_dir = Option.value checkpoint_dir ~default:(socket ^ ".ckpt");
-        checkpoint_every;
-        drain_grace_s = drain_grace;
-        allow_restart = drain_restart;
-        handle_signals = true;
-        exe = None;
-        pin_cores;
-        session_dir;
-        session_capacity;
-      }
-  end
-  else begin
-    setup_jobs jobs;
-    let session_dir = Some (Option.value session_dir ~default:(socket ^ ".eco")) in
-    if stdio then
-      Rc_serve.Server.run_stdio ~workers ~max_pending ?session_capacity ?session_dir ()
-    else
-      Rc_serve.Server.run_unix ~workers ~max_pending ?session_capacity ?session_dir
-        ~path:socket ()
-  end
+let run_serve socket workers max_pending workers_proc tcp shm drain_restart checkpoint_every
+    checkpoint_dir drain_grace _transport pin_cores session_dir session_capacity =
+  Rc_serve.Supervisor.run
+    {
+      Rc_serve.Supervisor.workers = workers_proc;
+      sched_workers = Some workers;
+      max_pending = Some max_pending;
+      unix_path = Some socket;
+      tcp;
+      shm_path = Option.value shm ~default:(socket ^ ".shm");
+      checkpoint_dir = Option.value checkpoint_dir ~default:(socket ^ ".ckpt");
+      checkpoint_every;
+      drain_grace_s = drain_grace;
+      allow_restart = drain_restart;
+      handle_signals = true;
+      exe = None;
+      pin_cores;
+      session_dir;
+      session_capacity;
+    }
+
+(* a count that must be at least 1; anything else is a usage error *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let serve_cmd =
   let socket =
@@ -491,40 +484,31 @@ let serve_cmd =
       value & opt string "rotary.sock"
       & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path to listen on")
   in
-  let stdio =
-    Arg.(
-      value & flag
-      & info [ "stdio" ]
-          ~doc:"Serve requests from stdin / responses to stdout instead of a socket")
-  in
   let workers =
     Arg.(
       value & opt int 2
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains executing jobs concurrently (per process with \
-                $(b,--workers-proc))")
+          ~doc:"Scheduler domains executing jobs concurrently in each worker process")
   in
   let max_pending =
     Arg.(
       value & opt int 64
       & info [ "max-pending" ] ~docv:"N"
-          ~doc:"Admission bound: reject new jobs once N are queued (per process with \
-                $(b,--workers-proc))")
+          ~doc:"Admission bound: reject new jobs once N are queued in a worker process")
   in
   let workers_proc =
     Arg.(
-      value & opt int 0
+      value & opt positive_int 1
       & info [ "workers-proc" ] ~docv:"N"
-          ~doc:"Supervised multi-process tier: fork N worker processes behind a supervisor \
-                that restarts crashed workers and resumes their in-flight flows from \
-                checkpoints (docs/operations.md); 0 = classic single process")
+          ~doc:"Worker processes behind the supervisor, which restarts crashed workers and \
+                resumes their in-flight flows from checkpoints (docs/operations.md)")
   in
   let tcp =
     Arg.(
       value & opt (some tcp_conv) None
       & info [ "tcp" ] ~docv:"[HOST:]PORT"
-          ~doc:"Also listen on TCP (supervisor mode); port 0 picks an ephemeral port, \
-                published in the shm segment")
+          ~doc:"Also listen on TCP; port 0 picks an ephemeral port, published in the shm \
+                segment")
   in
   let shm =
     Arg.(
@@ -581,8 +565,7 @@ let serve_cmd =
       value & opt (some string) None
       & info [ "session-dir" ] ~docv:"DIR"
           ~doc:"ECO session escrow directory, shared by all workers so sessions survive \
-                crashes and eviction (default: SOCKET.eco single-process, \
-                CHECKPOINT_DIR/sessions supervised)")
+                crashes and eviction (default: CHECKPOINT_DIR/sessions)")
   in
   let session_capacity =
     Arg.(
@@ -594,13 +577,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve flow/report/sweep/variation requests and held-open ECO edit sessions \
-          concurrently over line-delimited JSON (see docs/serving.md for the protocol); \
-          SIGTERM drains gracefully. With $(b,--workers-proc) N, run the supervised \
-          multi-process tier (docs/operations.md)")
+          concurrently over line-delimited JSON (see docs/serving.md for the protocol): a \
+          supervisor in front of $(b,--workers-proc) worker processes \
+          (docs/operations.md); SIGTERM drains gracefully")
     Term.(
-      const run_serve $ jobs_arg $ socket $ stdio $ workers $ max_pending $ workers_proc
-      $ tcp $ shm $ drain_restart $ checkpoint_every $ checkpoint_dir $ drain_grace
-      $ transport $ pin_cores $ session_dir $ session_capacity)
+      const run_serve $ socket $ workers $ max_pending $ workers_proc $ tcp $ shm
+      $ drain_restart $ checkpoint_every $ checkpoint_dir $ drain_grace $ transport
+      $ pin_cores $ session_dir $ session_capacity)
 
 (* --- serve-worker command (internal) --- *)
 
@@ -613,8 +596,8 @@ let run_serve_worker shm_path slot restarts workers max_pending pin_core session
       Printf.eprintf "serve-worker: %s\n" e;
       exit 1
   | Ok shm ->
-      Rc_serve.Worker.run ~workers ~max_pending ?pin_core ?session_dir
-        ?session_capacity ~shm ~slot ~restarts ~fd:Unix.stdin ()
+      Rc_serve.Worker.run ~workers ~max_pending ?pin_core ~session_dir ?session_capacity
+        ~shm ~slot ~restarts ~fd:Unix.stdin ()
 
 let serve_worker_cmd =
   let shm = Arg.(required & opt (some string) None & info [ "shm" ] ~docv:"PATH") in
@@ -626,7 +609,7 @@ let serve_worker_cmd =
     Arg.(value & opt (some int) None & info [ "pin-core" ] ~docv:"K")
   in
   let session_dir =
-    Arg.(value & opt (some string) None & info [ "session-dir" ] ~docv:"DIR")
+    Arg.(required & opt (some string) None & info [ "session-dir" ] ~docv:"DIR")
   in
   let session_capacity =
     Arg.(value & opt (some int) None & info [ "session-capacity" ] ~docv:"N")
@@ -634,7 +617,7 @@ let serve_worker_cmd =
   Cmd.v
     (Cmd.info "serve-worker"
        ~doc:
-         "Internal: one worker process of a $(b,serve --workers-proc) supervisor \
+         "Internal: one worker process of a $(b,serve) supervisor \
           (exec'd with the job socketpair as stdin); do not invoke directly")
     Term.(
       const run_serve_worker $ shm $ slot $ restarts $ workers $ max_pending $ pin_core

@@ -62,6 +62,13 @@ type payload = {
 
 let mode_name = function Flow.Netflow -> "netflow" | Flow.Ilp -> "ilp"
 
+let rec mkdir_p dir =
+  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
+  else begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let hex = Digest.to_hex
 
 (* ---- digests ---------------------------------------------------------- *)

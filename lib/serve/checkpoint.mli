@@ -49,6 +49,14 @@ type meta = {
 
 val json_of_meta : meta -> Rc_util.Json.t
 
+val mode_name : Flow.mode -> string
+(** ["netflow"] or ["ilp"], as in {!meta} and the protocol's result
+    documents. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (mode 0755); an existing
+    one is left alone. *)
+
 val to_blob : Flow_ctx.t -> meta * string
 (** The exact bytes {!save} would write. *)
 

@@ -4,9 +4,9 @@
    One request per line, one response per line, matched by the client's
    "id" field (echoed verbatim), so responses may arrive out of request
    order — the whole point of a concurrent server.  Heavy operations
-   (flow, report, sweep, variation) become scheduler jobs; cheap ones
-   (checkpoint inspection, status, shutdown) are answered inline by the
-   server.  Checkpoint payloads never cross the socket: requests carry
+   (flow, report, sweep, variation) become scheduler jobs on a worker;
+   cheap ones (checkpoint inspection, status, restart, shutdown) are
+   answered inline by the supervisor.  Checkpoint payloads never cross the socket: requests carry
    checkpoint *paths*, which keeps the protocol small and the Marshal
    blob off the untrusted channel.
 
@@ -42,7 +42,7 @@ type session_open_request = {
          checkpoint — either way the session holds its shipped state *)
   so_session : int option;
       (* session id; the supervisor stamps its dispatch sid here so the
-         id is cluster-unique, a single-process server assigns its own *)
+         id is cluster-unique; a store driven without one assigns its own *)
 }
 
 type session_edit_request = {
@@ -347,13 +347,11 @@ let json_of_snapshot (s : Flow.snapshot) =
       ("max_load_ff", Json.Float s.Flow.max_load_ff);
     ]
 
-let mode_name = function Flow.Netflow -> "netflow" | Flow.Ilp -> "ilp"
-
 let json_of_outcome ?(checkpoints = []) (o : Flow.outcome) =
   Json.Obj
     [
       ("bench", Json.String o.Flow.cfg.Flow.bench.Bench_suite.bname);
-      ("mode", Json.String (mode_name o.Flow.cfg.Flow.mode));
+      ("mode", Json.String (Checkpoint.mode_name o.Flow.cfg.Flow.mode));
       ("iterations", Json.Int (List.length o.Flow.history));
       ("slack_ps", Json.Float o.Flow.slack);
       ("stage4_slack_ps", Json.Float o.Flow.stage4_slack);
@@ -409,7 +407,7 @@ let run_flow (r : flow_request) token =
       | Some every ->
           let dir = Option.value r.f_checkpoint_dir ~default:"checkpoints" in
           let name =
-            Printf.sprintf "%s-%s" r.f_bench.Bench_suite.bname (mode_name r.f_mode)
+            Printf.sprintf "%s-%s" r.f_bench.Bench_suite.bname (Checkpoint.mode_name r.f_mode)
           in
           let outcome, checkpoints =
             Checkpoint.run_with_checkpoints ~every ~dir ~name ~guard:(guard_of token) cfg
@@ -472,9 +470,9 @@ let inspect_checkpoint path =
   | Error e -> Error e
 
 (* the scheduler job body for an async op; sync ops (checkpoint, status,
-   shutdown) are handled by the server inline, and session ops by the
-   server's {!Session} store (which owns the resident state the job
-   bodies need) *)
+   restart, shutdown) are answered by the supervisor inline, and session
+   ops by the worker's {!Session} store (which owns the resident state
+   the job bodies need) *)
 let job_of_op = function
   | Flow_op r -> Some (fun token -> run_flow r token)
   | Report_op r -> Some (fun token -> run_report r token)
@@ -486,14 +484,14 @@ let job_of_op = function
 
 let op_name = function
   | Flow_op r ->
-      Printf.sprintf "flow:%s/%s%s" r.f_bench.Bench_suite.bname (mode_name r.f_mode)
+      Printf.sprintf "flow:%s/%s%s" r.f_bench.Bench_suite.bname (Checkpoint.mode_name r.f_mode)
         (if r.f_resume_from <> None then ":resume" else "")
   | Report_op _ -> "report"
   | Sweep_op r -> "sweep:" ^ r.s_bench.Bench_suite.bname
   | Variation_op r -> "variation:" ^ r.v_bench.Bench_suite.bname
   | Session_open_op r ->
       Printf.sprintf "session_open:%s/%s" r.so_flow.f_bench.Bench_suite.bname
-        (mode_name r.so_flow.f_mode)
+        (Checkpoint.mode_name r.so_flow.f_mode)
   | Session_edit_op r -> Printf.sprintf "session_edit:%d" r.se_session
   | Session_query_op s -> Printf.sprintf "session_query:%d" s
   | Session_close_op s -> Printf.sprintf "session_close:%d" s

@@ -1,7 +1,7 @@
 (** The serve wire protocol: line-delimited JSON requests/responses and
     the job bodies they dispatch to.
 
-    One request per line; the server replies with one line per request,
+    One request per line; the service replies with one line per request,
     matched by the echoed ["id"] field — responses may arrive out of
     request order.  Envelope:
 
@@ -12,9 +12,10 @@
              | {"id": any, "ok": false, "error": "reason"}
     v}
 
-    Heavy ops ([flow], [report], [sweep], [variation]) become
-    {!Scheduler} jobs; [checkpoint] (header inspection), [status] and
-    [shutdown] are answered inline.  Checkpoint payloads never cross
+    Heavy ops ([flow], [report], [sweep], [variation] and the session
+    ops) become {!Scheduler} jobs on a {!Worker}; [checkpoint] (header
+    inspection), [status], [restart] and [shutdown] are answered inline
+    by the {!Supervisor}.  Checkpoint payloads never cross
     the socket — requests carry file paths.  See [docs/serving.md] for
     the full field reference. *)
 
@@ -45,8 +46,8 @@ type session_open_request = {
           escrows its own state. *)
   so_session : int option;
       (** Session id.  The supervisor stamps its dispatch sid here so
-          ids are cluster-unique; a single-process server assigns its
-          own when absent. *)
+          ids are cluster-unique; a {!Session} store driven without one
+          assigns its own. *)
 }
 
 type session_edit_request = {
@@ -70,8 +71,8 @@ type op =
   | Checkpoint_op of string  (** Inspect this checkpoint file's header. *)
   | Status_op
   | Restart_op
-      (** Rolling worker restart — answered by the supervisor tier; a
-          single-process server replies with an error. *)
+      (** Rolling worker restart — the supervisor accepts it only when
+          started with [--drain-restart]. *)
   | Shutdown_op
 
 type request = {
@@ -84,7 +85,7 @@ type request = {
 val parse_request :
   string -> (request, Rc_util.Json.t * string option * string) result
 (** Parse one request line.  Errors carry the request id (if one could
-    be recovered) so the server can still address its error response,
+    be recovered) so the service can still address its error response,
     and the offending op name (when the request named one) so the error
     envelope echoes which op was rejected. *)
 
@@ -104,9 +105,9 @@ val json_of_outcome :
 
 val job_of_op : op -> (Cancel.t -> Rc_util.Json.t) option
 (** The scheduler job body for an async op ([Some]), or [None] for the
-    ops the server answers inline ([checkpoint], [status], [restart],
-    [shutdown]) and for the session ops (whose job bodies come from the
-    server's {!Session} store).  Flow jobs poll their token at every
+    ops the supervisor answers inline ([checkpoint], [status],
+    [restart], [shutdown]) and for the session ops (whose job bodies
+    come from the worker's {!Session} store).  Flow jobs poll their token at every
     stage boundary via {!Rc_core.Flow.run}'s [guard]. *)
 
 val guard_of : Cancel.t -> Flow_ctx.t -> unit

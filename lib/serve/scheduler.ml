@@ -66,7 +66,7 @@ type t = {
   work_cond : Condition.t;  (* signalled on submit and on quit *)
   done_cond : Condition.t;  (* broadcast on any job phase change *)
   max_pending : int;
-  jobs : (int, job) Hashtbl.t;  (* every job ever admitted, by id *)
+  jobs : (int, job) Hashtbl.t;  (* admitted jobs not yet handed back by await, by id *)
   mutable pending : job list;  (* unordered; workers pick by (priority, id) *)
   mutable next_id : int;
   mutable n_running : int;
@@ -79,7 +79,6 @@ type t = {
   mutable n_completed : int;
   mutable n_failed : int;
   mutable n_cancelled : int;
-  mutable latencies_s : float list;  (* submit -> finish of Done jobs *)
 }
 
 (* serve-level observability, alongside the solver metrics *)
@@ -97,8 +96,7 @@ let finish_locked t job outcome =
   (match outcome with
   | Done _ ->
       t.n_completed <- t.n_completed + 1;
-      Rc_obs.Metrics.incr m_completed;
-      t.latencies_s <- (job.finished_s -. job.submitted_s) :: t.latencies_s
+      Rc_obs.Metrics.incr m_completed
   | Failed _ ->
       t.n_failed <- t.n_failed + 1;
       Rc_obs.Metrics.incr m_failed
@@ -196,7 +194,6 @@ let create ?(workers = 2) ?(max_pending = 64) () =
       n_completed = 0;
       n_failed = 0;
       n_cancelled = 0;
-      latencies_s = [];
     }
   in
   t.workers <- Array.init workers (fun _ -> Domain.spawn (worker t));
@@ -292,12 +289,6 @@ let info_of_locked job =
     i_metrics = job.metrics;
   }
 
-let info t id =
-  Mutex.lock t.lock;
-  let r = Option.map info_of_locked (Hashtbl.find_opt t.jobs id) in
-  Mutex.unlock t.lock;
-  r
-
 let await t id =
   Mutex.lock t.lock;
   let r =
@@ -306,7 +297,11 @@ let await t id =
     | Some job ->
         let rec wait () =
           match job.phase with
-          | Finished outcome -> (outcome, info_of_locked job)
+          | Finished outcome ->
+              (* handed back: forget the job, so its closure and result
+                 do not outlive the caller's use of them *)
+              Hashtbl.remove t.jobs id;
+              (outcome, info_of_locked job)
           | _ ->
               Condition.wait t.done_cond t.lock;
               wait ()
@@ -331,22 +326,6 @@ let counts t =
   in
   Mutex.unlock t.lock;
   c
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
-    let frac = rank -. Float.floor rank in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-let latency_percentiles t ~percentiles =
-  Mutex.lock t.lock;
-  let xs = Array.of_list t.latencies_s in
-  Mutex.unlock t.lock;
-  Array.sort compare xs;
-  List.map (fun p -> (p, percentile xs p)) percentiles
 
 let drain t =
   Mutex.lock t.lock;

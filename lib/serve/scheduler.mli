@@ -75,17 +75,12 @@ val cancel : t -> int -> reason:string -> bool
     when the job is unknown or already finished. *)
 
 val await : t -> int -> (outcome * info) option
-(** Block until the job reaches a terminal phase.  [None] for unknown
-    ids.  Safe to call from any thread or domain. *)
-
-val info : t -> int -> info option
-(** Non-blocking job status. *)
+(** Block until the job reaches a terminal phase, then forget it: the
+    scheduler keeps no finished job once it has been handed back, so a
+    later [await] or {!cancel} of the same id sees an unknown job.
+    [None] for unknown ids.  Safe to call from any thread or domain. *)
 
 val counts : t -> counts
-
-val latency_percentiles : t -> percentiles:float list -> (float * float) list
-(** [(p, seconds)] over completed jobs' submit→finish latencies
-    (linear interpolation); [nan] while no job has completed. *)
 
 val drain : t -> unit
 (** Stop admitting and block until every queued and running job has

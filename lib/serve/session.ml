@@ -15,13 +15,6 @@ let m_evictions = Metrics.counter "serve.session.evictions"
 let m_rehydrations = Metrics.counter "serve.session.rehydrations"
 let m_resident = Metrics.counter "serve.session.resident"
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ---------- store ---------- *)
 
 type entry = {
@@ -41,7 +34,7 @@ type t = {
   lock : Mutex.t;  (* guards [entries], [clock], [next_sid] *)
   entries : (int, entry) Hashtbl.t;
   mutable clock : int;
-  mutable next_sid : int;  (* single-process id allocation *)
+  mutable next_sid : int;  (* ids for opens the supervisor did not stamp *)
 }
 
 let create ?(capacity = 8) ~dir () =
@@ -105,7 +98,7 @@ let escrow_path t sid = Filename.concat t.dir (Printf.sprintf "eco-sid%d.ckpt" s
 
 let escrow t e ctx =
   match
-    mkdir_p t.dir;
+    Checkpoint.mkdir_p t.dir;
     Checkpoint.save ~path:(escrow_path t e.e_sid) ctx
   with
   | _meta -> e.e_escrowed <- true
@@ -184,8 +177,6 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 (* ---------- responses ---------- *)
 
-let mode_name = function Flow.Netflow -> "netflow" | Flow.Ilp -> "ilp"
-
 let head_snapshot (ctx : Flow_ctx.t) =
   match ctx.history with
   | s :: _ -> s
@@ -200,7 +191,7 @@ let open_result sid e (ctx : Flow_ctx.t) =
     (session_fields sid e
     @ [
         ("bench", Json.String cfg.bench.Bench_suite.bname);
-        ("mode", Json.String (mode_name cfg.mode));
+        ("mode", Json.String (Checkpoint.mode_name cfg.mode));
         ("n_cells", Json.Int (Rc_netlist.Netlist.n_cells ctx.netlist));
         ("n_ffs", Json.Int (Array.length ctx.ffs));
         ("n_rings", Json.Int (Rc_rotary.Ring_array.n_rings ctx.rings));

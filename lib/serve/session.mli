@@ -51,8 +51,8 @@ val job_of_op : t -> Protocol.op -> (Cancel.t -> Rc_util.Json.t) option
 (** The scheduler job body for a session op ([Some] exactly when
     {!Protocol.job_of_op} returns [None] on a [Session_*] op).  Job
     bodies raise [Failure] on session errors (unknown id, sequence
-    gap, closed session), which the server turns into error
+    gap, closed session), which the worker turns into error
     envelopes. *)
 
 val counts : t -> int * int
-(** [(resident, known)] sessions — for [status]. *)
+(** [(resident, known)] sessions. *)

@@ -168,24 +168,41 @@ let map_fd fd ~words =
   Bigarray.array1_of_genarray
     (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| words |])
 
+(* A fresh inode every time, built in a uniquely named temp file and
+   renamed into place once its header is written: a process still
+   mapping the segment a previous supervisor left at [path] (a worker
+   orphaned by a SIGKILL, finishing its last job) keeps writing to the
+   old inode, never into this one, and an attach never sees a
+   half-written header. *)
 let create ~path ~n_workers () =
   if n_workers < 1 then invalid_arg "Shm.create: n_workers must be >= 1";
   let words = total_words n_workers in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.ftruncate fd (words * 8);
-      let ba = map_fd fd ~words in
-      set_rel ba h_magic magic;
-      set_rel ba h_version layout_version;
-      set_rel ba h_workers n_workers;
-      set_rel ba h_slot_words slot_words;
-      set_rel ba h_pid (Unix.getpid ());
-      set_rel ba h_created_s (int_of_float (Unix.time ()));
-      set_rel ba h_tcp_port 0;
-      set_rel ba h_solver_fields n_solver;
-      { ba; n_workers; path })
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  match
+    (* O_RDWR: Unix.map_file maps the pages PROT_READ|PROT_WRITE *)
+    let fd = Unix.openfile tmp [ Unix.O_RDWR ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.ftruncate fd (words * 8);
+        let ba = map_fd fd ~words in
+        set_rel ba h_magic magic;
+        set_rel ba h_version layout_version;
+        set_rel ba h_workers n_workers;
+        set_rel ba h_slot_words slot_words;
+        set_rel ba h_pid (Unix.getpid ());
+        set_rel ba h_created_s (int_of_float (Unix.time ()));
+        set_rel ba h_tcp_port 0;
+        set_rel ba h_solver_fields n_solver;
+        Unix.rename tmp path;
+        { ba; n_workers; path })
+  with
+  | t -> t
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let attach ~path () =
   (* O_RDWR even for readers: Unix.map_file always maps the pages

@@ -92,8 +92,11 @@ type row = {
 (** {1 Lifecycle} *)
 
 val create : path:string -> n_workers:int -> unit -> t
-(** Create (truncating any existing file) and map a segment writable,
-    with every slot empty. *)
+(** Create and map a segment writable, with every slot empty.  A file
+    already at [path] is replaced, not reused: the new segment is a
+    fresh file renamed into place, so a process still mapping the old
+    one (an orphaned worker of a killed supervisor) cannot write into
+    it. *)
 
 val attach : path:string -> unit -> (t, string) result
 (** Map an existing segment, validating magic, layout version and size.

@@ -1,9 +1,10 @@
 (* Prefork supervisor: the front of the two-tier process model.
 
    The supervisor is an I/O router.  It accepts client connections on a
-   TCP front door and/or the classic Unix socket, speaks the same NDJSON
-   protocol, and forwards heavy ops over per-worker socketpairs to N
-   forked worker processes, each running a full Server/Scheduler.
+   TCP front door and/or the Unix socket, speaks the NDJSON protocol,
+   answers the synchronous ops itself, and forwards the rest over
+   per-worker socketpairs to N worker processes, each running a Worker
+   (scheduler domains + ECO session store).
    Holding the client connections here is what makes worker crashes
    invisible to clients: a SIGKILLed worker's in-flight jobs are
    re-dispatched to a sibling — flows resuming from their latest
@@ -128,12 +129,6 @@ let pop_event t =
         Condition.wait t.ev_cond t.ev_lock
       done;
       Queue.pop t.evq)
-
-let rec mkdir_p dir =
-  if dir = "" || dir = "/" || dir = "." || Sys.file_exists dir then ()
-  else (
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
 let remove_dir dir =
   match Sys.readdir dir with
@@ -558,7 +553,7 @@ let forward t ~respond_line ~(req : Protocol.request) line =
             let injected_dir =
               if is_flow && not client_manages_checkpoints then (
                 let dir = Filename.concat t.cfg.checkpoint_dir (Printf.sprintf "sid%d" sid) in
-                mkdir_p dir;
+                Checkpoint.mkdir_p dir;
                 Some dir)
               else None
             in
@@ -668,8 +663,10 @@ let handle_client_line t ~respond_line line =
       | Protocol.Session_close_op _ ->
           forward t ~respond_line ~req line)
 
-(* one client connection: same discipline as Server.serve_connection —
-   the fd stays open until every accepted request has its response *)
+(* one client connection.  Every accepted request produces exactly one
+   response; a client may shut down its write side and keep reading, so
+   the fd stays open until this connection's outstanding responses are
+   written *)
 let serve_conn t fd =
   Unix.set_close_on_exec fd;
   let ic = Unix.in_channel_of_descr fd in
@@ -729,7 +726,8 @@ let accept_loop t lfd =
   in
   loop ()
 
-(* wake blocked accepts the same way Server does: a throw-away connect *)
+(* wake blocked accepts: closing the fd from another thread does not
+   reliably interrupt them, but a throw-away connection always does *)
 let poke_listeners t =
   (match t.cfg.unix_path with
   | None -> ()
@@ -767,25 +765,7 @@ let handle_stop t =
           t.parked;
         Queue.clear t.parked));
   poke_listeners t;
-  (* drain outside the state update so start_drain's own locking is simple *)
-  Mutex.protect t.lock (fun () ->
-      Array.iter
-        (fun w ->
-          if w.state = Up then (
-            w.state <- Draining;
-            publish_control t w;
-            send_ctl_drain w;
-            let gen = w.gen and pid = w.pid and slot = w.slot in
-            ignore
-              (Thread.create
-                 (fun () ->
-                   Thread.delay t.cfg.drain_grace_s;
-                   Mutex.protect t.lock (fun () ->
-                       let w = t.workers.(slot) in
-                       if w.gen = gen && w.state = Draining && w.pid = pid then
-                         try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()))
-                 ())))
-        t.workers)
+  Mutex.protect t.lock (fun () -> Array.iter (fun w -> start_drain t w.slot) t.workers)
 
 (* ---- entry point -------------------------------------------------------- *)
 
@@ -808,8 +788,8 @@ let run cfg =
   (* before any thread exists, so every supervisor thread inherits the
      mask and only [signal_loop] ever sees these signals *)
   if cfg.handle_signals then ignore (Thread.sigmask Unix.SIG_BLOCK signals);
-  mkdir_p cfg.checkpoint_dir;
-  mkdir_p (Filename.dirname cfg.shm_path);
+  Checkpoint.mkdir_p cfg.checkpoint_dir;
+  Checkpoint.mkdir_p (Filename.dirname cfg.shm_path);
   let shm = Shm.create ~path:cfg.shm_path ~n_workers:cfg.workers () in
   let t =
     {

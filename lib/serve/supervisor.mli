@@ -1,9 +1,9 @@
 (** Prefork supervisor: the front of the two-tier process model.
 
     An I/O router that accepts client connections on a TCP front door
-    and/or the classic Unix socket, forwards heavy protocol ops over
-    per-worker socketpairs to [workers] forked {!Worker} processes, and
-    restarts crashed workers — their in-flight flows resume from the
+    and/or the Unix socket, forwards heavy protocol ops over per-worker
+    socketpairs to [workers] {!Worker} processes, and restarts crashed
+    workers — their in-flight flows resume from the
     supervisor-injected checkpoints on a sibling, bit-identical
     ({!Checkpoint}'s digest guarantee) to an uninterrupted run.  Every
     worker exports liveness and counters through the {!Shm} segment at
@@ -29,7 +29,7 @@ type config = {
       (** TCP listener as [(host, port)]; ["" ] or ["*"] binds all
           interfaces, port [0] picks an ephemeral port (readable back
           via {!Shm.tcp_port}). *)
-  shm_path : string;  (** Counter segment file, created (truncated). *)
+  shm_path : string;  (** Counter segment file, created afresh ({!Shm.create}). *)
   checkpoint_dir : string;
       (** Base directory for supervisor-injected per-request checkpoint
           directories ([sid<N>], deleted once the response is

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Serve-layer smoke: start the server, fire a mixed concurrent batch,
-# kill it -9 mid-flow, resume from an on-disk checkpoint with a fresh
-# server, and assert the resumed result is bit-identical to an
-# uninterrupted run.  Exercises, end to end: the NDJSON protocol, the
-# scheduler, checkpoint save/load/resume, crash robustness (atomic
-# checkpoint writes), and graceful SIGTERM drain.
+# Serve-layer smoke: start the default server (a supervisor and one
+# worker process), fire a mixed concurrent batch, kill both -9 mid-flow,
+# resume from an on-disk checkpoint with a fresh server, and assert the
+# resumed result is bit-identical to an uninterrupted run.  Exercises,
+# end to end: the NDJSON protocol, the scheduler, checkpoint
+# save/load/resume, crash robustness (atomic checkpoint writes), and
+# graceful SIGTERM drain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +38,7 @@ echo "== reference: uninterrupted run via the CLI"
 REF=$("$BIN" flow -b tiny --digest | sed -n 's/^digest: //p')
 echo "   digest $REF"
 
-echo "== server A up"
+echo "== server A up (supervisor + 1 worker process)"
 "$BIN" serve --socket "$SOCK" --workers 2 &
 SERVER_PID=$!
 for _ in $(seq 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
@@ -55,7 +56,10 @@ CKPT="$CKDIR/tiny-netflow.iter-1.ckpt"
 
 echo "== kill -9 mid-flow"
 # start a flow and kill the server while it runs; the checkpoints
-# already on disk must be unharmed (atomic writes)
+# already on disk must be unharmed (atomic writes).  The worker goes
+# first (its parent must still be there for pkill -P to find it): it is
+# the process writing checkpoints mid-flow, and a worker that outlived
+# its supervisor would finish the flow instead of dying in it
 python3 - "$SOCK" <<'EOF' &
 import socket, sys
 s = socket.socket(socket.AF_UNIX)
@@ -67,8 +71,12 @@ except OSError:
     pass
 EOF
 sleep 0.3
+pkill -9 -P "$SERVER_PID" || { echo "server A has no worker process"; exit 1; }
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
+# the kill left A's socket file behind; B replaces it, and the wait
+# below must see B's
+rm -f "$SOCK"
 
 echo "== server B resumes from the mid-flow checkpoint"
 "$BIN" serve --socket "$SOCK" --workers 2 &
@@ -80,9 +88,15 @@ D1=$(digest_of "$RESP")
 echo "   resumed bit-identically: $D1"
 
 echo "== graceful SIGTERM drain"
+WORKER_PIDS=$(pgrep -P "$SERVER_PID" || true)
+[ -n "$WORKER_PIDS" ] || { echo "server B has no worker process"; exit 1; }
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 [ ! -S "$SOCK" ] || { echo "socket not removed on drain"; exit 1; }
+[ ! -f "$SOCK.shm" ] || { echo "shm segment not removed on drain"; exit 1; }
+for W in $WORKER_PIDS; do
+  ! kill -0 "$W" 2>/dev/null || { echo "worker $W survived the drain"; exit 1; }
+done
 
 # ---------------------------------------------------------------------------
 # Supervisor tier: prefork workers behind a TCP front door, chaos drill,

@@ -1,6 +1,7 @@
 (* Tests for the flow service: checkpoint save/load/resume
-   bit-identity, the deadline-aware scheduler, the wire protocol, and
-   an in-process socket smoke of the server. *)
+   bit-identity, the deadline-aware scheduler, the wire protocol, the
+   worker's request handling and ECO sessions driven in-process, the shm
+   counter segment, and the supervisor driven over its socket. *)
 
 open Rc_core
 open Rc_serve
@@ -191,11 +192,33 @@ let test_scheduler_runs_jobs () =
         ids;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "completed" 6 c.Scheduler.completed;
-      Alcotest.(check int) "nothing pending" 0 c.Scheduler.pending;
-      let lat = Scheduler.latency_percentiles sched ~percentiles:[ 0.5; 0.99 ] in
-      List.iter
-        (fun (_, v) -> Alcotest.(check bool) "latency is finite" true (Float.is_finite v))
-        lat)
+      Alcotest.(check int) "nothing pending" 0 c.Scheduler.pending)
+
+(* a long-running worker must not retain what its finished jobs
+   returned: once await has handed a result back, the scheduler drops
+   the job, so a result held only weakly is collected *)
+let test_scheduler_forgets_awaited_jobs () =
+  let sched = Scheduler.create ~workers:1 () in
+  let seen = Weak.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.shutdown sched)
+    (fun () ->
+      let run_one () =
+        let id =
+          submit_ok sched (fun _ ->
+              let result = Json.String (String.make 10_000 'x') in
+              Weak.set seen 0 (Some result);
+              result)
+        in
+        match Scheduler.await sched id with
+        | Some (Scheduler.Done _, _) -> id
+        | _ -> Alcotest.fail "job did not complete"
+      in
+      let id = run_one () in
+      Gc.full_major ();
+      Alcotest.(check bool) "result collected after await" false (Weak.check seen 0);
+      Alcotest.(check bool) "an awaited job is forgotten" true
+        (Scheduler.await sched id = None))
 
 let test_scheduler_priority_order () =
   (* one worker: a blocker occupies it while low/high queue up; the
@@ -391,25 +414,6 @@ let test_protocol_sync_ops_have_no_job () =
       Protocol.Shutdown_op;
     ]
 
-let test_protocol_restart_op () =
-  (match Protocol.parse_request {|{"id":1,"op":"restart"}|} with
-  | Ok { Protocol.op = Protocol.Restart_op; _ } -> ()
-  | Ok _ -> Alcotest.fail "restart parsed as something else"
-  | Error (_, _, e) -> Alcotest.fail e);
-  (* a single-process server declines with a pointer at the supervisor *)
-  let srv = Server.create ~workers:1 () in
-  let got = ref Json.Null in
-  Server.handle_line srv ~respond:(fun j -> got := j) {|{"id":1,"op":"restart"}|};
-  Alcotest.(check bool) "declined" true
-    (match Json.member "ok" !got with Some (Json.Bool b) -> not b | _ -> false);
-  (match Option.bind (Json.member "error" !got) Json.to_string_opt with
-  | Some e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "error names --workers-proc: %S" e)
-        true (contains e "--workers-proc")
-  | None -> Alcotest.fail "no error text");
-  Server.drain srv
-
 (* ---- server ------------------------------------------------------------ *)
 
 let send_line fd line = ignore (Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1))
@@ -422,78 +426,24 @@ let read_response ic =
 let field name j =
   match Json.member name j with Some v -> v | None -> Alcotest.failf "missing %S" name
 
-(* End-to-end over a real Unix-domain socket: concurrent requests on one
-   connection, out-of-order completion, graceful shutdown via the
-   protocol. *)
-let test_server_socket_smoke () =
-  let path = Filename.concat temp_dir "test-server.sock" in
-  let server = Thread.create (fun () -> Server.run_unix ~workers:2 ~path ()) () in
-  (* wait for the socket to appear *)
-  let rec wait n =
-    if Sys.file_exists path then ()
-    else if n = 0 then Alcotest.fail "server socket never appeared"
-    else (
-      Unix.sleepf 0.05;
-      wait (n - 1))
-  in
-  wait 100;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let ic = Unix.in_channel_of_descr fd in
-  send_line fd {|{"id":1,"op":"status"}|};
-  send_line fd {|{"id":2,"op":"flow","bench":"tiny"}|};
-  send_line fd {|{"id":3,"op":"flow","bench":"bogus"}|};
-  send_line fd {|{"id":4,"op":"shutdown"}|};
-  let responses = List.init 4 (fun _ -> read_response ic) in
-  let by_id k =
-    match List.find_opt (fun j -> field "id" j = Json.Int k) responses with
-    | Some j -> j
-    | None -> Alcotest.failf "no response with id %d" k
-  in
-  Alcotest.(check bool) "status ok" true (field "ok" (by_id 1) = Json.Bool true);
-  let flow = by_id 2 in
-  Alcotest.(check bool) "flow ok" true (field "ok" flow = Json.Bool true);
-  let result = field "result" flow in
-  Alcotest.(check bool) "flow names its bench" true
-    (field "bench" result = Json.String "tiny");
-  (match field "digest" result with
-  | Json.String d -> Alcotest.(check int) "digest is hex md5" 32 (String.length d)
-  | _ -> Alcotest.fail "digest missing");
-  Alcotest.(check bool) "bad bench rejected" true (field "ok" (by_id 3) = Json.Bool false);
-  Alcotest.(check bool) "shutdown acked" true (field "ok" (by_id 4) = Json.Bool true);
-  close_in_noerr ic;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Thread.join server;
-  Alcotest.(check bool) "socket removed after drain" false (Sys.file_exists path)
-
-(* the identity a supervisor gives its workers surfaces in status *)
-let test_server_status_identity () =
-  let srv = Server.create ~workers:1 ~identity:{ Server.worker_id = 3; restarts = 2 } () in
-  let got = ref Json.Null in
-  Server.handle_line srv ~respond:(fun j -> got := j) {|{"id":1,"op":"status"}|};
-  let w = field "worker" (field "result" !got) in
-  Alcotest.(check bool) "worker id" true (field "id" w = Json.Int 3);
-  Alcotest.(check bool) "restart count" true (field "restarts" w = Json.Int 2);
-  Alcotest.(check bool) "not draining" true (field "draining" w = Json.Bool false);
-  Server.request_stop srv;
-  Server.handle_line srv ~respond:(fun j -> got := j) {|{"id":2,"op":"status"}|};
-  let w = field "worker" (field "result" !got) in
-  Alcotest.(check bool) "draining visible" true (field "draining" w = Json.Bool true);
-  Server.drain srv
-
-(* a rejected request's error envelope names the offending op *)
+(* a rejected request's error envelope names the offending op, and a
+   synchronous op sent to a worker (the supervisor answers those) is
+   refused the same way *)
 let test_server_error_echoes_op () =
-  let srv = Server.create ~workers:1 () in
+  let w = Worker.create ~workers:1 ~session_dir:(Filename.concat temp_dir "eco-echo") () in
   let got = ref Json.Null in
-  Server.handle_line srv ~respond:(fun j -> got := j) {|{"id":1,"op":"transmogrify"}|};
+  Worker.handle_line w ~respond:(fun j -> got := j) {|{"id":1,"op":"transmogrify"}|};
   Alcotest.(check bool) "rejected" true (field "ok" !got = Json.Bool false);
   Alcotest.(check bool) "op echoed" true (field "op" !got = Json.String "transmogrify");
-  Server.handle_line srv ~respond:(fun j -> got := j)
+  Worker.handle_line w ~respond:(fun j -> got := j)
     {|{"id":2,"op":"session_edit","session":1,"edits":[{"kind":"warp"}]}|};
   Alcotest.(check bool) "bad edit rejected" true (field "ok" !got = Json.Bool false);
   Alcotest.(check bool) "bad edit echoes op" true
     (field "op" !got = Json.String "session_edit");
-  Server.drain srv
+  Worker.handle_line w ~respond:(fun j -> got := j) {|{"id":3,"op":"status"}|};
+  Alcotest.(check bool) "status refused by a worker" true (field "ok" !got = Json.Bool false);
+  Alcotest.(check bool) "status echoed" true (field "op" !got = Json.String "status");
+  Worker.drain w
 
 (* ---- ECO sessions ------------------------------------------------------ *)
 
@@ -501,7 +451,7 @@ let test_server_error_echoes_op () =
    atomic slot until the response lands *)
 let async_request srv line =
   let got = Atomic.make None in
-  Server.handle_line srv ~respond:(fun j -> Atomic.set got (Some j)) line;
+  Worker.handle_line srv ~respond:(fun j -> Atomic.set got (Some j)) line;
   let deadline = Rc_util.Timer.now_s () +. 120.0 in
   let rec wait () =
     match Atomic.get got with
@@ -633,12 +583,12 @@ let test_session_replay_identity () =
     (fun jobs ->
       with_jobs jobs (fun () ->
           let srv =
-            Server.create ~workers:2
+            Worker.create ~workers:2
               ~session_dir:(Filename.concat temp_dir (Printf.sprintf "eco-j%d" jobs))
               ()
           in
           Fun.protect
-            ~finally:(fun () -> Server.drain srv)
+            ~finally:(fun () -> Worker.drain srv)
             (fun () ->
               let prop seed =
                 let sid, r = open_session srv in
@@ -670,11 +620,11 @@ let test_session_replay_identity () =
    digests must still equal a scratch replay's *)
 let test_session_evict_rehydrate () =
   let srv =
-    Server.create ~workers:2 ~session_capacity:1
+    Worker.create ~workers:2 ~session_capacity:1
       ~session_dir:(Filename.concat temp_dir "eco-evict") ()
   in
   Fun.protect
-    ~finally:(fun () -> Server.drain srv)
+    ~finally:(fun () -> Worker.drain srv)
     (fun () ->
       let sid_a, r_a = open_session srv in
       let gen_a = batcher 11 r_a in
@@ -692,7 +642,7 @@ let test_session_evict_rehydrate () =
           d_a := apply_batch srv sid_a ba;
           d_b := apply_batch srv sid_b bb)
         batches_a batches_b;
-      let resident, known = Session.counts (Server.sessions srv) in
+      let resident, known = Session.counts (Worker.sessions srv) in
       Alcotest.(check bool) "capacity respected" true (resident <= 1);
       Alcotest.(check bool) "both sessions known" true (known >= 2);
       close_session srv sid_a;
@@ -800,6 +750,24 @@ let test_shm_attach_validation () =
   expect_error "truncated" path "truncated";
   Sys.remove path
 
+(* re-creating a segment must not reuse the old one's pages: a worker
+   orphaned by a killed supervisor still writes through its old mapping,
+   and none of that may show up in the next supervisor's segment *)
+let test_shm_recreate_detaches_old () =
+  let path = Filename.concat temp_dir "recreate.shm" in
+  ignore (Shm.create ~path ~n_workers:1 ());
+  let orphan = match Shm.attach ~path () with Ok s -> s | Error e -> Alcotest.fail e in
+  let fresh = Shm.create ~path ~n_workers:1 () in
+  Shm.write_worker orphan ~slot:0 { sample_worker_row with Shm.pid = 4242 };
+  let r = Shm.read_row fresh ~slot:0 in
+  Alcotest.(check int) "fresh slot untouched by the old mapping" 0 r.Shm.worker.Shm.pid;
+  (match Shm.attach ~path () with
+  | Ok reader ->
+      Alcotest.(check int) "attach sees the fresh segment" 0
+        (Shm.read_row reader ~slot:0).Shm.worker.Shm.pid
+  | Error e -> Alcotest.fail e);
+  Sys.remove path
+
 (* seqlock: a reader racing a writer must never observe a mixed row.
    The writer publishes rows whose every field carries the same value, so
    any consistent-flagged read with unequal fields is a torn read.  The
@@ -887,7 +855,7 @@ let test_shm_seqlock_consistency () =
 let rotary_cli_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/rotary_cli.exe"
 
-let with_supervisor ?(workers = 2) ?session_capacity name f =
+let with_supervisor ?(workers = 2) ?(allow_restart = true) ?session_capacity name f =
   let sock = Filename.concat temp_dir (name ^ ".sock") in
   let shm_path = sock ^ ".shm" in
   let cfg =
@@ -901,7 +869,7 @@ let with_supervisor ?(workers = 2) ?session_capacity name f =
       checkpoint_dir = sock ^ ".ckpt";
       checkpoint_every = 1;
       drain_grace_s = 30.0;
-      allow_restart = true;
+      allow_restart;
       handle_signals = false;
       exe = Some rotary_cli_exe;
       pin_cores = false;
@@ -953,6 +921,64 @@ let wait_for ?(timeout_s = 20.0) msg pred =
       go ())
   in
   go ()
+
+let test_protocol_restart_op () =
+  (match Protocol.parse_request {|{"id":1,"op":"restart"}|} with
+  | Ok { Protocol.op = Protocol.Restart_op; _ } -> ()
+  | Ok _ -> Alcotest.fail "restart parsed as something else"
+  | Error (_, _, e) -> Alcotest.fail e);
+  (* a supervisor started without --drain-restart declines, naming it *)
+  with_supervisor ~allow_restart:false "norestart" (fun ~sock ~shm_path:_ ->
+      let fd = connect_unix sock in
+      let ic = Unix.in_channel_of_descr fd in
+      send_line fd {|{"id":1,"op":"restart"}|};
+      let got = read_response ic in
+      Alcotest.(check bool) "declined" true (field "ok" got = Json.Bool false);
+      (match Json.member "error" got with
+      | Some (Json.String e) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error names --drain-restart: %S" e)
+            true (contains e "--drain-restart")
+      | _ -> Alcotest.fail "no error text");
+      close_in_noerr ic)
+
+(* End-to-end over the front door: concurrent requests on one
+   connection, out-of-order completion, rejection and op echo at the
+   front door, graceful shutdown via the protocol, and cleanup of the
+   socket and shm segment once the workers have drained. *)
+let test_server_socket_smoke () =
+  with_supervisor ~workers:1 "smoke" (fun ~sock ~shm_path ->
+      let fd = connect_unix sock in
+      let ic = Unix.in_channel_of_descr fd in
+      send_line fd {|{"id":1,"op":"status"}|};
+      send_line fd {|{"id":2,"op":"flow","bench":"tiny"}|};
+      send_line fd {|{"id":3,"op":"flow","bench":"bogus"}|};
+      send_line fd {|{"id":4,"op":"transmogrify"}|};
+      send_line fd {|{"id":5,"op":"shutdown"}|};
+      let responses = List.init 5 (fun _ -> read_response ic) in
+      let by_id k =
+        match List.find_opt (fun j -> field "id" j = Json.Int k) responses with
+        | Some j -> j
+        | None -> Alcotest.failf "no response with id %d" k
+      in
+      Alcotest.(check bool) "status ok" true (field "ok" (by_id 1) = Json.Bool true);
+      let flow = by_id 2 in
+      Alcotest.(check bool) "flow ok" true (field "ok" flow = Json.Bool true);
+      let result = field "result" flow in
+      Alcotest.(check bool) "flow names its bench" true
+        (field "bench" result = Json.String "tiny");
+      (match field "digest" result with
+      | Json.String d -> Alcotest.(check int) "digest is hex md5" 32 (String.length d)
+      | _ -> Alcotest.fail "digest missing");
+      Alcotest.(check bool) "bad bench rejected" true (field "ok" (by_id 3) = Json.Bool false);
+      let unknown = by_id 4 in
+      Alcotest.(check bool) "unknown op rejected" true (field "ok" unknown = Json.Bool false);
+      Alcotest.(check bool) "unknown op echoed" true
+        (field "op" unknown = Json.String "transmogrify");
+      Alcotest.(check bool) "shutdown acked" true (field "ok" (by_id 5) = Json.Bool true);
+      close_in_noerr ic;
+      wait_for "socket and shm removed after drain" (fun () ->
+          not (Sys.file_exists sock || Sys.file_exists shm_path)))
 
 (* The chaos drill: SIGKILL the worker running a flow mid-iteration; the
    supervisor must respawn the slot and resume or rerun the flow on a
@@ -1188,6 +1214,8 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "runs jobs to completion" `Quick test_scheduler_runs_jobs;
+          Alcotest.test_case "forgets a job once awaited" `Quick
+            test_scheduler_forgets_awaited_jobs;
           Alcotest.test_case "priority order" `Quick test_scheduler_priority_order;
           Alcotest.test_case "queued deadline expires" `Quick
             test_scheduler_deadline_expires_queued;
@@ -1201,13 +1229,11 @@ let () =
         [
           Alcotest.test_case "request parsing" `Quick test_protocol_parse;
           Alcotest.test_case "sync ops are inline" `Quick test_protocol_sync_ops_have_no_job;
-          Alcotest.test_case "restart op" `Quick test_protocol_restart_op;
+          Alcotest.test_case "restart op" `Slow test_protocol_restart_op;
         ] );
       ( "server",
         [
           Alcotest.test_case "socket smoke" `Slow test_server_socket_smoke;
-          Alcotest.test_case "status carries worker identity" `Quick
-            test_server_status_identity;
           Alcotest.test_case "error envelope echoes the op" `Quick
             test_server_error_echoes_op;
         ] );
@@ -1222,6 +1248,8 @@ let () =
         [
           Alcotest.test_case "row roundtrip via attach" `Quick test_shm_roundtrip;
           Alcotest.test_case "attach validation" `Quick test_shm_attach_validation;
+          Alcotest.test_case "re-create leaves old mappings behind" `Quick
+            test_shm_recreate_detaches_old;
           Alcotest.test_case "seqlock consistency under a concurrent writer" `Quick
             test_shm_seqlock_consistency;
         ] );
