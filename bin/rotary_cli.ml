@@ -449,7 +449,7 @@ let tcp_conv =
   Arg.conv (parse, print)
 
 let run_serve socket workers max_pending workers_proc tcp shm drain_restart checkpoint_every
-    checkpoint_dir drain_grace _transport pin_cores session_dir session_capacity =
+    checkpoint_dir drain_grace _transport session_dir session_capacity =
   Rc_serve.Supervisor.run
     {
       Rc_serve.Supervisor.workers = workers_proc;
@@ -464,7 +464,6 @@ let run_serve socket workers max_pending workers_proc tcp shm drain_restart chec
       allow_restart = drain_restart;
       handle_signals = true;
       exe = None;
-      pin_cores;
       session_dir;
       session_capacity;
     }
@@ -553,13 +552,6 @@ let serve_cmd =
           ~doc:"Accepted for compatibility and ignored: the supervisor and its workers \
                 always exchange NDJSON lines over a socketpair")
   in
-  let pin_cores =
-    Arg.(
-      value & flag
-      & info [ "pin-cores" ]
-          ~doc:"Pin worker K to CPU core K mod ncores via sched_setaffinity (warn-noop on \
-                unsupported platforms); pinning shows in $(b,rotary_cli top)'s CORE column")
-  in
   let session_dir =
     Arg.(
       value & opt (some string) None
@@ -583,21 +575,20 @@ let serve_cmd =
     Term.(
       const run_serve $ socket $ workers $ max_pending $ workers_proc $ tcp $ shm
       $ drain_restart $ checkpoint_every $ checkpoint_dir $ drain_grace $ transport
-      $ pin_cores $ session_dir $ session_capacity)
+      $ session_dir $ session_capacity)
 
 (* --- serve-worker command (internal) --- *)
 
 (* the exec'd child of a supervisor: the socketpair is stdin, the shm
    segment re-attaches by path.  Not meant to be invoked by hand. *)
-let run_serve_worker shm_path slot restarts workers max_pending pin_core session_dir
-    session_capacity =
+let run_serve_worker shm_path slot restarts workers max_pending session_dir session_capacity =
   match Rc_serve.Shm.attach ~path:shm_path () with
   | Error e ->
       Printf.eprintf "serve-worker: %s\n" e;
       exit 1
   | Ok shm ->
-      Rc_serve.Worker.run ~workers ~max_pending ?pin_core ~session_dir ?session_capacity
-        ~shm ~slot ~restarts ~fd:Unix.stdin ()
+      Rc_serve.Worker.run ~workers ~max_pending ~session_dir ?session_capacity ~shm ~slot
+        ~restarts ~fd:Unix.stdin ()
 
 let serve_worker_cmd =
   let shm = Arg.(required & opt (some string) None & info [ "shm" ] ~docv:"PATH") in
@@ -605,9 +596,6 @@ let serve_worker_cmd =
   let restarts = Arg.(value & opt int 0 & info [ "restarts" ] ~docv:"N") in
   let workers = Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N") in
   let max_pending = Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"N") in
-  let pin_core =
-    Arg.(value & opt (some int) None & info [ "pin-core" ] ~docv:"K")
-  in
   let session_dir =
     Arg.(required & opt (some string) None & info [ "session-dir" ] ~docv:"DIR")
   in
@@ -620,8 +608,8 @@ let serve_worker_cmd =
          "Internal: one worker process of a $(b,serve) supervisor \
           (exec'd with the job socketpair as stdin); do not invoke directly")
     Term.(
-      const run_serve_worker $ shm $ slot $ restarts $ workers $ max_pending $ pin_core
-      $ session_dir $ session_capacity)
+      const run_serve_worker $ shm $ slot $ restarts $ workers $ max_pending $ session_dir
+      $ session_capacity)
 
 (* --- top command --- *)
 
@@ -634,21 +622,19 @@ let render_top shm =
     (match Shm.tcp_port shm with
     | Some p -> Printf.sprintf ", tcp :%d" p
     | None -> "");
-  Printf.bprintf b "%4s %-9s %7s %4s %4s %7s %5s %7s %7s %4s %4s %7s %5s %7s %7s %8s\n"
-    "SLOT" "CTL" "PID" "RST" "CORE" "HB_MS" "INFL" "REQ" "RESP" "QD" "RUN" "DONE" "FAIL"
-    "REDISP" "RESUME" "WALL_MS";
+  Printf.bprintf b "%4s %-9s %7s %4s %7s %5s %7s %7s %4s %4s %7s %5s %7s %7s %8s\n"
+    "SLOT" "CTL" "PID" "RST" "HB_MS" "INFL" "REQ" "RESP" "QD" "RUN" "DONE" "FAIL" "REDISP"
+    "RESUME" "WALL_MS";
   Array.iteri
     (fun slot (r : Shm.row) ->
       let w = r.Shm.worker and c = r.Shm.control in
       let hb_ms =
         if w.Shm.heartbeat_ns = 0 then -1 else (now - w.Shm.heartbeat_ns) / 1_000_000
       in
-      Printf.bprintf b "%4d %-9s %7d %4d %4s %7d %5d %7d %7d %4d %4d %7d %5d %7d %7d %8d%s\n"
+      Printf.bprintf b "%4d %-9s %7d %4d %7d %5d %7d %7d %4d %4d %7d %5d %7d %7d %8d%s\n"
         slot
         (Shm.control_state_name c.Shm.c_state)
-        w.Shm.pid c.Shm.c_restarts
-        (if w.Shm.core >= 0 then string_of_int w.Shm.core else "-")
-        hb_ms c.Shm.c_inflight w.Shm.requests w.Shm.responses w.Shm.queue_depth
+        w.Shm.pid c.Shm.c_restarts hb_ms c.Shm.c_inflight w.Shm.requests w.Shm.responses w.Shm.queue_depth
         w.Shm.running w.Shm.completed w.Shm.failed c.Shm.c_redispatched c.Shm.c_resumed
         w.Shm.job_wall_ms
         (if r.Shm.w_consistent && r.Shm.c_consistent then "" else "  !torn"))

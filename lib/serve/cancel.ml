@@ -1,45 +1,19 @@
-(* Cooperative cancellation tokens with optional monotonic deadlines.
+(* Deadline checks for running jobs.
 
-   A token is shared between the requester (who may cancel with a
-   reason) and the job (which polls [check] at its cancellation points —
-   the flow checks at every stage boundary via Flow's guard hook).
-   Deadlines are absolute points on Rc_util.Timer's monotonic clock, so
-   wall-clock jumps can neither fire nor postpone them. *)
+   A token is a job's optional deadline, polled by the job at its
+   cancellation points ([check]; the flow checks at every stage boundary
+   via Flow's guard hook).  Deadlines are absolute points on
+   Rc_util.Timer's monotonic clock, so wall-clock jumps can neither fire
+   nor postpone them. *)
 
 exception Cancelled of string
 
-type t = {
-  lock : Mutex.t;
-  mutable reason : string option;  (* set once; first cancel wins *)
-  deadline : float option;  (* Timer.now_s seconds, absolute *)
-}
+type t = float option (* Timer.now_s seconds, absolute *)
 
-let create ?deadline () = { lock = Mutex.create (); reason = None; deadline }
+let create ?deadline () = deadline
 
-let none () = create ()
-
-let deadline t = t.deadline
-
-let cancel t ~reason =
-  Mutex.lock t.lock;
-  if t.reason = None then t.reason <- Some reason;
-  Mutex.unlock t.lock
-
-let reason t =
-  Mutex.lock t.lock;
-  let r = t.reason in
-  Mutex.unlock t.lock;
-  (* an expired deadline is a cancellation even if nobody polled yet *)
-  match r with
-  | Some _ -> r
-  | None -> (
-      match t.deadline with
-      | Some d when Rc_util.Timer.now_s () > d -> Some "deadline exceeded"
-      | _ -> None)
-
-let cancelled t = reason t <> None
+let reason = function
+  | Some d when Rc_util.Timer.now_s () > d -> Some "deadline exceeded"
+  | _ -> None
 
 let check t = match reason t with Some r -> raise (Cancelled r) | None -> ()
-
-let time_left t =
-  match t.deadline with None -> None | Some d -> Some (d -. Rc_util.Timer.now_s ())

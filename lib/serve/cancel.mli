@@ -1,11 +1,11 @@
-(** Cooperative cancellation tokens with optional monotonic deadlines.
+(** Deadline checks for running jobs.
 
-    A token is shared between the requester (who may {!cancel} it with a
-    reason) and the job, which polls {!check} at its cancellation points
-    — the flow polls at every stage boundary through {!Flow.run}'s
-    [guard] hook.  Deadlines are absolute values of
-    {!Rc_util.Timer.now_s}, so wall-clock jumps can neither fire nor
-    postpone them. *)
+    A token carries a job's optional deadline, and the job polls
+    {!check} at its cancellation points — the flow polls at every stage
+    boundary through {!Flow.run}'s [guard] hook.  Deadlines are
+    absolute values of {!Rc_util.Timer.now_s}, so wall-clock jumps can
+    neither fire nor postpone them.  There is no manual cancellation:
+    a job ends early only when its deadline passes. *)
 
 exception Cancelled of string
 (** Raised by {!check}; carries the cancellation reason. *)
@@ -13,31 +13,14 @@ exception Cancelled of string
 type t
 
 val create : ?deadline:float -> unit -> t
-(** A live token.  [deadline] is an absolute monotonic time
-    ({!Rc_util.Timer.now_s} seconds); once passed, the token behaves as
-    cancelled with reason ["deadline exceeded"] even if nobody polled
-    before. *)
-
-val none : unit -> t
-(** A token that never fires unless explicitly cancelled. *)
-
-val cancel : t -> reason:string -> unit
-(** Request cancellation.  The first reason wins; later calls are
-    no-ops. *)
+(** A token.  [deadline] is an absolute monotonic time
+    ({!Rc_util.Timer.now_s} seconds); without one the token never
+    fires. *)
 
 val check : t -> unit
-(** @raise Cancelled when the token was cancelled or its deadline has
-    passed. *)
-
-val cancelled : t -> bool
+(** @raise Cancelled with reason ["deadline exceeded"] once the deadline
+    has passed. *)
 
 val reason : t -> string option
-(** The cancellation reason, if cancelled (explicitly or by
-    deadline). *)
-
-val deadline : t -> float option
-(** The absolute monotonic deadline, if any. *)
-
-val time_left : t -> float option
-(** Seconds until the deadline (negative once passed); [None] when the
-    token has no deadline. *)
+(** [Some "deadline exceeded"] once the deadline has passed, even if
+    nobody polled before. *)

@@ -323,6 +323,25 @@ let parse_request line =
                      | restart | shutdown)"
                     other)))
 
+(* ---- bounded line reading --------------------------------------------- *)
+
+let max_line_bytes = 1 lsl 20
+
+type line = Line of string | Too_long | Eof
+
+let read_line ic =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Line (Buffer.contents b)
+    | _ when Buffer.length b >= max_line_bytes -> Too_long
+    | c ->
+        Buffer.add_char b c;
+        go ()
+    | exception End_of_file -> if Buffer.length b = 0 then Eof else Line (Buffer.contents b)
+  in
+  go ()
+
 (* ---- response rendering ----------------------------------------------- *)
 
 let response_ok ~id result = Json.Obj [ ("id", id); ("ok", Json.Bool true); ("result", result) ]
@@ -483,18 +502,14 @@ let job_of_op = function
       None
 
 let op_name = function
-  | Flow_op r ->
-      Printf.sprintf "flow:%s/%s%s" r.f_bench.Bench_suite.bname (Checkpoint.mode_name r.f_mode)
-        (if r.f_resume_from <> None then ":resume" else "")
+  | Flow_op _ -> "flow"
   | Report_op _ -> "report"
-  | Sweep_op r -> "sweep:" ^ r.s_bench.Bench_suite.bname
-  | Variation_op r -> "variation:" ^ r.v_bench.Bench_suite.bname
-  | Session_open_op r ->
-      Printf.sprintf "session_open:%s/%s" r.so_flow.f_bench.Bench_suite.bname
-        (Checkpoint.mode_name r.so_flow.f_mode)
-  | Session_edit_op r -> Printf.sprintf "session_edit:%d" r.se_session
-  | Session_query_op s -> Printf.sprintf "session_query:%d" s
-  | Session_close_op s -> Printf.sprintf "session_close:%d" s
+  | Sweep_op _ -> "sweep"
+  | Variation_op _ -> "variation"
+  | Session_open_op _ -> "session_open"
+  | Session_edit_op _ -> "session_edit"
+  | Session_query_op _ -> "session_query"
+  | Session_close_op _ -> "session_close"
   | Checkpoint_op _ -> "checkpoint"
   | Status_op -> "status"
   | Restart_op -> "restart"

@@ -89,6 +89,18 @@ val parse_request :
     and the offending op name (when the request named one) so the error
     envelope echoes which op was rejected. *)
 
+val max_line_bytes : int
+(** The longest client request line the front door reads, newline
+    excluded: 1 MiB.  Worker lines need no bound of their own, since
+    they are forwarded from bounded client lines. *)
+
+type line = Line of string | Too_long | Eof
+
+val read_line : in_channel -> line
+(** [input_line] bounded by {!max_line_bytes}: [Too_long] as soon as a
+    line runs past the bound, with the rest of it left unread.  A last
+    line without a newline is returned as a [Line]. *)
+
 val response_ok : id:Rc_util.Json.t -> Rc_util.Json.t -> Rc_util.Json.t
 
 val response_error : id:Rc_util.Json.t -> ?op:string -> string -> Rc_util.Json.t
@@ -122,5 +134,5 @@ val outcome_of_flow_request : flow_request -> Cancel.t -> Flow.outcome
 val inspect_checkpoint : string -> (Rc_util.Json.t, string) result
 
 val op_name : op -> string
-(** Short human-readable label for queue listings, e.g.
-    ["flow:s1423/netflow"]. *)
+(** The op's wire name, e.g. ["flow"], as an error envelope echoes
+    it. *)

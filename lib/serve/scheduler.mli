@@ -9,15 +9,15 @@
     Scheduling picks the highest priority first, FIFO within a
     priority.  Deadlines (relative seconds, tracked on the monotonic
     clock) are enforced twice: a job whose deadline passes while queued
-    is cancelled without starting, and a running job's
-    {!Cancel.t} token trips at the flow's next stage boundary.
-    Admission is bounded — {!submit} rejects with a reason once
-    [max_pending] jobs are queued.
+    is cancelled without starting, and a running job's {!Cancel.t}
+    token trips at the flow's next stage boundary.  Admission is
+    bounded — {!submit} rejects with a reason once [max_pending] jobs
+    are queued.
 
-    Per-job {!Rc_obs.Metrics} deltas are recorded around each run;
-    they are exact when jobs run one at a time and approximate under
-    concurrency (the registry is process-global), the same caveat as
-    {!Rc_core.Flow_trace} deltas inside parallel suite arms. *)
+    A job's completion has one path: the domain that ran it calls the
+    job's [on_done] with the outcome, outside the scheduler lock, and
+    the job counts as finished only once [on_done] has returned.  The
+    scheduler keeps nothing of a finished job. *)
 
 type t
 
@@ -25,18 +25,13 @@ type t
 type outcome =
   | Done of Rc_util.Json.t  (** The job's result document. *)
   | Failed of string  (** The job raised; the exception text. *)
-  | Cancelled of string  (** Token fired (deadline, client, shutdown). *)
+  | Cancelled of string  (** Its deadline passed (queued or running). *)
 
-type phase = Queued | Running | Finished of outcome
-
-type info = {
-  i_id : int;
-  i_name : string;
-  i_priority : int;
-  i_phase : phase;
-  i_wait_s : float;  (** Queue wait: submit → start (monotonic). *)
-  i_run_s : float;  (** Execution wall time; 0 if never started. *)
-  i_metrics : Rc_obs.Metrics.snapshot;  (** Delta across the run. *)
+type finished = {
+  id : int;  (** Admission order, from 1. *)
+  outcome : outcome;
+  wait_s : float;  (** Queue wait: submit → start (monotonic). *)
+  run_s : float;  (** Execution wall time; 0 if it never started. *)
 }
 
 type counts = {
@@ -46,47 +41,34 @@ type counts = {
   failed : int;
   cancelled : int;
   pending : int;
-  running : int;
+  running : int;  (** Taken by a domain, [on_done] not yet returned. *)
 }
 
 val create : ?workers:int -> ?max_pending:int -> unit -> t
 (** Spawn [workers] (default 2) worker domains with a bounded queue of
     [max_pending] (default 64) jobs. *)
 
-val n_workers : t -> int
-
 val submit :
   t ->
   ?priority:int ->
   ?deadline_s:float ->
-  ?name:string ->
+  on_done:(finished -> unit) ->
   (Cancel.t -> Rc_util.Json.t) ->
-  (int, string) result
-(** Admit a job; returns its id, or [Error reason] when the queue is
-    saturated or the scheduler is draining.  [priority] defaults to 0
-    (higher runs first); [deadline_s] is relative seconds from now.
-    The job receives its cancellation token and must poll it at its
-    cancellation points (pass [Cancel.check token] as the flow
-    guard). *)
-
-val cancel : t -> int -> reason:string -> bool
-(** Request cancellation.  A queued job finishes [Cancelled]
-    immediately; a running job's token trips at its next poll.  [false]
-    when the job is unknown or already finished. *)
-
-val await : t -> int -> (outcome * info) option
-(** Block until the job reaches a terminal phase, then forget it: the
-    scheduler keeps no finished job once it has been handed back, so a
-    later [await] or {!cancel} of the same id sees an unknown job.
-    [None] for unknown ids.  Safe to call from any thread or domain. *)
+  (unit, string) result
+(** Admit a job, or [Error reason] when the queue is saturated or the
+    scheduler is draining ([on_done] is then never called).  [priority]
+    defaults to 0 (higher runs first); [deadline_s] is relative seconds
+    from now.  The job receives its deadline token and must poll it at
+    its cancellation points (pass [Cancel.check token] as the flow
+    guard).  [on_done] runs exactly once, on the worker domain that
+    took the job; an exception it raises is reported on stderr and
+    does not stop that domain. *)
 
 val counts : t -> counts
 
 val drain : t -> unit
 (** Stop admitting and block until every queued and running job has
-    finished — the graceful-shutdown path. *)
+    finished, its [on_done] included — the graceful-shutdown path. *)
 
-val shutdown : ?cancel_pending:bool -> t -> unit
-(** {!drain} then join the worker domains.  With [cancel_pending]
-    (default false), queued jobs are cancelled instead of executed;
-    running jobs always finish (their tokens are left alone). *)
+val shutdown : t -> unit
+(** {!drain} then join the worker domains. *)

@@ -19,7 +19,7 @@
    the sequence odd forever — returns the torn row flagged
    [consistent = false] instead of spinning.
 
-   Layout v4 (documented field-by-field in docs/operations.md; all cells
+   Layout v5 (documented field-by-field in docs/operations.md; all cells
    are native 63-bit OCaml ints, 8 bytes each):
 
      page 0              header (write-once at create; tcp_port is the
@@ -36,7 +36,7 @@ type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 external get_acq : ba -> int -> int = "rc_shm_get" [@@noalloc]
 external set_rel : ba -> int -> int -> unit = "rc_shm_set" [@@noalloc]
 
-let layout_version = 4
+let layout_version = 5
 let magic = 0x4745534d48534352 (* the bytes "RCSHMSEG", read as a little-endian int *)
 let slot_words = 512
 let header_words = 512
@@ -102,7 +102,6 @@ type worker_row = {
   queue_depth : int;
   running : int;
   job_wall_ms : int;
-  core : int;  (* pinned CPU core, -1 = unpinned *)
   shm_fallbacks : int;
   ckpt_saves : int;
   ckpt_skips : int;
@@ -125,7 +124,6 @@ let empty_worker_row =
     queue_depth = 0;
     running = 0;
     job_wall_ms = 0;
-    core = -1;
     shm_fallbacks = 0;
     ckpt_saves = 0;
     ckpt_skips = 0;
@@ -277,17 +275,16 @@ let write_worker t ~slot (r : worker_row) =
       set_rel ba (base + 12) r.queue_depth;
       set_rel ba (base + 13) r.running;
       set_rel ba (base + 14) r.job_wall_ms;
-      set_rel ba (base + 15) r.core;
-      set_rel ba (base + 16) r.shm_fallbacks;
-      set_rel ba (base + 17) r.ckpt_saves;
-      set_rel ba (base + 18) r.ckpt_skips;
-      set_rel ba (base + 19) (Array.length r.solver);
+      set_rel ba (base + 15) r.shm_fallbacks;
+      set_rel ba (base + 16) r.ckpt_saves;
+      set_rel ba (base + 17) r.ckpt_skips;
+      set_rel ba (base + 18) (Array.length r.solver);
       (* a loop, not Array.iteri: nothing is allocated between the two
          sequence bumps, so the writer never starts a stop-the-world
          minor GC mid-write and leaves readers spinning on an odd
          sequence (on a shared core, for the whole time slice) *)
       for k = 0 to Array.length r.solver - 1 do
-        set_rel ba (base + 20 + k) r.solver.(k)
+        set_rel ba (base + 19 + k) r.solver.(k)
       done)
 
 let write_control t ~slot (r : control_row) =
@@ -338,14 +335,14 @@ let read_region ba ~base ~len =
   in
   go 0
 
-let worker_words = 19 + n_solver
+let worker_words = 18 + n_solver
 let control_words = 7
 
 let read_row t ~slot =
   let base = slot_base t slot in
   let w, w_consistent = read_region t.ba ~base ~len:worker_words in
   let c, c_consistent = read_region t.ba ~base:(base + control_base) ~len:control_words in
-  let n_solver_in = min n_solver (max 0 w.(18)) in
+  let n_solver_in = min n_solver (max 0 w.(17)) in
   {
     worker =
       {
@@ -363,11 +360,10 @@ let read_row t ~slot =
         queue_depth = w.(11);
         running = w.(12);
         job_wall_ms = w.(13);
-        core = w.(14);
-        shm_fallbacks = w.(15);
-        ckpt_saves = w.(16);
-        ckpt_skips = w.(17);
-        solver = Array.init n_solver (fun k -> if k < n_solver_in then w.(19 + k) else 0);
+        shm_fallbacks = w.(14);
+        ckpt_saves = w.(15);
+        ckpt_skips = w.(16);
+        solver = Array.init n_solver (fun k -> if k < n_solver_in then w.(18 + k) else 0);
       };
     control =
       {
@@ -398,7 +394,6 @@ let json_of_row i (r : row) =
       ("heartbeat_ns", J.Int r.worker.heartbeat_ns);
       ("requests", J.Int r.worker.requests);
       ("responses", J.Int r.worker.responses);
-      ("core", if r.worker.core < 0 then J.Null else J.Int r.worker.core);
       ( "checkpoints",
         J.Obj [ ("saves", J.Int r.worker.ckpt_saves); ("skips", J.Int r.worker.ckpt_skips) ] );
       ( "jobs",

@@ -4,7 +4,7 @@
     response bodies never pass through it — they ride the NDJSON
     socketpair between the supervisor and each worker.
 
-    {1 Layout (version 3)}
+    {1 Layout (version 5)}
 
     A segment is one 4096-byte header page followed by one 4096-byte
     counter slot per worker.  Every cell is a native OCaml int (8
@@ -15,7 +15,7 @@
     A counter slot holds two independently seqlock'd regions: the
     {e worker region} (words 0–255, written only by that worker's
     heartbeat thread — pid, state, heartbeat timestamp, scheduler and
-    checkpoint counters, pinned core, and the fixed
+    checkpoint counters, and the fixed
     {!Rc_obs.Metrics.export_names} solver table) and the {e control
     region} (words 256–511, written only by the supervisor).
 
@@ -53,7 +53,6 @@ type worker_row = {
   queue_depth : int;
   running : int;
   job_wall_ms : int;  (** total scheduler job wall time, milliseconds. *)
-  core : int;  (** CPU core this worker pinned itself to; -1 = unpinned. *)
   shm_fallbacks : int;
       (** Always 0: there is no shared-memory job path to fall back
           from.  Kept so readers of the row keep working. *)

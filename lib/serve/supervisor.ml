@@ -56,7 +56,6 @@ type config = {
   allow_restart : bool;
   handle_signals : bool;
   exe : string option;  (* worker executable; default Sys.executable_name *)
-  pin_cores : bool;  (* pin worker k to core k mod ncores *)
   session_dir : string option;  (* shared ECO escrow dir; default checkpoint_dir/sessions *)
   session_capacity : int option;  (* resident sessions per worker *)
 }
@@ -361,8 +360,7 @@ let spawn t w =
        ]
       @ (match t.cfg.session_capacity with
         | Some c -> [ "--session-capacity"; string_of_int c ]
-        | None -> [])
-      @ if t.cfg.pin_cores then [ "--pin-core"; string_of_int w.slot ] else [])
+        | None -> []))
   in
   (* create_process (posix_spawn underneath), not Unix.fork: the OCaml 5
      runtime refuses fork in any process that ever created a domain, and
@@ -666,7 +664,9 @@ let handle_client_line t ~respond_line line =
 (* one client connection.  Every accepted request produces exactly one
    response; a client may shut down its write side and keep reading, so
    the fd stays open until this connection's outstanding responses are
-   written *)
+   written.  A line past Protocol.max_line_bytes is answered with an
+   error envelope and ends the connection the same way, so no client
+   can grow the supervisor's buffer without bound *)
 let serve_conn t fd =
   Unix.set_close_on_exec fd;
   let ic = Unix.in_channel_of_descr fd in
@@ -689,16 +689,24 @@ let serve_conn t fd =
               flush oc)
         with Sys_error _ | Unix.Unix_error _ -> ())
   in
+  let accept () = Mutex.protect clock (fun () -> incr outstanding) in
   (try
      let rec loop () =
-       match input_line ic with
-       | line ->
+       match Protocol.read_line ic with
+       | Protocol.Line line ->
            let line = String.trim line in
            if line <> "" then (
-             Mutex.protect clock (fun () -> incr outstanding);
+             accept ();
              handle_client_line t ~respond_line line);
            loop ()
-       | exception End_of_file -> ()
+       | Protocol.Too_long ->
+           accept ();
+           respond_line
+             (Json.to_line
+                (Protocol.response_error ~id:Json.Null
+                   (Printf.sprintf "request line longer than %d bytes; closing the connection"
+                      Protocol.max_line_bytes)))
+       | Protocol.Eof -> ()
      in
      loop ()
    with Sys_error _ | Unix.Unix_error _ -> ());

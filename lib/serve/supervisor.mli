@@ -51,10 +51,6 @@ type config = {
           defaults to [Sys.executable_name].  Embedders whose binary is
           not [rotary_cli] (e.g. the test runner) must point this at
           one that is. *)
-  pin_cores : bool;
-      (** Spawn worker [k] with [--pin-core k] (pin to core
-          [k mod ncores] via {!Affinity}; warn-noop where
-          unsupported). *)
   session_dir : string option;
       (** ECO session escrow directory, shared by every worker so a
           sibling can rehydrate a crashed worker's sessions; defaults

@@ -8,10 +8,11 @@
      {"ctl": "drain"}   finish queued + running jobs, flush responses,
                         write a final shm row, _exit 0
 
-   Every forwarded op becomes a scheduler job; a short-lived waiter
-   *thread* per job blocks in Scheduler.await and writes the response,
-   so responses interleave by completion order, matched to requests by
-   the echoed "id".  The supervisor answers the synchronous ops itself.
+   Every forwarded op becomes a scheduler job whose on_done writes the
+   response from the domain that ran it, so responses interleave by
+   completion order, matched to requests by the echoed "id", and a
+   drained scheduler has written every response.  The supervisor
+   answers the synchronous ops itself.
 
    A heartbeat thread publishes liveness, scheduler counts, checkpoint
    file counters and the fixed solver-metric table into this slot's shm
@@ -23,71 +24,49 @@ module Json = Rc_util.Json
 module Timer = Rc_util.Timer
 module Metrics = Rc_obs.Metrics
 
-type t = {
-  sched : Scheduler.t;
-  sessions : Session.t;
-  lock : Mutex.t;
-  flushed : Condition.t;  (* signalled when in_flight drops *)
-  mutable stop : bool;
-  mutable in_flight : int;  (* submitted jobs whose response isn't written yet *)
-}
+type t = { sched : Scheduler.t; sessions : Session.t; stop : bool Atomic.t }
 
 let create ?workers ?max_pending ?session_capacity ~session_dir () =
   {
     sched = Scheduler.create ?workers ?max_pending ();
     sessions = Session.create ?capacity:session_capacity ~dir:session_dir ();
-    lock = Mutex.create ();
-    flushed = Condition.create ();
-    stop = false;
-    in_flight = 0;
+    stop = Atomic.make false;
   }
 
 let sessions t = t.sessions
-let stopping t = Mutex.protect t.lock (fun () -> t.stop)
-let request_stop t = Mutex.protect t.lock (fun () -> t.stop <- true)
 
-(* attach scheduler-side timing to a job's result document *)
-let with_job_stats job_id (info : Scheduler.info) result =
-  let stats =
-    Json.Obj
-      [
-        ("id", Json.Int job_id);
-        ("wait_s", Json.Float info.Scheduler.i_wait_s);
-        ("run_s", Json.Float info.Scheduler.i_run_s);
-      ]
-  in
-  match result with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("job", stats) ])
-  | other -> Json.Obj [ ("result", other); ("job", stats) ]
+(* the response to a finished job, with the scheduler-side timing
+   attached to its result document *)
+let response ~id (f : Scheduler.finished) =
+  match f.Scheduler.outcome with
+  | Scheduler.Done result ->
+      let stats =
+        Json.Obj
+          [
+            ("id", Json.Int f.Scheduler.id);
+            ("wait_s", Json.Float f.Scheduler.wait_s);
+            ("run_s", Json.Float f.Scheduler.run_s);
+          ]
+      in
+      let result =
+        match result with
+        | Json.Obj fields -> Json.Obj (fields @ [ ("job", stats) ])
+        | other -> Json.Obj [ ("result", other); ("job", stats) ]
+      in
+      Protocol.response_ok ~id result
+  | Scheduler.Failed msg -> Protocol.response_error ~id ("job failed: " ^ msg)
+  | Scheduler.Cancelled reason -> Protocol.response_error ~id ("cancelled: " ^ reason)
 
 let submit t ~respond (req : Protocol.request) work =
   let id = req.Protocol.req_id in
   match
     Scheduler.submit t.sched ~priority:req.Protocol.priority
       ?deadline_s:req.Protocol.deadline_s
-      ~name:(Protocol.op_name req.Protocol.op)
+      ~on_done:(fun f -> respond (response ~id f))
       work
   with
+  | Ok () -> ()
   | Error reason -> respond (Protocol.response_error ~id reason)
-  | Ok job_id ->
-      Mutex.protect t.lock (fun () -> t.in_flight <- t.in_flight + 1);
-      let waiter () =
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.protect t.lock (fun () ->
-                t.in_flight <- t.in_flight - 1;
-                Condition.broadcast t.flushed))
-          (fun () ->
-            match Scheduler.await t.sched job_id with
-            | None -> respond (Protocol.response_error ~id "job vanished")
-            | Some (Scheduler.Done result, info) ->
-                respond (Protocol.response_ok ~id (with_job_stats job_id info result))
-            | Some (Scheduler.Failed msg, _) ->
-                respond (Protocol.response_error ~id ("job failed: " ^ msg))
-            | Some (Scheduler.Cancelled reason, _) ->
-                respond (Protocol.response_error ~id ("cancelled: " ^ reason)))
-      in
-      ignore (Thread.create waiter ())
 
 let handle_line t ~respond line =
   match Protocol.parse_request line with
@@ -110,12 +89,7 @@ let handle_line t ~respond line =
                (name ^ " is answered by the supervisor, not a worker")))
 
 let drain t =
-  request_stop t;
-  Scheduler.drain t.sched;
-  Mutex.protect t.lock (fun () ->
-      while t.in_flight > 0 do
-        Condition.wait t.flushed t.lock
-      done);
+  Atomic.set t.stop true;
   Scheduler.shutdown t.sched
 
 (* ---- the worker process ------------------------------------------------ *)
@@ -136,33 +110,33 @@ let job_wall_ms () =
       int_of_float (Float.round (total_s *. 1000.0))
   | _ -> 0
 
-let worker_row ~started_ns ~requests ~responses ~core t : Shm.worker_row =
-  let c = Scheduler.counts t.sched in
+let worker_row ~started_ns ~requests ~responses t : Shm.worker_row =
+  let { Scheduler.submitted; completed; failed; cancelled; rejected; pending; running } =
+    Scheduler.counts t.sched
+  in
   let ckpt_saves, ckpt_skips = Checkpoint.save_counts () in
   {
     Shm.pid = Unix.getpid ();
-    state = (if stopping t then Shm.W_draining else Shm.W_serving);
+    state = (if Atomic.get t.stop then Shm.W_draining else Shm.W_serving);
     started_ns;
     heartbeat_ns = Int64.to_int (Timer.now_ns ());
     requests = Atomic.get requests;
     responses = Atomic.get responses;
-    submitted = c.Scheduler.submitted;
-    completed = c.Scheduler.completed;
-    failed = c.Scheduler.failed;
-    cancelled = c.Scheduler.cancelled;
-    rejected = c.Scheduler.rejected;
-    queue_depth = c.Scheduler.pending;
-    running = c.Scheduler.running;
+    submitted;
+    completed;
+    failed;
+    cancelled;
+    rejected;
+    queue_depth = pending;
+    running;
     job_wall_ms = job_wall_ms ();
-    core;
     shm_fallbacks = 0;
     ckpt_saves;
     ckpt_skips;
     solver = Metrics.export_values ();
   }
 
-let run ?workers ?max_pending ?pin_core ?session_capacity ~session_dir ~shm ~slot ~restarts
-    ~fd () =
+let run ?workers ?max_pending ?session_capacity ~session_dir ~shm ~slot ~restarts ~fd () =
   (* the supervisor spawns workers from a thread that blocks SIGTERM,
      SIGINT and SIGHUP (its signal thread consumes them), and exec keeps
      a blocked mask: clear it before anything else, so no signal stays
@@ -178,19 +152,6 @@ let run ?workers ?max_pending ?pin_core ?session_capacity ~session_dir ~shm ~slo
      live if the registry records; recording is sharded per domain and
      contention-free, so a dedicated worker always pays it *)
   Metrics.set_enabled true;
-  let core =
-    match pin_core with
-    | None -> -1
-    | Some c -> (
-        match Affinity.pin_self c with
-        | Affinity.Pinned -> c mod Affinity.ncores ()
-        | Affinity.Failed ->
-            logf "rotary worker[%d]: sched_setaffinity(core %d) failed, running unpinned" slot c;
-            -1
-        | Affinity.Unsupported ->
-            logf "rotary worker[%d]: CPU pinning unsupported on this platform" slot;
-            -1)
-  in
   let started_ns = Int64.to_int (Timer.now_ns ()) in
   let requests = Atomic.make 0 and responses = Atomic.make 0 in
   Shm.write_worker shm ~slot
@@ -200,11 +161,10 @@ let run ?workers ?max_pending ?pin_core ?session_capacity ~session_dir ~shm ~slo
       state = Shm.W_starting;
       started_ns;
       heartbeat_ns = started_ns;
-      core;
     };
   let t = create ?workers ?max_pending ?session_capacity ~session_dir () in
   let publish () =
-    Shm.write_worker shm ~slot (worker_row ~started_ns ~requests ~responses ~core t)
+    Shm.write_worker shm ~slot (worker_row ~started_ns ~requests ~responses t)
   in
   let stopped = Atomic.make false in
   let heartbeat () =
@@ -234,8 +194,7 @@ let run ?workers ?max_pending ?pin_core ?session_capacity ~session_dir ~shm ~slo
     | Ok j -> Option.bind (Json.member "ctl" j) Json.to_string_opt
     | Error _ -> None
   in
-  logf "rotary worker[%d]: up (pid %d, restarts %d%s)" slot (Unix.getpid ()) restarts
-    (if core >= 0 then Printf.sprintf ", core %d" core else "");
+  logf "rotary worker[%d]: up (pid %d, restarts %d)" slot (Unix.getpid ()) restarts;
   (try
      let rec loop () =
        match input_line ic with
@@ -245,13 +204,13 @@ let run ?workers ?max_pending ?pin_core ?session_capacity ~session_dir ~shm ~slo
               match ctl_of line with
               | Some "drain" ->
                   logf "rotary worker[%d]: draining" slot;
-                  request_stop t;
+                  Atomic.set t.stop true;
                   publish ()
               | Some _ -> ()
               | None ->
                   Atomic.incr requests;
                   handle_line t ~respond line);
-           if stopping t then () else loop ()
+           if Atomic.get t.stop then () else loop ()
        | exception End_of_file -> ()
      in
      loop ()
@@ -260,6 +219,6 @@ let run ?workers ?max_pending ?pin_core ?session_capacity ~session_dir ~shm ~slo
   Atomic.set stopped true;
   Thread.join hb;
   Shm.write_worker shm ~slot
-    { (worker_row ~started_ns ~requests ~responses ~core t) with Shm.state = Shm.W_stopped };
+    { (worker_row ~started_ns ~requests ~responses t) with Shm.state = Shm.W_stopped };
   (try flush oc with Sys_error _ -> ());
   Unix._exit 0

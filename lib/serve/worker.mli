@@ -38,18 +38,18 @@ val sessions : t -> Session.t
 
 val handle_line : t -> respond:(Rc_util.Json.t -> unit) -> string -> unit
 (** Dispatch one request line.  [respond] is invoked exactly once per
-    line — synchronously for parse errors and synchronous ops, from a
-    waiter thread once the job finishes otherwise — so it must be
-    thread-safe. *)
+    line — synchronously for parse errors, synchronous ops and
+    rejected jobs, otherwise as the job's {!Scheduler} [on_done], on
+    the domain that ran it — so it must be safe to call from any
+    domain. *)
 
 val drain : t -> unit
-(** Stop admitting, wait for every job and in-flight response, shut the
-    scheduler down. *)
+(** Stop admitting, wait until every accepted job has run and its
+    response has been written, shut the scheduler down. *)
 
 val run :
   ?workers:int ->
   ?max_pending:int ->
-  ?pin_core:int ->
   ?session_capacity:int ->
   session_dir:string ->
   shm:Shm.t ->
@@ -64,7 +64,6 @@ val run :
     [session_capacity]/[session_dir] are {!create}'s; the escrow
     directory must be shared by all sibling workers (crash recovery
     rehydrates from it).  [slot] selects the shm row written and, with
-    [restarts], labels the log lines; [pin_core] pins the process via
-    {!Affinity.pin_self} (warns and continues if unsupported).  The
-    row's [ckpt_saves]/[ckpt_skips] are this process's
+    [restarts], labels the log lines.  The row's
+    [ckpt_saves]/[ckpt_skips] are this process's
     {!Checkpoint.save_counts}. *)

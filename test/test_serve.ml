@@ -154,71 +154,101 @@ let test_checkpoint_rejects_corruption () =
 
 let test_cancel_token () =
   let t = Cancel.create () in
-  Alcotest.(check bool) "fresh token not cancelled" false (Cancel.cancelled t);
+  Alcotest.(check (option string)) "no deadline never fires" None (Cancel.reason t);
   Cancel.check t;
-  Cancel.cancel t ~reason:"first";
-  Cancel.cancel t ~reason:"second";
-  Alcotest.(check (option string)) "first reason wins" (Some "first") (Cancel.reason t);
-  Alcotest.check_raises "check raises" (Cancel.Cancelled "first") (fun () -> Cancel.check t);
+  let f = Cancel.create ~deadline:(Rc_util.Timer.now_s () +. 60.0) () in
+  Alcotest.(check (option string)) "future deadline not yet" None (Cancel.reason f);
   let d = Cancel.create ~deadline:(Rc_util.Timer.now_s () -. 0.001) () in
-  Alcotest.(check bool) "past deadline trips without polling" true (Cancel.cancelled d)
+  Alcotest.(check (option string))
+    "past deadline trips without polling" (Some "deadline exceeded") (Cancel.reason d);
+  Alcotest.check_raises "check raises" (Cancel.Cancelled "deadline exceeded") (fun () ->
+      Cancel.check d)
 
 (* ---- scheduler --------------------------------------------------------- *)
 
-let await_done sched id =
-  match Scheduler.await sched id with
-  | None -> Alcotest.failf "job %d vanished" id
-  | Some (outcome, info) -> (outcome, info)
+let wait_for ?(timeout_s = 20.0) msg pred =
+  let deadline = Rc_util.Timer.now_s () +. timeout_s in
+  let rec go () =
+    if pred () then ()
+    else if Rc_util.Timer.now_s () > deadline then Alcotest.failf "timed out: %s" msg
+    else (
+      Unix.sleepf 0.01;
+      go ())
+  in
+  go ()
 
-let submit_ok sched ?priority ?deadline_s ?name work =
-  match Scheduler.submit sched ?priority ?deadline_s ?name work with
-  | Ok id -> id
+(* a job whose on_done fills a slot the test waits on *)
+let submit_ok sched ?priority ?deadline_s work =
+  let slot = Atomic.make None in
+  match
+    Scheduler.submit sched ?priority ?deadline_s
+      ~on_done:(fun f -> Atomic.set slot (Some f))
+      work
+  with
+  | Ok () -> slot
   | Error e -> Alcotest.failf "submit rejected: %s" e
+
+let await_finished slot =
+  wait_for "job finished" (fun () -> Atomic.get slot <> None);
+  Option.get (Atomic.get slot)
+
+let await_done slot = (await_finished slot).Scheduler.outcome
 
 let test_scheduler_runs_jobs () =
   let sched = Scheduler.create ~workers:2 () in
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown sched)
     (fun () ->
-      let ids =
+      let slots =
         List.init 6 (fun i -> submit_ok sched (fun _ -> Json.Int (i * i)))
       in
       List.iteri
-        (fun i id ->
-          match await_done sched id with
-          | Scheduler.Done (Json.Int v), _ ->
+        (fun i slot ->
+          let f = await_finished slot in
+          Alcotest.(check int) (Printf.sprintf "job %d id is its admission order" i) (i + 1)
+            f.Scheduler.id;
+          Alcotest.(check bool) (Printf.sprintf "job %d timings" i) true
+            (f.Scheduler.wait_s >= 0.0 && f.Scheduler.run_s >= 0.0);
+          match f.Scheduler.outcome with
+          | Scheduler.Done (Json.Int v) ->
               Alcotest.(check int) (Printf.sprintf "job %d result" i) (i * i) v
           | _ -> Alcotest.failf "job %d did not complete" i)
-        ids;
+        slots;
+      (* a job counts as finished once its on_done has returned *)
+      Scheduler.drain sched;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "completed" 6 c.Scheduler.completed;
-      Alcotest.(check int) "nothing pending" 0 c.Scheduler.pending)
+      Alcotest.(check int) "nothing pending" 0 c.Scheduler.pending;
+      Alcotest.(check int) "nothing running" 0 c.Scheduler.running)
 
 (* a long-running worker must not retain what its finished jobs
-   returned: once await has handed a result back, the scheduler drops
+   returned: once on_done has returned, the scheduler holds nothing of
    the job, so a result held only weakly is collected *)
-let test_scheduler_forgets_awaited_jobs () =
+let test_scheduler_keeps_no_finished_job () =
   let sched = Scheduler.create ~workers:1 () in
   let seen = Weak.create 1 in
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown sched)
     (fun () ->
-      let run_one () =
-        let id =
-          submit_ok sched (fun _ ->
-              let result = Json.String (String.make 10_000 'x') in
-              Weak.set seen 0 (Some result);
-              result)
-        in
-        match Scheduler.await sched id with
-        | Some (Scheduler.Done _, _) -> id
-        | _ -> Alcotest.fail "job did not complete"
-      in
-      let id = run_one () in
+      (* on_done keeps a flag, not the result, as submit_ok's slot would *)
+      let completed = Atomic.make false in
+      (match
+         Scheduler.submit sched
+           ~on_done:(fun f ->
+             Atomic.set completed
+               (match f.Scheduler.outcome with Scheduler.Done _ -> true | _ -> false))
+           (fun _ ->
+             let result = Json.String (String.make 10_000 'x') in
+             Weak.set seen 0 (Some result);
+             result)
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "submit rejected: %s" e);
+      (* drain returns once the job's on_done has returned *)
+      Scheduler.drain sched;
+      Alcotest.(check bool) "job completed" true (Atomic.get completed);
       Gc.full_major ();
-      Alcotest.(check bool) "result collected after await" false (Weak.check seen 0);
-      Alcotest.(check bool) "an awaited job is forgotten" true
-        (Scheduler.await sched id = None))
+      Alcotest.(check bool) "result collected after on_done" false (Weak.check seen 0))
 
 let test_scheduler_priority_order () =
   (* one worker: a blocker occupies it while low/high queue up; the
@@ -243,11 +273,9 @@ let test_scheduler_priority_order () =
       while not (Atomic.get started) do
         Thread.yield ()
       done;
-      let low = submit_ok sched ~priority:0 ~name:"low" (fun _ -> record "low"; Json.Null) in
-      let high =
-        submit_ok sched ~priority:5 ~name:"high" (fun _ -> record "high"; Json.Null)
-      in
-      List.iter (fun id -> ignore (await_done sched id)) [ blocker; low; high ];
+      let low = submit_ok sched ~priority:0 (fun _ -> record "low"; Json.Null) in
+      let high = submit_ok sched ~priority:5 (fun _ -> record "high"; Json.Null) in
+      List.iter (fun slot -> ignore (await_done slot)) [ blocker; low; high ];
       Alcotest.(check (list string))
         "high preempts low in the queue" [ "blocker"; "high"; "low" ]
         (List.rev !order))
@@ -262,42 +290,47 @@ let test_scheduler_deadline_expires_queued () =
         submit_ok sched ~deadline_s:0.02 (fun _ ->
             Alcotest.fail "expired job must never start")
       in
-      (match await_done sched doomed with
-      | Scheduler.Cancelled reason, _ ->
+      (match await_done doomed with
+      | Scheduler.Cancelled reason ->
           Alcotest.(check bool)
             (Printf.sprintf "reason mentions deadline: %S" reason)
             true (contains reason "deadline")
       | _ -> Alcotest.fail "expected Cancelled");
-      ignore (await_done sched blocker);
+      ignore (await_done blocker);
+      Scheduler.drain sched;
       let c = Scheduler.counts sched in
-      Alcotest.(check int) "one cancelled" 1 c.Scheduler.cancelled)
+      Alcotest.(check int) "one cancelled" 1 c.cancelled)
 
-let test_scheduler_cooperative_cancel_running () =
+(* a running job that polls its token ends Cancelled once its deadline
+   passes.  The deadline runs from submit, so on a host too loaded to
+   start the job within it the job expires in the queue instead; such
+   an attempt is retried *)
+let test_scheduler_running_deadline () =
   let sched = Scheduler.create ~workers:1 () in
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown sched)
     (fun () ->
-      let started = Atomic.make false in
-      let id =
-        submit_ok sched (fun token ->
-            Atomic.set started true;
-            (* a long job polling its token, like the flow guard does at
-               stage boundaries *)
-            for _ = 1 to 1000 do
-              Cancel.check token;
-              Unix.sleepf 0.005
-            done;
-            Json.Null)
+      let rec attempt k =
+        let started = Atomic.make false in
+        let slot =
+          submit_ok sched ~deadline_s:0.05 (fun token ->
+              Atomic.set started true;
+              (* a long job polling its token, like the flow guard does
+                 at stage boundaries *)
+              for _ = 1 to 1000 do
+                Cancel.check token;
+                Unix.sleepf 0.005
+              done;
+              Json.Null)
+        in
+        match await_done slot with
+        | Scheduler.Cancelled _ when (not (Atomic.get started)) && k > 1 -> attempt (k - 1)
+        | Scheduler.Cancelled reason ->
+            Alcotest.(check bool) "the job was running" true (Atomic.get started);
+            Alcotest.(check string) "reason names the deadline" "deadline exceeded" reason
+        | _ -> Alcotest.fail "expected Cancelled"
       in
-      while not (Atomic.get started) do
-        Thread.yield ()
-      done;
-      Alcotest.(check bool) "cancel accepted" true
-        (Scheduler.cancel sched id ~reason:"client gave up");
-      match await_done sched id with
-      | Scheduler.Cancelled reason, _ ->
-          Alcotest.(check string) "reason" "client gave up" reason
-      | _ -> Alcotest.fail "expected Cancelled")
+      attempt 5)
 
 let test_scheduler_failure_does_not_poison () =
   let sched = Scheduler.create ~workers:1 () in
@@ -305,8 +338,8 @@ let test_scheduler_failure_does_not_poison () =
     ~finally:(fun () -> Scheduler.shutdown sched)
     (fun () ->
       let bad = submit_ok sched (fun _ -> failwith "kaboom") in
-      (match await_done sched bad with
-      | Scheduler.Failed msg, _ ->
+      (match await_done bad with
+      | Scheduler.Failed msg ->
           Alcotest.(check bool)
             (Printf.sprintf "failure text kept: %S" msg)
             true
@@ -314,9 +347,33 @@ let test_scheduler_failure_does_not_poison () =
       | _ -> Alcotest.fail "expected Failed");
       (* the worker must survive and run later jobs normally *)
       let ok = submit_ok sched (fun _ -> Json.String "alive") in
-      match await_done sched ok with
-      | Scheduler.Done (Json.String s), _ -> Alcotest.(check string) "worker alive" "alive" s
+      match await_done ok with
+      | Scheduler.Done (Json.String s) -> Alcotest.(check string) "worker alive" "alive" s
       | _ -> Alcotest.fail "worker poisoned by earlier failure")
+
+(* an on_done that raises costs only its own response: the domain that
+   called it runs later jobs, and drain still returns *)
+let test_scheduler_on_done_raises () =
+  let sched = Scheduler.create ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.shutdown sched)
+    (fun () ->
+      (match
+         Scheduler.submit sched ~on_done:(fun _ -> failwith "on_done boom") (fun _ -> Json.Null)
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "submit rejected: %s" e);
+      let later = List.init 3 (fun i -> submit_ok sched (fun _ -> Json.Int i)) in
+      List.iteri
+        (fun i slot ->
+          match await_done slot with
+          | Scheduler.Done (Json.Int v) -> Alcotest.(check int) "later job result" i v
+          | _ -> Alcotest.failf "job %d after the raising on_done did not complete" i)
+        later;
+      Scheduler.drain sched;
+      let c = Scheduler.counts sched in
+      Alcotest.(check int) "all four completed" 4 c.Scheduler.completed;
+      Alcotest.(check int) "nothing running" 0 c.Scheduler.running)
 
 let test_scheduler_admission_control () =
   let sched = Scheduler.create ~workers:1 ~max_pending:1 () in
@@ -337,16 +394,17 @@ let test_scheduler_admission_control () =
         Thread.yield ()
       done;
       let queued = submit_ok sched (fun _ -> Json.Null) in
-      (match Scheduler.submit sched (fun _ -> Json.Null) with
+      (match Scheduler.submit sched ~on_done:ignore (fun _ -> Json.Null) with
       | Error reason ->
           Alcotest.(check bool)
             (Printf.sprintf "rejection carries a reason: %S" reason)
             true
             (String.length reason > 0)
-      | Ok _ -> Alcotest.fail "expected saturation rejection");
+      | Ok () -> Alcotest.fail "expected saturation rejection");
       Atomic.set gate true;
-      ignore (await_done sched blocker);
-      ignore (await_done sched queued);
+      ignore (await_done blocker);
+      ignore (await_done queued);
+      Scheduler.drain sched;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "rejected counted" 1 c.Scheduler.rejected;
       Alcotest.(check int) "completed" 2 c.Scheduler.completed)
@@ -444,6 +502,32 @@ let test_server_error_echoes_op () =
   Alcotest.(check bool) "status refused by a worker" true (field "ok" !got = Json.Bool false);
   Alcotest.(check bool) "status echoed" true (field "op" !got = Json.String "status");
   Worker.drain w
+
+(* a worker's drain returns only once every accepted request has been
+   answered: the responses are written by the domains that ran the
+   jobs, and each carries the scheduler's job timing *)
+let test_worker_drain_writes_every_response () =
+  let w = Worker.create ~workers:2 ~session_dir:(Filename.concat temp_dir "eco-drain") () in
+  let lock = Mutex.create () in
+  let responses = ref [] in
+  let n = 6 in
+  for i = 1 to n do
+    Worker.handle_line w
+      ~respond:(fun j -> Mutex.protect lock (fun () -> responses := j :: !responses))
+      (Printf.sprintf {|{"id":%d,"op":"flow","bench":"tiny"}|} i)
+  done;
+  Worker.drain w;
+  let responses = Mutex.protect lock (fun () -> !responses) in
+  Alcotest.(check int) "every response written before drain returned" n
+    (List.length responses);
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "flow ok" true (field "ok" j = Json.Bool true);
+      let job = field "job" (field "result" j) in
+      match (field "id" job, field "wait_s" job, field "run_s" job) with
+      | Json.Int _, Json.Float _, Json.Float _ -> ()
+      | _ -> Alcotest.failf "job stats malformed: %s" (Json.to_string job))
+    responses
 
 (* ---- ECO sessions ------------------------------------------------------ *)
 
@@ -674,7 +758,6 @@ let sample_worker_row =
     queue_depth = 10;
     running = 2;
     job_wall_ms = 1234;
-    core = 1;
     shm_fallbacks = 13;
     ckpt_saves = 14;
     ckpt_skips = 15;
@@ -872,7 +955,6 @@ let with_supervisor ?(workers = 2) ?(allow_restart = true) ?session_capacity nam
       allow_restart;
       handle_signals = false;
       exe = Some rotary_cli_exe;
-      pin_cores = false;
       session_dir = None;
       session_capacity;
     }
@@ -910,17 +992,6 @@ let attach_ok shm_path =
 
 let sum_restarts shm =
   Array.fold_left (fun acc r -> acc + r.Shm.control.Shm.c_restarts) 0 (Shm.read_all shm)
-
-let wait_for ?(timeout_s = 20.0) msg pred =
-  let deadline = Rc_util.Timer.now_s () +. timeout_s in
-  let rec go () =
-    if pred () then ()
-    else if Rc_util.Timer.now_s () > deadline then Alcotest.failf "timed out: %s" msg
-    else (
-      Unix.sleepf 0.01;
-      go ())
-  in
-  go ()
 
 let test_protocol_restart_op () =
   (match Protocol.parse_request {|{"id":1,"op":"restart"}|} with
@@ -979,6 +1050,49 @@ let test_server_socket_smoke () =
       close_in_noerr ic;
       wait_for "socket and shm removed after drain" (fun () ->
           not (Sys.file_exists sock || Sys.file_exists shm_path)))
+
+(* a client line past the 1 MiB bound is refused with an error envelope
+   and its connection closed, instead of growing the supervisor's
+   buffer; the front door keeps serving other connections *)
+let test_supervisor_oversized_line () =
+  with_supervisor ~workers:1 "bigline" (fun ~sock ~shm_path:_ ->
+      let fd = connect_unix sock in
+      let big = String.make (2 * 1024 * 1024) 'x' in
+      (* the supervisor stops reading at the bound, so this write may
+         fail once it closes the connection *)
+      let writer =
+        Thread.create
+          (fun () ->
+            try ignore (Unix.write_substring fd big 0 (String.length big))
+            with Unix.Unix_error _ -> ())
+          ()
+      in
+      (match Unix.select [ fd ] [] [] 10.0 with
+      | [], _, _ -> Alcotest.fail "no answer to a 2 MiB line within 10 s"
+      | _ -> ());
+      let ic = Unix.in_channel_of_descr fd in
+      let got = read_response ic in
+      Alcotest.(check bool) "id is null" true (field "id" got = Json.Null);
+      Alcotest.(check bool) "refused" true (field "ok" got = Json.Bool false);
+      (match field "error" got with
+      | Json.String e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error names the limit: %S" e)
+            true
+            (contains e (string_of_int Protocol.max_line_bytes))
+      | _ -> Alcotest.fail "no error text");
+      Alcotest.(check bool) "connection closed after the error" true
+        (match input_line ic with
+        | _ -> false
+        | exception (End_of_file | Sys_error _) -> true);
+      Thread.join writer;
+      close_in_noerr ic;
+      let fd = connect_unix sock in
+      let ic = Unix.in_channel_of_descr fd in
+      send_line fd {|{"id":1,"op":"status"}|};
+      Alcotest.(check bool) "status still answers" true
+        (field "ok" (read_response ic) = Json.Bool true);
+      close_in_noerr ic)
 
 (* The chaos drill: SIGKILL the worker running a flow mid-iteration; the
    supervisor must respawn the slot and resume or rerun the flow on a
@@ -1214,15 +1328,17 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "runs jobs to completion" `Quick test_scheduler_runs_jobs;
-          Alcotest.test_case "forgets a job once awaited" `Quick
-            test_scheduler_forgets_awaited_jobs;
+          Alcotest.test_case "keeps no finished job" `Quick
+            test_scheduler_keeps_no_finished_job;
           Alcotest.test_case "priority order" `Quick test_scheduler_priority_order;
           Alcotest.test_case "queued deadline expires" `Quick
             test_scheduler_deadline_expires_queued;
-          Alcotest.test_case "cooperative cancel of a running job" `Quick
-            test_scheduler_cooperative_cancel_running;
+          Alcotest.test_case "running deadline expires" `Quick
+            test_scheduler_running_deadline;
           Alcotest.test_case "failure does not poison workers" `Quick
             test_scheduler_failure_does_not_poison;
+          Alcotest.test_case "raising on_done is contained" `Quick
+            test_scheduler_on_done_raises;
           Alcotest.test_case "bounded admission" `Quick test_scheduler_admission_control;
         ] );
       ( "protocol",
@@ -1236,6 +1352,8 @@ let () =
           Alcotest.test_case "socket smoke" `Slow test_server_socket_smoke;
           Alcotest.test_case "error envelope echoes the op" `Quick
             test_server_error_echoes_op;
+          Alcotest.test_case "drain writes every response" `Quick
+            test_worker_drain_writes_every_response;
         ] );
       ( "session",
         [
@@ -1263,5 +1381,7 @@ let () =
             test_supervisor_session_crash;
           Alcotest.test_case "idle supervisor exits on SIGTERM" `Slow
             test_supervisor_sigterm_idle;
+          Alcotest.test_case "oversized client line is refused" `Slow
+            test_supervisor_oversized_line;
         ] );
     ]
