@@ -10,7 +10,7 @@
    with Rc_util.Json.
 
    Connection engine: a single thread drives every connection through
-   poll(2) (Rc_serve.Evloop) — nonblocking connects, per-connection
+   poll(2) (evloop.ml) — nonblocking connects, per-connection
    write/read buffers — so thousands of connections (--conns 2048)
    cost one thread and no per-connection stacks, instead of the old
    thread-per-connection model that fell over around the default
@@ -49,7 +49,6 @@
 
 module Json = Rc_util.Json
 module Timer = Rc_util.Timer
-module Evloop = Rc_serve.Evloop
 
 let socket_path = ref ""
 let tcp_spec = ref ""

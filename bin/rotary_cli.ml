@@ -70,8 +70,7 @@ let run_flow jobs bench mode trace metrics no_incremental checkpoint_every check
         | None -> (Flow.run ~plan cfg, [])
         | Some every ->
             let name =
-              Printf.sprintf "%s-%s" bench.Bench_suite.bname
-                (match mode with Flow.Netflow -> "netflow" | Flow.Ilp -> "ilp")
+              Printf.sprintf "%s-%s" bench.Bench_suite.bname (Rc_serve.Checkpoint.mode_name mode)
             in
             Rc_serve.Checkpoint.run_with_checkpoints ~every ~dir:checkpoint_dir ~name cfg)
   in
@@ -387,7 +386,7 @@ let import_cmd =
     Arg.(value & opt int 4 & info [ "grid" ] ~docv:"N" ~doc:"Rotary ring array is N x N")
   in
   let pitch =
-    Arg.(value & opt float 600.0 & info [ "pitch" ] ~docv:"UM" ~doc:"Ring tile pitch, um")
+    Arg.(value & opt float Bench_suite.ring_pitch & info [ "pitch" ] ~docv:"UM" ~doc:"Ring tile pitch, um")
   in
   Cmd.v
     (Cmd.info "import" ~doc:"Run the flow on an ISCAS89 .bench netlist")

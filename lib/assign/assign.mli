@@ -21,10 +21,6 @@ type t = {
   max_load : float;  (** Max over [loads], fF. *)
 }
 
-val load_of_tap : Rc_tech.Tech.t -> Rc_rotary.Tapping.tap -> float
-(** [C_p^{ij}]: stub wire capacitance plus the flip-flop input
-    capacitance, fF. *)
-
 type pool
 (** All (flip-flop, candidate-ring) Eq. 1 solves of one assignment call
     in structure-of-arrays form: tap positions, arcs, costs, ring ids

@@ -101,9 +101,6 @@ val plan_of_config : config -> plan
     [detail_passes] picks the placement/replacement pair, [mode] the
     assignment engine, [use_weighted_skew] the stage-4 objective. *)
 
-val stages_of_plan : plan -> Flow_stage.t list
-(** The six stage values in flow order. *)
-
 val describe_plan : plan -> string list
 (** One line per stage: name, variant, declared inputs/outputs. *)
 
@@ -120,7 +117,7 @@ val run :
 
     [guard] runs before every stage execution and may raise to abort
     the run — the cooperative cancellation point used by the serve
-    scheduler for deadlines and client cancels.  [on_iteration] runs at
+    scheduler for job deadlines.  [on_iteration] runs at
     every iteration boundary (after the prologue, and after each
     completed stage 4-6 iteration) with a consistent context — the
     checkpoint hook (see [Rc_serve.Checkpoint]).

@@ -18,7 +18,6 @@ type t = {
   assign : Rc_assign.Assign.cache;
   epsilon : float;  (* movement threshold for the dirty set, um *)
   mutable dirty_cells : int;  (* cells moved > epsilon in the last stage-6 pass *)
-  mutable max_displacement : float;  (* largest move of that pass, um *)
 }
 
 let create ?(epsilon = 0.0) () =
@@ -27,7 +26,6 @@ let create ?(epsilon = 0.0) () =
     assign = Rc_assign.Assign.make_cache ();
     epsilon;
     dirty_cells = 0;
-    max_displacement = 0.0;
   }
 
 let sta_session t tech netlist =
@@ -47,8 +45,7 @@ let assign_cache t = t.assign
 let reset t =
   t.sta <- None;
   Rc_assign.Assign.cache_reset t.assign;
-  t.dirty_cells <- 0;
-  t.max_displacement <- 0.0
+  t.dirty_cells <- 0
 
 (* Stage 6 reports its displacement vector here: the dirty set of the
    iteration is every cell that moved more than epsilon. The counts and
@@ -67,7 +64,6 @@ let note_displacement t ~prev ~next =
     end
   done;
   t.dirty_cells <- !dirty;
-  t.max_displacement <- !max_d;
   if Rc_obs.Metrics.enabled () then begin
     Rc_obs.Metrics.add m_dirty_cells !dirty;
     Rc_obs.Metrics.observe m_moved (int_of_float (Float.round !max_d));
@@ -75,4 +71,3 @@ let note_displacement t ~prev ~next =
   end
 
 let dirty_cells t = t.dirty_cells
-let max_displacement t = t.max_displacement

@@ -33,11 +33,8 @@ val reset : t -> unit
     rebuilds the rings — so stale sessions can never be consulted. *)
 
 val note_displacement : t -> prev:Rc_geom.Point.t array -> next:Rc_geom.Point.t array -> unit
-(** Record stage 6's displacement vector: updates {!dirty_cells} /
-    {!max_displacement} and the [flow.dirty.*] metrics. *)
+(** Record stage 6's displacement vector: updates {!dirty_cells} and
+    the [flow.dirty.*] metrics. *)
 
 val dirty_cells : t -> int
 (** Cells that moved more than epsilon in the last reported pass. *)
-
-val max_displacement : t -> float
-(** Largest single-cell move of the last reported pass, um. *)

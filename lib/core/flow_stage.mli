@@ -35,7 +35,7 @@ val exec : t -> Flow_ctx.t -> Flow_ctx.t
 val run_sequence : ?guard:(Flow_ctx.t -> unit) -> t list -> Flow_ctx.t -> Flow_ctx.t
 (** [exec] each stage in order.  [guard] runs before every stage
     execution; raising from it aborts the run — the flow's cooperative
-    cancellation point (deadlines, client cancels). *)
+    cancellation point (job deadlines). *)
 
 val run_loop :
   ?guard:(Flow_ctx.t -> unit) ->

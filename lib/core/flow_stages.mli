@@ -6,12 +6,6 @@
 
 (** {2 Stage 1: initial placement} *)
 
-val placement_global : Flow_stage.t
-(** Quadratic global placement only (the paper's flow). *)
-
-val placement_detailed : Flow_stage.t
-(** Global placement + [detail_passes] detailed-refinement passes. *)
-
 val placement_of : Flow_ctx.config -> Flow_stage.t
 
 (** {2 Stage 2: max-slack skew scheduling} *)
@@ -21,13 +15,6 @@ val max_slack_scheduling : Flow_stage.t
     @raise Failure when infeasible. *)
 
 (** {2 Stage 3: flip-flop-to-ring assignment} *)
-
-val assignment_netflow : Flow_stage.t
-(** Min-cost network flow under ring capacities (Sec. V). *)
-
-val assignment_ilp : Flow_stage.t
-(** Min-max ring load ILP via LP relaxation + greedy rounding (Sec. VI);
-    also records [ilp_stats]. *)
 
 val assignment_of : Flow_ctx.mode -> Flow_stage.t
 

@@ -30,11 +30,10 @@ type event = {
          registry, so deltas are approximate there *)
 }
 
-type t = { rev_events : event list; n : int }
+type t = { rev_events : event list }
 
-let empty = { rev_events = []; n = 0 }
-let record t event = { rev_events = event :: t.rev_events; n = t.n + 1 }
-let length t = t.n
+let empty = { rev_events = [] }
+let record t event = { rev_events = event :: t.rev_events }
 let events t = List.rev t.rev_events
 
 let total_wall ?category t =
@@ -44,21 +43,6 @@ let total_wall ?category t =
       | Some c when c <> e.category -> acc
       | _ -> acc +. e.wall_s)
     0.0 t.rev_events
-
-let events_of_arm t arm = List.filter (fun e -> e.arm = arm) (events t)
-
-let arms t =
-  (* distinct arm tags, in first-appearance order *)
-  List.rev
-    (List.fold_left
-       (fun acc e -> if List.mem e.arm acc then acc else e.arm :: acc)
-       [] (events t))
-
-let iterations t =
-  List.sort_uniq compare (List.map (fun e -> e.iteration) (events t))
-
-let stages_of_iteration t i =
-  List.filter (fun e -> e.iteration = i) (events t)
 
 let stage_names t =
   (* distinct canonical names, in first-appearance order *)

@@ -33,25 +33,11 @@ type t
 
 val empty : t
 val record : t -> event -> t
-val length : t -> int
-
 val events : t -> event list
 (** Chronological. *)
 
 val total_wall : ?category:category -> t -> float
 (** Sum of wall times, optionally restricted to one category. *)
-
-val events_of_arm : t -> string -> event list
-(** Chronological events carrying one arm tag. *)
-
-val arms : t -> string list
-(** Distinct arm tags, in first-appearance order. *)
-
-val iterations : t -> int list
-(** Distinct iteration numbers, ascending. *)
-
-val stages_of_iteration : t -> int -> event list
-(** Chronological events of one iteration. *)
 
 val stage_names : t -> string list
 (** Distinct canonical stage names, in first-appearance order. *)

@@ -32,8 +32,5 @@ val build : ?timings:bool -> circuit_report list -> Rc_obs.Report.doc
     wall-clock columns and timer metrics — pass [false] for
     reproducible output (golden tests, cross-job comparisons). *)
 
-val schema_version : int
-(** Version stamp of the JSON rendering (see [docs/metrics.md]). *)
-
 val json_of : Rc_obs.Report.doc -> Rc_util.Json.t
 (** {!Rc_obs.Report.to_json} plus the [schema_version] field. *)

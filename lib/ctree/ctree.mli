@@ -31,9 +31,6 @@ val sink_delays : t -> float array
 (** Elmore delay from root to each sink (in input order) — all equal up
     to numerical tolerance, by construction. *)
 
-val sink_path_lengths : t -> float array
-(** Routed path length from root to each sink (in input order). *)
-
 val sink_delays_perturbed : t -> edge_factor:(float -> float) -> float array
 (** Root-to-sink Elmore delays where every tree edge's delay is scaled
     by [edge_factor wirelength] (called once per edge, in a fixed

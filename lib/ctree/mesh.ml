@@ -6,8 +6,6 @@ let create ~chip ~grid =
   if grid < 1 then invalid_arg "Mesh.create: grid < 1";
   { chip; grid }
 
-let grid t = t.grid
-
 let mesh_wirelength t =
   let lines = float_of_int (t.grid + 1) in
   (lines *. Rect.width t.chip) +. (lines *. Rect.height t.chip)

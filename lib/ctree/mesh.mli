@@ -11,11 +11,6 @@ val create : chip:Rc_geom.Rect.t -> grid:int -> t
 (** A mesh of [grid+1] horizontal and [grid+1] vertical wires across the
     die. @raise Invalid_argument if [grid < 1]. *)
 
-val grid : t -> int
-
-val mesh_wirelength : t -> float
-(** Total grid wire, µm. *)
-
 val stub_length : t -> Rc_geom.Point.t -> float
 (** Manhattan distance from a point to the nearest mesh wire. *)
 

@@ -3,14 +3,7 @@ type t = { x : float; y : float }
 let make x y = { x; y }
 let zero = { x = 0.0; y = 0.0 }
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
-let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
 let scale k p = { x = k *. p.x; y = k *. p.y }
-let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }
 let manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)
 
-let euclidean a b =
-  let dx = a.x -. b.x and dy = a.y -. b.y in
-  sqrt ((dx *. dx) +. (dy *. dy))
-
 let equal ?eps a b = Rc_util.Approx.equal ?eps a.x b.x && Rc_util.Approx.equal ?eps a.y b.y
-let pp fmt p = Format.fprintf fmt "(%g, %g)" p.x p.y

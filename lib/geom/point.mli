@@ -12,23 +12,11 @@ val zero : t
 val add : t -> t -> t
 (** Componentwise sum. *)
 
-val sub : t -> t -> t
-(** Componentwise difference. *)
-
 val scale : float -> t -> t
 (** [scale k p] multiplies both coordinates by [k]. *)
-
-val midpoint : t -> t -> t
-(** The Euclidean midpoint. *)
 
 val manhattan : t -> t -> float
 (** L1 distance — the routing-wire length between two points. *)
 
-val euclidean : t -> t -> float
-(** L2 distance. *)
-
 val equal : ?eps:float -> t -> t -> bool
 (** Componentwise tolerant equality. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [(x, y)]. *)

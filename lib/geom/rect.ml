@@ -20,7 +20,6 @@ let of_points = function
 
 let width r = r.xmax -. r.xmin
 let height r = r.ymax -. r.ymin
-let area r = width r *. height r
 let half_perimeter r = width r +. height r
 let center r = Point.make ((r.xmin +. r.xmax) /. 2.0) ((r.ymin +. r.ymax) /. 2.0)
 
@@ -30,17 +29,7 @@ let contains r (p : Point.t) =
 let expand r m =
   { xmin = r.xmin -. m; ymin = r.ymin -. m; xmax = r.xmax +. m; ymax = r.ymax +. m }
 
-let intersect a b =
-  let xmin = Float.max a.xmin b.xmin
-  and ymin = Float.max a.ymin b.ymin
-  and xmax = Float.min a.xmax b.xmax
-  and ymax = Float.min a.ymax b.ymax in
-  if xmax >= xmin && ymax >= ymin then Some { xmin; ymin; xmax; ymax } else None
-
 let clamp_point r (p : Point.t) =
   Point.make
     (Rc_util.Approx.clamp ~lo:r.xmin ~hi:r.xmax p.x)
     (Rc_util.Approx.clamp ~lo:r.ymin ~hi:r.ymax p.y)
-
-let pp fmt r =
-  Format.fprintf fmt "[%g,%g]x[%g,%g]" r.xmin r.xmax r.ymin r.ymax

@@ -13,9 +13,6 @@ val of_points : Point.t list -> t
 val width : t -> float
 val height : t -> float
 
-val area : t -> float
-(** [width * height]. *)
-
 val half_perimeter : t -> float
 (** [width + height] — the HPWL contribution of a net with this
     bounding box. *)
@@ -30,10 +27,5 @@ val expand : t -> float -> t
     negative [m]; sides may cross for large negative margins — callers
     should only shrink by less than half the extent). *)
 
-val intersect : t -> t -> t option
-(** Intersection rectangle if non-empty overlap (boundary touch counts). *)
-
 val clamp_point : t -> Point.t -> Point.t
 (** Nearest point of the rectangle to the argument. *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,5 +29,3 @@ let param_of_point s (p : Point.t) =
 let manhattan_to_point s p =
   let q = point_at s (param_of_point s p) in
   Point.manhattan q p
-
-let pp fmt s = Format.fprintf fmt "%a->%a" Point.pp s.a Point.pp s.b

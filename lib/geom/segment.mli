@@ -24,5 +24,3 @@ val manhattan_to_point : t -> Point.t -> float
     given point. *)
 
 val is_horizontal : t -> bool
-
-val pp : Format.formatter -> t -> unit

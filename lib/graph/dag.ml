@@ -16,29 +16,3 @@ let topological_order g =
       (Digraph.out_edges g u)
   done;
   if !k = n then Some order else None
-
-let is_acyclic g = Option.is_some (topological_order g)
-
-let propagate g ~sources ~init ~better =
-  match topological_order g with
-  | None -> invalid_arg "Dag: graph is cyclic"
-  | Some order ->
-      let n = Digraph.n_vertices g in
-      let dist = Array.make n init in
-      List.iter (fun s -> dist.(s) <- 0.0) sources;
-      Array.iter
-        (fun u ->
-          if dist.(u) <> init then
-            List.iter
-              (fun (e : Digraph.edge) ->
-                let d = dist.(u) +. e.weight in
-                if better d dist.(e.dst) then dist.(e.dst) <- d)
-              (Digraph.out_edges g u))
-        order;
-      dist
-
-let longest_from g ~sources =
-  propagate g ~sources ~init:neg_infinity ~better:(fun a b -> a > b)
-
-let shortest_from g ~sources =
-  propagate g ~sources ~init:infinity ~better:(fun a b -> a < b)

@@ -1,16 +1,4 @@
-(** DAG algorithms for static timing analysis: topological order and
-    longest/shortest path propagation from a set of launch vertices. *)
+(** Topological order of a DAG, for static timing analysis. *)
 
 val topological_order : Digraph.t -> int array option
 (** Kahn's algorithm; [None] if the graph has a directed cycle. *)
-
-val is_acyclic : Digraph.t -> bool
-
-val longest_from : Digraph.t -> sources:int list -> float array
-(** Maximum path weight from any source to each vertex ([neg_infinity]
-    when unreachable). @raise Invalid_argument on cyclic input. *)
-
-val shortest_from : Digraph.t -> sources:int list -> float array
-(** Minimum path weight from any source ([infinity] when unreachable).
-    Weights may be negative — the graph must be acyclic.
-    @raise Invalid_argument on cyclic input. *)

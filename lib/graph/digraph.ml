@@ -24,19 +24,10 @@ let out_edges g v =
   check g v "out_edges";
   List.rev g.adj.(v)
 
-let iter_out g v f =
-  check g v "iter_out";
-  List.iter f g.adj.(v)
-
 let iter_edges g f =
   for v = 0 to g.n - 1 do
     List.iter f (List.rev g.adj.(v))
   done
-
-let fold_edges g ~init ~f =
-  let acc = ref init in
-  iter_edges g (fun e -> acc := f !acc e);
-  !acc
 
 let in_degree g =
   let deg = Array.make g.n 0 in
@@ -71,7 +62,7 @@ let freeze_edges ~n ~src ~dst ~weight =
   ({ ptr; heads; weights }, slot)
 
 (* iter_edges runs each vertex's edges in insertion order, so freezing
-   them as edges 0, 1, ... keeps iter_out order *)
+   them as edges 0, 1, ... puts each vertex's last-added edge first *)
 let freeze g =
   let src = Array.make g.m 0 and dst = Array.make g.m 0 and weight = Array.make g.m 0.0 in
   let e = ref 0 in

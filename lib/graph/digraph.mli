@@ -24,15 +24,6 @@ val add_edge : ?tag:int -> t -> int -> int -> float -> unit
 val out_edges : t -> int -> edge list
 (** Outgoing edges of a vertex, in insertion order. *)
 
-val iter_out : t -> int -> (edge -> unit) -> unit
-(** Iterate a vertex's outgoing edges without allocating, in reverse
-    insertion order (the order {!freeze} keeps). *)
-
-val iter_edges : t -> (edge -> unit) -> unit
-(** Iterate over every edge once. *)
-
-val fold_edges : t -> init:'a -> f:('a -> edge -> 'a) -> 'a
-
 val in_degree : t -> int array
 (** In-degree of every vertex (computed fresh on each call). *)
 
@@ -40,8 +31,8 @@ val in_degree : t -> int array
 
     A compressed, array-backed copy of a graph for the solvers that walk
     it many times (the SPFA of {!Shortest_path}): vertex [v]'s out-edges
-    occupy slots [ptr.(v)] to [ptr.(v + 1) - 1], in {!iter_out} order
-    (last added first), with head [heads.(k)] and weight [weights.(k)].
+    occupy slots [ptr.(v)] to [ptr.(v + 1) - 1], last added first, with
+    head [heads.(k)] and weight [weights.(k)].
     The weights may be rewritten in place between solves — how the
     binary searches of skew scheduling re-weight one frozen graph per
     probe instead of rebuilding it. *)

@@ -62,10 +62,6 @@ let pop_min h =
     match v with Some v -> Some (k, v) | None -> assert false
   end
 
-let peek_min h =
-  if h.n = 0 then None
-  else match h.vals.(0) with Some v -> Some (h.keys.(0), v) | None -> assert false
-
 let clear h =
   Array.fill h.vals 0 h.n None;
   h.n <- 0

@@ -16,7 +16,4 @@ val push : 'a t -> float -> 'a -> unit
 val pop_min : 'a t -> (float * 'a) option
 (** Remove and return the minimum-key entry, or [None] when empty. *)
 
-val peek_min : 'a t -> (float * 'a) option
-(** The minimum-key entry without removing it. *)
-
 val clear : 'a t -> unit

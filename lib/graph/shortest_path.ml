@@ -1,36 +1,5 @@
 type result = { dist : float array; pred : int array }
 
-let dijkstra_multi g ~sources =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n infinity and pred = Array.make n (-1) in
-  let heap = Heap.create () in
-  List.iter
-    (fun s ->
-      dist.(s) <- 0.0;
-      Heap.push heap 0.0 s)
-    sources;
-  let rec loop () =
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (d, u) ->
-        if d <= dist.(u) then
-          List.iter
-            (fun (e : Digraph.edge) ->
-              if e.weight < 0.0 then invalid_arg "Shortest_path.dijkstra: negative weight";
-              let nd = d +. e.weight in
-              if nd < dist.(e.dst) then begin
-                dist.(e.dst) <- nd;
-                pred.(e.dst) <- u;
-                Heap.push heap nd e.dst
-              end)
-            (Digraph.out_edges g u);
-        loop ()
-  in
-  loop ();
-  { dist; pred }
-
-let dijkstra g ~source = dijkstra_multi g ~sources:[ source ]
-
 let extract_cycle pred start n =
   (* Walk predecessors with visit stamps; the first revisited vertex
      closes the cycle. Falls back to the start vertex alone if the
@@ -148,18 +117,9 @@ let spfa (g : Digraph.frozen) ~sources =
   if !cycle_at >= 0 then Either.Right (extract_cycle pred !cycle_at n)
   else Either.Left { dist; pred }
 
-let bellman_ford g ~sources = spfa (Digraph.freeze g) ~sources
-
 let potentials (g : Digraph.frozen) =
   match spfa g ~sources:(List.init (Array.length g.Digraph.ptr - 1) Fun.id) with
   | Either.Left { dist; _ } -> Some dist
   | Either.Right _ -> None
 
 let feasible_potentials g = potentials (Digraph.freeze g)
-
-let path_to r v =
-  if v < 0 || v >= Array.length r.dist || r.dist.(v) = infinity then None
-  else begin
-    let rec build acc u = if u = -1 then acc else build (u :: acc) r.pred.(u) in
-    Some (build [] v)
-  end

@@ -11,9 +11,6 @@ type limits = {
   max_seconds : float;  (** Wall-clock budget. *)
 }
 
-val default_limits : limits
-(** 200_000 nodes / 60 s. *)
-
 type status =
   | Proven_optimal
   | Feasible  (** Search truncated with an incumbent in hand. *)

@@ -3,8 +3,7 @@ type sense = Le | Ge | Eq
 type var = {
   mutable lo : float;
   mutable hi : float;
-  mutable obj : float;
-  name : string option;
+  obj : float;
 }
 
 type row = { coeffs : (int * float) list; sense : sense; rhs : float }
@@ -18,7 +17,7 @@ type t = {
 
 let create () =
   {
-    vars = Array.init 8 (fun _ -> { lo = neg_infinity; hi = infinity; obj = 0.0; name = None });
+    vars = Array.init 8 (fun _ -> { lo = neg_infinity; hi = infinity; obj = 0.0 });
     nv = 0;
     rows = Array.make 8 { coeffs = []; sense = Eq; rhs = 0.0 };
     nr = 0;
@@ -29,32 +28,20 @@ let ensure_var_capacity t =
     let bigger =
       Array.init (2 * t.nv) (fun i ->
           if i < t.nv then t.vars.(i)
-          else { lo = neg_infinity; hi = infinity; obj = 0.0; name = None })
+          else { lo = neg_infinity; hi = infinity; obj = 0.0 })
     in
     t.vars <- bigger
   end
 
-let add_var ?(lo = neg_infinity) ?(hi = infinity) ?(obj = 0.0) ?name t =
+let add_var ?(lo = neg_infinity) ?(hi = infinity) ?(obj = 0.0) t =
   if lo > hi then invalid_arg "Problem.add_var: lo > hi";
   ensure_var_capacity t;
-  t.vars.(t.nv) <- { lo; hi; obj; name };
+  t.vars.(t.nv) <- { lo; hi; obj };
   t.nv <- t.nv + 1;
   t.nv - 1
 
-let add_vars ?lo ?hi ?obj t k =
-  if k <= 0 then invalid_arg "Problem.add_vars: k <= 0";
-  let first = add_var ?lo ?hi ?obj t in
-  for _ = 2 to k do
-    ignore (add_var ?lo ?hi ?obj t)
-  done;
-  first
-
 let check_var t j name =
   if j < 0 || j >= t.nv then invalid_arg ("Problem." ^ name ^ ": var out of range")
-
-let set_obj t j v =
-  check_var t j "set_obj";
-  t.vars.(j).obj <- v
 
 let set_bounds t j ~lo ~hi =
   check_var t j "set_bounds";
@@ -99,15 +86,6 @@ let var_hi t j =
 let var_obj t j =
   check_var t j "var_obj";
   t.vars.(j).obj
-
-let var_name t j =
-  check_var t j "var_name";
-  t.vars.(j).name
-
-let row t i =
-  if i < 0 || i >= t.nr then invalid_arg "Problem.row: out of range";
-  let r = t.rows.(i) in
-  (r.coeffs, r.sense, r.rhs)
 
 let iter_rows t f =
   for i = 0 to t.nr - 1 do

@@ -11,17 +11,10 @@ type t
 
 val create : unit -> t
 
-val add_var : ?lo:float -> ?hi:float -> ?obj:float -> ?name:string -> t -> int
+val add_var : ?lo:float -> ?hi:float -> ?obj:float -> t -> int
 (** Add a variable and return its index. [lo] defaults to
     [neg_infinity], [hi] to [infinity], [obj] to 0.
     @raise Invalid_argument if [lo > hi]. *)
-
-val add_vars : ?lo:float -> ?hi:float -> ?obj:float -> t -> int -> int
-(** [add_vars t k] adds [k] identical variables, returning the index of
-    the first (indices are contiguous). *)
-
-val set_obj : t -> int -> float -> unit
-(** Overwrite a variable's objective coefficient. *)
 
 val set_bounds : t -> int -> lo:float -> hi:float -> unit
 
@@ -37,9 +30,7 @@ val n_rows : t -> int
 val var_lo : t -> int -> float
 val var_hi : t -> int -> float
 val var_obj : t -> int -> float
-val var_name : t -> int -> string option
-
-val row : t -> int -> (int * float) list * sense * float
-(** The stored (deduplicated) form of a row. *)
 
 val iter_rows : t -> (int -> (int * float) list -> sense -> float -> unit) -> unit
+(** Every row in index order, in its stored form: duplicate variable
+    mentions summed, zero coefficients dropped, sorted by variable. *)

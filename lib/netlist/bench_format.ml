@@ -157,36 +157,3 @@ let read_file ~chip path =
   let text = really_input_string ic len in
   close_in ic;
   of_string ~name:(Filename.remove_extension (Filename.basename path)) ~chip text
-
-let to_string netlist =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b (Printf.sprintf "# %s\n" (Netlist.name netlist));
-  let sig_of c = Printf.sprintf "G%d" c in
-  let n = Netlist.n_cells netlist in
-  for c = 0 to n - 1 do
-    if Netlist.kind netlist c = Netlist.Input_pad then
-      Buffer.add_string b (Printf.sprintf "INPUT(%s)\n" (sig_of c))
-  done;
-  for c = 0 to n - 1 do
-    if Netlist.kind netlist c = Netlist.Output_pad then begin
-      match Netlist.fanin_nets netlist c with
-      | ni :: _ -> Buffer.add_string b
-          (Printf.sprintf "OUTPUT(%s)\n" (sig_of (Netlist.net netlist ni).Netlist.driver))
-      | [] -> ()
-    end
-  done;
-  for c = 0 to n - 1 do
-    let fanins =
-      List.map (fun ni -> sig_of (Netlist.net netlist ni).Netlist.driver)
-        (List.rev (Netlist.fanin_nets netlist c))
-    in
-    match Netlist.kind netlist c with
-    | Netlist.Logic when fanins <> [] ->
-        Buffer.add_string b
-          (Printf.sprintf "%s = AND(%s)\n" (sig_of c) (String.concat ", " fanins))
-    | Netlist.Flipflop when fanins <> [] ->
-        Buffer.add_string b
-          (Printf.sprintf "%s = DFF(%s)\n" (sig_of c) (String.concat ", " fanins))
-    | _ -> ()
-  done;
-  Buffer.contents b

@@ -24,8 +24,3 @@ val of_string :
 
 val read_file : chip:Rc_geom.Rect.t -> string -> (Netlist.t, string) result
 (** Parse a file; the circuit name defaults to the file's basename. *)
-
-val to_string : Netlist.t -> string
-(** Render a netlist back to .bench (logic cells as generic [AND];
-    pad positions are not representable and are dropped). Mainly for
-    interchange tests. *)

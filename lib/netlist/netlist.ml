@@ -11,7 +11,6 @@ type t = {
   pad_pos : (int, Rc_geom.Point.t) Hashtbl.t;
   ffs : int array;
   logic : int array;
-  pad_ids : int array;
 }
 
 let make ~name ~kinds ~nets ~pad_positions =
@@ -63,7 +62,6 @@ let make ~name ~kinds ~nets ~pad_positions =
     pad_pos;
     ffs = collect (fun k -> k = Flipflop);
     logic = collect (fun k -> k = Logic);
-    pad_ids;
   }
 
 let name t = t.name
@@ -77,7 +75,6 @@ let kind t c =
 let is_ff t c = kind t c = Flipflop
 let flip_flops t = Array.copy t.ffs
 let logic_cells t = Array.copy t.logic
-let pads t = Array.copy t.pad_ids
 let n_ffs t = Array.length t.ffs
 
 let net t ni =

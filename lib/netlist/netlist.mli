@@ -32,8 +32,6 @@ val flip_flops : t -> int array
 (** Ids of all flip-flops, ascending. *)
 
 val logic_cells : t -> int array
-val pads : t -> int array
-
 val n_ffs : t -> int
 
 val net : t -> int -> net

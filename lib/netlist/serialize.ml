@@ -29,97 +29,6 @@ let write_file ~path ~chip netlist =
   output_string oc (to_string ~chip netlist);
   close_out oc
 
-type parse_state = {
-  mutable name : string option;
-  mutable chip : Rc_geom.Rect.t option;
-  mutable kinds : (int * Netlist.kind) list;
-  mutable pads : (int * Rc_geom.Point.t) list;
-  mutable nets : Netlist.net list;
-}
-
-let of_string text =
-  let st = { name = None; chip = None; kinds = []; pads = []; nets = [] } in
-  let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-  let exception Fail of string in
-  try
-    String.split_on_char '\n' text
-    |> List.iteri (fun idx line ->
-           let lineno = idx + 1 in
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then ()
-           else
-             let fields =
-               String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-             in
-             let fail msg = raise (Fail (Printf.sprintf "line %d: %s" lineno msg)) in
-             let int_of s =
-               match int_of_string_opt s with Some v -> v | None -> fail ("bad integer " ^ s)
-             in
-             let float_of s =
-               match float_of_string_opt s with Some v -> v | None -> fail ("bad number " ^ s)
-             in
-             match fields with
-             | [ "circuit"; n ] -> st.name <- Some n
-             | [ "chip"; a; b; c; d ] ->
-                 st.chip <-
-                   Some
-                     (Rc_geom.Rect.make ~xmin:(float_of a) ~ymin:(float_of b) ~xmax:(float_of c)
-                        ~ymax:(float_of d))
-             | [ "cell"; id; "logic" ] -> st.kinds <- (int_of id, Netlist.Logic) :: st.kinds
-             | [ "cell"; id; "ff" ] -> st.kinds <- (int_of id, Netlist.Flipflop) :: st.kinds
-             | [ "pad"; id; dir; x; y ] ->
-                 let kind =
-                   match dir with
-                   | "in" -> Netlist.Input_pad
-                   | "out" -> Netlist.Output_pad
-                   | _ -> fail ("bad pad direction " ^ dir)
-                 in
-                 let id = int_of id in
-                 st.kinds <- (id, kind) :: st.kinds;
-                 st.pads <- (id, Rc_geom.Point.make (float_of x) (float_of y)) :: st.pads
-             | "net" :: driver :: (_ :: _ as sinks) ->
-                 st.nets <-
-                   {
-                     Netlist.driver = int_of driver;
-                     sinks = Array.of_list (List.map int_of sinks);
-                   }
-                   :: st.nets
-             | directive :: _ -> fail ("unknown or malformed directive " ^ directive)
-             | [] -> ());
-    match (st.name, st.chip) with
-    | None, _ -> err 0 "missing circuit directive"
-    | _, None -> err 0 "missing chip directive"
-    | Some name, Some chip ->
-        let n =
-          List.fold_left (fun acc (id, _) -> max acc (id + 1)) 0 st.kinds
-        in
-        if List.length st.kinds <> n then Error "cell ids are not contiguous from 0"
-        else begin
-          let kinds = Array.make n Netlist.Logic in
-          let seen = Array.make n false in
-          List.iter
-            (fun (id, k) ->
-              if id < 0 || id >= n then raise (Fail "cell id out of range");
-              if seen.(id) then raise (Fail (Printf.sprintf "duplicate cell id %d" id));
-              seen.(id) <- true;
-              kinds.(id) <- k)
-            st.kinds;
-          match
-            Netlist.make ~name ~kinds ~nets:(Array.of_list (List.rev st.nets))
-              ~pad_positions:st.pads
-          with
-          | nl -> Ok (chip, nl)
-          | exception Invalid_argument m -> Error m
-        end
-  with Fail m -> Error m
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  of_string text
-
 let placement_to_string positions =
   let b = Buffer.create 1024 in
   Array.iteri
@@ -127,25 +36,3 @@ let placement_to_string positions =
       Buffer.add_string b (Printf.sprintf "%d %.10g %.10g\n" c p.Rc_geom.Point.x p.Rc_geom.Point.y))
     positions;
   Buffer.contents b
-
-let placement_of_string ~n_cells text =
-  let out = Array.make n_cells Rc_geom.Point.zero in
-  let seen = Array.make n_cells false in
-  let exception Fail of string in
-  try
-    String.split_on_char '\n' text
-    |> List.iteri (fun idx line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then ()
-           else
-             match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-             | [ id; x; y ] -> (
-                 match (int_of_string_opt id, float_of_string_opt x, float_of_string_opt y) with
-                 | Some id, Some x, Some y when id >= 0 && id < n_cells ->
-                     out.(id) <- Rc_geom.Point.make x y;
-                     seen.(id) <- true
-                 | _ -> raise (Fail (Printf.sprintf "line %d: malformed placement" (idx + 1))))
-             | _ -> raise (Fail (Printf.sprintf "line %d: malformed placement" (idx + 1))));
-    if Array.for_all Fun.id seen then Ok out
-    else Error "placement is missing cells"
-  with Fail m -> Error m

@@ -10,20 +10,14 @@
     net <driver> <sink> <sink> ...
     v}
 
-    Cells must be declared before the nets that reference them. The
-    writer emits cells in id order so a round-trip is the identity. *)
+    Only the writer is here: the CLI exports these files for external
+    tools and never reads them back.  Cells are emitted in id order,
+    before the nets that reference them. *)
 
 val to_string : chip:Rc_geom.Rect.t -> Netlist.t -> string
+(** The document {!write_file} writes. *)
 
 val write_file : path:string -> chip:Rc_geom.Rect.t -> Netlist.t -> unit
 
-val of_string : string -> (Rc_geom.Rect.t * Netlist.t, string) result
-(** Parse a document. Returns a descriptive error on malformed input
-    (unknown directive, out-of-range ids, missing sections). *)
-
-val read_file : string -> (Rc_geom.Rect.t * Netlist.t, string) result
-
 val placement_to_string : Rc_geom.Point.t array -> string
 (** One "<cell-id> <x> <y>" line per cell — a .pl-style companion file. *)
-
-val placement_of_string : n_cells:int -> string -> (Rc_geom.Point.t array, string) result

@@ -38,7 +38,6 @@ let slot_key =
   Domain.DLS.new_key (fun () -> 64 + (Atomic.fetch_and_add spare 1 mod 64))
 
 let set_shard_slot i = if i >= 0 && i < 64 then Domain.DLS.set slot_key i
-let shard_slot () = Domain.DLS.get slot_key
 
 let on = Atomic.make false
 let enabled () = Atomic.get on
@@ -168,15 +167,6 @@ let add_time t s =
     t.tn.(i) <- t.tn.(i) + 1;
     t.ts.(i) <- t.ts.(i) +. s
   end
-
-let time t f =
-  if Atomic.get on then begin
-    let t0 = Rc_util.Timer.start () in
-    let r = f () in
-    add_time t (Rc_util.Timer.elapsed_s t0);
-    r
-  end
-  else f ()
 
 (* bucket k holds values needing k bits: 0 -> v <= 0, 1 -> 1, 2 -> 2..3,
    3 -> 4..7, ...; the top bucket absorbs everything wider *)

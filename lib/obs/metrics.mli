@@ -82,10 +82,6 @@ val set_gauge : gauge -> float -> unit
 val add_time : timer -> float -> unit
 (** [add_time t s] records one call taking [s] seconds. *)
 
-val time : timer -> (unit -> 'a) -> 'a
-(** [time t f] runs [f] and records its wall time; when the registry is
-    disabled it is exactly [f ()] (no clock reads). *)
-
 val observe : histogram -> int -> unit
 
 (** {1 Merged reads (sync points only)} *)
@@ -141,7 +137,6 @@ val export_values : ?reg:t -> unit -> int array
 
 (** {1 Rendering} *)
 
-val value_text : value -> string
 val render : ?title:string -> snapshot -> string
 
 val to_json : snapshot -> Rc_util.Json.t
@@ -155,7 +150,3 @@ val set_shard_slot : int -> unit
 (** Pin the calling domain to shard slot [0..63]. Called by pool worker
     domains at startup with their stable worker id; the pool guarantees
     no two live domains share an id. Out-of-range ids are ignored. *)
-
-val shard_slot : unit -> int
-(** The calling domain's shard slot (a lazily-drawn slot in [64..127]
-    for domains that never called {!set_shard_slot}). *)

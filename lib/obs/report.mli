@@ -35,8 +35,6 @@ val section :
   section
 (** [section heading] with optional prose, tables and JSON payload. *)
 
-val cell_text : cell -> string
-
 val to_markdown : doc -> string
 (** GitHub-flavoured Markdown: [#]/[##]/[###] headings and pipe
     tables. *)

@@ -394,15 +394,6 @@ let mapi ?(min_items = 2) f a =
 
 let map ?min_items f a = mapi ?min_items (fun _ x -> f x) a
 
-let init ?(min_items = 2) n f =
-  if n <= 0 then [||]
-  else if n < min_items || not (parallelizable ()) then Array.init n f
-  else begin
-    let out = Array.make n None in
-    for_ n (fun i -> out.(i) <- Some (f i));
-    Array.map unwrap out
-  end
-
 let map_list ?min_items f l = Array.to_list (map ?min_items f (Array.of_list l))
 
 let both ?(parallel = true) f g =

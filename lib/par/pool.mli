@@ -19,17 +19,8 @@
 
     The job count comes from [ROTARY_JOBS], a [set_jobs] call (the
     CLI/bench [--jobs] flag), or [Domain.recommended_domain_count]
-    capped at {!max_jobs}.  The pool is created lazily on first use and
+    capped at 8.  The pool is created lazily on first use and
     torn down via [at_exit]. *)
-
-val max_jobs : int
-(** Upper cap on the automatic job count (explicit settings may exceed
-    it, up to 64). *)
-
-val default_jobs : unit -> int
-(** The job count a fresh pool would use: [ROTARY_JOBS] if set to a
-    positive integer, otherwise [Domain.recommended_domain_count ()]
-    capped at {!max_jobs}. *)
 
 val set_jobs : int -> unit
 (** Override the job count (clamped to [1 .. 64]).  Shuts down any
@@ -114,17 +105,5 @@ val map : ?min_items:int -> ('a -> 'b) -> 'a array -> 'b array
     [Array.map f a] for pure [f], for any job count.  Sequential below
     [min_items] elements (default 2), like {!for_}. *)
 
-val mapi : ?min_items:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** Ordered parallel mapi, same guarantees as {!map}. *)
-
 val map_list : ?min_items:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Ordered parallel map over a list (internally via arrays). *)
-
-val init : ?min_items:int -> int -> (int -> 'a) -> 'a array
-(** Ordered parallel [Array.init] (evaluation order of [f] is not
-    left-to-right, but slot contents are identical for pure [f]).
-    Sequential below [min_items] elements (default 2), like {!for_}. *)
-
-val shutdown : unit -> unit
-(** Join and discard the pool's domains (idempotent).  Registered with
-    [at_exit]; callers only need it to force teardown early. *)

@@ -30,7 +30,7 @@ val refine :
   Rc_geom.Point.t array ->
   Rc_geom.Point.t array * stats
 (** Refine a placement whose movable cells sit on distinct sites of the
-    [site] grid (the output of {!Qplace.legalize}); returns the improved
+    [site] grid (a legalized {!Qplace} placement); returns the improved
     placement (input not modified) and statistics. [max_passes] defaults
     to 4, [swap_radius] (µm) to 4 sites. [frozen] cells are never moved
     or swapped (the flow freezes flip-flops during incremental passes so

@@ -316,7 +316,6 @@ let spreading_targets rng chip m (xs : float array) (ys : float array) =
 (* ---- legalization ---------------------------------------------------- *)
 
 let legalize netlist ~chip ~site positions =
-  if site <= 0.0 then invalid_arg "Qplace.legalize: non-positive site pitch";
   let nx = max 1 (int_of_float (Rect.width chip /. site)) in
   let ny = max 1 (int_of_float (Rect.height chip /. site)) in
   let occupied = Hashtbl.create 1024 in

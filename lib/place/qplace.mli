@@ -68,15 +68,6 @@ val relocate :
     {!Detail.refine} pass to heal the signal wirelength around the
     moves. *)
 
-val legalize :
-  Rc_netlist.Netlist.t ->
-  chip:Rc_geom.Rect.t ->
-  site:float ->
-  Rc_geom.Point.t array ->
-  Rc_geom.Point.t array
-(** Snap movable cells to distinct sites of a [site]-pitch grid,
-    spiraling outward from the ideal site when occupied. *)
-
 (** {1 Kernels of the flat schedule}
 
     The pieces {!initial} (below the multilevel threshold) and

@@ -18,9 +18,6 @@ val length : Rc_geom.Point.t list -> float
 val tree : Rc_geom.Point.t list -> (Rc_geom.Point.t * Rc_geom.Point.t) list
 (** The estimate's edges (including Steiner points), for rendering. *)
 
-val net_length : Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> int -> float
-(** RSMT-estimate of one net of a placed netlist. *)
-
 val total : Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> float
 (** Sum over all nets — the routed-length counterpart of
     {!Wirelength.total}. *)

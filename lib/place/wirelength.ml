@@ -22,8 +22,3 @@ let net_star_length netlist positions ni =
   Array.fold_left
     (fun acc s -> acc +. Rc_geom.Point.manhattan d (position netlist positions s))
     0.0 net.sinks
-
-let total_star netlist positions =
-  let acc = ref 0.0 in
-  Netlist.iter_nets netlist (fun ni _ -> acc := !acc +. net_star_length netlist positions ni);
-  !acc

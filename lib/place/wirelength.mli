@@ -10,5 +10,3 @@ val total : Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> float
 val net_star_length : Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> int -> float
 (** Total driver-to-sink star wirelength of a net — used as the routed
     length estimate for capacitance/power computations. *)
-
-val total_star : Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> float

@@ -31,9 +31,3 @@ let signal_cap_ff tech netlist positions =
 
 let signal_power_mw tech netlist positions =
   dynamic_mw tech ~alpha:tech.Tech.alpha_signal ~cap_ff:(signal_cap_ff tech netlist positions)
-
-(* V·I_off·(S + N_F·S_F): I_off in nA per unit width gives nW; report mW. *)
-let leakage_mw tech ~i_off_na ~total_inverter_size ~n_ffs ~ff_gate_size =
-  tech.Tech.vdd *. i_off_na
-  *. (total_inverter_size +. (float_of_int n_ffs *. ff_gate_size))
-  *. 1e-6

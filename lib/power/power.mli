@@ -6,7 +6,8 @@
     flip-flop clock pins — the ring's own charge recirculates, which is
     the technology's selling point. Signal-net load is interconnect plus
     logic input pins plus estimated repeaters ([31]-style length-based
-    estimate). Leakage follows Eq. 9 and is unaffected by this flow. *)
+    estimate). Leakage (Eq. 9) is unaffected by this flow and is not
+    modelled. *)
 
 val dynamic_mw : Rc_tech.Tech.t -> alpha:float -> cap_ff:float -> float
 (** Eq. 8 for a given switched capacitance (fF), result in mW. *)
@@ -19,16 +20,8 @@ val estimated_buffers : Rc_tech.Tech.t -> length:float -> int
 (** Repeaters inserted on a net of routed length [length] µm: one per
     [buffer_interval] beyond the first. *)
 
-val signal_cap_ff :
-  Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> float
-(** Total signal-net capacitance: star-routed interconnect + sink input
-    pins + estimated repeaters, fF. *)
-
 val signal_power_mw :
   Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> float
-(** Signal-net dynamic power at α = [alpha_signal]. *)
-
-val leakage_mw :
-  Rc_tech.Tech.t -> i_off_na:float -> total_inverter_size:float -> n_ffs:int ->
-  ff_gate_size:float -> float
-(** Eq. 9: [V_dd·I_off·(S + N_F·S_F)] with [I_off] in nA per unit size. *)
+(** Signal-net dynamic power at α = [alpha_signal] over the total
+    signal-net capacitance: star-routed interconnect + sink input pins +
+    estimated repeaters. *)

@@ -51,9 +51,6 @@ val closest_boundary_distance : t -> Rc_geom.Point.t -> float
 (** Shortest Manhattan distance from the point to the ring edge — the
     [l_i] of the cost-driven skew formulation. *)
 
-val self_capacitance : Rc_tech.Tech.t -> t -> float
-(** Capacitance of the ring's own two conductors (fF). *)
-
 val oscillation_frequency_ghz : Rc_tech.Tech.t -> t -> load_cap:float -> float
 (** Eq. 2: [1 / (2·sqrt(L_total·C_total))] with [C_total] the ring's own
     capacitance plus [load_cap] (fF), expressed in GHz. *)

@@ -182,8 +182,6 @@ let solve_on_segment tech ring ~segment ~conductor ~ff ~target =
   | Some t -> t
   | None -> assert false
 
-let cost tech ring ~ff ~target = (solve tech ring ~ff ~target).wirelength
-
 let curve tech ring ~segment ~ff ~samples =
   if segment < 0 || segment > 3 then invalid_arg "Tapping.curve: segment out of range";
   if samples < 2 then invalid_arg "Tapping.curve: need at least 2 samples";

@@ -75,10 +75,6 @@ val solve_on_segment :
     restricted solutions. @raise Invalid_argument on a bad segment
     index. *)
 
-val cost : Rc_tech.Tech.t -> Ring.t -> ff:Rc_geom.Point.t -> target:float -> float
-(** [wirelength] of {!solve} — the [c_{i,j}] of the Section V
-    assignment problem. *)
-
 val stub_delay : Rc_tech.Tech.t -> float -> float
 (** Delay (ps) of a stub of length l driving one flip-flop:
     [½rc·l² + r·l·C_ff]. *)

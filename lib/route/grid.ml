@@ -36,12 +36,6 @@ let cell_of t (p : Point.t) =
   ( clampi (int_of_float ((p.Point.x -. t.chip.Rect.xmin) /. pw)) (t.nx - 1),
     clampi (int_of_float ((p.Point.y -. t.chip.Rect.ymin) /. ph)) (t.ny - 1) )
 
-let center t (x, y) =
-  let pw, ph = cell_pitch t in
-  Point.make
-    (t.chip.Rect.xmin +. ((float_of_int x +. 0.5) *. pw))
-    (t.chip.Rect.ymin +. ((float_of_int y +. 0.5) *. ph))
-
 let edge_ref t (x1, y1) (x2, y2) =
   if y1 = y2 && abs (x1 - x2) = 1 then (t.h.(min x1 x2), y1)
   else if x1 = x2 && abs (y1 - y2) = 1 then (t.v.(x1), min y1 y2)
@@ -70,7 +64,6 @@ let fold_edges t f init =
   !acc
 
 let overflow t = fold_edges t (fun acc u -> acc + max 0 (u - t.capacity)) 0
-let max_usage t = fold_edges t max 0
 
 let congestion_map t =
   let m = Array.make_matrix t.nx t.ny 0.0 in

@@ -15,8 +15,6 @@ val ny : t -> int
 val cell_of : t -> Rc_geom.Point.t -> int * int
 (** G-cell containing a point (clamped to the grid). *)
 
-val center : t -> int * int -> Rc_geom.Point.t
-
 val cell_pitch : t -> float * float
 (** Physical (width, height) of one g-cell, µm. *)
 
@@ -31,9 +29,6 @@ val add_usage : t -> (int * int) -> (int * int) -> int -> unit
 
 val overflow : t -> int
 (** Total usage beyond capacity, summed over edges. *)
-
-val max_usage : t -> int
-(** The most-used edge's track count. *)
 
 val congestion_map : t -> float array array
 (** Per-cell congestion estimate: the maximum usage/capacity ratio of

@@ -314,16 +314,11 @@ let load ?netlist ?warm ~path () =
 
 (* ---- session conveniences --------------------------------------------- *)
 
-type saver = {
-  save_iteration : Flow_ctx.t -> unit;
-  saved : unit -> (int * string) list;  (* (iteration, path), oldest first *)
-}
-
-let saver ?(every = 1) ~dir ~name () =
-  if every < 1 then invalid_arg "Checkpoint.saver: every must be >= 1";
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+let run_with_checkpoints ?(every = 1) ~dir ~name ?guard cfg =
+  if every < 1 then invalid_arg "Checkpoint.run_with_checkpoints: every must be >= 1";
+  mkdir_p dir;
   let saved = ref [] in
-  let save_iteration (ctx : Flow_ctx.t) =
+  let on_iteration (ctx : Flow_ctx.t) =
     let k = ctx.Flow_ctx.iteration in
     if k mod every = 0 || ctx.Flow_ctx.converged then begin
       let path = Filename.concat dir (Printf.sprintf "%s.iter-%d.ckpt" name k) in
@@ -331,12 +326,8 @@ let saver ?(every = 1) ~dir ~name () =
       saved := (k, path) :: !saved
     end
   in
-  { save_iteration; saved = (fun () -> List.rev !saved) }
-
-let run_with_checkpoints ?every ~dir ~name ?guard cfg =
-  let s = saver ?every ~dir ~name () in
-  let outcome = Flow.run ?guard ~on_iteration:s.save_iteration cfg in
-  (outcome, s.saved ())
+  let outcome = Flow.run ?guard ~on_iteration cfg in
+  (outcome, List.rev !saved)
 
 let resume ?guard ?on_iteration ~path () =
   match load ~path () with

@@ -105,21 +105,6 @@ val resume :
 (** {!load} then {!Rc_core.Flow.resume_on}: finish the flow from the
     saved boundary, bit-identically to never having stopped. *)
 
-(** {1 Session hooks} *)
-
-type saver = {
-  save_iteration : Flow_ctx.t -> unit;
-      (** Pass as [on_iteration] to {!Rc_core.Flow.run}. *)
-  saved : unit -> (int * string) list;
-      (** Checkpoints written so far: [(iteration, path)], oldest
-          first. *)
-}
-
-val saver : ?every:int -> dir:string -> name:string -> unit -> saver
-(** A hook that writes [dir/name.iter-<k>.ckpt] at every [every]-th
-    iteration boundary (default every iteration, always including a
-    converged one).  Creates [dir] if missing. *)
-
 val run_with_checkpoints :
   ?every:int ->
   dir:string ->
@@ -127,8 +112,11 @@ val run_with_checkpoints :
   ?guard:(Flow_ctx.t -> unit) ->
   Flow.config ->
   Flow.outcome * (int * string) list
-(** {!Rc_core.Flow.run} with a {!saver} attached; returns the outcome
-    and the checkpoints written. *)
+(** {!Rc_core.Flow.run}, writing [dir/name.iter-<k>.ckpt] at every
+    [every]-th iteration boundary (default every iteration, always
+    including a converged one); returns the outcome and the checkpoints
+    written as [(iteration, path)], oldest first.  Creates [dir] and any
+    missing parents.  @raise Invalid_argument if [every < 1]. *)
 
 (** {1 Bit-identity digests} *)
 

@@ -413,25 +413,18 @@ let outcome_of_flow_request (r : flow_request) token =
   | None -> Flow.run ~guard:(guard_of token) (config_of_flow_request r)
 
 let run_flow (r : flow_request) token =
-  match r.f_resume_from with
-  | Some path -> (
-      match Checkpoint.resume ~guard:(guard_of token) ~path () with
-      | Ok outcome -> json_of_outcome outcome
-      | Error e -> failwith ("resume failed: " ^ e))
-  | None -> (
-      let cfg = config_of_flow_request r in
-      match r.f_checkpoint_every with
-      | None ->
-          json_of_outcome (Flow.run ~guard:(guard_of token) cfg)
-      | Some every ->
-          let dir = Option.value r.f_checkpoint_dir ~default:"checkpoints" in
-          let name =
-            Printf.sprintf "%s-%s" r.f_bench.Bench_suite.bname (Checkpoint.mode_name r.f_mode)
-          in
-          let outcome, checkpoints =
-            Checkpoint.run_with_checkpoints ~every ~dir ~name ~guard:(guard_of token) cfg
-          in
-          json_of_outcome ~checkpoints outcome)
+  match (r.f_resume_from, r.f_checkpoint_every) with
+  | None, Some every ->
+      let dir = Option.value r.f_checkpoint_dir ~default:"checkpoints" in
+      let name =
+        Printf.sprintf "%s-%s" r.f_bench.Bench_suite.bname (Checkpoint.mode_name r.f_mode)
+      in
+      let outcome, checkpoints =
+        Checkpoint.run_with_checkpoints ~every ~dir ~name ~guard:(guard_of token)
+          (config_of_flow_request r)
+      in
+      json_of_outcome ~checkpoints outcome
+  | _ -> json_of_outcome (outcome_of_flow_request r token)
 
 let run_report (r : report_request) token =
   Cancel.check token;

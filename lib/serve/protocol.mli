@@ -109,12 +109,6 @@ val response_error : id:Rc_util.Json.t -> ?op:string -> string -> Rc_util.Json.t
 
 val json_of_snapshot : Flow.snapshot -> Rc_util.Json.t
 
-val json_of_outcome :
-  ?checkpoints:(int * string) list -> Flow.outcome -> Rc_util.Json.t
-(** The [flow] result document: metric snapshots, history, the
-    bit-identity digest ({!Checkpoint.digest_of_outcome}) and any
-    checkpoints written. *)
-
 val job_of_op : op -> (Cancel.t -> Rc_util.Json.t) option
 (** The scheduler job body for an async op ([Some]), or [None] for the
     ops the supervisor answers inline ([checkpoint], [status],

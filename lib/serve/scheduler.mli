@@ -66,9 +66,7 @@ val submit :
 
 val counts : t -> counts
 
-val drain : t -> unit
-(** Stop admitting and block until every queued and running job has
-    finished, its [on_done] included — the graceful-shutdown path. *)
-
 val shutdown : t -> unit
-(** {!drain} then join the worker domains. *)
+(** Stop admitting, block until every queued and running job has
+    finished, its [on_done] included, then join the worker domains — the
+    graceful-shutdown path.  Idempotent. *)

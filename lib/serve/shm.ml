@@ -140,17 +140,6 @@ type control_row = {
   c_resumed : int;
 }
 
-let empty_control_row =
-  {
-    c_pid = 0;
-    c_state = C_down;
-    c_restarts = 0;
-    c_spawned_ns = 0;
-    c_inflight = 0;
-    c_redispatched = 0;
-    c_resumed = 0;
-  }
-
 type row = {
   worker : worker_row;
   control : control_row;

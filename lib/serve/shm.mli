@@ -36,8 +36,6 @@ type t
 
 type worker_state = W_starting | W_serving | W_draining | W_stopped
 
-val worker_state_name : worker_state -> string
-
 type worker_row = {
   pid : int;
   state : worker_state;
@@ -79,8 +77,6 @@ type control_row = {
   c_resumed : int;  (** flows resumed from a checkpoint after a crash. *)
 }
 
-val empty_control_row : control_row
-
 type row = {
   worker : worker_row;
   control : control_row;
@@ -106,8 +102,6 @@ val attach : path:string -> unit -> (t, string) result
 val n_workers : t -> int
 val path : t -> string
 val supervisor_pid : t -> int
-val created_s : t -> int
-
 val tcp_port : t -> int option
 (** The supervisor's TCP front-door port, when one is bound — lets
     tools discover the server from the segment alone. *)
@@ -123,11 +117,10 @@ val write_worker : t -> slot:int -> worker_row -> unit
 val write_control : t -> slot:int -> control_row -> unit
 (** Seqlock-publish the control region of [slot] (supervisor only). *)
 
-val read_row : t -> slot:int -> row
-(** A consistent snapshot of both regions (retrying per the seqlock);
-    torn regions are flagged via [w_consistent] / [c_consistent]. *)
-
 val read_all : t -> row array
+(** A consistent snapshot of both regions of every slot, in slot order
+    (each retried per the seqlock); torn regions are flagged via
+    [w_consistent] / [c_consistent]. *)
 
 val to_json : t -> Rc_util.Json.t
 (** The whole segment as JSON — header fields plus one object per

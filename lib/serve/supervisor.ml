@@ -714,8 +714,10 @@ let serve_conn t fd =
       while !outstanding > 0 do
         Condition.wait ccond clock
       done);
-  close_out_noerr oc;
-  close_in_noerr ic
+  (* ic and oc share fd: closing both would close the descriptor twice,
+     and the second close can land on a descriptor another connection or
+     thread has just been given *)
+  close_out_noerr oc
 
 (* ---- listeners ---------------------------------------------------------- *)
 

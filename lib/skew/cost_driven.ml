@@ -79,40 +79,6 @@ let solve_minmax_graph ?(tolerance = 1e-3) problem ~slack ~anchors =
       done;
       Some { skews = !best; objective = !best_d }
 
-let solve_minmax_lp problem ~slack ~anchors =
-  check_sizes problem anchors;
-  let open Rc_lp in
-  let p = Problem.create () in
-  let n = problem.Skew_problem.n in
-  let t_vars = Array.init n (fun _ -> Problem.add_var p) in
-  let delta = Problem.add_var ~lo:0.0 ~obj:1.0 p in
-  List.iter
-    (fun { Skew_problem.i; j; d_max; d_min } ->
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
-           Problem.Le
-           (problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack));
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
-           Problem.Ge
-           (slack +. problem.Skew_problem.t_hold -. d_min)))
-    problem.Skew_problem.pairs;
-  Array.iteri
-    (fun i a ->
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), -1.0); (delta, -1.0) ]
-           Problem.Le
-           (-.a.t_c -. (2.0 *. a.t_ci)));
-      ignore (Problem.add_row p [ (t_vars.(i), 1.0); (delta, -1.0) ] Problem.Le a.t_c))
-    anchors;
-  match Simplex.solve p with
-  | { Simplex.status = Simplex.Optimal; x; _ } ->
-      Some { skews = Array.map (fun v -> x.(v)) t_vars; objective = x.(delta) }
-  | _ -> None
-
 let solve_weighted_lp problem ~slack ~anchors =
   check_sizes problem anchors;
   let open Rc_lp in

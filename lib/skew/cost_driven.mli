@@ -35,10 +35,6 @@ val solve_minmax_graph :
     infeasible at the given slack. @raise Invalid_argument if the anchor
     array size differs from the problem size. *)
 
-val solve_minmax_lp :
-  Skew_problem.t -> slack:float -> anchors:anchor array -> result option
-(** Same optimum by LP (small instances / cross-validation). *)
-
 val solve_weighted_lp :
   Skew_problem.t -> slack:float -> anchors:anchor array -> result option
 (** The weighted-sum formulation by LP. Each flip-flop's ideal is

@@ -173,48 +173,12 @@ let spmv t x y =
     invalid_arg "Csr.spmv: size mismatch";
   spmv_unsafe t.row_ptr t.col_idx t.values x y
 
-let mul_vec_into t x y =
-  if Array.length x <> t.n_cols || Array.length y <> t.n_rows then
-    invalid_arg "Csr.mul_vec_into: size mismatch";
-  for i = 0 to t.n_rows - 1 do
-    let acc = ref 0.0 in
-    for k = t.row_ptr.{i} to t.row_ptr.{i + 1} - 1 do
-      acc := !acc +. (t.values.{k} *. x.(t.col_idx.{k}))
-    done;
-    y.(i) <- !acc
-  done
-
-let mul_vec t x =
-  let y = Array.make t.n_rows 0.0 in
-  mul_vec_into t x y;
-  y
-
 let diag_into_vec t out =
   if t.n_rows <> t.n_cols then invalid_arg "Csr.diag_into_vec: not square";
   if Vec.length out <> t.n_rows then invalid_arg "Csr.diag_into_vec: size mismatch";
   for i = 0 to t.n_rows - 1 do
     out.{i} <- get t i i
   done
-
-let diagonal_into t out =
-  if t.n_rows <> t.n_cols then invalid_arg "Csr.diagonal_into: not square";
-  if Array.length out <> t.n_rows then invalid_arg "Csr.diagonal_into: size mismatch";
-  for i = 0 to t.n_rows - 1 do
-    out.(i) <- get t i i
-  done
-
-let diagonal t =
-  if t.n_rows <> t.n_cols then invalid_arg "Csr.diagonal: not square";
-  Array.init t.n_rows (fun i -> get t i i)
-
-let transpose t =
-  let triplets = ref [] in
-  for i = 0 to t.n_rows - 1 do
-    for k = t.row_ptr.{i} to t.row_ptr.{i + 1} - 1 do
-      triplets := (t.col_idx.{k}, i, t.values.{k}) :: !triplets
-    done
-  done;
-  of_triplets ~rows:t.n_cols ~cols:t.n_rows !triplets
 
 let iter_row t i f =
   if i < 0 || i >= t.n_rows then invalid_arg "Csr.iter_row: row out of range";

@@ -6,8 +6,7 @@
 
     Storage is flat Bigarray (int row pointers / column indices, float64
     values) so the {!spmv} C kernel streams the structure without
-    boxing; the [float array] entry points remain for callers outside
-    the hot path and produce bit-identical results. *)
+    boxing. *)
 
 type t
 
@@ -43,33 +42,15 @@ val rows : t -> int
 val cols : t -> int
 val nnz : t -> int
 
-val get : t -> int -> int -> float
-(** Value at (i, j); 0. when the entry is structurally absent.
-    Logarithmic in the row's nonzero count. *)
-
-val mul_vec : t -> float array -> float array
-(** [mul_vec a x] is [a * x]. @raise Invalid_argument on size mismatch. *)
-
-val mul_vec_into : t -> float array -> float array -> unit
-(** Like {!mul_vec} but writes into a caller-provided output vector. *)
-
 val spmv : t -> Vec.t -> Vec.t -> unit
 (** [spmv a x y] sets [y <- a * x] through the C kernel.  Row sums
-    accumulate left to right, exactly like {!mul_vec_into} — the two
-    entry points are bit-identical.  @raise Invalid_argument on size
-    mismatch. *)
+    accumulate left to right in column order.  @raise Invalid_argument
+    on size mismatch. *)
 
 val diag_into_vec : t -> Vec.t -> unit
-(** {!diagonal_into} writing into a {!Vec.t} (square matrices only). *)
-
-val diagonal : t -> float array
-(** The main diagonal as a dense vector (square matrices only). *)
-
-val diagonal_into : t -> float array -> unit
-(** Like {!diagonal} but writes into a caller-provided vector.
-    @raise Invalid_argument on size mismatch or a non-square matrix. *)
-
-val transpose : t -> t
+(** The main diagonal, written into a {!Vec.t}; 0. where no diagonal
+    entry is stored.  @raise Invalid_argument on size mismatch or a
+    non-square matrix. *)
 
 val iter_row : t -> int -> (int -> float -> unit) -> unit
 (** Iterate the nonzeros [(col, value)] of one row in column order. *)

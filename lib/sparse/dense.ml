@@ -4,38 +4,9 @@ let create r c =
   if r < 0 || c < 0 then invalid_arg "Dense.create";
   { r; c; a = Array.make (max 1 (r * c)) 0.0 }
 
-let dims m = (m.r, m.c)
 let get m i j = m.a.((i * m.c) + j)
 let set m i j v = m.a.((i * m.c) + j) <- v
-
-let identity n =
-  let m = create n n in
-  for i = 0 to n - 1 do
-    set m i i 1.0
-  done;
-  m
-
-let of_arrays rows =
-  let r = Array.length rows in
-  if r = 0 then create 0 0
-  else begin
-    let c = Array.length rows.(0) in
-    Array.iter (fun row -> if Array.length row <> c then invalid_arg "Dense.of_arrays: ragged") rows;
-    let m = create r c in
-    Array.iteri (fun i row -> Array.iteri (fun j v -> set m i j v) row) rows;
-    m
-  end
-
 let copy m = { m with a = Array.copy m.a }
-
-let mul_vec m x =
-  if Array.length x <> m.c then invalid_arg "Dense.mul_vec: size mismatch";
-  Array.init m.r (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.c - 1 do
-        acc := !acc +. (get m i j *. x.(j))
-      done;
-      !acc)
 
 type lu = { lu_mat : mat; perm : int array }
 
@@ -130,5 +101,3 @@ let lu_solve_transpose { lu_mat = m; perm } b =
     x.(perm.(i)) <- y.(i)
   done;
   x
-
-let solve m b = Option.map (fun f -> lu_solve f b) (lu_factor m)

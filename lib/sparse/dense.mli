@@ -8,20 +8,7 @@ type mat
 val create : int -> int -> mat
 (** Zero matrix of the given shape. *)
 
-val identity : int -> mat
-
-val dims : mat -> int * int
-
-val get : mat -> int -> int -> float
 val set : mat -> int -> int -> float -> unit
-
-val of_arrays : float array array -> mat
-(** Copies a rectangular array-of-rows. @raise Invalid_argument on
-    ragged input. *)
-
-val copy : mat -> mat
-
-val mul_vec : mat -> float array -> float array
 
 type lu
 (** An LU factorization [P A = L U]. *)
@@ -35,6 +22,3 @@ val lu_solve : lu -> float array -> float array
 
 val lu_solve_transpose : lu -> float array -> float array
 (** Solve [Aᵀ x = b] — needed for simplex pricing (dual values). *)
-
-val solve : mat -> float array -> float array option
-(** One-shot factor-and-solve. *)

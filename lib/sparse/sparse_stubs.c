@@ -99,7 +99,8 @@ CAMLprim value rc_vec_rsub(value vb, value vr)
 }
 
 /* y = A x for CSR (row_ptr, col_idx, values); row accumulation is a
- * single left-to-right sum, matching Csr.mul_vec_into exactly. */
+ * single left-to-right sum starting from 0.0, so it is bit-identical to
+ * the plain OCaml row loop the tests hold it to. */
 CAMLprim value rc_csr_spmv(value vrp, value vci, value vvals, value vx, value vy)
 {
     const intnat *rp = IVEC(vrp), *ci = IVEC(vci);

@@ -42,4 +42,3 @@ let f_clk_ghz t = 1000.0 /. t.clock_period
 let wire_elmore t l c_load =
   ((0.5 *. t.r_wire *. t.c_wire *. l *. l) +. (t.r_wire *. l *. c_load)) /. 1000.0
 
-let wire_cap t l = t.c_wire *. l

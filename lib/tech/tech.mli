@@ -35,6 +35,3 @@ val wire_elmore : t -> float -> float -> float
 (** [wire_elmore tech l c_load] is the Elmore delay (ps) of a wire of
     length [l] µm driving an extra lumped load [c_load] fF:
     [½·r·c·l² + r·l·c_load]. This is the delay expression of Eq. 1. *)
-
-val wire_cap : t -> float -> float
-(** Total capacitance (fF) of [l] µm of wire. *)

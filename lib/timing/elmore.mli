@@ -1,13 +1,11 @@
 (** Elmore delay model [21] for point-to-point routed wires, the timing
     model the paper's static timing analyzer uses. *)
 
-val wire_delay : Rc_tech.Tech.t -> length:float -> load:float -> float
-(** Delay (ps) of a wire of the given Manhattan [length] (µm) driving a
-    lumped [load] (fF) at the far end: ½rcl² + rl·C_load. *)
-
 val point_delay :
   Rc_tech.Tech.t -> Rc_geom.Point.t -> Rc_geom.Point.t -> load:float -> float
-(** {!wire_delay} over the Manhattan distance between two points. *)
+(** Delay (ps) of a wire spanning the Manhattan distance [l] (µm)
+    between two points and driving a lumped [load] (fF) at the far end:
+    ½rcl² + rl·C_load. *)
 
 val sink_load : Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> int -> float
 (** Input capacitance (fF) presented by a sink cell: [c_ff] for

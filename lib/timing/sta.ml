@@ -351,10 +351,4 @@ let analyze_batch sess ~positions =
       end
 
 let adjacencies t = t.pairs
-let n_pairs t = List.length t.pairs
 let critical_delay t = t.critical
-
-let min_period_zero_skew t ~tech =
-  List.fold_left
-    (fun acc p -> Float.max acc (p.d_max +. tech.Rc_tech.Tech.t_setup))
-    0.0 t.pairs

@@ -57,12 +57,5 @@ val invalidate_cells : session -> int list -> unit
 val adjacencies : t -> adjacency list
 (** All sequentially adjacent pairs, each listed once. *)
 
-val n_pairs : t -> int
-
 val critical_delay : t -> float
 (** Largest [d_max] over all pairs; 0. when there are no pairs. *)
-
-val min_period_zero_skew : t -> tech:Rc_tech.Tech.t -> float
-(** The smallest clock period feasible with zero skew:
-    [max (d_max + t_setup)] — the reference point that skew scheduling
-    improves on. *)

@@ -4,12 +4,4 @@ let equal ?(eps = default_eps) a b =
   let scale = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) <= eps *. scale
 
-let leq ?(eps = default_eps) a b =
-  let scale = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
-  a -. b <= eps *. scale
-
-let geq ?eps a b = leq ?eps b a
-
-let is_zero ?(eps = default_eps) x = Float.abs x <= eps
-
 let clamp ~lo ~hi x = Float.min hi (Float.max lo x)

@@ -1,19 +1,8 @@
 (** Tolerant floating-point comparisons for geometric and LP code. *)
 
-val default_eps : float
-(** Library-wide default absolute/relative tolerance (1e-9). *)
-
 val equal : ?eps:float -> float -> float -> bool
-(** [equal a b] holds when [|a - b| <= eps * max(1, |a|, |b|)]. *)
-
-val leq : ?eps:float -> float -> float -> bool
-(** [leq a b] is [a <= b] up to tolerance. *)
-
-val geq : ?eps:float -> float -> float -> bool
-(** [geq a b] is [a >= b] up to tolerance. *)
-
-val is_zero : ?eps:float -> float -> bool
-(** Absolute-tolerance zero test. *)
+(** [equal a b] holds when [|a - b| <= eps * max(1, |a|, |b|)]; [eps]
+    defaults to 1e-9. *)
 
 val clamp : lo:float -> hi:float -> float -> float
 (** Clamp into [lo, hi]. *)

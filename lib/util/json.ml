@@ -347,11 +347,6 @@ let of_string s =
   | exception Parse_error (pos, msg) -> Error (Printf.sprintf "offset %d: %s" pos msg)
   | exception Failure msg -> Error (Printf.sprintf "offset %d: %s" c.pos msg)
 
-let of_string_exn s =
-  match of_string s with
-  | Ok v -> v
-  | Error e -> failwith ("Json.of_string_exn: " ^ e)
-
 (* ---- accessors -------------------------------------------------------- *)
 
 let member k = function

@@ -31,9 +31,6 @@ val of_string : string -> (t, string) result
     [\uXXXX] escapes decode to UTF-8 (surrogate pairs supported).
     Errors are ["offset N: message"] strings, never exceptions. *)
 
-val of_string_exn : string -> t
-(** {!of_string}, raising [Failure] on malformed input. *)
-
 val member : string -> t -> t option
 (** [member k (Obj fields)] is the first binding of [k]; [None] on
     missing keys and non-objects. *)

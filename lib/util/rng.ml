@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -14,10 +12,6 @@ let mix z =
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let split t =
-  let s = bits64 t in
-  { state = s }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -36,8 +30,6 @@ let float t bound =
   Int64.to_float b /. 9007199254740992.0 *. bound
 
 let float_in t lo hi = lo +. float t (hi -. lo)
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let gaussian t ~mean ~sigma =
   let rec nonzero () =

@@ -12,13 +12,6 @@ val create : int -> t
 (** [create seed] builds a generator from an integer seed. Equal seeds
     yield equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator seeded from it,
-    statistically independent of the parent's subsequent output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). @raise Invalid_argument if
     [bound <= 0]. *)
@@ -31,9 +24,6 @@ val float : t -> float -> float
 
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform in [lo, hi). *)
-
-val bool : t -> bool
-(** A fair coin flip. *)
 
 val gaussian : t -> mean:float -> sigma:float -> float
 (** Box-Muller normal deviate. *)

@@ -40,19 +40,3 @@ let percentile a p =
     let frac = rank -. float_of_int lo in
     s.(lo) +. (frac *. (s.(hi) -. s.(lo)))
   end
-
-let median a = percentile a 50.0
-
-let histogram a ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if Array.length a = 0 then invalid_arg "Stats.histogram: empty";
-  let lo, hi = min_max a in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = int_of_float ((x -. lo) /. width) in
-      let b = if b >= bins then bins - 1 else if b < 0 then 0 else b in
-      counts.(b) <- counts.(b) + 1)
-    a;
-  Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts

@@ -3,9 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0. on empty input. *)
 
-val sum : float array -> float
-(** Kahan-compensated sum. *)
-
 val min_max : float array -> float * float
 (** [(min, max)] of a non-empty array. @raise Invalid_argument on empty. *)
 
@@ -16,10 +13,3 @@ val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [0,100], linear interpolation between
     order statistics. Copies and sorts internally.
     @raise Invalid_argument on empty input or [p] outside [0,100]. *)
-
-val median : float array -> float
-(** 50th percentile. *)
-
-val histogram : float array -> bins:int -> (float * int) array
-(** Equal-width histogram; returns [(bin_left_edge, count)] per bin.
-    @raise Invalid_argument if [bins <= 0] or input empty. *)

@@ -53,7 +53,3 @@ let to_string t =
      <rect width=\"%.0f\" height=\"%.0f\" fill=\"white\"/>\n%s</svg>\n"
     w h w h w h (Buffer.contents t.buf)
 
-let write t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

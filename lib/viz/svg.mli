@@ -23,6 +23,3 @@ val text : t -> ?size:float -> ?fill:string -> Rc_geom.Point.t -> string -> unit
 
 val to_string : t -> string
 (** The complete SVG document. *)
-
-val write : t -> string -> unit
-(** Write the document to a file. *)

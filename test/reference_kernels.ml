@@ -1,13 +1,33 @@
-(* Reference implementations of the flow's flat kernels, in their plain
-   list-based forms: the placement system assembled per round through
+(* Reference implementations the tests hold library code to.
+
+   The flow's flat kernels, in their plain list-based forms: the boxed
+   sparse product, the placement system assembled per round through
    Csr.of_entries, the spreading sort on polymorphic compare, the
    list-folding skew refine, the list-walking SPFA with the skew
    searches rebuilt on it per probe, and the binary-heap min-cost flow.
    The tests hold the library kernels to these bit for bit, never to a
-   tolerance: the flow digests depend on every bit. *)
+   tolerance: the flow digests depend on every bit.
+
+   Then the independent formulations checked within a tolerance or by
+   round trip: Dijkstra, the min-max Δ LP, van Ginneken buffering, and
+   the .net reader and .bench writer the flow itself never needs. *)
 
 open Rc_geom
 open Rc_netlist
+
+(* A fair coin for the property tests' random inputs: the low bit of the
+   next draw, so a seed keeps naming the same inputs. *)
+let coin rng = Int64.logand (Rc_util.Rng.bits64 rng) 1L = 1L
+
+(* ---- the boxed sparse product ------------------------------------------ *)
+
+(* [a * x] on float arrays, each row summed left to right in column
+   order: the C spmv must match it bit for bit *)
+let csr_mul_vec a x =
+  Array.init (Rc_sparse.Csr.rows a) (fun i ->
+      let acc = ref 0.0 in
+      Rc_sparse.Csr.iter_row a i (fun j v -> acc := !acc +. (v *. x.(j)));
+      !acc)
 
 (* ---- placement assembly: one Csr.of_entries per system ---------------- *)
 
@@ -191,7 +211,9 @@ let bellman_ford g ~sources =
          cycle_at := u;
          raise Exit
        end;
-       Rc_graph.Digraph.iter_out g u (fun (e : Rc_graph.Digraph.edge) ->
+       (* last-added edge first, the order of the frozen adjacency *)
+       List.rev (Rc_graph.Digraph.out_edges g u)
+       |> List.iter (fun (e : Rc_graph.Digraph.edge) ->
            let nd = dist.(u) +. e.weight in
            if nd < dist.(e.dst) -. 1e-12 then begin
              dist.(e.dst) <- nd;
@@ -220,6 +242,43 @@ let feasible_potentials g =
   | Either.Left (dist, _) -> Some dist
   | Either.Right _ -> None
 
+(* Dijkstra over a binary heap, for non-negative weights: the SPFA must
+   reach the same distances on such graphs. *)
+let dijkstra g ~source =
+  let open Rc_graph in
+  let n = Digraph.n_vertices g in
+  let dist = Array.make n infinity and pred = Array.make n (-1) in
+  let heap = Heap.create () in
+  dist.(source) <- 0.0;
+  Heap.push heap 0.0 source;
+  let rec loop () =
+    match Heap.pop_min heap with
+    | None -> ()
+    | Some (d, u) ->
+        if d <= dist.(u) then
+          List.iter
+            (fun (e : Digraph.edge) ->
+              if e.weight < 0.0 then invalid_arg "dijkstra: negative weight";
+              let nd = d +. e.weight in
+              if nd < dist.(e.dst) then begin
+                dist.(e.dst) <- nd;
+                pred.(e.dst) <- u;
+                Heap.push heap nd e.dst
+              end)
+            (Digraph.out_edges g u);
+        loop ()
+  in
+  loop ();
+  { Shortest_path.dist; pred }
+
+(* the source-to-[v] path along [pred]; [None] when unreachable *)
+let path_to (r : Rc_graph.Shortest_path.result) v =
+  if v < 0 || v >= Array.length r.dist || r.dist.(v) = infinity then None
+  else begin
+    let rec build acc u = if u = -1 then acc else build (u :: acc) r.pred.(u) in
+    Some (build [] v)
+  end
+
 (* ---- skew scheduling on rebuilt list graphs ---------------------------- *)
 
 open Rc_skew
@@ -231,9 +290,11 @@ let solve_minmax_graph ?(tolerance = 1e-3) problem ~slack ~(anchors : Cost_drive
   let base = Skew_problem.constraint_graph problem ~slack in
   let probe delta =
     let g = Rc_graph.Digraph.create (n + 1) in
-    Rc_graph.Digraph.iter_edges base (fun e ->
-        Rc_graph.Digraph.add_edge g e.Rc_graph.Digraph.src e.Rc_graph.Digraph.dst
-          e.Rc_graph.Digraph.weight);
+    for v = 0 to Rc_graph.Digraph.n_vertices base - 1 do
+      List.iter
+        (fun (e : Rc_graph.Digraph.edge) -> Rc_graph.Digraph.add_edge g e.src e.dst e.weight)
+        (Rc_graph.Digraph.out_edges base v)
+    done;
     Array.iteri
       (fun i (a : Cost_driven.anchor) ->
         Rc_graph.Digraph.add_edge g n i (a.t_c +. delta);
@@ -338,6 +399,41 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~(anchors : Cost_driven.a
   done;
   t
 
+(* The min-max (Δ) schedule of the cost-driven stage as one LP: the
+   graph engine's binary search must reach the same optimum. *)
+let solve_minmax_lp problem ~slack ~(anchors : Cost_driven.anchor array) =
+  let open Rc_lp in
+  let p = Problem.create () in
+  let n = problem.Skew_problem.n in
+  let t_vars = Array.init n (fun _ -> Problem.add_var p) in
+  let delta = Problem.add_var ~lo:0.0 ~obj:1.0 p in
+  List.iter
+    (fun { Skew_problem.i; j; d_max; d_min } ->
+      ignore
+        (Problem.add_row p
+           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
+           Problem.Le
+           (problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack));
+      ignore
+        (Problem.add_row p
+           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
+           Problem.Ge
+           (slack +. problem.Skew_problem.t_hold -. d_min)))
+    problem.Skew_problem.pairs;
+  Array.iteri
+    (fun i (a : Cost_driven.anchor) ->
+      ignore
+        (Problem.add_row p
+           [ (t_vars.(i), -1.0); (delta, -1.0) ]
+           Problem.Le
+           (-.a.t_c -. (2.0 *. a.t_ci)));
+      ignore (Problem.add_row p [ (t_vars.(i), 1.0); (delta, -1.0) ] Problem.Le a.t_c))
+    anchors;
+  match Simplex.solve p with
+  | { Simplex.status = Simplex.Optimal; x; _ } ->
+      Some { Cost_driven.skews = Array.map (fun v -> x.(v)) t_vars; objective = x.(delta) }
+  | _ -> None
+
 (* ---- min-cost flow: binary-heap successive shortest paths -------------- *)
 
 (* Successive shortest paths with a full Dijkstra sweep on a binary
@@ -424,3 +520,270 @@ let mcmf ~n arcs ~source ~sink =
     end
   done;
   (!total_flow, !total_cost)
+
+(* ---- van Ginneken buffering: the exact reference for the [31]-style
+   repeater estimate ------------------------------------------------------ *)
+
+(* The paper estimates signal-net repeater counts with the
+   floorplan-stage model of [31] (Power.estimated_buffers); this is the
+   exact counterpart it is checked against: the classic dynamic program
+   that, given a routed RC tree and a buffer library entry, chooses
+   buffer positions minimizing the maximum driver-to-sink Elmore delay.
+   Candidate positions subdivide every wire ([segment], default 200 um);
+   option lists are pruned to their Pareto front (capacitance vs delay),
+   which keeps the DP quadratic.  [driver_r] (default the buffer's
+   [r_out]) models the net's driver for the final delay. *)
+module Buffering = struct
+  type rctree =
+    | Sink of { cap : float; tag : int }
+    | Wire of { length : float; child : rctree }
+    | Branch of rctree * rctree
+
+  type buffer = { t_intrinsic : float; r_out : float; c_in : float }
+
+  let default_buffer = { t_intrinsic = 30.0; r_out = 180.0; c_in = 12.0 }
+
+  type result = {
+    buffered_delay : float;
+    unbuffered_delay : float;
+    n_buffers : int;
+    driver_load : float;
+  }
+
+  (* A DP option: subtree seen from the current point upward. *)
+  type option_ = { cap : float; delay : float; buffers : int }
+
+  (* Pareto prune: sort by cap; keep strictly improving delay. *)
+  let prune options =
+    let sorted = List.sort (fun a b -> compare (a.cap, a.delay) (b.cap, b.delay)) options in
+    let rec go best_delay = function
+      | [] -> []
+      | o :: rest ->
+          if o.delay < best_delay -. 1e-12 then o :: go o.delay rest else go best_delay rest
+    in
+    go infinity sorted
+
+  let optimize ?(buffer = default_buffer) ?(segment = 200.0) ?driver_r tech tree =
+    if segment <= 0.0 then invalid_arg "Buffering.optimize: non-positive segment";
+    let driver_r = Option.value driver_r ~default:buffer.r_out in
+    let r = tech.Rc_tech.Tech.r_wire and c = tech.Rc_tech.Tech.c_wire in
+    (* delay of a wire piece of length l driving downstream cap cd (ps) *)
+    let wire_delay l cd = (r *. l *. ((0.5 *. c *. l) +. cd)) /. 1000.0 in
+    let add_buffer o =
+      {
+        cap = buffer.c_in;
+        delay = o.delay +. buffer.t_intrinsic +. (buffer.r_out *. o.cap /. 1000.0);
+        buffers = o.buffers + 1;
+      }
+    in
+    let with_buffer_choice options =
+      prune (options @ List.map add_buffer options)
+    in
+    (* push options up through a wire, subdividing into candidate points *)
+    let rec up_wire length options =
+      if length <= 0.0 then options
+      else begin
+        let piece = Float.min segment length in
+        let stepped =
+          List.map
+            (fun o -> { o with cap = o.cap +. (c *. piece); delay = o.delay +. wire_delay piece o.cap })
+            options
+        in
+        up_wire (length -. piece) (with_buffer_choice stepped)
+      end
+    in
+    let rec solve ?(allow_buffers = true) = function
+      | Sink { cap; _ } -> [ { cap; delay = 0.0; buffers = 0 } ]
+      | Wire { length; child } ->
+          let below = solve ~allow_buffers child in
+          if allow_buffers then up_wire length (with_buffer_choice below)
+          else
+            List.map
+              (fun o ->
+                { o with cap = o.cap +. (c *. length); delay = o.delay +. wire_delay length o.cap })
+              below
+      | Branch (a, b) ->
+          let oa = solve ~allow_buffers a and ob = solve ~allow_buffers b in
+          prune
+            (List.concat_map
+               (fun x ->
+                 List.map
+                   (fun y ->
+                     {
+                       cap = x.cap +. y.cap;
+                       delay = Float.max x.delay y.delay;
+                       buffers = x.buffers + y.buffers;
+                     })
+                   ob)
+               oa)
+    in
+    let finish options =
+      List.fold_left
+        (fun (bd, bo) o ->
+          let total = o.delay +. (driver_r *. o.cap /. 1000.0) in
+          if total < bd then (total, Some o) else (bd, bo))
+        (infinity, None) options
+    in
+    let buffered = solve tree in
+    let unbuffered = solve ~allow_buffers:false tree in
+    match (finish buffered, finish unbuffered) with
+    | (bd, Some bo), (ud, Some _) ->
+        {
+          buffered_delay = bd;
+          unbuffered_delay = ud;
+          n_buffers = bo.buffers;
+          driver_load = bo.cap;
+        }
+    | _ -> invalid_arg "Buffering.optimize: empty tree"
+
+  let two_pin ~length ~load = Wire { length; child = Sink { cap = load; tag = 0 } }
+end
+
+(* ---- netlist interchange partners ---------------------------------------- *)
+
+(* The flow writes the .net/.pl interchange files (Serialize) and reads
+   ISCAS89 .bench (Bench_format), never the reverse.  The missing halves
+   live here so that round trips can check the halves the flow keeps:
+   parse what Serialize wrote, and write a netlist as .bench for
+   Bench_format to parse back. *)
+
+type parse_state = {
+  mutable name : string option;
+  mutable chip : Rc_geom.Rect.t option;
+  mutable kinds : (int * Netlist.kind) list;
+  mutable pads : (int * Rc_geom.Point.t) list;
+  mutable nets : Netlist.net list;
+}
+
+let net_of_string text =
+  let st = { name = None; chip = None; kinds = []; pads = []; nets = [] } in
+  let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+  let exception Fail of string in
+  try
+    String.split_on_char '\n' text
+    |> List.iteri (fun idx line ->
+           let lineno = idx + 1 in
+           let line = String.trim line in
+           if line = "" || line.[0] = '#' then ()
+           else
+             let fields =
+               String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+             in
+             let fail msg = raise (Fail (Printf.sprintf "line %d: %s" lineno msg)) in
+             let int_of s =
+               match int_of_string_opt s with Some v -> v | None -> fail ("bad integer " ^ s)
+             in
+             let float_of s =
+               match float_of_string_opt s with Some v -> v | None -> fail ("bad number " ^ s)
+             in
+             match fields with
+             | [ "circuit"; n ] -> st.name <- Some n
+             | [ "chip"; a; b; c; d ] ->
+                 st.chip <-
+                   Some
+                     (Rc_geom.Rect.make ~xmin:(float_of a) ~ymin:(float_of b) ~xmax:(float_of c)
+                        ~ymax:(float_of d))
+             | [ "cell"; id; "logic" ] -> st.kinds <- (int_of id, Netlist.Logic) :: st.kinds
+             | [ "cell"; id; "ff" ] -> st.kinds <- (int_of id, Netlist.Flipflop) :: st.kinds
+             | [ "pad"; id; dir; x; y ] ->
+                 let kind =
+                   match dir with
+                   | "in" -> Netlist.Input_pad
+                   | "out" -> Netlist.Output_pad
+                   | _ -> fail ("bad pad direction " ^ dir)
+                 in
+                 let id = int_of id in
+                 st.kinds <- (id, kind) :: st.kinds;
+                 st.pads <- (id, Rc_geom.Point.make (float_of x) (float_of y)) :: st.pads
+             | "net" :: driver :: (_ :: _ as sinks) ->
+                 st.nets <-
+                   {
+                     Netlist.driver = int_of driver;
+                     sinks = Array.of_list (List.map int_of sinks);
+                   }
+                   :: st.nets
+             | directive :: _ -> fail ("unknown or malformed directive " ^ directive)
+             | [] -> ());
+    match (st.name, st.chip) with
+    | None, _ -> err 0 "missing circuit directive"
+    | _, None -> err 0 "missing chip directive"
+    | Some name, Some chip ->
+        let n =
+          List.fold_left (fun acc (id, _) -> max acc (id + 1)) 0 st.kinds
+        in
+        if List.length st.kinds <> n then Error "cell ids are not contiguous from 0"
+        else begin
+          let kinds = Array.make n Netlist.Logic in
+          let seen = Array.make n false in
+          List.iter
+            (fun (id, k) ->
+              if id < 0 || id >= n then raise (Fail "cell id out of range");
+              if seen.(id) then raise (Fail (Printf.sprintf "duplicate cell id %d" id));
+              seen.(id) <- true;
+              kinds.(id) <- k)
+            st.kinds;
+          match
+            Netlist.make ~name ~kinds ~nets:(Array.of_list (List.rev st.nets))
+              ~pad_positions:st.pads
+          with
+          | nl -> Ok (chip, nl)
+          | exception Invalid_argument m -> Error m
+        end
+  with Fail m -> Error m
+
+let placement_of_string ~n_cells text =
+  let out = Array.make n_cells Rc_geom.Point.zero in
+  let seen = Array.make n_cells false in
+  let exception Fail of string in
+  try
+    String.split_on_char '\n' text
+    |> List.iteri (fun idx line ->
+           let line = String.trim line in
+           if line = "" || line.[0] = '#' then ()
+           else
+             match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+             | [ id; x; y ] -> (
+                 match (int_of_string_opt id, float_of_string_opt x, float_of_string_opt y) with
+                 | Some id, Some x, Some y when id >= 0 && id < n_cells ->
+                     out.(id) <- Rc_geom.Point.make x y;
+                     seen.(id) <- true
+                 | _ -> raise (Fail (Printf.sprintf "line %d: malformed placement" (idx + 1))))
+             | _ -> raise (Fail (Printf.sprintf "line %d: malformed placement" (idx + 1))));
+    if Array.for_all Fun.id seen then Ok out
+    else Error "placement is missing cells"
+  with Fail m -> Error m
+
+(* logic cells as generic AND; pad positions are not representable in
+   .bench and are dropped *)
+let bench_to_string netlist =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b (Printf.sprintf "# %s\n" (Netlist.name netlist));
+  let sig_of c = Printf.sprintf "G%d" c in
+  let n = Netlist.n_cells netlist in
+  for c = 0 to n - 1 do
+    if Netlist.kind netlist c = Netlist.Input_pad then
+      Buffer.add_string b (Printf.sprintf "INPUT(%s)\n" (sig_of c))
+  done;
+  for c = 0 to n - 1 do
+    if Netlist.kind netlist c = Netlist.Output_pad then begin
+      match Netlist.fanin_nets netlist c with
+      | ni :: _ -> Buffer.add_string b
+          (Printf.sprintf "OUTPUT(%s)\n" (sig_of (Netlist.net netlist ni).Netlist.driver))
+      | [] -> ()
+    end
+  done;
+  for c = 0 to n - 1 do
+    let fanins =
+      List.map (fun ni -> sig_of (Netlist.net netlist ni).Netlist.driver)
+        (List.rev (Netlist.fanin_nets netlist c))
+    in
+    match Netlist.kind netlist c with
+    | Netlist.Logic when fanins <> [] ->
+        Buffer.add_string b
+          (Printf.sprintf "%s = AND(%s)\n" (sig_of c) (String.concat ", " fanins))
+    | Netlist.Flipflop when fanins <> [] ->
+        Buffer.add_string b
+          (Printf.sprintf "%s = DFF(%s)\n" (sig_of c) (String.concat ", " fanins))
+    | _ -> ()
+  done;
+  Buffer.contents b

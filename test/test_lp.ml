@@ -10,17 +10,17 @@ let solve p = Simplex.solve p
 
 let test_problem_builder () =
   let p = Problem.create () in
-  let x = Problem.add_var ~lo:0.0 ~hi:10.0 ~obj:1.0 ~name:"x" p in
-  let y = Problem.add_var ~lo:0.0 p in
-  Problem.set_obj p y 2.0;
+  let x = Problem.add_var ~lo:0.0 ~hi:10.0 ~obj:1.0 p in
+  let y = Problem.add_var ~lo:0.0 ~obj:2.0 p in
   let r = Problem.add_row p [ (x, 1.0); (y, 1.0); (x, 1.0) ] Problem.Le 8.0 in
   Alcotest.(check int) "vars" 2 (Problem.n_vars p);
   Alcotest.(check int) "rows" 1 (Problem.n_rows p);
-  Alcotest.(check (option string)) "name" (Some "x") (Problem.var_name p x);
-  let coeffs, sense, rhs = Problem.row p r in
-  Alcotest.(check bool) "duplicate merged" true (coeffs = [ (x, 2.0); (y, 1.0) ]);
-  Alcotest.(check bool) "sense" true (sense = Problem.Le);
-  check_float "rhs" 8.0 rhs;
+  check_float "obj" 2.0 (Problem.var_obj p y);
+  Problem.iter_rows p (fun i coeffs sense rhs ->
+      Alcotest.(check int) "row index" r i;
+      Alcotest.(check bool) "duplicate merged" true (coeffs = [ (x, 2.0); (y, 1.0) ]);
+      Alcotest.(check bool) "sense" true (sense = Problem.Le);
+      check_float "rhs" 8.0 rhs);
   Alcotest.check_raises "bad bounds" (Invalid_argument "Problem.add_var: lo > hi") (fun () ->
       ignore (Problem.add_var ~lo:1.0 ~hi:0.0 p))
 

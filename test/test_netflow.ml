@@ -231,7 +231,7 @@ let random_unit_supply seed =
   let cost =
     match Rc_util.Rng.int rng 4 with
     | 0 -> fun () -> float_of_int (Rc_util.Rng.int rng 5)
-    | 1 -> fun () -> if Rc_util.Rng.bool rng then 0.0 else float_of_int (Rc_util.Rng.int rng 3)
+    | 1 -> fun () -> if Reference_kernels.coin rng then 0.0 else float_of_int (Rc_util.Rng.int rng 3)
     | 2 -> fun () -> 7.0 +. (float_of_int (Rc_util.Rng.int rng 4) *. 1e-13)
     | _ -> fun () -> Rc_util.Rng.float rng 50.0
   in

@@ -27,15 +27,7 @@ let test_map_ordered () =
               Alcotest.(check (array int))
                 (Printf.sprintf "map jobs=%d n=%d" jobs n)
                 expect
-                (Rc_par.Pool.map (fun x -> (x * x) - 1) a);
-              Alcotest.(check (array int))
-                (Printf.sprintf "mapi jobs=%d n=%d" jobs n)
-                (Array.mapi (fun i x -> i - x) a)
-                (Rc_par.Pool.mapi (fun i x -> i - x) a);
-              Alcotest.(check (array int))
-                (Printf.sprintf "init jobs=%d n=%d" jobs n)
-                (Array.init n (fun i -> i * 13))
-                (Rc_par.Pool.init n (fun i -> i * 13)))
+                (Rc_par.Pool.map (fun x -> (x * x) - 1) a))
             [ 0; 1; 2; 17; 100 ]))
     [ 1; 2; 4 ]
 
@@ -99,7 +91,7 @@ let test_exception_propagates_and_pool_survives () =
       Alcotest.(check (array int))
         "pool reusable after exception"
         (Array.init 50 (fun i -> 2 * i))
-        (Rc_par.Pool.init 50 (fun i -> 2 * i)))
+        (Rc_par.Pool.map (fun i -> 2 * i) (Array.init 50 Fun.id)))
 
 (* a raising task must neither wedge the workers nor poison later jobs:
    hammer the pool with failing regions at several job counts and check
@@ -124,7 +116,7 @@ let test_repeated_failures_do_not_poison () =
             Alcotest.(check (array int))
               (Printf.sprintf "pool correct after failures (jobs=%d round=%d)" jobs round)
               (Array.init 40 (fun i -> i * i))
-              (Rc_par.Pool.init 40 (fun i -> i * i))
+              (Rc_par.Pool.map (fun i -> i * i) (Array.init 40 Fun.id))
           done))
     [ 1; 2; 4 ]
 
@@ -139,7 +131,7 @@ let test_concurrent_raises () =
       Alcotest.(check (array int))
         "pool survives a raise in every chunk"
         (Array.init 10 succ)
-        (Rc_par.Pool.init 10 succ))
+        (Rc_par.Pool.map succ (Array.init 10 Fun.id)))
 
 let test_sequential_scope () =
   with_jobs 4 (fun () ->
@@ -150,7 +142,7 @@ let test_sequential_scope () =
               "inside scope primitives see a busy region" true
               (Rc_par.Pool.in_parallel_region ());
             (* primitives still compute correctly, just sequentially *)
-            Rc_par.Pool.init 20 (fun i -> 3 * i))
+            Rc_par.Pool.map (fun i -> 3 * i) (Array.init 20 Fun.id))
       in
       Alcotest.(check (array int)) "scope result" (Array.init 20 (fun i -> 3 * i)) r;
       Alcotest.(check bool) "flag restored" false (Rc_par.Pool.in_parallel_region ());
@@ -169,14 +161,17 @@ let test_sequential_scope () =
 
 let test_nested_runs_sequentially () =
   with_jobs 2 (fun () ->
-      let inner_flags = Rc_par.Pool.init 8 (fun _ -> Rc_par.Pool.in_parallel_region ()) in
+      let inner_flags =
+        Rc_par.Pool.map (fun _ -> Rc_par.Pool.in_parallel_region ()) (Array.init 8 Fun.id)
+      in
       Array.iter
         (fun f -> Alcotest.(check bool) "body runs inside the region" true f)
         inner_flags;
       (* a nested primitive inside the region must still be correct *)
       let nested =
-        Rc_par.Pool.init 4 (fun i ->
-            Array.fold_left ( + ) 0 (Rc_par.Pool.init (i + 3) (fun j -> j)))
+        Rc_par.Pool.map
+          (fun i -> Array.fold_left ( + ) 0 (Rc_par.Pool.map (fun j -> j) (Array.init (i + 3) Fun.id)))
+          (Array.init 4 Fun.id)
       in
       Alcotest.(check (array int))
         "nested init correct" [| 3; 6; 10; 15 |] nested)
@@ -189,7 +184,7 @@ let test_region_result_and_nesting () =
       with_jobs jobs (fun () ->
           let r =
             Rc_par.Pool.region (fun () ->
-                let a = Rc_par.Pool.init 40 (fun i -> i * 3) in
+                let a = Rc_par.Pool.map (fun i -> i * 3) (Array.init 40 Fun.id) in
                 let s, p =
                   Rc_par.Pool.both
                     (fun () -> Array.fold_left ( + ) 0 a)
@@ -215,7 +210,7 @@ let test_region_exception_and_reuse () =
       Alcotest.(check (array int))
         "pool usable after a failed region"
         (Array.init 20 succ)
-        (Rc_par.Pool.init 20 succ);
+        (Rc_par.Pool.map succ (Array.init 20 Fun.id));
       Alcotest.(check int) "region usable again" 10 (Rc_par.Pool.region (fun () -> 10)))
 
 (* the keepalive contract: across many for_with iterations inside one
@@ -282,7 +277,7 @@ let test_uncapped_scope_machinery () =
             Rc_par.Pool.region (fun () ->
                 let acc = ref 0 in
                 for round = 1 to 5 do
-                  let a = Rc_par.Pool.init 200 (fun i -> i + round) in
+                  let a = Rc_par.Pool.map (fun i -> i + round) (Array.init 200 Fun.id) in
                   acc := !acc + Array.fold_left ( + ) 0 a
                 done;
                 !acc)
@@ -307,7 +302,7 @@ let test_uncapped_scope_machinery () =
           Alcotest.(check int)
             "scope still works after a raising sub-job" 10
             (Rc_par.Pool.region (fun () ->
-                 Array.fold_left ( + ) 0 (Rc_par.Pool.init 5 (fun i -> i))))))
+                 Array.fold_left ( + ) 0 (Rc_par.Pool.map (fun i -> i) (Array.init 5 Fun.id))))))
 
 (* ---- kernel determinism across job counts ----------------------------- *)
 
@@ -403,7 +398,10 @@ let test_suite_deterministic_and_tagged () =
           Alcotest.(check (list string))
             "all trace events tagged with the arm"
             [ e.Experiments.bench.Bench_suite.bname ^ "/netflow" ]
-            (Flow_trace.arms e.Experiments.netflow.Flow.trace))
+            (List.sort_uniq compare
+               (List.map
+                  (fun (ev : Flow_trace.event) -> ev.arm)
+                  (Flow_trace.events e.Experiments.netflow.Flow.trace))))
         suite)
     runs
 

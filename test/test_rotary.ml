@@ -213,8 +213,9 @@ let test_tap_cost_monotone_distance () =
      constant easy target *)
   let ring = mk_ring () in
   let target = 300.0 in
-  let near = Tapping.cost tech ring ~ff:(Point.make 1010.0 500.0) ~target in
-  let far = Tapping.cost tech ring ~ff:(Point.make 1500.0 500.0) ~target in
+  let cost ff = (Tapping.solve tech ring ~ff ~target).Tapping.wirelength in
+  let near = cost (Point.make 1010.0 500.0) in
+  let far = cost (Point.make 1500.0 500.0) in
   Alcotest.(check bool) "farther is costlier" true (far > near)
 
 let test_curve_shape () =
@@ -246,7 +247,7 @@ let prop_tap_always_matches =
       let rng = Rc_util.Rng.create seed in
       let side = Rc_util.Rng.float_in rng 300.0 1500.0 in
       let x0 = Rc_util.Rng.float_in rng (-200.0) 200.0 in
-      let clockwise = Rc_util.Rng.bool rng in
+      let clockwise = Reference_kernels.coin rng in
       let t_ref = Rc_util.Rng.float_in rng 0.0 999.0 in
       let ring =
         Ring.make ~id:0
@@ -267,7 +268,7 @@ let prop_tap_on_ring_boundary =
     QCheck.(triple (int_range 0 10000) (float_range 0.0 1200.0) (float_range 0.0 999.0))
     (fun (seed, coord, target) ->
       let rng = Rc_util.Rng.create (seed + 5) in
-      let ring = mk_ring ~clockwise:(Rc_util.Rng.bool rng) () in
+      let ring = mk_ring ~clockwise:(Reference_kernels.coin rng) () in
       let ff = Point.make coord (Rc_util.Rng.float_in rng 0.0 1200.0) in
       let tap = Tapping.solve tech ring ~ff ~target in
       Ring.closest_boundary_distance ring tap.Tapping.point < 1e-6)

@@ -8,7 +8,12 @@ let with_jobs n f =
   Rc_par.Pool.set_jobs n;
   Fun.protect ~finally:(fun () -> Rc_par.Pool.set_jobs 1) f
 
-let chip = Bench_suite.chip_of_grid 4
+(* the die of a g×g ring array at the suite's ring pitch *)
+let chip_of_grid g =
+  let side = float_of_int g *. Bench_suite.ring_pitch in
+  Rc_geom.Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:side ~ymax:side
+
+let chip = chip_of_grid 4
 
 let small_cfg seed =
   Rc_netlist.Generator.hier ~name:"hier8k" ~n_cells:8192 ~block_cells:512
@@ -147,7 +152,7 @@ let test_vcycle () =
 let test_sharded_assignment () =
   let tech = Rc_tech.Tech.default in
   let grid = 12 in
-  let schip = Bench_suite.chip_of_grid grid in
+  let schip = chip_of_grid grid in
   let arr = Rc_rotary.Ring_array.create ~chip:schip ~grid () in
   let n = 4500 in
   let rng = Rc_util.Rng.create 99 in
@@ -185,7 +190,7 @@ let test_sharded_assignment () =
 let test_sharded_pinned () =
   let tech = Rc_tech.Tech.default in
   let grid = 12 in
-  let schip = Bench_suite.chip_of_grid grid in
+  let schip = chip_of_grid grid in
   let arr = Rc_rotary.Ring_array.create ~chip:schip ~grid () in
   let n = 4500 in
   let rng = Rc_util.Rng.create 4242 in
@@ -223,7 +228,7 @@ let scale10k =
     gen =
       Bench_suite.Hier
         (Rc_netlist.Generator.hier ~name:"scale10k" ~n_cells:10_000
-           ~chip:(Bench_suite.chip_of_grid 6) ~seed:777 ());
+           ~chip:(chip_of_grid 6) ~seed:777 ());
   }
 
 let test_flow_smoke () =

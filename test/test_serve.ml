@@ -67,6 +67,27 @@ let test_checkpoint_bit_identity () =
             checkpoints))
     [ 1; 2; 4 ]
 
+(* a checkpoint directory whose parents do not exist yet is created
+   whole, and what lands there resumes to the uninterrupted digest *)
+let test_checkpoint_creates_parents () =
+  let dir = List.fold_left Filename.concat temp_dir [ "nested"; "a"; "b" ] in
+  let d0 = Checkpoint.digest_of_outcome (Flow.run tiny_cfg) in
+  let _, checkpoints = Checkpoint.run_with_checkpoints ~every:1 ~dir ~name:"nested" tiny_cfg in
+  Alcotest.(check bool) "several checkpoints written" true (List.length checkpoints >= 2);
+  List.iter
+    (fun (k, path) ->
+      Alcotest.(check string)
+        (Printf.sprintf "iter %d under the new directory" k)
+        (Filename.concat dir (Printf.sprintf "nested.iter-%d.ckpt" k))
+        path;
+      Alcotest.(check bool) (Printf.sprintf "iter %d file exists" k) true (Sys.file_exists path))
+    checkpoints;
+  let k, path = List.nth checkpoints (List.length checkpoints / 2) in
+  match Checkpoint.resume ~path () with
+  | Error e -> Alcotest.failf "resume iter %d: %s" k e
+  | Ok resumed ->
+      Alcotest.(check string) "resumed digest" d0 (Checkpoint.digest_of_outcome resumed)
+
 let test_checkpoint_inspect () =
   let _, checkpoints =
     Checkpoint.run_with_checkpoints ~every:1 ~dir:temp_dir ~name:"inspect" tiny_cfg
@@ -215,7 +236,7 @@ let test_scheduler_runs_jobs () =
           | _ -> Alcotest.failf "job %d did not complete" i)
         slots;
       (* a job counts as finished once its on_done has returned *)
-      Scheduler.drain sched;
+      Scheduler.shutdown sched;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "completed" 6 c.Scheduler.completed;
       Alcotest.(check int) "nothing pending" 0 c.Scheduler.pending;
@@ -244,8 +265,8 @@ let test_scheduler_keeps_no_finished_job () =
        with
       | Ok () -> ()
       | Error e -> Alcotest.failf "submit rejected: %s" e);
-      (* drain returns once the job's on_done has returned *)
-      Scheduler.drain sched;
+      (* shutdown returns once the job's on_done has returned *)
+      Scheduler.shutdown sched;
       Alcotest.(check bool) "job completed" true (Atomic.get completed);
       Gc.full_major ();
       Alcotest.(check bool) "result collected after on_done" false (Weak.check seen 0))
@@ -297,7 +318,7 @@ let test_scheduler_deadline_expires_queued () =
             true (contains reason "deadline")
       | _ -> Alcotest.fail "expected Cancelled");
       ignore (await_done blocker);
-      Scheduler.drain sched;
+      Scheduler.shutdown sched;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "one cancelled" 1 c.cancelled)
 
@@ -370,7 +391,7 @@ let test_scheduler_on_done_raises () =
           | Scheduler.Done (Json.Int v) -> Alcotest.(check int) "later job result" i v
           | _ -> Alcotest.failf "job %d after the raising on_done did not complete" i)
         later;
-      Scheduler.drain sched;
+      Scheduler.shutdown sched;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "all four completed" 4 c.Scheduler.completed;
       Alcotest.(check int) "nothing running" 0 c.Scheduler.running)
@@ -404,7 +425,7 @@ let test_scheduler_admission_control () =
       Atomic.set gate true;
       ignore (await_done blocker);
       ignore (await_done queued);
-      Scheduler.drain sched;
+      Scheduler.shutdown sched;
       let c = Scheduler.counts sched in
       Alcotest.(check int) "rejected counted" 1 c.Scheduler.rejected;
       Alcotest.(check int) "completed" 2 c.Scheduler.completed)
@@ -790,14 +811,14 @@ let test_shm_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok reader ->
       Alcotest.(check (option int)) "port via attach" (Some 40129) (Shm.tcp_port reader);
-      let r = Shm.read_row reader ~slot:1 in
+      let r = (Shm.read_all reader).(1) in
       Alcotest.(check bool) "worker region consistent" true r.Shm.w_consistent;
       Alcotest.(check bool) "control region consistent" true r.Shm.c_consistent;
       Alcotest.(check bool) "worker row roundtrips" true (r.Shm.worker = sample_worker_row);
       Alcotest.(check bool) "control row roundtrips" true
         (r.Shm.control = sample_control_row);
       (* untouched slot reads as empty/down, not garbage *)
-      let r0 = Shm.read_row reader ~slot:0 in
+      let r0 = (Shm.read_all reader).(0) in
       Alcotest.(check int) "empty slot pid" 0 r0.Shm.worker.Shm.pid;
       Alcotest.(check bool) "empty slot down" true
         (r0.Shm.control.Shm.c_state = Shm.C_down));
@@ -842,12 +863,12 @@ let test_shm_recreate_detaches_old () =
   let orphan = match Shm.attach ~path () with Ok s -> s | Error e -> Alcotest.fail e in
   let fresh = Shm.create ~path ~n_workers:1 () in
   Shm.write_worker orphan ~slot:0 { sample_worker_row with Shm.pid = 4242 };
-  let r = Shm.read_row fresh ~slot:0 in
+  let r = (Shm.read_all fresh).(0) in
   Alcotest.(check int) "fresh slot untouched by the old mapping" 0 r.Shm.worker.Shm.pid;
   (match Shm.attach ~path () with
   | Ok reader ->
       Alcotest.(check int) "attach sees the fresh segment" 0
-        (Shm.read_row reader ~slot:0).Shm.worker.Shm.pid
+        (Shm.read_all reader).(0).Shm.worker.Shm.pid
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
@@ -916,11 +937,11 @@ let test_shm_seqlock_consistency () =
       for round = 1 to rounds do
         Atomic.set go round;
         while Atomic.get parked < round do
-          check_whole (Shm.read_row reader ~slot:0)
+          check_whole (Shm.read_all reader).(0)
         done;
         let v = Atomic.get last in
         for _ = 1 to parked_reads do
-          let r = Shm.read_row reader ~slot:0 in
+          let r = (Shm.read_all reader).(0) in
           if not (r.Shm.w_consistent && r.Shm.worker.Shm.pid = v) then
             Alcotest.failf "round %d, writer parked: consistent=%b pid=%d, last write %d" round
               r.Shm.w_consistent r.Shm.worker.Shm.pid v;
@@ -1319,6 +1340,8 @@ let () =
         [
           Alcotest.test_case "resume is bit-identical (jobs 1/2/4)" `Slow
             test_checkpoint_bit_identity;
+          Alcotest.test_case "creates missing parent directories" `Quick
+            test_checkpoint_creates_parents;
           Alcotest.test_case "inspect header" `Quick test_checkpoint_inspect;
           Alcotest.test_case "rejects corruption" `Quick test_checkpoint_rejects_corruption;
           Alcotest.test_case "counts file writes and failures" `Quick

@@ -106,7 +106,7 @@ let test_cost_driven_minmax_feasible () =
 let test_cost_driven_graph_vs_lp () =
   let pr = pipeline_problem () in
   let g = Option.get (Cost_driven.solve_minmax_graph pr ~slack:0.0 ~anchors:anchors3) in
-  let l = Option.get (Cost_driven.solve_minmax_lp pr ~slack:0.0 ~anchors:anchors3) in
+  let l = Option.get (Reference_kernels.solve_minmax_lp pr ~slack:0.0 ~anchors:anchors3) in
   check_float 0.05 "same Delta" g.Cost_driven.objective l.Cost_driven.objective
 
 let test_cost_driven_infeasible_slack () =
@@ -168,7 +168,7 @@ let random_problem rng n =
     let d_min = Rc_util.Rng.float_in rng 20.0 200.0 in
     let d_max = d_min +. Rc_util.Rng.float_in rng 0.0 400.0 in
     pairs := { Skew_problem.i; j = i + 1; d_max; d_min } :: !pairs;
-    if Rc_util.Rng.bool rng then begin
+    if Reference_kernels.coin rng then begin
       let d_min2 = Rc_util.Rng.float_in rng 20.0 200.0 in
       let d_max2 = d_min2 +. Rc_util.Rng.float_in rng 0.0 400.0 in
       pairs := { Skew_problem.i = i + 1; j = Rc_util.Rng.int rng (i + 1); d_max = d_max2; d_min = d_min2 } :: !pairs
@@ -251,7 +251,7 @@ let prop_minmax_graph_matches_lp =
       in
       match
         ( Cost_driven.solve_minmax_graph pr ~slack:0.0 ~anchors,
-          Cost_driven.solve_minmax_lp pr ~slack:0.0 ~anchors )
+          Reference_kernels.solve_minmax_lp pr ~slack:0.0 ~anchors )
       with
       | Some g, Some l -> Float.abs (g.Cost_driven.objective -. l.Cost_driven.objective) < 0.1
       | None, None -> true
@@ -274,7 +274,7 @@ let random_problem_loops rng n =
           d_min;
         })
   in
-  let pairs = match pairs with p :: _ when Rc_util.Rng.bool rng -> p :: pairs | _ -> pairs in
+  let pairs = match pairs with p :: _ when Reference_kernels.coin rng -> p :: pairs | _ -> pairs in
   Skew_problem.make ~n ~pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
 
 let random_anchors rng n =

@@ -1,5 +1,4 @@
-(* Tests for the variation-analysis substrate (Monte-Carlo skew spread)
-   and the permissible-range utilities. *)
+(* Tests for the variation-analysis substrate (Monte-Carlo skew spread). *)
 
 open Rc_variation
 
@@ -76,74 +75,6 @@ let test_report_renders () =
   Alcotest.(check bool) "report" true
     (String.length (Variation.compare_report ~tree ~rotary:rot) > 100)
 
-(* --- permissible ranges --- *)
-
-open Rc_skew
-
-let problem3 =
-  Skew_problem.make ~n:3
-    ~pairs:
-      [
-        { Skew_problem.i = 0; j = 1; d_max = 600.0; d_min = 400.0 };
-        { Skew_problem.i = 1; j = 2; d_max = 300.0; d_min = 100.0 };
-      ]
-    ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
-
-let test_ranges_formula () =
-  match Permissible.ranges problem3 with
-  | [ a; b ] ->
-      (* pair (0,1): lo = 15 - 400 = -385, hi = 1000-600-40 = 360 *)
-      Alcotest.(check (float 1e-9)) "lo" (-385.0) a.Permissible.lo;
-      Alcotest.(check (float 1e-9)) "hi" 360.0 a.Permissible.hi;
-      Alcotest.(check (float 1e-9)) "width" 745.0 (Permissible.width a);
-      Alcotest.(check (float 1e-9)) "lo 2" (-85.0) b.Permissible.lo;
-      Alcotest.(check (float 1e-9)) "hi 2" 660.0 b.Permissible.hi
-  | _ -> Alcotest.fail "expected two ranges"
-
-let test_ranges_slack_shrinks () =
-  let w0 = List.map Permissible.width (Permissible.ranges problem3) in
-  let w1 = List.map Permissible.width (Permissible.ranges ~slack:50.0 problem3) in
-  List.iter2
-    (fun a b -> Alcotest.(check (float 1e-9)) "each range narrows by 2M" (a -. 100.0) b)
-    w0 w1
-
-let test_margin () =
-  let r = List.hd (Permissible.ranges problem3) in
-  (* zero skew: s = 0, margins: 0-(-385) = 385 vs 360-0 = 360 -> 360 *)
-  Alcotest.(check (float 1e-9)) "zero-skew margin" 360.0
-    (Permissible.margin r ~skews:[| 0.0; 0.0; 0.0 |]);
-  Alcotest.(check bool) "violated is negative" true
-    (Permissible.margin r ~skews:[| 400.0; 0.0; 0.0 |] < 0.0)
-
-let test_min_margin_matches_check () =
-  let skews = [| 0.0; 100.0; 50.0 |] in
-  let mm = Permissible.min_margin problem3 ~skews in
-  Alcotest.(check bool) "consistent with feasibility" true
-    ((mm >= 0.0) = Skew_problem.check problem3 ~slack:0.0 ~skews)
-
-let test_histogram () =
-  let h = Permissible.histogram_widths problem3 ~bins:2 in
-  Alcotest.(check int) "bins" 2 (Array.length h);
-  Alcotest.(check int) "total" 2 (Array.fold_left (fun a (_, c) -> a + c) 0 h)
-
-let prop_margin_nonneg_for_scheduled =
-  QCheck.Test.make ~name:"max-slack schedules have margin >= slack" ~count:30
-    QCheck.(pair small_int (int_range 2 8))
-    (fun (seed, n) ->
-      let rng = Rc_util.Rng.create ((seed * 7) + 3) in
-      let pairs = ref [] in
-      for i = 0 to n - 2 do
-        let d_min = Rc_util.Rng.float_in rng 50.0 200.0 in
-        pairs :=
-          { Skew_problem.i; j = i + 1; d_max = d_min +. Rc_util.Rng.float_in rng 0.0 300.0; d_min }
-          :: !pairs
-      done;
-      let p = Skew_problem.make ~n ~pairs:!pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0 in
-      match Max_slack.solve_graph p with
-      | None -> false
-      | Some r ->
-          Permissible.min_margin p ~skews:r.Max_slack.skews >= r.Max_slack.slack -. 0.01)
-
 let () =
   Alcotest.run "rc_variation"
     [
@@ -158,14 +89,5 @@ let () =
             test_rotary_less_than_tree_when_stubs_short;
           Alcotest.test_case "summary ordering" `Quick test_summary_order;
           Alcotest.test_case "report renders" `Quick test_report_renders;
-        ] );
-      ( "permissible",
-        [
-          Alcotest.test_case "range formula" `Quick test_ranges_formula;
-          Alcotest.test_case "slack shrinks ranges" `Quick test_ranges_slack_shrinks;
-          Alcotest.test_case "margin" `Quick test_margin;
-          Alcotest.test_case "min margin vs check" `Quick test_min_margin_matches_check;
-          Alcotest.test_case "width histogram" `Quick test_histogram;
-          QCheck_alcotest.to_alcotest prop_margin_nonneg_for_scheduled;
         ] );
     ]
