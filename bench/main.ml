@@ -282,9 +282,11 @@ let test_table7 =
                   })
                 ffs)
          in
+         (* a flow's first stage-6 call: the Laplacian is built here too *)
+         let lap = Rc_place.Qplace.laplacian netlist ~chip in
          ignore
-           (Rc_place.Qplace.incremental netlist ~chip ~prev:placed.Rc_place.Qplace.positions
-              ~pseudo)))
+           (Rc_place.Qplace.incremental ~lap netlist ~chip
+              ~prev:placed.Rc_place.Qplace.positions ~pseudo)))
 
 let test_fig2 =
   Test.make ~name:"fig2:tapping-point-solver"

@@ -45,14 +45,23 @@ let effective_benches benches quick =
 
 (* --- flow command --- *)
 
+(* a count that must be at least 1; anything else is a usage error *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let mode_arg =
   let mode_conv = Arg.enum [ ("netflow", Flow.Netflow); ("ilp", Flow.Ilp) ] in
   Arg.(
     value & opt mode_conv Flow.Netflow
     & info [ "mode" ] ~docv:"MODE" ~doc:"Assignment mode: netflow or ilp")
 
-let run_flow jobs bench mode trace metrics no_incremental checkpoint_every checkpoint_dir
-    resume digest =
+let run_flow_checked jobs bench mode trace metrics no_incremental checkpoint_every
+    checkpoint_dir resume digest =
   setup_jobs jobs;
   if metrics then Rc_obs.Metrics.set_enabled true;
   let cfg = { (Flow.default_config ~mode bench) with Flow.incremental = not no_incremental } in
@@ -110,6 +119,18 @@ let run_flow jobs bench mode trace metrics no_incremental checkpoint_every check
          (Rc_obs.Metrics.snapshot ()))
   end
 
+(* a resumed flow writes no checkpoints, so asking for them is a usage
+   error rather than a silent no-op *)
+let run_flow jobs bench mode trace metrics no_incremental checkpoint_every checkpoint_dir
+    resume digest =
+  match (resume, checkpoint_every) with
+  | Some _, Some _ ->
+      `Error (true, "--resume cannot be combined with --checkpoint-every")
+  | _ ->
+      run_flow_checked jobs bench mode trace metrics no_incremental checkpoint_every
+        checkpoint_dir resume digest;
+      `Ok ()
+
 let flow_cmd =
   let bench =
     Arg.(value & opt bench_conv Bench_suite.tiny & info [ "b"; "bench" ] ~docv:"NAME" ~doc:"Circuit")
@@ -118,7 +139,8 @@ let flow_cmd =
     Arg.(
       value & flag
       & info [ "trace" ]
-          ~doc:"Print the stage plan and the structured per-stage trace (wall time and cost delta per stage execution)")
+          ~doc:"Print the stage plan and the structured per-stage trace (wall time, the part of \
+                it inside pool fan-outs, and cost delta per stage execution)")
   in
   let metrics =
     Arg.(
@@ -137,10 +159,11 @@ let flow_cmd =
   let checkpoint_every =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Write a checkpoint every N iteration boundaries (resumable with --resume; \
-                resuming finishes bit-identically to the uninterrupted run)")
+                resuming finishes bit-identically to the uninterrupted run).  Not with \
+                $(b,--resume)")
   in
   let checkpoint_dir =
     Arg.(
@@ -165,8 +188,9 @@ let flow_cmd =
   Cmd.v
     (Cmd.info "flow" ~doc:"Run the six-stage flow on one circuit and print per-iteration metrics")
     Term.(
-      const run_flow $ jobs_arg $ bench $ mode_arg $ trace $ metrics $ no_incremental
-      $ checkpoint_every $ checkpoint_dir $ resume $ digest)
+      ret
+        (const run_flow $ jobs_arg $ bench $ mode_arg $ trace $ metrics $ no_incremental
+       $ checkpoint_every $ checkpoint_dir $ resume $ digest))
 
 (* --- tables command --- *)
 
@@ -466,15 +490,6 @@ let run_serve socket workers max_pending workers_proc tcp shm drain_restart chec
       session_dir;
       session_capacity;
     }
-
-(* a count that must be at least 1; anything else is a usage error *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let serve_cmd =
   let socket =

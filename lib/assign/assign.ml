@@ -165,6 +165,9 @@ type cache = {
   mutable c_arr : Ring_array.t option;  (* ring array the pool refers to *)
   mutable solver : (Rc_netflow.Assignment.solver * int * int array) option;
       (* solver, n_items, capacities it was built for *)
+  mutable sharded : (int * int array * Tapping.tap array * int array) option;
+      (* the last sharded result: candidate count, capacities, taps,
+         ring_of_ff (copies the caller never sees) *)
 }
 
 let make_cache () =
@@ -177,6 +180,7 @@ let make_cache () =
     c_t = [||];
     c_arr = None;
     solver = None;
+    sharded = None;
   }
 
 let cache_invalidate cc ~ff =
@@ -190,7 +194,8 @@ let cache_reset cc =
   cc.c_y <- [||];
   cc.c_t <- [||];
   cc.c_arr <- None;
-  cc.solver <- None
+  cc.solver <- None;
+  cc.sharded <- None
 
 let quantized_key (p : Rc_geom.Point.t) target k =
   let q v = int_of_float (v *. 1024.0) in
@@ -213,6 +218,7 @@ let candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates =
     | Some pl when pl.stride = candidates && pl.n_ffs = n -> (pl, true)
     | _ -> (alloc_pool n candidates, false)
   in
+  let resolved = Atomic.make 0 in
   Rc_par.Pool.for_ ~min_items:par_cutoff n (fun i ->
       let p = ff_positions.(i) and target = targets.(i) in
       let key = quantized_key p target candidates in
@@ -225,6 +231,7 @@ let candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates =
       else begin
         Rc_obs.Metrics.incr
           (if cc.c_valid.(i) then m_tap_invalidations else m_tap_misses);
+        Atomic.incr resolved;
         let solves = fill_ff pl tech arr i p target in
         Rc_obs.Metrics.add m_candidate_solves solves;
         cc.c_valid.(i) <- true;
@@ -234,7 +241,7 @@ let candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates =
         cc.c_t.(i) <- target
       end);
   cc.c_pool <- Some pl;
-  pl
+  (pl, Atomic.get resolved)
 
 let tap_for pl i rj =
   let m = pool_count pl i in
@@ -465,15 +472,31 @@ let by_netflow ?(candidates = 6) ?capacities ?cache tech arr ~ff_positions ~targ
         Rc_netflow.Assignment.solve_with solver cands
   in
   let rec attempt k =
-    let pl =
+    let pl, resolved =
       match cache with
-      | None -> candidate_taps_batch tech arr ~ff_positions ~targets ~candidates:k
+      | None -> (candidate_taps_batch tech arr ~ff_positions ~targets ~candidates:k, n)
       | Some cc -> candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates:k
     in
-    if n >= shard_threshold then
+    if n >= shard_threshold then begin
       (* the sharded path replaces both the global solve and its
-         replay; the widen/repair loop lives inside [solve_sharded] *)
-      solve_sharded tech arr ~capacities pl ~ff_positions ~targets
+         replay; the widen/repair loop lives inside [solve_sharded].
+         A cached call whose every flip-flop hit the tap cache has the
+         previous call's pool, positions and targets bit for bit; with
+         equal capacities and candidate count the shards would re-solve
+         to the previous result, so that result is replayed instead. *)
+      match cache with
+      | Some { sharded = Some (sk, scaps, taps, rings); _ }
+        when resolved = 0 && sk = k && scaps = capacities ->
+          finish tech arr ~ff_positions (Array.copy taps) (Array.copy rings)
+      | _ ->
+          let a = solve_sharded tech arr ~capacities pl ~ff_positions ~targets in
+          Option.iter
+            (fun cc ->
+              cc.sharded <-
+                Some (k, Array.copy capacities, Array.copy a.taps, Array.copy a.ring_of_ff))
+            cache;
+          a
+    end
     else begin
     (* candidate arcs in (ff, nearest-ring) order, built back to front *)
     let cands = ref [] in

@@ -121,7 +121,11 @@ val by_netflow :
     cheapest pooled candidate ring with room, else the ring with room
     whose centre is nearest (Manhattan distance, ties to the lower ring
     id).  So the assignment is always complete; the cached solver is
-    bypassed on this path.
+    bypassed on this path.  With [cache], a call on which every
+    flip-flop hit the tap cache, with the previous call's capacities and
+    candidate count, returns a copy of the previous sharded result
+    instead of re-solving the shards: its inputs are bit-identical, so
+    is the result.
     @raise Invalid_argument on size mismatches, infeasible total
     capacity, or [candidates < 1]. *)
 

@@ -3,7 +3,8 @@
    the caches are deliberately not — they are sessions whose whole point
    is to persist across iterations: the incremental STA session, the
    Eq. 1 candidate-tap cache with its replaying assignment solver,
-   and the dirty-set tracker fed by stage 6's displacement vector.
+   stage 6's net Laplacian, and the dirty-set tracker fed by stage 6's
+   displacement vector.
 
    Every cache matches on exact inputs, so a flow run with caching
    enabled is bit-identical to one without — the caches only skip
@@ -16,6 +17,9 @@ let g_max_disp = Rc_obs.Metrics.gauge "flow.dirty.max_displacement_um"
 type t = {
   mutable sta : Rc_timing.Sta.session option;
   assign : Rc_assign.Assign.cache;
+  mutable lap : Rc_place.Qplace.laplacian option;
+      (* built on the flow's first stage-6 call; the netlist and die it
+         depends on are fixed for the flow's lifetime *)
   epsilon : float;  (* movement threshold for the dirty set, um *)
   mutable dirty_cells : int;  (* cells moved > epsilon in the last stage-6 pass *)
 }
@@ -24,6 +28,7 @@ let create ?(epsilon = 0.0) () =
   {
     sta = None;
     assign = Rc_assign.Assign.make_cache ();
+    lap = None;
     epsilon;
     dirty_cells = 0;
   }
@@ -38,12 +43,22 @@ let sta_session t tech netlist =
 
 let assign_cache t = t.assign
 
+let laplacian t netlist ~chip =
+  match t.lap with
+  | Some lap -> lap
+  | None ->
+      let lap = Rc_place.Qplace.laplacian netlist ~chip in
+      t.lap <- Some lap;
+      lap
+
 (* Full invalidation, for edits that change what the caches are keyed
    against implicitly (the STA session embeds the tech, the tap cache
-   the ring array): drop the session and empty the assignment cache in
-   place so the next consumers rebuild against the new inputs. *)
+   the ring array): drop the session and the Laplacian and empty the
+   assignment cache in place so the next consumers rebuild against the
+   new inputs. *)
 let reset t =
   t.sta <- None;
+  t.lap <- None;
   Rc_assign.Assign.cache_reset t.assign;
   t.dirty_cells <- 0
 

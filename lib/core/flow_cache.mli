@@ -5,8 +5,11 @@
     It bundles the incremental STA session
     ({!Rc_timing.Sta.analyze_batch}), the Eq. 1 candidate-tap
     cache with the replaying assignment solver
-    ({!Rc_assign.Assign.by_netflow} with [~cache]), and the dirty-set
-    tracker that stage 6 feeds with its displacement vector.
+    ({!Rc_assign.Assign.by_netflow} with [~cache], which also replays
+    the sharded solve above 4096 flip-flops), stage 6's net Laplacian
+    ({!Rc_place.Qplace.laplacian}, built on the flow's first stage-6
+    call and held for that flow only), and the dirty-set tracker that
+    stage 6 feeds with its displacement vector.
 
     All caches validate against exact inputs, so enabling them cannot
     change any flow result — see [docs/incremental.md]. *)
@@ -26,9 +29,15 @@ val sta_session : t -> Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_timing.Sta.s
 val assign_cache : t -> Rc_assign.Assign.cache
 (** The candidate-tap + assignment cache for stage 3. *)
 
+val laplacian : t -> Rc_netlist.Netlist.t -> chip:Rc_geom.Rect.t -> Rc_place.Qplace.laplacian
+(** Stage 6's net Laplacian of this flow's netlist and die: built on
+    the first call and returned by every later one.  It lives as long
+    as this value — one flow — and in no process-wide table. *)
+
 val reset : t -> unit
-(** Drop everything: the STA session (which embeds the technology) and
-    the assignment cache contents (which embed the ring array).  Called
+(** Drop everything: the STA session (which embeds the technology),
+    the Laplacian, and the assignment cache contents (which embed the
+    ring array).  Called
     when an ECO edit changes those anchors — e.g. a clock-period change
     rebuilds the rings — so stale sessions can never be consulted. *)
 

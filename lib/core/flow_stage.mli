@@ -29,13 +29,16 @@ val describe : t -> string
 (** ["name [variant] inputs -> outputs"], for --trace and docs. *)
 
 val exec : t -> Flow_ctx.t -> Flow_ctx.t
-(** Run one stage: time it, compute the objective delta across it, and
-    record the trace event (consuming the stage's note). *)
+(** Run one stage: time it and the part of it inside pool fan-outs,
+    compute the objective delta across it, and record the trace event
+    (consuming the stage's note). *)
 
 val run_sequence : ?guard:(Flow_ctx.t -> unit) -> t list -> Flow_ctx.t -> Flow_ctx.t
-(** [exec] each stage in order.  [guard] runs before every stage
-    execution; raising from it aborts the run — the flow's cooperative
-    cancellation point (job deadlines). *)
+(** [exec] each stage in order, computing each stage boundary's
+    objective once: one stage's after-value is the next one's
+    before-value.  [guard] runs before every stage execution; raising
+    from it aborts the run — the flow's cooperative cancellation point
+    (job deadlines). *)
 
 val run_loop :
   ?guard:(Flow_ctx.t -> unit) ->
@@ -49,7 +52,9 @@ val run_loop :
     or [max_iterations] is reached; once convergence is flagged the rest
     of the iteration is skipped, and [advance]-only stages (stage 6) are
     skipped on the final iteration because no later iteration will
-    consume their output.  [guard] is the per-stage cancellation hook
+    consume their output.  Each stage boundary's objective is computed
+    once, as in {!run_sequence}, across iterations too.  [guard] is the
+    per-stage cancellation hook
     (see {!run_sequence}); [on_iteration] runs after each completed
     iteration with the consistent boundary context — the checkpoint
     hook: resuming a saved boundary context via {!Flow.resume_on}

@@ -212,9 +212,14 @@ let incremental_qplace =
       let cfg = ctx.Flow_ctx.cfg in
       let weight = pseudo_weight_at cfg ~iteration:ctx.Flow_ctx.iteration in
       let pseudo = pseudo_nets ctx weight in
+      let netlist = ctx.Flow_ctx.netlist and chip = ctx.Flow_ctx.chip in
+      let lap =
+        if cfg.Flow_ctx.incremental then Flow_cache.laplacian ctx.Flow_ctx.caches netlist ~chip
+        else Rc_place.Qplace.laplacian netlist ~chip
+      in
       let inc =
-        Rc_place.Qplace.incremental ~stability:cfg.Flow_ctx.stability ctx.Flow_ctx.netlist
-          ~chip:ctx.Flow_ctx.chip ~prev:ctx.Flow_ctx.positions ~pseudo
+        Rc_place.Qplace.incremental ~stability:cfg.Flow_ctx.stability ~lap netlist ~chip
+          ~prev:ctx.Flow_ctx.positions ~pseudo
       in
       Flow_cache.note_displacement ctx.Flow_ctx.caches ~prev:ctx.Flow_ctx.positions
         ~next:inc.Rc_place.Qplace.positions;

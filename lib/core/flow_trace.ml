@@ -18,6 +18,9 @@ type event = {
   category : category;
   iteration : int;  (* 0 = prologue, 1..k = loop, k+1 = epilogue *)
   wall_s : float;
+  pool_s : float;
+      (* the part of [wall_s] the stage's domain spent inside pool
+         primitives that fanned out; the rest ran on that domain alone *)
   cost_delta : float option;
       (* change of the stage-5 objective (signal WL + w * tapping WL)
          across the stage; None while the objective is not yet defined
@@ -58,8 +61,8 @@ let fmt_delta = function
 (* per-event table: one row per stage execution, chronological *)
 let render ?(title = "Per-stage trace") t =
   Report.render ~title
-    ~header:[ "Iter"; "Stage"; "Variant"; "Wall (ms)"; "dCost (um)"; "Note" ]
-    ~aligns:[ Report.R; L; L; R; R; L ]
+    ~header:[ "Iter"; "Stage"; "Variant"; "Wall (ms)"; "Pool (ms)"; "dCost (um)"; "Note" ]
+    ~aligns:[ Report.R; L; L; R; R; R; L ]
     (List.map
        (fun e ->
          [
@@ -67,13 +70,16 @@ let render ?(title = "Per-stage trace") t =
            e.stage;
            e.variant;
            Printf.sprintf "%.3f" (e.wall_s *. 1000.0);
+           Printf.sprintf "%.3f" (e.pool_s *. 1000.0);
            fmt_delta e.cost_delta;
            e.note;
          ])
        (events t))
 
 (* aggregate table: one row per (stage, variant) with call count, total
-   and mean wall time, and the summed objective movement *)
+   and mean wall time, the total inside pool fan-outs and the serial
+   share (the rest of the wall, as a fraction of it), and the summed
+   objective movement *)
 let summary ?(title = "Per-stage summary") t =
   let keys =
     List.rev
@@ -91,6 +97,7 @@ let summary ?(title = "Per-stage summary") t =
         in
         let calls = List.length es in
         let wall = List.fold_left (fun a e -> a +. e.wall_s) 0.0 es in
+        let pool = List.fold_left (fun a e -> a +. e.pool_s) 0.0 es in
         let delta =
           List.fold_left
             (fun a e -> match e.cost_delta with Some d -> a +. d | None -> a)
@@ -101,12 +108,15 @@ let summary ?(title = "Per-stage summary") t =
           variant;
           string_of_int calls;
           Printf.sprintf "%.3f" (wall *. 1000.0);
+          Printf.sprintf "%.3f" (pool *. 1000.0);
+          (if wall > 0.0 then Printf.sprintf "%.1f%%" (100.0 *. (wall -. pool) /. wall) else "--");
           Printf.sprintf "%.3f" (wall /. float_of_int (max calls 1) *. 1000.0);
           Printf.sprintf "%+.0f" delta;
         ])
       keys
   in
   Report.render ~title
-    ~header:[ "Stage"; "Variant"; "Calls"; "Total (ms)"; "Mean (ms)"; "Sum dCost (um)" ]
-    ~aligns:[ Report.L; L; R; R; R; R ]
+    ~header:
+      [ "Stage"; "Variant"; "Calls"; "Total (ms)"; "Pool (ms)"; "Serial"; "Mean (ms)"; "Sum dCost (um)" ]
+    ~aligns:[ Report.L; L; R; R; R; R; R; R ]
     rows

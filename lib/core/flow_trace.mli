@@ -18,6 +18,10 @@ type event = {
   category : category;
   iteration : int;  (** 0 = prologue, 1..k = loop, k+1 = epilogue *)
   wall_s : float;
+  pool_s : float;
+      (** the part of [wall_s] the stage's domain spent inside pool
+          primitives that fanned work out ({!Rc_par.Pool.fanout_wall_s});
+          [wall_s -. pool_s] ran on that one domain *)
   cost_delta : float option;
       (** change of the stage-5 objective across the stage; [None] while
           the objective is undefined (no assignment yet) *)
@@ -43,8 +47,11 @@ val stage_names : t -> string list
 (** Distinct canonical stage names, in first-appearance order. *)
 
 val render : ?title:string -> t -> string
-(** Per-event table: one row per stage execution, chronological. *)
+(** Per-event table: one row per stage execution, chronological, with
+    its wall and pool time. *)
 
 val summary : ?title:string -> t -> string
 (** Aggregate table: one row per (stage, variant) with call count,
-    total/mean wall time, and summed objective movement. *)
+    total wall time, the part inside pool fan-outs, the serial share
+    (the rest, as a percentage of the total), mean wall time, and
+    summed objective movement. *)

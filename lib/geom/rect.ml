@@ -4,23 +4,8 @@ let make ~xmin ~ymin ~xmax ~ymax =
   if xmax < xmin || ymax < ymin then invalid_arg "Rect.make: inverted bounds";
   { xmin; ymin; xmax; ymax }
 
-let of_points = function
-  | [] -> invalid_arg "Rect.of_points: empty"
-  | (p : Point.t) :: rest ->
-      List.fold_left
-        (fun r (q : Point.t) ->
-          {
-            xmin = Float.min r.xmin q.x;
-            ymin = Float.min r.ymin q.y;
-            xmax = Float.max r.xmax q.x;
-            ymax = Float.max r.ymax q.y;
-          })
-        { xmin = p.x; ymin = p.y; xmax = p.x; ymax = p.y }
-        rest
-
 let width r = r.xmax -. r.xmin
 let height r = r.ymax -. r.ymin
-let half_perimeter r = width r +. height r
 let center r = Point.make ((r.xmin +. r.xmax) /. 2.0) ((r.ymin +. r.ymax) /. 2.0)
 
 let contains r (p : Point.t) =

@@ -6,16 +6,8 @@ type t = { xmin : float; ymin : float; xmax : float; ymax : float }
 val make : xmin:float -> ymin:float -> xmax:float -> ymax:float -> t
 (** @raise Invalid_argument if [xmax < xmin] or [ymax < ymin]. *)
 
-val of_points : Point.t list -> t
-(** Bounding box of a non-empty point list.
-    @raise Invalid_argument on empty input. *)
-
 val width : t -> float
 val height : t -> float
-
-val half_perimeter : t -> float
-(** [width + height] — the HPWL contribution of a net with this
-    bounding box. *)
 
 val center : t -> Point.t
 

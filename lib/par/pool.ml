@@ -298,6 +298,20 @@ let scope_run sc (g : int -> unit) =
 
 let sequential () = jobs_value () <= 1 || in_parallel_region ()
 
+(* wall seconds this domain has spent inside primitives that fanned out
+   (through a pool region or a scope sub-job); nested primitives run
+   sequentially and are never timed twice *)
+let fanout_key = Domain.DLS.new_key (fun () -> ref 0.0)
+let fanout_wall_s () = !(Domain.DLS.get fanout_key)
+
+let timed_fanout f =
+  let t0 = Rc_util.Timer.now_s () in
+  Fun.protect
+    ~finally:(fun () ->
+      let acc = Domain.DLS.get fanout_key in
+      acc := !acc +. (Rc_util.Timer.now_s () -. t0))
+    f
+
 (* can this call fan work out right now?  Either through the live scope
    (batch region) or by opening a fresh pool region *)
 let backend () =
@@ -368,11 +382,11 @@ let for_with ?chunk ?(min_items = 2) ?reuse ~init n body =
       | `Seq -> seq_run ()
       | `Scope sc ->
           let chunk = resolve_chunk chunk n (sc.sc_workers + 1) in
-          scope_run sc (claim_job ?reuse ~init ~chunk ~n body)
+          timed_fanout (fun () -> scope_run sc (claim_job ?reuse ~init ~chunk ~n body))
       | `Pool ->
           let pool = get_pool () in
           let chunk = resolve_chunk chunk n pool.n in
-          run_region pool (claim_job ?reuse ~init ~chunk ~n body)
+          timed_fanout (fun () -> run_region pool (claim_job ?reuse ~init ~chunk ~n body))
   end
 
 let for_ ?chunk ?min_items n body =
@@ -420,9 +434,10 @@ let both ?(parallel = true) f g =
           in
           claim ()
         in
-        (match be with
-        | `Scope sc -> scope_run sc job
-        | `Pool -> run_region (get_pool ()) job);
+        timed_fanout (fun () ->
+            match be with
+            | `Scope sc -> scope_run sc job
+            | `Pool -> run_region (get_pool ()) job);
         (unwrap !ra, unwrap !rb)
 
 let region f =

@@ -29,6 +29,17 @@ val set_jobs : int -> unit
 val jobs : unit -> int
 (** The job count currently in effect. *)
 
+val fanout_wall_s : unit -> float
+(** Wall seconds the calling domain has spent inside primitives that
+    fanned work out, through a pool region or a {!region} sub-job:
+    {!for_}, {!for_with}, {!map}, {!map_list} and {!both} when they do
+    not take their sequential path.  [region] itself is not counted,
+    only the sub-jobs published inside it, and a primitive nested in a
+    parallel body runs sequentially and is never counted twice.
+    Monotone per domain: read it before and after a piece of work and
+    take the difference; the rest of that work's wall ran on this
+    domain alone. *)
+
 val in_parallel_region : unit -> bool
 (** True inside a pool worker (where primitives run sequentially). *)
 

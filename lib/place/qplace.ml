@@ -215,6 +215,14 @@ let assemble_positions netlist index xs ys =
 
 (* ---- recursive-bisection spreading targets -------------------------- *)
 
+(* Calls with at least this many cells split the top [spread_levels]
+   levels of the bisection in the calling domain and run the
+   2^spread_levels subtrees on the pool; below it a subtree's work does
+   not amortize a pool sub-job, and the whole recursion runs in the
+   calling domain. *)
+let spread_par_cutoff = 4096
+let spread_levels = 4
+
 (* Each bisection node orders its cells by one coordinate and hands
    each half to a child.  The order must be the permutation the stdlib
    heap sort ([Array.sort]) leaves on the node's input order, which the
@@ -231,19 +239,32 @@ let assemble_positions netlist index xs ys =
    keys are typed [float array] and compared with [Float.compare],
    which orders floats like the polymorphic [compare] (nan least and
    equal to itself, -0.0 = 0.0): the same comparisons, the same
-   permutation, no boxed keys. *)
+   permutation, no boxed keys.
+
+   Parallel subtrees.  A node over slots [lo, hi) writes only that range
+   of [idx], [sx], [sy] and [tmp], and only its own cells' [in_left]
+   bytes and [targets], so disjoint subtrees may run on different
+   domains.  The jitter must stay the sequential stream: leaves are
+   visited left to right and draw two floats per slot, so slot k takes
+   draws 2k (x) and 2k+1 (y) of the call.  A subtree starting at slot
+   [lo] therefore draws from a generator [2·lo] draws ahead
+   ([Rng.ahead]), and the caller's generator skips the call's [2·m]
+   draws at the end. *)
 let spreading_targets rng chip m (xs : float array) (ys : float array) =
   let targets = Array.make m Point.zero in
   (* indices into the movable arrays *)
   let idx = Array.init m Fun.id in
+  let parallel = m >= spread_par_cutoff in
   let presorted = not (Array.exists Float.is_nan xs || Array.exists Float.is_nan ys) in
   let sorted_by keys =
     let a = Array.init m Fun.id in
     Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) a;
     a
   in
-  let sx = if presorted then sorted_by xs else [||] in
-  let sy = if presorted then sorted_by ys else [||] in
+  let sx, sy =
+    if presorted then Rc_par.Pool.both ~parallel (fun () -> sorted_by xs) (fun () -> sorted_by ys)
+    else ([||], [||])
+  in
   let in_left = Bytes.create m and tmp = Array.make m 0 in
   let partition a lo mid hi =
     let l = ref lo and r = ref mid in
@@ -267,9 +288,46 @@ let spreading_targets rng chip m (xs : float array) (ys : float array) =
     done;
     !ok
   in
-  let rec go (region : Rect.t) lo hi horizontal =
+  (* order an internal node's cells along its axis, hand each half its
+     cells in [sx]/[sy], and return the two children's regions and the
+     split slot *)
+  let split (region : Rect.t) lo hi horizontal =
     let count = hi - lo in
-    if count <= 2 then
+    let keys = if horizontal then xs else ys and own = if horizontal then sx else sy in
+    if presorted && distinct keys own lo hi then Array.blit own lo idx lo count
+    else begin
+      let sub = Array.sub idx lo count in
+      Array.sort (fun a b -> Float.compare keys.(a) keys.(b)) sub;
+      Array.blit sub 0 idx lo count
+    end;
+    let mid = lo + (count / 2) in
+    if presorted then begin
+      for k = lo to hi - 1 do
+        Bytes.set in_left idx.(k) (if k < mid then 'l' else 'r')
+      done;
+      partition sx lo mid hi;
+      partition sy lo mid hi
+    end;
+    let frac = float_of_int (mid - lo) /. float_of_int count in
+    if horizontal then begin
+      let split = region.Rect.xmin +. (frac *. Rect.width region) in
+      ( Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:split
+          ~ymax:region.Rect.ymax,
+        Rect.make ~xmin:split ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
+          ~ymax:region.Rect.ymax,
+        mid )
+    end
+    else begin
+      let split = region.Rect.ymin +. (frac *. Rect.height region) in
+      ( Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
+          ~ymax:split,
+        Rect.make ~xmin:region.Rect.xmin ~ymin:split ~xmax:region.Rect.xmax
+          ~ymax:region.Rect.ymax,
+        mid )
+    end
+  in
+  let rec go rng (region : Rect.t) lo hi horizontal =
+    if hi - lo <= 2 then
       for k = lo to hi - 1 do
         let jx = Rc_util.Rng.float_in rng 0.3 0.7 and jy = Rc_util.Rng.float_in rng 0.3 0.7 in
         targets.(idx.(k)) <-
@@ -278,39 +336,30 @@ let spreading_targets rng chip m (xs : float array) (ys : float array) =
             (region.Rect.ymin +. (jy *. Rect.height region))
       done
     else begin
-      let keys = if horizontal then xs else ys and own = if horizontal then sx else sy in
-      if presorted && distinct keys own lo hi then Array.blit own lo idx lo count
-      else begin
-        let sub = Array.sub idx lo count in
-        Array.sort (fun a b -> Float.compare keys.(a) keys.(b)) sub;
-        Array.blit sub 0 idx lo count
-      end;
-      let mid = lo + (count / 2) in
-      if presorted then begin
-        for k = lo to hi - 1 do
-          Bytes.set in_left idx.(k) (if k < mid then 'l' else 'r')
-        done;
-        partition sx lo mid hi;
-        partition sy lo mid hi
-      end;
-      let frac = float_of_int (mid - lo) /. float_of_int count in
-      if horizontal then begin
-        let split = region.Rect.xmin +. (frac *. Rect.width region) in
-        go (Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:split
-              ~ymax:region.Rect.ymax) lo mid (not horizontal);
-        go (Rect.make ~xmin:split ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
-              ~ymax:region.Rect.ymax) mid hi (not horizontal)
-      end
-      else begin
-        let split = region.Rect.ymin +. (frac *. Rect.height region) in
-        go (Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
-              ~ymax:split) lo mid (not horizontal);
-        go (Rect.make ~xmin:region.Rect.xmin ~ymin:split ~xmax:region.Rect.xmax
-              ~ymax:region.Rect.ymax) mid hi (not horizontal)
-      end
+      let left, right, mid = split region lo hi horizontal in
+      go rng left lo mid (not horizontal);
+      go rng right mid hi (not horizontal)
     end
   in
-  go chip 0 m (Rect.width chip >= Rect.height chip);
+  (* the top levels in this domain, collecting the subtrees left to
+     right (below the cutoff the one subtree is the whole tree); then
+     one pool task per subtree *)
+  let levels = if parallel then spread_levels else 0 in
+  let subtrees = ref [] in
+  let rec top depth region lo hi horizontal =
+    if depth = levels || hi - lo <= 2 then subtrees := (region, lo, hi, horizontal) :: !subtrees
+    else begin
+      let left, right, mid = split region lo hi horizontal in
+      top (depth + 1) left lo mid (not horizontal);
+      top (depth + 1) right mid hi (not horizontal)
+    end
+  in
+  top 0 chip 0 m (Rect.width chip >= Rect.height chip);
+  let subtrees = Array.of_list (List.rev !subtrees) in
+  Rc_par.Pool.for_ ~chunk:1 (Array.length subtrees) (fun s ->
+      let region, lo, hi, horizontal = subtrees.(s) in
+      go (Rc_util.Rng.ahead rng (2 * lo)) region lo hi horizontal);
+  Rc_util.Rng.skip rng (2 * m);
   targets
 
 (* ---- legalization ---------------------------------------------------- *)
@@ -454,7 +503,8 @@ let system_of_mgraph g ~springs =
 (* one level of first-choice / heavy-edge coarsening: match each vertex
    (in index order) to its heaviest still-unmatched neighbor, merge the
    pairs, remap edges and accumulate anchors.  Cross-cluster multi-edges
-   are merged by a keyed sort so every level's graph stays canonical. *)
+   are merged in cluster-pair order so every level's graph stays
+   canonical. *)
 let coarsen g =
   let m = g.gm in
   (* adjacency CSR over both edge directions *)
@@ -512,8 +562,8 @@ let coarsen g =
     gfx.(c) <- gfx.(c) +. g.gfx.(v);
     gfy.(c) <- gfy.(c) +. g.gfy.(v)
   done;
-  (* surviving cross-cluster edges, normalized u < v and keyed for the
-     duplicate merge *)
+  (* surviving cross-cluster edges as (smaller, larger) cluster pairs,
+     in ascending edge id *)
   let keep = Array.make g.gne 0 and nkeep = ref 0 in
   for e = 0 to g.gne - 1 do
     if map.(g.ges.(e)) <> map.(g.ged.(e)) then begin
@@ -522,28 +572,44 @@ let coarsen g =
     end
   done;
   let nkeep = !nkeep in
-  let perm = Array.sub keep 0 nkeep in
-  let key e =
-    let u = map.(g.ges.(e)) and v = map.(g.ged.(e)) in
-    if u < v then (u * mc) + v else (v * mc) + u
+  let cu = Array.make nkeep 0 and cv = Array.make nkeep 0 in
+  for k = 0 to nkeep - 1 do
+    let a = map.(g.ges.(keep.(k))) and b = map.(g.ged.(keep.(k))) in
+    cu.(k) <- min a b;
+    cv.(k) <- max a b
+  done;
+  (* Order them by (smaller, larger, edge id) for the duplicate merge:
+     two stable counting passes over the ascending edge ids, first by
+     the larger cluster id, then by the smaller, give that order in
+     O(E + clusters).  It is total (edge ids are distinct), so it is the
+     permutation a comparison sort on the same key would leave. *)
+  let counting_pass key src dst =
+    let start = Array.make (mc + 1) 0 in
+    Array.iter (fun k -> start.(key.(k) + 1) <- start.(key.(k) + 1) + 1) src;
+    for c = 1 to mc do
+      start.(c) <- start.(c) + start.(c - 1)
+    done;
+    Array.iter
+      (fun k ->
+        dst.(start.(key.(k))) <- k;
+        start.(key.(k)) <- start.(key.(k)) + 1)
+      src
   in
-  Array.sort
-    (fun a b ->
-      let c = compare (key a) (key b) in
-      if c <> 0 then c else compare a b)
-    perm;
+  let by_larger = Array.make nkeep 0 and perm = Array.make nkeep 0 in
+  counting_pass cv (Array.init nkeep Fun.id) by_larger;
+  counting_pass cu by_larger perm;
   let ces = Array.make nkeep 0 and ced = Array.make nkeep 0 and cew = Array.make nkeep 0.0 in
   let out = ref 0 and k = ref 0 in
   while !k < nkeep do
-    let ka = key perm.(!k) in
-    let acc = ref g.gew.(perm.(!k)) in
+    let u = cu.(perm.(!k)) and v = cv.(perm.(!k)) in
+    let acc = ref g.gew.(keep.(perm.(!k))) in
     incr k;
-    while !k < nkeep && key perm.(!k) = ka do
-      acc := !acc +. g.gew.(perm.(!k));
+    while !k < nkeep && cu.(perm.(!k)) = u && cv.(perm.(!k)) = v do
+      acc := !acc +. g.gew.(keep.(perm.(!k)));
       incr k
     done;
-    ces.(!out) <- ka / mc;
-    ced.(!out) <- ka mod mc;
+    ces.(!out) <- u;
+    ced.(!out) <- v;
     cew.(!out) <- !acc;
     incr out
   done;
@@ -669,11 +735,12 @@ let initial ?(seed = 7) ?(spread_rounds = 5)
   if !m >= multilevel_threshold then initial_multilevel ~seed netlist ~chip
   else initial_flat ~seed ~spread_rounds netlist ~chip
 
-let incremental ?(stability = 0.004) netlist ~chip ~prev ~pseudo =
+let incremental ?(stability = 0.004) ~lap netlist ~chip ~prev ~pseudo =
   let n = Netlist.n_cells netlist in
   if Array.length prev <> n then invalid_arg "Qplace.incremental: prev length mismatch";
+  if Array.length lap.index <> n then
+    invalid_arg "Qplace.incremental: Laplacian of another netlist";
   let rng = Rc_util.Rng.create 23 in
-  let lap = laplacian netlist ~chip in
   let m = Array.length lap.movable in
   let wsx = Rc_sparse.Cg.workspace m and wsy = Rc_sparse.Cg.workspace m in
   let x0 = Array.map (fun c -> prev.(c).Point.x) lap.movable in

@@ -42,8 +42,19 @@ val initial :
     spreading relaxation, ending on the flat schedule's final anchor
     strength.  Deterministic and jobs-invariant like the flat path. *)
 
+type laplacian
+(** The net Laplacian of one netlist and die, assembled once: the
+    sparsity pattern with every diagonal stored, the final off-diagonal
+    values, each row's net diagonal contributions in push order, and
+    the right-hand side after pad connections and the weak center
+    anchor.  Movable cells are the rows, in cell-id order.  Immutable:
+    one value serves every {!incremental} call on its netlist and die. *)
+
+val laplacian : Rc_netlist.Netlist.t -> chip:Rc_geom.Rect.t -> laplacian
+
 val incremental :
   ?stability:float ->
+  lap:laplacian ->
   Rc_netlist.Netlist.t ->
   chip:Rc_geom.Rect.t ->
   prev:Rc_geom.Point.t array ->
@@ -51,7 +62,11 @@ val incremental :
   result
 (** Re-place starting from [prev] with pseudo-nets added. [stability]
     (default 0.004) is the per-cell spring to its previous location —
-    larger values give a more stable (less disturbed) placement. *)
+    larger values give a more stable (less disturbed) placement.
+    [lap] is [laplacian netlist ~chip]; a flow builds it once and
+    passes it to each of its stage-6 calls.
+    @raise Invalid_argument when [prev] or [lap] does not match the
+    netlist's cell count. *)
 
 val relocate :
   Rc_netlist.Netlist.t ->
@@ -80,13 +95,6 @@ type system = {
   rhs_y : float array;
 }
 
-type laplacian
-(** The net Laplacian of one netlist and die, assembled once: the
-    sparsity pattern with every diagonal stored, the final off-diagonal
-    values, each row's net diagonal contributions in push order, and
-    the right-hand side after pad connections and the weak center
-    anchor.  Movable cells are the rows, in cell-id order. *)
-
 type springs = {
   rows : int array;  (** Movable row of spring [k]. *)
   px : float array;  (** Anchor x of spring [k]. *)
@@ -94,8 +102,6 @@ type springs = {
   w : float array;  (** Weight of spring [k] (non-negative). *)
 }
 (** Anchor springs, as parallel arrays in push order. *)
-
-val laplacian : Rc_netlist.Netlist.t -> chip:Rc_geom.Rect.t -> laplacian
 
 val system : laplacian -> springs list -> system
 (** The system with the spring segments (in push order) folded into the

@@ -54,13 +54,20 @@ let containing_ring t (p : Point.t) =
    sorted with the same comparator as the full scan, and distinct ids
    make the order total, so the result is identical to sorting every
    ring. *)
+(* the (distance, id) order of the polymorphic compare on the pairs,
+   through the typed comparisons: Float.compare orders floats as
+   compare does (nan least, -0.0 = 0.0) *)
+let by_distance_then_id ((d1 : float), (i1 : int)) (d2, i2) =
+  let c = Float.compare d1 d2 in
+  if c <> 0 then c else Int.compare i1 i2
+
 let rings_near t p k =
   let nr = Array.length t.rings in
   let kk = min k nr in
   let score i = (Point.manhattan (Rect.center t.rings.(i).Ring.rect) p, i) in
   if t.grid <= 4 || 4 * kk >= nr then begin
     let scored = Array.init nr score in
-    Array.sort compare scored;
+    Array.sort by_distance_then_id scored;
     Array.to_list (Array.sub scored 0 kk) |> List.map snd
   end
   else begin
@@ -117,7 +124,7 @@ let rings_near t p k =
       collect_shell !s;
       if !count >= kk then begin
         let arr = Array.of_list !buf in
-        Array.sort compare arr;
+        Array.sort by_distance_then_id arr;
         let kth, _ = arr.(kk - 1) in
         if shell_lower_bound (!s + 1) > kth then begin
           result := Array.to_list (Array.sub arr 0 kk) |> List.map snd;

@@ -26,7 +26,7 @@
 
 open Rc_core
 
-let format_version = 1
+let format_version = 2
 
 let magic = "RCCKPT"
 

@@ -5,7 +5,7 @@
     {1 Format}
 
     A checkpoint file is:
-    - line 1: ASCII magic + format version (["RCCKPT 1"]);
+    - line 1: ASCII magic + format version (["RCCKPT 2"]);
     - line 2: one-line JSON metadata ({!meta}: bench, mode, iteration,
       payload byte count and MD5) — readable without touching the blob;
     - the rest: a [Marshal] blob of the closure-free payload record

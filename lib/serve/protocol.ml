@@ -125,9 +125,10 @@ let parse_flow j =
       (opt_field Json.to_bool_opt (Json.member "incremental" j))
   in
   let* f_checkpoint_every =
-    Result.map_error
-      (fun _ -> "invalid \"checkpoint_every\"")
-      (opt_field Json.to_int_opt (Json.member "checkpoint_every" j))
+    match opt_field Json.to_int_opt (Json.member "checkpoint_every" j) with
+    | Ok (Some every) when every < 1 -> Error "invalid \"checkpoint_every\" (expected >= 1)"
+    | Ok every -> Ok every
+    | Error _ -> Error "invalid \"checkpoint_every\""
   in
   let* f_checkpoint_dir =
     Result.map_error
@@ -138,6 +139,13 @@ let parse_flow j =
     Result.map_error
       (fun _ -> "invalid \"resume_from\"")
       (opt_field Json.to_string_opt (Json.member "resume_from" j))
+  in
+  (* a resumed flow writes no checkpoints: refuse the request rather
+     than drop the option without a word *)
+  let* () =
+    match (f_resume_from, f_checkpoint_every) with
+    | Some _, Some _ -> Error "\"resume_from\" cannot be combined with \"checkpoint_every\""
+    | _ -> Ok ()
   in
   Ok
     (Flow_op

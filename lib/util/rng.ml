@@ -13,6 +13,18 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* the k-th draw (from 1) mixes state + k·γ (mod 2⁶⁴), so skipping n
+   draws adds n·γ *)
+let offset t n = Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip: negative count";
+  t.state <- offset t n
+
+let ahead t n =
+  if n < 0 then invalid_arg "Rng.ahead: negative count";
+  { state = offset t n }
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* keep 62 bits so the value fits OCaml's 63-bit native int *)

@@ -37,3 +37,15 @@ val choose : t -> 'a array -> 'a
 
 val bits64 : t -> int64
 (** Next raw 64-bit output of the generator. *)
+
+val skip : t -> int -> unit
+(** [skip t n] advances [t] past its next [n] draws in constant time:
+    afterwards [t] yields what it would have yielded after [n] calls of
+    {!bits64} (each of {!float}, {!float_in} and {!int} is one draw).
+    @raise Invalid_argument if [n < 0]. *)
+
+val ahead : t -> int -> t
+(** [ahead t n] is a fresh generator whose stream starts at [t]'s draw
+    [n] (counting from 0); [t] itself is unchanged.  Disjoint stretches
+    of one stream can so be drawn by independent workers.
+    @raise Invalid_argument if [n < 0]. *)

@@ -1,9 +1,9 @@
 (* Reference implementations the tests hold library code to.
 
    The flow's flat kernels, in their plain list-based forms: the boxed
-   sparse product, the placement system assembled per round through
+   sparse product, the point-list net bounding box, the placement system assembled per round through
    Csr.of_entries, the spreading sort on polymorphic compare, the
-   list-folding skew refine, the list-walking SPFA with the skew
+   list-based Eq. 1 tapping solver, the list-folding skew refine, the list-walking SPFA with the skew
    searches rebuilt on it per probe, and the binary-heap min-cost flow.
    The tests hold the library kernels to these bit for bit, never to a
    tolerance: the flow digests depend on every bit.
@@ -145,6 +145,177 @@ let spreading_targets rng chip m xs ys =
   in
   go chip 0 m (Rect.width chip >= Rect.height chip);
   targets
+
+(* ---- the point-list bounding box --------------------------------------- *)
+
+(* A net's HPWL as the bounding box of its pin list (driver, then the
+   sinks), one record per fold step; Wirelength.net_hpwl must equal it
+   bit for bit *)
+let rect_of_points = function
+  | [] -> invalid_arg "Reference_kernels.rect_of_points: empty"
+  | (p : Point.t) :: rest ->
+      List.fold_left
+        (fun (r : Rect.t) (q : Point.t) ->
+          {
+            Rect.xmin = Float.min r.Rect.xmin q.Point.x;
+            ymin = Float.min r.Rect.ymin q.Point.y;
+            xmax = Float.max r.Rect.xmax q.Point.x;
+            ymax = Float.max r.Rect.ymax q.Point.y;
+          })
+        { Rect.xmin = p.Point.x; ymin = p.Point.y; xmax = p.Point.x; ymax = p.Point.y }
+        rest
+
+let half_perimeter r = Rect.width r +. Rect.height r
+
+let net_hpwl netlist positions ni =
+  let net = Netlist.net netlist ni in
+  let position c =
+    if Netlist.movable netlist c then positions.(c) else Netlist.pad_position netlist c
+  in
+  half_perimeter
+    (rect_of_points
+       (position net.Netlist.driver :: Array.to_list (Array.map position net.Netlist.sinks)))
+
+(* ---- the list-based Eq. 1 solver --------------------------------------- *)
+
+(* Tapping.solve as first written: every candidate of 4 segments x 2
+   conductors x 2 period shifts built as a record in a list, then the
+   first minimum taken by a fold.  The library's walker must return the
+   same tap, bit for bit. *)
+module Tapping_ref = struct
+  open Rc_rotary
+
+  let coeff_a2 (tech : Rc_tech.Tech.t) =
+    0.5 *. tech.Rc_tech.Tech.r_wire *. tech.Rc_tech.Tech.c_wire /. 1000.0
+
+  let coeff_a1 (tech : Rc_tech.Tech.t) ~load = tech.Rc_tech.Tech.r_wire *. load /. 1000.0
+
+  let stub_length_for_delay tech ~load d =
+    if d <= 0.0 then 0.0
+    else begin
+      let a2 = coeff_a2 tech and a1 = coeff_a1 tech ~load in
+      let disc = (a1 *. a1) +. (4.0 *. a2 *. d) in
+      ((-.a1) +. sqrt disc) /. (2.0 *. a2)
+    end
+
+  let local_frame (s : Segment.t) (p : Point.t) =
+    let len = Segment.length s in
+    if Segment.is_horizontal s then begin
+      let dir = if s.Segment.b.Point.x >= s.Segment.a.Point.x then 1.0 else -1.0 in
+      let u = (p.Point.x -. s.Segment.a.Point.x) *. dir in
+      (u, Float.abs (p.Point.y -. s.Segment.a.Point.y), len)
+    end
+    else begin
+      let dir = if s.Segment.b.Point.y >= s.Segment.a.Point.y then 1.0 else -1.0 in
+      let u = (p.Point.y -. s.Segment.a.Point.y) *. dir in
+      (u, Float.abs (p.Point.x -. s.Segment.a.Point.x), len)
+    end
+
+  let quadratic_roots a2 b c =
+    let disc = (b *. b) -. (4.0 *. a2 *. c) in
+    if disc < 0.0 then []
+    else begin
+      let sq = sqrt disc in
+      let q = if b >= 0.0 then -.(b +. sq) /. 2.0 else -.(b -. sq) /. 2.0 in
+      let r1 = q /. a2 in
+      if Float.abs q < 1e-300 then [ r1 ]
+      else begin
+        let r2 = c /. q in
+        if Float.abs (r1 -. r2) < 1e-12 then [ r1 ] else [ r1; r2 ]
+      end
+    end
+
+  type seg_candidate = { u : float; l : float; snake : bool }
+
+  let segment_candidates tech ~load ~rho ~t0 ~u_f ~h ~len tau =
+    let a2 = coeff_a2 tech and a1 = coeff_a1 tech ~load in
+    let l_of u = Float.abs (u -. u_f) +. h in
+    let eps = 1e-6 in
+    let cands = ref [] in
+    let keep u snake =
+      if u >= -.eps && u <= len +. eps then begin
+        let u = Rc_util.Approx.clamp ~lo:0.0 ~hi:len u in
+        cands := { u; l = l_of u; snake } :: !cands
+      end
+    in
+    let c1 = u_f -. h in
+    quadratic_roots a2
+      (((-2.0) *. a2 *. c1) +. a1 +. rho)
+      ((a2 *. c1 *. c1) -. (a1 *. c1) +. t0 -. tau)
+    |> List.iter (fun u -> if u >= u_f -. eps then keep u false);
+    let c2 = u_f +. h in
+    quadratic_roots a2
+      (((-2.0) *. a2 *. c2) -. a1 +. rho)
+      ((a2 *. c2 *. c2) +. (a1 *. c2) +. t0 -. tau)
+    |> List.iter (fun u -> if u <= u_f +. eps then keep u false);
+    let needed = tau -. t0 -. (rho *. len) in
+    let l_snake = stub_length_for_delay tech ~load needed in
+    if l_snake >= l_of len -. eps then
+      cands := { u = len; l = Float.max l_snake (l_of len); snake = true } :: !cands;
+    !cands
+
+  let segment_min_delay tech ~load ~rho ~t0 ~u_f ~h ~len =
+    let a2 = coeff_a2 tech and a1 = coeff_a1 tech ~load in
+    let l_of u = Float.abs (u -. u_f) +. h in
+    let f u = t0 +. (rho *. u) +. Tapping.stub_delay_with_load tech ~load (l_of u) in
+    let candidates = ref [ 0.0; len ] in
+    if u_f > 0.0 && u_f < len then candidates := u_f :: !candidates;
+    let c1 = u_f -. h and c2 = u_f +. h in
+    let v_r = -.(((-2.0) *. a2 *. c1) +. a1 +. rho) /. (2.0 *. a2) in
+    if v_r >= Float.max 0.0 u_f && v_r <= len then candidates := v_r :: !candidates;
+    let v_l = -.(((-2.0) *. a2 *. c2) -. a1 +. rho) /. (2.0 *. a2) in
+    if v_l >= 0.0 && v_l <= Float.min len u_f then candidates := v_l :: !candidates;
+    List.fold_left (fun acc u -> Float.min acc (f u)) infinity !candidates
+
+  let segment_taps tech ~load (ring : Ring.t) ~seg ~arc_start ~conductor ~ff ~target =
+    let period = ring.Ring.period in
+    let rho = Ring.rho ring in
+    let u_f, h, len = local_frame seg ff in
+    let t0 =
+      ring.Ring.t_ref +. (rho *. arc_start)
+      +. (match conductor with Ring.Outer -> 0.0 | Ring.Inner -> period /. 2.0)
+    in
+    let t_min = segment_min_delay tech ~load ~rho ~t0 ~u_f ~h ~len in
+    let k0 = int_of_float (Float.ceil ((t_min -. target) /. period -. 1e-12)) in
+    List.concat_map
+      (fun k ->
+        let tau = target +. (float_of_int k *. period) in
+        segment_candidates tech ~load ~rho ~t0 ~u_f ~h ~len tau
+        |> List.map (fun { u; l; snake } ->
+               {
+                 Tapping.ring = ring.Ring.id;
+                 point = Segment.point_at seg u;
+                 arc = arc_start +. u;
+                 conductor;
+                 wirelength = l;
+                 snaked = snake;
+                 periods_shifted = k;
+               }))
+      [ k0; k0 + 1 ]
+
+  let best_of taps =
+    List.fold_left
+      (fun acc (t : Tapping.tap) ->
+        match acc with
+        | Some (b : Tapping.tap) when b.Tapping.wirelength <= t.Tapping.wirelength -> acc
+        | _ -> Some t)
+      None taps
+
+  let solve ?(use_complement = true) ?load tech ring ~ff ~target =
+    let load = Option.value load ~default:tech.Rc_tech.Tech.c_ff in
+    let conductors = if use_complement then [ Ring.Outer; Ring.Inner ] else [ Ring.Outer ] in
+    Array.to_list (Ring.segments ring)
+    |> List.concat_map (fun (seg, arc_start) ->
+           List.concat_map
+             (fun conductor -> segment_taps tech ~load ring ~seg ~arc_start ~conductor ~ff ~target)
+             conductors)
+    |> best_of |> Option.get
+
+  let solve_on_segment tech ring ~segment ~conductor ~ff ~target =
+    let seg, arc_start = (Ring.segments ring).(segment) in
+    let load = tech.Rc_tech.Tech.c_ff in
+    Option.get (best_of (segment_taps tech ~load ring ~seg ~arc_start ~conductor ~ff ~target))
+end
 
 (* ---- list-walking Bellman-Ford ----------------------------------------- *)
 

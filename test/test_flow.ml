@@ -164,13 +164,17 @@ let test_trace_structure () =
   (* the trace names exactly the six stages, nothing else *)
   Alcotest.(check (slist string compare))
     "exactly the six stages" canonical_stages (Flow_trace.stage_names t);
-  (* wall times are non-negative *)
+  (* wall times are non-negative, and a stage's pool wall is part of it *)
   List.iter
     (fun (e : Flow_trace.event) ->
       Alcotest.(check bool)
         (Printf.sprintf "wall >= 0 (%s@%d)" e.Flow_trace.stage e.Flow_trace.iteration)
         true
-        (e.Flow_trace.wall_s >= 0.0))
+        (e.Flow_trace.wall_s >= 0.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "0 <= pool <= wall (%s@%d)" e.Flow_trace.stage e.Flow_trace.iteration)
+        true
+        (e.Flow_trace.pool_s >= 0.0 && e.Flow_trace.pool_s <= e.Flow_trace.wall_s +. 1e-6))
     events;
   (* per-iteration structure: prologue = stages 1,2,3 + evaluation; every
      loop iteration runs cost-driven scheduling, assignment, evaluation
@@ -216,6 +220,65 @@ let test_trace_structure () =
     "split covers the whole trace"
     (Flow_trace.total_wall t)
     (o.Flow.cpu_flow_s +. o.Flow.cpu_placer_s)
+
+(* The driver computes each stage boundary's objective once and hands
+   it to the next stage as its before-value.  Every event's cost delta
+   must still equal the objective computed directly on the stage's
+   input and output contexts, bit for bit — including the epilogue's
+   best-state restore, whose output is the shipped outcome. *)
+let test_trace_cost_deltas () =
+  let cfg = Flow.default_config Bench_suite.tiny in
+  let seen = ref [] in
+  let observed (st : Flow_stage.t) =
+    {
+      st with
+      Flow_stage.run =
+        (fun ctx ->
+          let before = Flow_ctx.current_objective ctx in
+          let ctx' = st.Flow_stage.run ctx in
+          seen := (before, Flow_ctx.current_objective ctx') :: !seen;
+          ctx');
+    }
+  in
+  let p = Flow.plan_of_config cfg in
+  let plan =
+    {
+      Flow.place = observed p.Flow.place;
+      schedule = observed p.Flow.schedule;
+      assign = observed p.Flow.assign;
+      cost_schedule = observed p.Flow.cost_schedule;
+      evaluate = observed p.Flow.evaluate;
+      replace = observed p.Flow.replace;
+    }
+  in
+  let o = Flow.run ~plan cfg in
+  let delta = function Some b, Some a -> Some (Int64.bits_of_float (a -. b)) | _ -> None in
+  let bits = Option.map Int64.bits_of_float in
+  let events, restore =
+    List.partition
+      (fun (e : Flow_trace.event) -> e.Flow_trace.variant <> "best-state restore")
+      (Flow_trace.events o.Flow.trace)
+  in
+  let seen = List.rev !seen in
+  Alcotest.(check int) "one observation per plan stage" (List.length seen) (List.length events);
+  List.iter2
+    (fun (e : Flow_trace.event) obs ->
+      Alcotest.(check (option int64))
+        (Printf.sprintf "%s@%d" e.Flow_trace.stage e.Flow_trace.iteration)
+        (delta obs) (bits e.Flow_trace.cost_delta))
+    events seen;
+  Alcotest.(check bool) "deltas are defined once an assignment exists" true
+    (List.exists (fun (e : Flow_trace.event) -> e.Flow_trace.cost_delta <> None) events);
+  let shipped =
+    Rc_place.Wirelength.total o.Flow.netlist o.Flow.positions
+    +. (cfg.Flow.tapping_weight *. o.Flow.assignment.Rc_assign.Assign.total_cost)
+  in
+  match (restore, List.rev seen) with
+  | [ r ], (_, last_after) :: _ ->
+      Alcotest.(check (option int64)) "best-state restore"
+        (delta (last_after, Some shipped))
+        (bits r.Flow_trace.cost_delta)
+  | _ -> Alcotest.fail "expected one best-state restore after the plan stages"
 
 let test_plan_swap_matches_config_flag () =
   (* swapping the stage-4 slot must be exactly equivalent to the config
@@ -335,6 +398,8 @@ let () =
           Alcotest.test_case "six stages, per-iteration shape, CPU split" `Quick
             test_trace_structure;
           Alcotest.test_case "plan swap = config flag" `Quick test_plan_swap_matches_config_flag;
+          Alcotest.test_case "cost deltas are the boundary objectives" `Quick
+            test_trace_cost_deltas;
         ] );
       ( "modes",
         [

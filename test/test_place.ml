@@ -85,8 +85,8 @@ let test_incremental_stability () =
   let nl = Rc_netlist.Generator.generate (gen_cfg 9) in
   let r0 = Rc_place.Qplace.initial nl ~chip in
   let r1 =
-    Rc_place.Qplace.incremental ~stability:10.0 nl ~chip ~prev:r0.Rc_place.Qplace.positions
-      ~pseudo:[]
+    Rc_place.Qplace.incremental ~stability:10.0 ~lap:(Rc_place.Qplace.laplacian nl ~chip) nl
+      ~chip ~prev:r0.Rc_place.Qplace.positions ~pseudo:[]
   in
   let n = Netlist.n_cells nl in
   let moved = ref 0.0 and count = ref 0 in
@@ -108,7 +108,8 @@ let test_pseudo_net_pull () =
   let anchor = Point.make 1100.0 1100.0 in
   let before = Point.manhattan r0.Rc_place.Qplace.positions.(ff) anchor in
   let r1 =
-    Rc_place.Qplace.incremental nl ~chip ~prev:r0.Rc_place.Qplace.positions
+    Rc_place.Qplace.incremental ~lap:(Rc_place.Qplace.laplacian nl ~chip) nl ~chip
+      ~prev:r0.Rc_place.Qplace.positions
       ~pseudo:[ { Rc_place.Qplace.cell = ff; anchor; weight = 20.0 } ]
   in
   let after = Point.manhattan r1.Rc_place.Qplace.positions.(ff) anchor in
@@ -146,7 +147,8 @@ let prop_incremental_inside_chip =
              ffs)
       in
       let r1 =
-        Rc_place.Qplace.incremental nl ~chip ~prev:r0.Rc_place.Qplace.positions ~pseudo
+        Rc_place.Qplace.incremental ~lap:(Rc_place.Qplace.laplacian nl ~chip) nl ~chip
+          ~prev:r0.Rc_place.Qplace.positions ~pseudo
       in
       let ok = ref true in
       Array.iteri
@@ -296,7 +298,7 @@ let prop_steiner_bounds =
       in
       if List.length distinct < 2 then true
       else begin
-        let hp = Rect.half_perimeter (Rect.of_points distinct) in
+        let hp = Reference_kernels.half_perimeter (Reference_kernels.rect_of_points distinct) in
         let st = Rc_place.Steiner.length distinct in
         let mst = Rc_place.Steiner.mst_length distinct in
         hp <= st +. 1e-6 && st <= mst +. 1e-6 && mst <= (1.5 *. st) +. 1e-6
@@ -377,6 +379,30 @@ let prop_system_matches_reference =
       && bits sys.rhs_x = bits rhs_x
       && bits sys.rhs_y = bits rhs_y)
 
+(* random netlists and positions, with signed zeros, infinities and
+   nans among the coordinates: every net's HPWL and the total equal the
+   point-list fold bit for bit *)
+let prop_hpwl_matches_reference =
+  QCheck.Test.make ~name:"net HPWL fold is bit-identical to the point-list bounding box"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Rng.create ((seed * 613) + 11) in
+      let nl = random_netlist rng in
+      let special = [| 0.0; -0.0; infinity; neg_infinity; nan |] in
+      let coord () =
+        if seed mod 2 = 1 && Rng.int rng 8 = 0 then Rng.choose rng special
+        else Rng.float_in rng 0.0 1200.0
+      in
+      let positions =
+        Array.init (Netlist.n_cells nl) (fun _ ->
+            let x = coord () in
+            Point.make x (coord ()))
+      in
+      let hpwl = Array.init (Netlist.n_nets nl) (Rc_place.Wirelength.net_hpwl nl positions) in
+      let want = Array.init (Netlist.n_nets nl) (Reference_kernels.net_hpwl nl positions) in
+      let total = Array.fold_left ( +. ) 0.0 want in
+      bits hpwl = bits want
+      && Int64.bits_of_float (Rc_place.Wirelength.total nl positions) = Int64.bits_of_float total)
+
 let prop_spreading_matches_reference =
   QCheck.Test.make ~name:"typed spreading sort is bit-identical to polymorphic compare"
     ~count:300 QCheck.small_int (fun seed ->
@@ -406,6 +432,57 @@ let prop_spreading_matches_reference =
       in
       xy t_new = xy t_ref && Rng.bits64 r_new = Rng.bits64 r_ref)
 
+(* Above the cutoff the top levels split in the calling domain and the
+   subtrees run on the pool, each drawing its jitter from a generator
+   skipped ahead to its first slot.  At jobs 1, 2 and 4, with the full
+   participant count forced as in test_par, called directly (a pool
+   region) and inside Pool.region (scope sub-jobs), the targets and the
+   generator's next draw must equal the sequential reference. *)
+let prop_parallel_spreading_matches_reference =
+  QCheck.Test.make ~name:"parallel spreading above the cutoff is bit-identical (jobs 1/2/4)"
+    ~count:12 QCheck.small_int (fun seed ->
+      let rng = Rng.create ((seed * 131) + 17) in
+      let m = 4096 + Rng.int rng 6000 in
+      let special = [| 0.0; -0.0; 7.0; 7.0; nan; infinity; neg_infinity |] in
+      let coord () =
+        match seed mod 3 with
+        | 0 -> Rng.float_in rng 0.0 1000.0
+        | 1 -> Float.round (Rng.float_in rng 0.0 1000.0)
+        | _ ->
+            if Rng.int rng 50 = 0 then Rng.choose rng special
+            else Float.round (Rng.float_in rng 0.0 1000.0)
+      in
+      let xs = Array.init m (fun _ -> coord ()) and ys = Array.init m (fun _ -> coord ()) in
+      let die =
+        Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:(Rng.float_in rng 100.0 900.0)
+          ~ymax:(Rng.float_in rng 100.0 900.0)
+      in
+      let xy t =
+        bits (Array.append (Array.map (fun p -> p.Point.x) t) (Array.map (fun p -> p.Point.y) t))
+      in
+      let r_ref = Rng.create seed in
+      let want = xy (Reference_kernels.spreading_targets r_ref die m xs ys) in
+      let want_next = Rng.bits64 r_ref in
+      let run ~in_region =
+        let r = Rng.create seed in
+        let spread () = Rc_place.Qplace.spreading_targets r die m xs ys in
+        let t = if in_region then Rc_par.Pool.region spread else spread () in
+        xy t = want && Rng.bits64 r = want_next
+      in
+      let jobs = Rc_par.Pool.jobs ()
+      and uncapped = Option.value (Sys.getenv_opt "ROTARY_POOL_UNCAPPED") ~default:"" in
+      Unix.putenv "ROTARY_POOL_UNCAPPED" "1";
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "ROTARY_POOL_UNCAPPED" uncapped;
+          Rc_par.Pool.set_jobs jobs)
+        (fun () ->
+          List.for_all
+            (fun jobs ->
+              Rc_par.Pool.set_jobs jobs;
+              run ~in_region:false && run ~in_region:true)
+            [ 1; 2; 4 ]))
+
 let () =
   Alcotest.run "rc_place"
     [
@@ -426,7 +503,9 @@ let () =
       ( "oracles",
         [
           QCheck_alcotest.to_alcotest prop_system_matches_reference;
+          QCheck_alcotest.to_alcotest prop_hpwl_matches_reference;
           QCheck_alcotest.to_alcotest prop_spreading_matches_reference;
+          QCheck_alcotest.to_alcotest prop_parallel_spreading_matches_reference;
         ] );
       ( "legalize",
         [

@@ -273,6 +273,79 @@ let prop_tap_on_ring_boundary =
       let tap = Tapping.solve tech ring ~ff ~target in
       Ring.closest_boundary_distance ring tap.Tapping.point < 1e-6)
 
+(* --- the walker against the list-based solver --- *)
+
+let tap_bits (t : Tapping.tap) =
+  ( t.Tapping.ring,
+    Int64.bits_of_float t.Tapping.point.Point.x,
+    Int64.bits_of_float t.Tapping.point.Point.y,
+    Int64.bits_of_float t.Tapping.arc,
+    t.Tapping.conductor = Ring.Inner,
+    Int64.bits_of_float t.Tapping.wirelength,
+    t.Tapping.snaked,
+    t.Tapping.periods_shifted )
+
+(* random rings (any aspect ratio, direction, phase and period),
+   flip-flops inside and around them, targets across three periods and
+   far-end loads; both conductors or the outer one alone.  Every other
+   case is snapped to coarse grids (rings and flip-flops on 50 um,
+   phases and targets on period / 16), where candidates of equal stub
+   length are common and only the walk order picks the winner.  Every
+   solve and every single-segment solve must equal the reference's bit
+   for bit, and the draws must reach snaked, period-shifted and inner
+   taps, the outer-only setting and ties. *)
+let test_walker_matches_reference () =
+  let rng = Rc_util.Rng.create 2024 in
+  let snaked = ref 0 and shifted = ref 0 and inner = ref 0 and outer_only = ref 0 in
+  let snapped = ref 0 in
+  for case = 1 to 4000 do
+    let snap = case mod 2 = 0 in
+    let draw step lo hi =
+      let v = Rc_util.Rng.float_in rng lo hi in
+      if snap then step *. Float.round (v /. step) else v
+    in
+    let xmin = draw 50.0 (-500.0) 500.0 and ymin = draw 50.0 (-500.0) 500.0 in
+    let w = draw 50.0 50.0 1500.0 and h = draw 50.0 50.0 1500.0 in
+    let period = draw 100.0 200.0 2000.0 in
+    let ring =
+      Ring.make ~id:(case mod 97)
+        ~rect:(Rect.make ~xmin ~ymin ~xmax:(xmin +. w) ~ymax:(ymin +. h))
+        ~clockwise:(Reference_kernels.coin rng)
+        ~t_ref:(Float.rem (draw (period /. 16.0) 0.0 period) period)
+        ~period
+    in
+    let ff =
+      Point.make
+        (draw 50.0 (xmin -. 800.0) (xmin +. w +. 800.0))
+        (draw 50.0 (ymin -. 800.0) (ymin +. h +. 800.0))
+    in
+    let target = draw (period /. 16.0) (-.period) (2.0 *. period) in
+    if snap then incr snapped;
+    let load = if Reference_kernels.coin rng then None else Some (Rc_util.Rng.float_in rng 0.5 300.0) in
+    let use_complement = Rc_util.Rng.int rng 4 > 0 in
+    if not use_complement then incr outer_only;
+    let got = Tapping.solve ~use_complement ?load tech ring ~ff ~target in
+    let want = Reference_kernels.Tapping_ref.solve ~use_complement ?load tech ring ~ff ~target in
+    if tap_bits got <> tap_bits want then
+      Alcotest.failf "case %d: solve differs from the list-based reference" case;
+    if got.Tapping.snaked then incr snaked;
+    if got.Tapping.periods_shifted <> 0 then incr shifted;
+    if got.Tapping.conductor = Ring.Inner then incr inner;
+    let segment = Rc_util.Rng.int rng 4 in
+    let conductor = if Reference_kernels.coin rng then Ring.Outer else Ring.Inner in
+    let got = Tapping.solve_on_segment tech ring ~segment ~conductor ~ff ~target in
+    let want =
+      Reference_kernels.Tapping_ref.solve_on_segment tech ring ~segment ~conductor ~ff ~target
+    in
+    if tap_bits got <> tap_bits want then
+      Alcotest.failf "case %d: solve_on_segment differs from the list-based reference" case
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "reached snaked (%d), shifted (%d), inner (%d), outer-only (%d), snapped (%d)"
+       !snaked !shifted !inner !outer_only !snapped)
+    true
+    (!snaked > 0 && !shifted > 0 && !inner > 0 && !outer_only > 0 && !snapped > 0)
+
 (* --- time-domain wave simulation --- *)
 
 let sim_result = lazy (Wave_sim.simulate Wave_sim.default_config)
@@ -380,6 +453,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_tap_always_matches;
           QCheck_alcotest.to_alcotest prop_tap_on_ring_boundary;
         ] );
+      ( "oracles",
+        [ Alcotest.test_case "walker = list-based solver" `Quick test_walker_matches_reference ] );
       ( "wave_sim",
         [
           Alcotest.test_case "coupled rings lock" `Slow test_sim_coupled_locking;

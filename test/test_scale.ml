@@ -126,7 +126,10 @@ let test_rent_exponent () =
 
 (* The multilevel V-cycle, forced onto an 8k circuit by lowering the
    threshold: placement must be legal, deterministic, and identical for
-   any job count. *)
+   any job count.  The positions and the HPWL's bits are pinned: the
+   coarsening's merge and the spreading (split into pool subtrees at
+   4096 cells or more, as the finer levels here are) must not move a
+   bit. *)
 let test_vcycle () =
   let nl = Rc_netlist.Generator.generate_hier (small_cfg 21) in
   let run jobs =
@@ -142,6 +145,10 @@ let test_vcycle () =
        a.Rc_place.Qplace.positions);
   Alcotest.(check bool) "bit-identical at jobs 1/2" true
     (a.Rc_place.Qplace.positions = b.Rc_place.Qplace.positions);
+  Alcotest.(check string) "positions digest" "8568bdd819b40240221bdfb288caacdd"
+    (Digest.to_hex (Digest.string (Marshal.to_string a.Rc_place.Qplace.positions [])));
+  Alcotest.(check string) "hpwl bits" "415a4757f3c94841"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float a.Rc_place.Qplace.hpwl));
   (* the V-cycle must not be wildly worse than the flat schedule *)
   let flat = Rc_place.Qplace.initial nl ~chip in
   Alcotest.(check bool) "hpwl within 2x of flat schedule" true
@@ -187,8 +194,7 @@ let test_sharded_assignment () =
    flows see many exact cost ties and the repair pass runs.  The ring
    choice and the cost's bits are pinned: any change to the order in
    which ties are settled moves them. *)
-let test_sharded_pinned () =
-  let tech = Rc_tech.Tech.default in
+let clustered_instance () =
   let grid = 12 in
   let schip = chip_of_grid grid in
   let arr = Rc_rotary.Ring_array.create ~chip:schip ~grid () in
@@ -207,6 +213,11 @@ let test_sharded_pinned () =
         Rc_geom.Point.make x y)
   in
   let targets = Array.init n (fun i -> float_of_int (i mod 7) *. 10.0) in
+  (arr, ff_positions, targets)
+
+let test_sharded_pinned () =
+  let tech = Rc_tech.Tech.default in
+  let arr, ff_positions, targets = clustered_instance () in
   Rc_obs.Metrics.set_enabled true;
   let repairs = Rc_obs.Metrics.counter "assign.netflow.shard_repairs" in
   let r0 = Rc_obs.Metrics.count repairs in
@@ -218,6 +229,40 @@ let test_sharded_pinned () =
   Alcotest.(check string) "ring_of_ff digest" "7645f480f2fd154904acbcfb5c88b60c" (Digest.to_hex (Digest.string rings));
   Alcotest.(check string) "total_cost bits" "415d9af7f48c0065"
     (Printf.sprintf "%Lx" (Int64.bits_of_float a.Rc_assign.Assign.total_cost))
+
+(* The sharded path's replay: with a cache, a second call on identical
+   inputs (every flip-flop a tap-cache hit, same capacities and
+   candidate count) returns the first call's assignment without solving
+   a shard, and that assignment equals a call without the cache.  A
+   flip-flop dropped from the tap cache re-solves the shards, to the
+   same result. *)
+let test_sharded_replay () =
+  let tech = Rc_tech.Tech.default in
+  let arr, ff_positions, targets = clustered_instance () in
+  Rc_obs.Metrics.set_enabled true;
+  let solves = Rc_obs.Metrics.counter "assign.netflow.shard_solves" in
+  let bits (a : Rc_assign.Assign.t) = Marshal.to_string a [] in
+  let cache = Rc_assign.Assign.make_cache () in
+  let call () = Rc_assign.Assign.by_netflow ~cache tech arr ~ff_positions ~targets in
+  let s0 = Rc_obs.Metrics.count solves in
+  let first = call () in
+  let s1 = Rc_obs.Metrics.count solves in
+  let second = call () in
+  let s2 = Rc_obs.Metrics.count solves in
+  let cold = Rc_assign.Assign.by_netflow tech arr ~ff_positions ~targets in
+  Alcotest.(check bool) "first call solves shards" true (s1 - s0 > 0);
+  Alcotest.(check int) "replay solves no shard" 0 (s2 - s1);
+  Alcotest.(check bool) "replay = first call" true (bits second = bits first);
+  Alcotest.(check bool) "replay = uncached call" true (bits second = bits cold);
+  Alcotest.(check bool) "replay hands out its own arrays" true
+    (second.Rc_assign.Assign.ring_of_ff != first.Rc_assign.Assign.ring_of_ff
+    && second.Rc_assign.Assign.taps != first.Rc_assign.Assign.taps);
+  Rc_assign.Assign.cache_invalidate cache ~ff:17;
+  let s3 = Rc_obs.Metrics.count solves in
+  let third = call () in
+  Alcotest.(check bool) "an invalidated flip-flop re-solves the shards" true
+    (Rc_obs.Metrics.count solves - s3 > 0);
+  Alcotest.(check bool) "re-solved = first call" true (bits third = bits first)
 
 (* Scaled-down full-flow smoke: a 10k-cell hierarchical circuit through
    the whole six-stage flow, bit-identical at jobs 1 and 2. *)
@@ -262,6 +307,7 @@ let () =
           Alcotest.test_case "multilevel V-cycle placement" `Quick test_vcycle;
           Alcotest.test_case "sharded netflow assignment" `Quick test_sharded_assignment;
           Alcotest.test_case "sharded assignment pinned (clustered)" `Quick test_sharded_pinned;
+          Alcotest.test_case "sharded replay on unchanged inputs" `Quick test_sharded_replay;
         ] );
       ("flow", [ Alcotest.test_case "10k flow smoke jobs 1/2" `Slow test_flow_smoke ]);
     ]

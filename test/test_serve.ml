@@ -153,6 +153,15 @@ let test_checkpoint_rejects_corruption () =
   let nl = String.index valid '\n' in
   write_file p ("RCCKPT 99" ^ String.sub valid nl (String.length valid - nl));
   check_load_error "unsupported version" p "version 99 unsupported";
+  (* version 1, whose trace events had no pool wall: refused, not
+     unmarshalled into the wrong record *)
+  let p = Filename.concat temp_dir "version-1.ckpt" in
+  write_file p ("RCCKPT 1" ^ String.sub valid nl (String.length valid - nl));
+  check_load_error "version 1" p "version 1 unsupported";
+  (match Checkpoint.inspect ~path:p with
+  | Ok _ -> Alcotest.fail "inspect accepted a version-1 header"
+  | Error e ->
+      Alcotest.(check bool) "inspect names version 1" true (contains e "version 1 unsupported"));
   (* flipped byte deep in the payload: digest must catch it *)
   let p = Filename.concat temp_dir "flipped.ckpt" in
   let b = Bytes.of_string valid in
@@ -481,6 +490,40 @@ let test_protocol_parse () =
   match Protocol.parse_request "not json at all" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
+
+(* a resumed flow writes no checkpoints, and a cadence below 1 means
+   nothing: both are refused at parse time, naming the op *)
+let test_protocol_checkpoint_fields () =
+  let expect_error name line needle =
+    match Protocol.parse_request line with
+    | Error (_, Some "flow", e) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %S mentions %S" name e needle) true
+          (contains e needle)
+    | Error (_, _, e) -> Alcotest.failf "%s: error lost the op name: %s" name e
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  expect_error "resume with cadence"
+    {|{"id":1,"op":"flow","resume_from":"x.ckpt","checkpoint_every":1,"checkpoint_dir":"d"}|}
+    "cannot be combined";
+  expect_error "zero cadence" {|{"id":2,"op":"flow","bench":"tiny","checkpoint_every":0}|}
+    "checkpoint_every";
+  expect_error "negative cadence" {|{"id":3,"op":"flow","bench":"tiny","checkpoint_every":-2}|}
+    "checkpoint_every";
+  (* what the supervisor sends stays valid: an injected cadence on a
+     fresh flow, and a redispatch rewritten to resume_from alone *)
+  (match
+     Protocol.parse_request
+       {|{"id":4,"op":"flow","bench":"tiny","checkpoint_every":1,"checkpoint_dir":"d"}|}
+   with
+  | Ok { Protocol.op = Protocol.Flow_op f; _ } ->
+      Alcotest.(check (option int)) "cadence kept" (Some 1) f.Protocol.f_checkpoint_every
+  | Ok _ -> Alcotest.fail "wrong parse"
+  | Error (_, _, e) -> Alcotest.fail e);
+  match Protocol.parse_request {|{"id":5,"op":"flow","resume_from":"x.ckpt"}|} with
+  | Ok { Protocol.op = Protocol.Flow_op f; _ } ->
+      Alcotest.(check (option string)) "resume kept" (Some "x.ckpt") f.Protocol.f_resume_from
+  | Ok _ -> Alcotest.fail "wrong parse"
+  | Error (_, _, e) -> Alcotest.fail e
 
 let test_protocol_sync_ops_have_no_job () =
   List.iter
@@ -959,6 +1002,36 @@ let test_shm_seqlock_consistency () =
 let rotary_cli_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/rotary_cli.exe"
 
+(* `rotary_cli flow` refuses checkpoint options it would not honour
+   with the usage-error exit (124): a cadence below 1, and a cadence on
+   a resumed flow, which writes no checkpoints (the directory must not
+   even appear) *)
+let test_cli_flow_checkpoint_options () =
+  let run args =
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Fun.protect
+        ~finally:(fun () -> Unix.close null)
+        (fun () ->
+          Unix.create_process rotary_cli_exe
+            (Array.of_list (rotary_cli_exe :: "flow" :: args))
+            Unix.stdin null null)
+    in
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "rotary_cli killed by signal %d" s
+  in
+  Alcotest.(check int) "--checkpoint-every 0" 124
+    (run [ "-b"; "tiny"; "--checkpoint-every"; "0" ]);
+  let _, checkpoints =
+    Checkpoint.run_with_checkpoints ~every:2 ~dir:temp_dir ~name:"cli-resume" tiny_cfg
+  in
+  let _, path = List.hd checkpoints in
+  let ck2 = Filename.concat temp_dir "cli-resume-ck2" in
+  Alcotest.(check int) "--resume with --checkpoint-every" 124
+    (run [ "-b"; "tiny"; "--resume"; path; "--checkpoint-every"; "1"; "--checkpoint-dir"; ck2 ]);
+  Alcotest.(check bool) "no checkpoint directory" false (Sys.file_exists ck2)
+
 let with_supervisor ?(workers = 2) ?(allow_restart = true) ?session_capacity name f =
   let sock = Filename.concat temp_dir (name ^ ".sock") in
   let shm_path = sock ^ ".shm" in
@@ -1346,6 +1419,8 @@ let () =
           Alcotest.test_case "rejects corruption" `Quick test_checkpoint_rejects_corruption;
           Alcotest.test_case "counts file writes and failures" `Quick
             test_checkpoint_save_counts;
+          Alcotest.test_case "cli refuses options it would not honour" `Quick
+            test_cli_flow_checkpoint_options;
         ] );
       ("cancel", [ Alcotest.test_case "token semantics" `Quick test_cancel_token ]);
       ( "scheduler",
@@ -1367,6 +1442,7 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "request parsing" `Quick test_protocol_parse;
+          Alcotest.test_case "flow checkpoint fields" `Quick test_protocol_checkpoint_fields;
           Alcotest.test_case "sync ops are inline" `Quick test_protocol_sync_ops_have_no_job;
           Alcotest.test_case "restart op" `Slow test_protocol_restart_op;
         ] );

@@ -42,6 +42,31 @@ let test_rng_int_invalid () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int r 0))
 
+(* splitmix64 skips n draws by adding n·γ to the state (mod 2⁶⁴): equal
+   to n single steps, for [skip] in place and for [ahead] without
+   touching its argument *)
+let prop_rng_skip_ahead =
+  QCheck.Test.make ~name:"skip n = n single draws; ahead leaves its source alone" ~count:300
+    QCheck.(pair small_int (int_range 0 5000))
+    (fun (seed, n) ->
+      let stepped = Rng.create seed and skipped = Rng.create seed and source = Rng.create seed in
+      for _ = 1 to n do
+        ignore (Rng.bits64 stepped)
+      done;
+      Rng.skip skipped n;
+      let fresh = Rng.ahead source n in
+      let s = Rng.bits64 stepped in
+      s = Rng.bits64 skipped && s = Rng.bits64 fresh
+      && Rng.bits64 source = Rng.bits64 (Rng.create seed)
+      && Rng.float stepped 1.0 = Rng.float skipped 1.0)
+
+let test_rng_skip_invalid () =
+  let r = Rng.create 3 in
+  Alcotest.check_raises "skip -1" (Invalid_argument "Rng.skip: negative count") (fun () ->
+      Rng.skip r (-1));
+  Alcotest.check_raises "ahead -1" (Invalid_argument "Rng.ahead: negative count") (fun () ->
+      ignore (Rng.ahead r (-1)))
+
 let test_rng_float_range () =
   let r = Rng.create 10 in
   for _ = 1 to 1000 do
@@ -297,6 +322,8 @@ let () =
           Alcotest.test_case "int range" `Quick test_rng_int_range;
           Alcotest.test_case "int_in inclusive" `Quick test_rng_int_in;
           Alcotest.test_case "int invalid bound" `Quick test_rng_int_invalid;
+          QCheck_alcotest.to_alcotest prop_rng_skip_ahead;
+          Alcotest.test_case "skip invalid count" `Quick test_rng_skip_invalid;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "float mean" `Quick test_rng_float_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian;
