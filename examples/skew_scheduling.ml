@@ -12,17 +12,11 @@ let () =
   (* five flip-flops: a pipeline 0 -> 1 -> 2 -> 3 -> 4 with a loop
      4 -> 0; stage delays are deliberately unbalanced so zero skew is
      far from optimal *)
-  let pairs =
-    [
-      { Skew_problem.i = 0; j = 1; d_max = 700.0; d_min = 500.0 };
-      { Skew_problem.i = 1; j = 2; d_max = 300.0; d_min = 150.0 };
-      { Skew_problem.i = 2; j = 3; d_max = 600.0; d_min = 420.0 };
-      { Skew_problem.i = 3; j = 4; d_max = 250.0; d_min = 120.0 };
-      { Skew_problem.i = 4; j = 0; d_max = 450.0; d_min = 300.0 };
-    ]
-  in
   let problem =
-    Skew_problem.make ~n:5 ~pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+    Skew_problem.make ~n:5 ~src:[| 0; 1; 2; 3; 4 |] ~dst:[| 1; 2; 3; 4; 0 |]
+      ~d_max:[| 700.0; 300.0; 600.0; 250.0; 450.0 |]
+      ~d_min:[| 500.0; 150.0; 420.0; 120.0; 300.0 |]
+      ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
   in
 
   Printf.printf "zero-skew slack      : %8.2f ps\n" (Max_slack.zero_skew_slack problem);

@@ -128,7 +128,7 @@ let scheduling_engines ?(bench = Bench_suite.tiny) () =
   Report.render
     ~title:
       (Printf.sprintf "Ablation: max-slack engine (%s, %d pairs)" bench.Bench_suite.bname
-         (List.length problem.Rc_skew.Skew_problem.pairs))
+         (Rc_skew.Skew_problem.n_pairs problem))
     ~header:[ "Engine"; "slack M (ps)"; "CPU(s)" ]
     [
       [ "graph (SPFA binary search)"; Report.fmt_f ~dp:3 (slack g); Report.fmt_f ~dp:3 tg ];

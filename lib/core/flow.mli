@@ -213,8 +213,10 @@ val ff_index : Rc_netlist.Netlist.t -> int array * (int -> int)
 
 val skew_problem_of_sta :
   Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_timing.Sta.t -> Rc_skew.Skew_problem.t
-(** Bridge STA adjacencies (cell ids) to the dense flip-flop indexing of
-    the skew formulations. *)
+(** The STA's pairs as a skew problem over the clock constants of the
+    technology.  Both index flip-flops by their position in
+    {!Rc_netlist.Netlist.flip_flops}, so the problem shares the STA's
+    arrays and keeps its pair order. *)
 
 val anchors_of_assignment :
   Rc_tech.Tech.t ->

@@ -130,23 +130,12 @@ let best_exn ctx =
 
 let ff_positions ctx = Array.map (fun c -> ctx.positions.(c)) ctx.ffs
 
-let skew_problem_of_sta tech netlist sta =
-  let _, idx = ff_index netlist in
-  let pairs =
-    List.map
-      (fun (a : Rc_timing.Sta.adjacency) ->
-        {
-          Rc_skew.Skew_problem.i = idx a.Rc_timing.Sta.src_ff;
-          j = idx a.Rc_timing.Sta.dst_ff;
-          d_max = a.Rc_timing.Sta.d_max;
-          d_min = a.Rc_timing.Sta.d_min;
-        })
-      (Rc_timing.Sta.adjacencies sta)
-  in
+let skew_problem_of_sta tech netlist (sta : Rc_timing.Sta.t) =
   Rc_skew.Skew_problem.make
     ~n:(Rc_netlist.Netlist.n_ffs netlist)
-    ~pairs ~period:tech.Rc_tech.Tech.clock_period ~t_setup:tech.Rc_tech.Tech.t_setup
-    ~t_hold:tech.Rc_tech.Tech.t_hold
+    ~src:sta.Rc_timing.Sta.src ~dst:sta.Rc_timing.Sta.dst ~d_max:sta.Rc_timing.Sta.d_max
+    ~d_min:sta.Rc_timing.Sta.d_min ~period:tech.Rc_tech.Tech.clock_period
+    ~t_setup:tech.Rc_tech.Tech.t_setup ~t_hold:tech.Rc_tech.Tech.t_hold
 
 let anchors_of_assignment tech rings (assignment : Rc_assign.Assign.t) ~ff_positions ~skews =
   let period = Ring_array.period rings in

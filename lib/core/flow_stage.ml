@@ -32,13 +32,23 @@ let describe st =
    time its pool fan-outs, compute the objective after it, and record
    the trace event (consuming the stage's note).  Returns the objective
    after the stage too: it is the next stage's before-value, so each
-   stage boundary's objective is computed once. *)
+   stage boundary's objective is computed once.  A stage that leaves
+   every input of the objective physically as it was (the schedulers)
+   leaves the objective too, so it is not folded again. *)
 let exec_from cost_before st (ctx : Flow_ctx.t) =
   let metrics_before = Rc_obs.Metrics.snapshot ~reg:ctx.Flow_ctx.obs () in
   let pool_before = Rc_par.Pool.fanout_wall_s () in
   let ctx', wall_s = Rc_util.Timer.time (fun () -> st.run ctx) in
   let pool_s = Rc_par.Pool.fanout_wall_s () -. pool_before in
-  let cost_after = Flow_ctx.current_objective ctx' in
+  let cost_after =
+    if
+      ctx'.Flow_ctx.positions == ctx.Flow_ctx.positions
+      && ctx'.Flow_ctx.assignment == ctx.Flow_ctx.assignment
+      && ctx'.Flow_ctx.netlist == ctx.Flow_ctx.netlist
+      && ctx'.Flow_ctx.cfg == ctx.Flow_ctx.cfg
+    then cost_before
+    else Flow_ctx.current_objective ctx'
+  in
   let cost_delta =
     match (cost_before, cost_after) with
     | Some b, Some a -> Some (a -. b)

@@ -65,7 +65,7 @@ let max_slack_scheduling =
               cfg.Flow_ctx.slack_fraction *. Float.max slack_star 0.0
             else 0.0
           in
-          let n_pairs = List.length problem.Rc_skew.Skew_problem.pairs in
+          let n_pairs = Rc_skew.Skew_problem.n_pairs problem in
           {
             ctx with
             Flow_ctx.skews = schedule.Rc_skew.Max_slack.skews;

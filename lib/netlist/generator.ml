@@ -402,19 +402,21 @@ let generate cfg =
     let pool = if Array.length any_logic_drivers > 0 then any_logic_drivers else by_level.(0) in
     connect (Rng.choose rng pool) o
   done;
-  (* every driver must end with at least one sink *)
+  (* every driver must end with at least one sink: a logic cell above
+     its level, otherwise an output pad *)
+  let logic_above =
+    Array.init (cfg.depth + 1) (fun v ->
+        Array.of_list (List.filter (fun d -> level.(d) > v) (List.init cfg.n_logic Fun.id)))
+  in
   for c = 0 to n - 1 do
     if drives.(c) && sinks_of.(c) = [] then begin
-      let v = level.(c) in
-      (* logic cells above this level, otherwise an output pad *)
-      let candidates =
-        List.filter (fun d -> logic d && level.(d) > v) (List.init cfg.n_logic Fun.id)
-      in
-      match candidates with
-      | [] ->
-          if cfg.n_outputs > 0 then connect c (out_first + Rng.int rng cfg.n_outputs)
-          else connect c (ff_first + Rng.int rng cfg.n_ffs)
-      | l -> connect c (List.nth l (Rng.int rng (List.length l)))
+      let candidates = logic_above.(level.(c)) in
+      let len = Array.length candidates in
+      if len = 0 then begin
+        if cfg.n_outputs > 0 then connect c (out_first + Rng.int rng cfg.n_outputs)
+        else connect c (ff_first + Rng.int rng cfg.n_ffs)
+      end
+      else connect c candidates.(Rng.int rng len)
     end
   done;
   let nets =

@@ -367,12 +367,10 @@ let spreading_targets rng chip m (xs : float array) (ys : float array) =
 let legalize netlist ~chip ~site positions =
   let nx = max 1 (int_of_float (Rect.width chip /. site)) in
   let ny = max 1 (int_of_float (Rect.height chip /. site)) in
-  let occupied = Hashtbl.create 1024 in
-  let site_center ix iy =
-    Point.make
-      (chip.Rect.xmin +. ((float_of_int ix +. 0.5) *. site))
-      (chip.Rect.ymin +. ((float_of_int iy +. 0.5) *. site))
-  in
+  (* one byte per site, row-major: site (ix, iy) is byte iy·nx + ix *)
+  let occupied = Bytes.make (nx * ny) '\000' in
+  let center_x ix = chip.Rect.xmin +. ((float_of_int ix +. 0.5) *. site) in
+  let center_y iy = chip.Rect.ymin +. ((float_of_int iy +. 0.5) *. site) in
   let clamp v lo hi = max lo (min hi v) in
   let out = Array.copy positions in
   let n = Netlist.n_cells netlist in
@@ -381,17 +379,25 @@ let legalize netlist ~chip ~site positions =
       let p = positions.(c) in
       let ix0 = clamp (int_of_float ((p.Point.x -. chip.Rect.xmin) /. site)) 0 (nx - 1) in
       let iy0 = clamp (int_of_float ((p.Point.y -. chip.Rect.ymin) /. site)) 0 (ny - 1) in
-      (* spiral outward over Chebyshev rings until a free in-bounds site *)
+      (* spiral outward over Chebyshev rings until a free in-bounds site;
+         within a ring the first site of least Manhattan distance wins *)
       let placed = ref false and r = ref 0 in
       while not !placed do
-        let best = ref None in
+        let found = ref false and bd = ref 0.0 and bx = ref 0 and by = ref 0 in
         let consider ix iy =
-          if ix >= 0 && ix < nx && iy >= 0 && iy < ny && not (Hashtbl.mem occupied (ix, iy))
+          if
+            ix >= 0 && ix < nx && iy >= 0 && iy < ny
+            && Bytes.get occupied ((iy * nx) + ix) = '\000'
           then begin
-            let d = Point.manhattan p (site_center ix iy) in
-            match !best with
-            | Some (bd, _, _) when bd <= d -> ()
-            | _ -> best := Some (d, ix, iy)
+            let d =
+              Float.abs (p.Point.x -. center_x ix) +. Float.abs (p.Point.y -. center_y iy)
+            in
+            if not (!found && !bd <= d) then begin
+              found := true;
+              bd := d;
+              bx := ix;
+              by := iy
+            end
           end
         in
         if !r = 0 then consider ix0 iy0
@@ -405,14 +411,15 @@ let legalize netlist ~chip ~site positions =
             consider (ix0 + !r) (iy0 + dy)
           done
         end;
-        (match !best with
-        | Some (_, ix, iy) ->
-            Hashtbl.replace occupied (ix, iy) ();
-            out.(c) <- site_center ix iy;
-            placed := true
-        | None ->
-            incr r;
-            if !r > nx + ny then failwith "Qplace.legalize: no free site found")
+        if !found then begin
+          Bytes.set occupied ((!by * nx) + !bx) '\001';
+          out.(c) <- Point.make (center_x !bx) (center_y !by);
+          placed := true
+        end
+        else begin
+          incr r;
+          if !r > nx + ny then failwith "Qplace.legalize: no free site found"
+        end
       done
     end
   done;

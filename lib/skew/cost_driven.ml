@@ -22,14 +22,17 @@ let solve_minmax_graph ?(tolerance = 1e-3) problem ~slack ~anchors =
      search rewrites just the window weights in place.  Each vertex's
      slots keep the edge order a per-probe rebuild would have, so the
      SPFA's search trajectory is unchanged. *)
-  let src, dst, base = Skew_problem.constraint_edges problem in
-  let nc = Array.length src in
-  let g, slot =
-    Rc_graph.Digraph.freeze_edges ~n:(n + 1)
-      ~src:(Array.append src (Array.init (2 * n) (fun e -> if e land 1 = 0 then n else e / 2)))
-      ~dst:(Array.append dst (Array.init (2 * n) (fun e -> if e land 1 = 0 then e / 2 else n)))
-      ~weight:(Array.append (Array.map (fun b -> b -. slack) base) (Array.make (2 * n) 0.0))
-  in
+  let nc = 2 * Skew_problem.n_pairs problem in
+  let ne = nc + (2 * n) in
+  let src = Array.make ne 0 and dst = Array.make ne 0 and weight = Array.make ne 0.0 in
+  Skew_problem.fill_constraint_edges problem ~slack ~src ~dst ~weight;
+  for i = 0 to n - 1 do
+    src.(nc + (2 * i)) <- n;
+    dst.(nc + (2 * i)) <- i;
+    src.(nc + (2 * i) + 1) <- i;
+    dst.(nc + (2 * i) + 1) <- n
+  done;
+  let g, slot = Rc_graph.Digraph.freeze_edges ~n:(n + 1) ~src ~dst ~weight in
   let weights = g.Rc_graph.Digraph.weights in
   let probe delta =
     Rc_obs.Metrics.incr m_probes;
@@ -86,19 +89,20 @@ let solve_weighted_lp problem ~slack ~anchors =
   let n = problem.Skew_problem.n in
   let t_vars = Array.init n (fun _ -> Problem.add_var p) in
   let d_vars = Array.map (fun a -> Problem.add_var ~lo:0.0 ~obj:(Float.max a.weight 0.0) p) anchors in
-  List.iter
-    (fun { Skew_problem.i; j; d_max; d_min } ->
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
-           Problem.Le
-           (problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack));
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
-           Problem.Ge
-           (slack +. problem.Skew_problem.t_hold -. d_min)))
-    problem.Skew_problem.pairs;
+  for q = 0 to Skew_problem.n_pairs problem - 1 do
+    let i = problem.Skew_problem.src.(q) and j = problem.Skew_problem.dst.(q) in
+    ignore
+      (Problem.add_row p
+         [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
+         Problem.Le
+         (problem.Skew_problem.period -. problem.Skew_problem.d_max.(q)
+        -. problem.Skew_problem.t_setup -. slack));
+    ignore
+      (Problem.add_row p
+         [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
+         Problem.Ge
+         (slack +. problem.Skew_problem.t_hold -. problem.Skew_problem.d_min.(q)))
+  done;
   Array.iteri
     (fun i a ->
       let ideal = a.t_c +. a.t_ci in
@@ -117,36 +121,48 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~anchors ~skews =
   let n = problem.Skew_problem.n in
   let t = Array.copy skews in
   (* per-FF inequalities derived from the pair constraints at the given
-     slack, t_i <= t_j + ub and t_i >= t_j + lb, as one frozen adjacency
-     (an edge i → j per inequality pair) with two weight arrays.  Pair p
-     adds edge 2p for t_i and edge 2p + 1, the symmetric view, for t_j;
-     each FF's slots run last-added first, the order the bounds are
-     folded in *)
-  let pairs =
-    Array.of_list (List.filter (fun { Skew_problem.i; j; _ } -> i <> j) problem.Skew_problem.pairs)
+     slack, t_i <= t_j + ub and t_i >= t_j + lb, as one adjacency: FF
+     i's slots ptr.(i) .. ptr.(i + 1) - 1 hold (j, ub, lb).  A pair
+     with i <> j adds a slot for t_i and, the symmetric view, one for
+     t_j; a pair with i = j bounds nothing.  Each FF's slots are filled
+     from its end down, so they run last-added first *)
+  let ps = problem.Skew_problem.src and pd = problem.Skew_problem.dst in
+  let np = Skew_problem.n_pairs problem in
+  let ptr = Array.make (n + 1) 0 in
+  for q = 0 to np - 1 do
+    let i = ps.(q) and j = pd.(q) in
+    if i <> j then begin
+      ptr.(i + 1) <- ptr.(i + 1) + 1;
+      ptr.(j + 1) <- ptr.(j + 1) + 1
+    end
+  done;
+  for v = 1 to n do
+    ptr.(v) <- ptr.(v) + ptr.(v - 1)
+  done;
+  let ne = ptr.(n) in
+  let heads = Array.make ne 0 and upper = Array.make ne 0.0 and lower = Array.make ne 0.0 in
+  let cursor = Array.sub ptr 1 n in
+  let add v head ub lb =
+    let k = cursor.(v) - 1 in
+    cursor.(v) <- k;
+    heads.(k) <- head;
+    upper.(k) <- ub;
+    lower.(k) <- lb
   in
-  let ne = 2 * Array.length pairs in
-  let src = Array.make ne 0 and dst = Array.make ne 0 in
-  let ub = Array.make ne 0.0 and lb = Array.make ne 0.0 in
-  Array.iteri
-    (fun p { Skew_problem.i; j; d_max; d_min } ->
-      let setup = problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack in
-      let hold = slack +. problem.Skew_problem.t_hold -. d_min in
+  for q = 0 to np - 1 do
+    let i = ps.(q) and j = pd.(q) in
+    if i <> j then begin
+      let setup =
+        problem.Skew_problem.period -. problem.Skew_problem.d_max.(q)
+        -. problem.Skew_problem.t_setup -. slack
+      in
+      let hold = slack +. problem.Skew_problem.t_hold -. problem.Skew_problem.d_min.(q) in
       (* (6) t_i - t_j <= setup ; (7) t_i - t_j >= hold *)
-      src.(2 * p) <- i;
-      dst.(2 * p) <- j;
-      ub.(2 * p) <- setup;
-      lb.(2 * p) <- hold;
+      add i j setup hold;
       (* symmetric view for t_j *)
-      src.((2 * p) + 1) <- j;
-      dst.((2 * p) + 1) <- i;
-      ub.((2 * p) + 1) <- -.hold;
-      lb.((2 * p) + 1) <- -.setup)
-    pairs;
-  let g, slot = Rc_graph.Digraph.freeze_edges ~n ~src ~dst ~weight:ub in
-  let ptr = g.Rc_graph.Digraph.ptr and heads = g.Rc_graph.Digraph.heads in
-  let upper = g.Rc_graph.Digraph.weights and lower = Array.make ne 0.0 in
-  Array.iteri (fun e k -> lower.(k) <- lb.(e)) slot;
+      add j i (-.hold) (-.setup)
+    end
+  done;
   for _ = 1 to sweeps do
     for i = 0 to n - 1 do
       let hi = ref infinity and lo = ref neg_infinity in
@@ -200,18 +216,19 @@ let solve_weighted_mcf problem ~slack ~anchors =
       end
     in
     (* constraint arcs: t_u − t_v ≤ b  →  arc u→v with cost b *)
-    List.iter
-      (fun { Skew_problem.i; j; d_max; d_min } ->
-        if i <> j then begin
-          let setup =
-            problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack
-          in
-          let hold = d_min -. problem.Skew_problem.t_hold -. slack in
-          (* (6): t_i − t_j ≤ setup ; (7): t_j − t_i ≤ hold *)
-          arc i j big setup;
-          arc j i big hold
-        end)
-      problem.Skew_problem.pairs;
+    for q = 0 to Skew_problem.n_pairs problem - 1 do
+      let i = problem.Skew_problem.src.(q) and j = problem.Skew_problem.dst.(q) in
+      if i <> j then begin
+        let setup =
+          problem.Skew_problem.period -. problem.Skew_problem.d_max.(q)
+          -. problem.Skew_problem.t_setup -. slack
+        in
+        let hold = problem.Skew_problem.d_min.(q) -. problem.Skew_problem.t_hold -. slack in
+        (* (6): t_i − t_j ≤ setup ; (7): t_j − t_i ≤ hold *)
+        arc i j big setup;
+        arc j i big hold
+      end
+    done;
     (* node arcs to the reference *)
     Array.iteri
       (fun i a ->

@@ -14,12 +14,17 @@ let solve_graph ?(tolerance = 1e-3) problem =
     (* every probe of the search below tests one slack M on the same
        constraint graph, so it is frozen once and each probe rewrites
        all its weights to base − M in place *)
-    let src, dst, base = Skew_problem.constraint_edges problem in
-    let g, slot =
-      Rc_graph.Digraph.freeze_edges ~n:problem.Skew_problem.n ~src ~dst ~weight:base
-    in
+    let ne = 2 * Skew_problem.n_pairs problem in
+    let src = Array.make ne 0 and dst = Array.make ne 0 and weight = Array.make ne 0.0 in
+    Skew_problem.fill_constraint_edges problem ~slack:0.0 ~src ~dst ~weight;
+    let g, _ = Rc_graph.Digraph.freeze_edges ~n:problem.Skew_problem.n ~src ~dst ~weight in
+    (* the slack-free weights in slot order *)
+    let base = Array.copy g.Rc_graph.Digraph.weights in
     let feasible_skews slack =
-      Array.iteri (fun e b -> g.Rc_graph.Digraph.weights.(slot.(e)) <- b -. slack) base;
+      let weights = g.Rc_graph.Digraph.weights in
+      for k = 0 to ne - 1 do
+        weights.(k) <- base.(k) -. slack
+      done;
       Rc_graph.Shortest_path.potentials g
     in
     match feasible_skews hi0 with
@@ -54,19 +59,20 @@ let solve_lp problem =
   let n = problem.Skew_problem.n in
   let t_vars = Array.init n (fun _ -> Problem.add_var p) in
   let m_var = Problem.add_var ~obj:(-1.0) p in
-  List.iter
-    (fun { Skew_problem.i; j; d_max; d_min } ->
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0); (m_var, 1.0) ]
-           Problem.Le
-           (problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup));
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0); (m_var, -1.0) ]
-           Problem.Ge
-           (problem.Skew_problem.t_hold -. d_min)))
-    problem.Skew_problem.pairs;
+  for q = 0 to Skew_problem.n_pairs problem - 1 do
+    let i = problem.Skew_problem.src.(q) and j = problem.Skew_problem.dst.(q) in
+    ignore
+      (Problem.add_row p
+         [ (t_vars.(i), 1.0); (t_vars.(j), -1.0); (m_var, 1.0) ]
+         Problem.Le
+         (problem.Skew_problem.period -. problem.Skew_problem.d_max.(q)
+        -. problem.Skew_problem.t_setup));
+    ignore
+      (Problem.add_row p
+         [ (t_vars.(i), 1.0); (t_vars.(j), -1.0); (m_var, -1.0) ]
+         Problem.Ge
+         (problem.Skew_problem.t_hold -. problem.Skew_problem.d_min.(q)))
+  done;
   (* anchor one flip-flop to pin down the free translation *)
   if n > 0 then ignore (Problem.add_row p [ (t_vars.(0), 1.0) ] Problem.Eq 0.0);
   (* slack is bounded by the two-cycle bound, keep the LP bounded *)
@@ -81,10 +87,13 @@ let solve_lp problem =
   | _ -> None
 
 let zero_skew_slack problem =
-  List.fold_left
-    (fun acc { Skew_problem.d_max; d_min; _ } ->
-      Float.min acc
+  let acc = ref infinity in
+  for p = 0 to Skew_problem.n_pairs problem - 1 do
+    acc :=
+      Float.min !acc
         (Float.min
-           (problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup)
-           (d_min -. problem.Skew_problem.t_hold)))
-    infinity problem.Skew_problem.pairs
+           (problem.Skew_problem.period -. problem.Skew_problem.d_max.(p)
+          -. problem.Skew_problem.t_setup)
+           (problem.Skew_problem.d_min.(p) -. problem.Skew_problem.t_hold))
+  done;
+  !acc

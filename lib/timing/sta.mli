@@ -6,14 +6,23 @@
     constraints (Eqs. 6–7) consume. Gate delays carry a deterministic
     per-cell variation factor so the max/min spread is realistic. *)
 
-type adjacency = {
-  src_ff : int;  (** Launching flip-flop (cell id). *)
-  dst_ff : int;  (** Capturing flip-flop (cell id). *)
-  d_max : float;  (** Slowest combinational path, ps. *)
-  d_min : float;  (** Fastest combinational path, ps. *)
+type t = private {
+  src : int array;
+      (** Launching flip-flop of pair [p], as its index in
+          {!Rc_netlist.Netlist.flip_flops} (not a cell id). *)
+  dst : int array;  (** Capturing flip-flop of pair [p], same indexing. *)
+  d_max : float array;  (** Slowest combinational path of pair [p], ps. *)
+  d_min : float array;  (** Fastest combinational path of pair [p], ps. *)
+  critical : float;  (** Largest [d_max]; 0. when there are no pairs. *)
 }
-
-type t
+(** Every sequentially adjacent pair once, as four parallel arrays in
+    cone order: launching flip-flops in {!Rc_netlist.Netlist.flip_flops}
+    order (so [src] is non-decreasing), and each launching flip-flop's
+    sinks in the order its cone first reaches them.  The order depends
+    only on the netlist and the positions — not on the job count, and
+    not on whether an incremental session recomputed or replayed a
+    cone.  The arrays are shared with the caller (and, for a session,
+    with the next replay): read them, do not write them. *)
 
 val analyze :
   Rc_tech.Tech.t ->
@@ -39,7 +48,7 @@ val analyze_batch : session -> positions:Rc_geom.Point.t array -> t
     fan out to the same captive worker set, and the session's flat
     cone-stamp arenas (one per domain) are reused across calls instead
     of being reallocated per analysis. Cells are compared by exact
-    position, so the result — pairs list, its order, and the critical
+    position, so the result — every array, its order, and the critical
     delay — is bit-identical to a fresh {!analyze} of the same
     positions; identical positions are a pure replay of the cached
     result. Reuse is reported under the [timing.sta.replays] /
@@ -53,9 +62,3 @@ val invalidate_cells : session -> int list -> unit
     a session with no prior analysis are ignored.  Forcing a cone
     re-evaluation can never change results (exact recomputation), so
     this affects work, not values. *)
-
-val adjacencies : t -> adjacency list
-(** All sequentially adjacent pairs, each listed once. *)
-
-val critical_delay : t -> float
-(** Largest [d_max] over all pairs; 0. when there are no pairs. *)

@@ -3,7 +3,8 @@
    The flow's flat kernels, in their plain list-based forms: the boxed
    sparse product, the point-list net bounding box, the placement system assembled per round through
    Csr.of_entries, the spreading sort on polymorphic compare, the
-   list-based Eq. 1 tapping solver, the list-folding skew refine, the list-walking SPFA with the skew
+   list-based Eq. 1 tapping solver, the STA's pairs merged through a
+   hash table, the list-folding skew refine, the list-walking SPFA with the skew
    searches rebuilt on it per probe, and the binary-heap min-cost flow.
    The tests hold the library kernels to these bit for bit, never to a
    tolerance: the flow digests depend on every bit.
@@ -450,6 +451,80 @@ let path_to (r : Rc_graph.Shortest_path.result) v =
     Some (build [] v)
   end
 
+(* ---- STA pairs through a hash table ------------------------------------ *)
+
+(* The STA's per-cell gate variation factor, restated. *)
+let sta_gate_factor c =
+  let r = Rc_util.Rng.create ((c * 2654435761) + 97) in
+  0.9 +. Rc_util.Rng.float r 0.2
+
+(* Every sequentially adjacent pair as (launching cell, capturing cell,
+   D_max, D_min).  Each flip-flop's cone is relaxed over all logic cells
+   in one topological order (no heap, no stamps), with the STA's delay
+   arithmetic: wire at launch, then arrival + gate + wire per hop.  The
+   cones are merged through a Hashtbl keyed by (launch, capture),
+   filled flip-flop by flip-flop with each cone's sinks in first-touch
+   order and folded into a list, so the list comes out in the table's
+   bucket order. *)
+let sta_pairs tech netlist ~positions =
+  let n = Netlist.n_cells netlist in
+  let out = Array.make n [] in
+  Netlist.iter_nets netlist (fun _ (net : Netlist.net) ->
+      Array.iter
+        (fun s ->
+          match Netlist.kind netlist s with
+          | Netlist.Logic | Netlist.Flipflop ->
+              let load = Rc_timing.Elmore.sink_load tech netlist s in
+              let wire =
+                Rc_timing.Elmore.point_delay tech positions.(net.driver) positions.(s) ~load
+              in
+              out.(net.driver) <- (s, wire) :: out.(net.driver)
+          | Netlist.Input_pad | Netlist.Output_pad -> ())
+        net.sinks);
+  let logic c = Netlist.kind netlist c = Netlist.Logic in
+  let g = Rc_graph.Digraph.create n in
+  for c = 0 to n - 1 do
+    if logic c then
+      List.iter (fun (t, _) -> if logic t then Rc_graph.Digraph.add_edge g c t 0.0) out.(c)
+  done;
+  let order = Option.get (Rc_graph.Dag.topological_order g) in
+  let gmax c = tech.Rc_tech.Tech.gate_delay *. sta_gate_factor c in
+  let gmin c = tech.Rc_tech.Tech.gate_delay_min *. sta_gate_factor c in
+  let cone f =
+    let amax = Array.make n neg_infinity and amin = Array.make n infinity in
+    let reached = Array.make n false in
+    let rmax = Array.make n neg_infinity and rmin = Array.make n infinity in
+    let sinks = ref [] in
+    (* a signal reaching [t] after [vmax]/[vmin] *)
+    let relax t vmax vmin =
+      if Netlist.is_ff netlist t then begin
+        if not (List.mem t !sinks) then sinks := t :: !sinks;
+        rmax.(t) <- Float.max rmax.(t) vmax;
+        rmin.(t) <- Float.min rmin.(t) vmin
+      end
+      else if logic t then begin
+        reached.(t) <- true;
+        amax.(t) <- Float.max amax.(t) vmax;
+        amin.(t) <- Float.min amin.(t) vmin
+      end
+    in
+    List.iter (fun (t, wire) -> relax t wire wire) out.(f);
+    Array.iter
+      (fun c ->
+        if reached.(c) then begin
+          let dmax = amax.(c) +. gmax c and dmin = amin.(c) +. gmin c in
+          List.iter (fun (t, wire) -> relax t (dmax +. wire) (dmin +. wire)) out.(c)
+        end)
+      order;
+    List.rev_map (fun t -> (t, rmax.(t), rmin.(t))) !sinks
+  in
+  let ffs = Netlist.flip_flops netlist in
+  let pairs = Hashtbl.create 256 in
+  Array.iter
+    (fun f -> List.iter (fun (t, dmax, dmin) -> Hashtbl.replace pairs (f, t) (dmax, dmin)) (cone f))
+    ffs;
+  Hashtbl.fold (fun (f, t) (dmax, dmin) acc -> (f, t, dmax, dmin) :: acc) pairs []
+
 (* ---- skew scheduling on rebuilt list graphs ---------------------------- *)
 
 open Rc_skew
@@ -543,17 +618,20 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~(anchors : Cost_driven.a
   let n = problem.Skew_problem.n in
   let t = Array.copy skews in
   let uppers = Array.make n [] and lowers = Array.make n [] in
-  List.iter
-    (fun { Skew_problem.i; j; d_max; d_min } ->
-      if i <> j then begin
-        let setup = problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack in
-        let hold = slack +. problem.Skew_problem.t_hold -. d_min in
-        uppers.(i) <- (j, setup) :: uppers.(i);
-        lowers.(i) <- (j, hold) :: lowers.(i);
-        lowers.(j) <- (i, -.setup) :: lowers.(j);
-        uppers.(j) <- (i, -.hold) :: uppers.(j)
-      end)
-    problem.Skew_problem.pairs;
+  for q = 0 to Skew_problem.n_pairs problem - 1 do
+    let i = problem.Skew_problem.src.(q) and j = problem.Skew_problem.dst.(q) in
+    if i <> j then begin
+      let setup =
+        problem.Skew_problem.period -. problem.Skew_problem.d_max.(q)
+        -. problem.Skew_problem.t_setup -. slack
+      in
+      let hold = slack +. problem.Skew_problem.t_hold -. problem.Skew_problem.d_min.(q) in
+      uppers.(i) <- (j, setup) :: uppers.(i);
+      lowers.(i) <- (j, hold) :: lowers.(i);
+      lowers.(j) <- (i, -.setup) :: lowers.(j);
+      uppers.(j) <- (i, -.hold) :: uppers.(j)
+    end
+  done;
   for _ = 1 to sweeps do
     for i = 0 to n - 1 do
       let hi =
@@ -578,19 +656,20 @@ let solve_minmax_lp problem ~slack ~(anchors : Cost_driven.anchor array) =
   let n = problem.Skew_problem.n in
   let t_vars = Array.init n (fun _ -> Problem.add_var p) in
   let delta = Problem.add_var ~lo:0.0 ~obj:1.0 p in
-  List.iter
-    (fun { Skew_problem.i; j; d_max; d_min } ->
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
-           Problem.Le
-           (problem.Skew_problem.period -. d_max -. problem.Skew_problem.t_setup -. slack));
-      ignore
-        (Problem.add_row p
-           [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
-           Problem.Ge
-           (slack +. problem.Skew_problem.t_hold -. d_min)))
-    problem.Skew_problem.pairs;
+  for q = 0 to Skew_problem.n_pairs problem - 1 do
+    let i = problem.Skew_problem.src.(q) and j = problem.Skew_problem.dst.(q) in
+    ignore
+      (Problem.add_row p
+         [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
+         Problem.Le
+         (problem.Skew_problem.period -. problem.Skew_problem.d_max.(q)
+        -. problem.Skew_problem.t_setup -. slack));
+    ignore
+      (Problem.add_row p
+         [ (t_vars.(i), 1.0); (t_vars.(j), -1.0) ]
+         Problem.Ge
+         (slack +. problem.Skew_problem.t_hold -. problem.Skew_problem.d_min.(q)))
+  done;
   Array.iteri
     (fun i (a : Cost_driven.anchor) ->
       ignore

@@ -96,23 +96,11 @@ let test_flow_runs_on_parsed_circuit () =
       let tech = Rc_tech.Tech.default in
       let placed = Rc_place.Qplace.initial nl ~chip in
       let sta = Rc_timing.Sta.analyze tech nl ~positions:placed.Rc_place.Qplace.positions in
-      Alcotest.(check bool) "has pairs" true (Rc_timing.Sta.adjacencies sta <> []);
+      Alcotest.(check bool) "has pairs" true (Array.length sta.Rc_timing.Sta.src > 0);
       let problem =
-        Rc_skew.Skew_problem.make ~n:(Netlist.n_ffs nl)
-          ~pairs:
-            (let ffs = Netlist.flip_flops nl in
-             let idx = Hashtbl.create 8 in
-             Array.iteri (fun i c -> Hashtbl.replace idx c i) ffs;
-             List.map
-               (fun (a : Rc_timing.Sta.adjacency) ->
-                 {
-                   Rc_skew.Skew_problem.i = Hashtbl.find idx a.Rc_timing.Sta.src_ff;
-                   j = Hashtbl.find idx a.Rc_timing.Sta.dst_ff;
-                   d_max = a.Rc_timing.Sta.d_max;
-                   d_min = a.Rc_timing.Sta.d_min;
-                 })
-               (Rc_timing.Sta.adjacencies sta))
-          ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+        Rc_skew.Skew_problem.make ~n:(Netlist.n_ffs nl) ~src:sta.Rc_timing.Sta.src
+          ~dst:sta.Rc_timing.Sta.dst ~d_max:sta.Rc_timing.Sta.d_max
+          ~d_min:sta.Rc_timing.Sta.d_min ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
       in
       match Rc_skew.Max_slack.solve_graph problem with
       | None -> Alcotest.fail "schedulable"

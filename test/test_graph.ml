@@ -193,15 +193,19 @@ let prop_spfa_matches_reference =
           let pairs =
             List.init (Rc_util.Rng.int rng (3 * n)) (fun _ ->
                 let d_min = Rc_util.Rng.float_in rng 20.0 300.0 in
-                {
-                  Rc_skew.Skew_problem.i = Rc_util.Rng.int rng n;
-                  j = Rc_util.Rng.int rng n;
-                  d_max = d_min +. Rc_util.Rng.float_in rng 0.0 500.0;
-                  d_min;
-                })
+                let d_max = d_min +. Rc_util.Rng.float_in rng 0.0 500.0 in
+                let j = Rc_util.Rng.int rng n in
+                let i = Rc_util.Rng.int rng n in
+                (i, j, d_max, d_min))
+            |> Array.of_list
           in
           let pr =
-            Rc_skew.Skew_problem.make ~n ~pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+            Rc_skew.Skew_problem.make ~n
+              ~src:(Array.map (fun (i, _, _, _) -> i) pairs)
+              ~dst:(Array.map (fun (_, j, _, _) -> j) pairs)
+              ~d_max:(Array.map (fun (_, _, d_max, _) -> d_max) pairs)
+              ~d_min:(Array.map (fun (_, _, _, d_min) -> d_min) pairs)
+              ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
           in
           Rc_skew.Skew_problem.constraint_graph pr ~slack:(Rc_util.Rng.float_in rng (-100.0) 300.0)
         end

@@ -153,6 +153,30 @@ let prop_generator_no_dangling_nets =
         (Netlist.flip_flops nl);
       !ok)
 
+(* The paper circuits as written by Serialize: the flow digests start
+   from these netlists, so the flat generator must keep producing them
+   byte for byte. *)
+let test_paper_netlists_pinned () =
+  let pins =
+    [
+      ("tiny", "cf13d122f780dbe746efb8b939a41784");
+      ("s9234", "c161d768b81644c26b924e15b19b03e0");
+      ("s5378", "08a36f2208ee8f9f2d17d98cc19e5c13");
+      ("s15850", "bda0b021cc948a87d3a2867cb66d74e0");
+      ("s38417", "4c44e990b02489630ca77ef32f8666ea");
+      ("s35932", "7df50a6750686fb565de65186cdd4dae");
+    ]
+  in
+  let benches = Rc_core.Bench_suite.(tiny :: all) in
+  Alcotest.(check (list string)) "pinned circuits" (List.map fst pins)
+    (List.map (fun b -> b.Rc_core.Bench_suite.bname) benches);
+  List.iter2
+    (fun b (name, md5) ->
+      let nl = Rc_core.Bench_suite.netlist b in
+      let text = Serialize.to_string ~chip:(Rc_core.Bench_suite.chip b) nl in
+      Alcotest.(check string) name md5 (Digest.to_hex (Digest.string text)))
+    benches pins
+
 let () =
   Alcotest.run "rc_netlist"
     [
@@ -173,5 +197,6 @@ let () =
             test_generator_rejects_inconsistent;
           Alcotest.test_case "locality knobs" `Quick test_locality_reduces_pairs;
           QCheck_alcotest.to_alcotest prop_generator_no_dangling_nets;
+          Alcotest.test_case "paper netlists pinned" `Quick test_paper_netlists_pinned;
         ] );
     ]

@@ -7,29 +7,31 @@ open Rc_skew
 
 let check_float eps = Alcotest.(check (float eps))
 
+(* a problem from (i, j, d_max, d_min) pairs, in list order *)
+let problem ?(period = 1000.0) ?(t_setup = 40.0) ?(t_hold = 15.0) ~n pairs =
+  let pairs = Array.of_list pairs in
+  Skew_problem.make ~n
+    ~src:(Array.map (fun (i, _, _, _) -> i) pairs)
+    ~dst:(Array.map (fun (_, j, _, _) -> j) pairs)
+    ~d_max:(Array.map (fun (_, _, d_max, _) -> d_max) pairs)
+    ~d_min:(Array.map (fun (_, _, _, d_min) -> d_min) pairs)
+    ~period ~t_setup ~t_hold
+
 let pipeline_problem () =
   (* 0 -> 1 -> 2 with a loop 2 -> 0 *)
-  let pairs =
-    [
-      { Skew_problem.i = 0; j = 1; d_max = 600.0; d_min = 400.0 };
-      { Skew_problem.i = 1; j = 2; d_max = 300.0; d_min = 100.0 };
-      { Skew_problem.i = 2; j = 0; d_max = 500.0; d_min = 350.0 };
-    ]
-  in
-  Skew_problem.make ~n:3 ~pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+  problem ~n:3 [ (0, 1, 600.0, 400.0); (1, 2, 300.0, 100.0); (2, 0, 500.0, 350.0) ]
 
 let test_problem_validation () =
   Alcotest.check_raises "bad index" (Invalid_argument "Skew_problem.make: pair index out of range")
     (fun () ->
-      ignore
-        (Skew_problem.make ~n:2
-           ~pairs:[ { Skew_problem.i = 0; j = 5; d_max = 1.0; d_min = 0.0 } ]
-           ~period:100.0 ~t_setup:1.0 ~t_hold:1.0));
+      ignore (problem ~n:2 ~period:100.0 ~t_setup:1.0 ~t_hold:1.0 [ (0, 5, 1.0, 0.0) ]));
   Alcotest.check_raises "dmin > dmax" (Invalid_argument "Skew_problem.make: d_min > d_max")
     (fun () ->
+      ignore (problem ~n:2 ~period:100.0 ~t_setup:1.0 ~t_hold:1.0 [ (0, 1, 1.0, 2.0) ]));
+  Alcotest.check_raises "ragged arrays"
+    (Invalid_argument "Skew_problem.make: pair arrays differ in length") (fun () ->
       ignore
-        (Skew_problem.make ~n:2
-           ~pairs:[ { Skew_problem.i = 0; j = 1; d_max = 1.0; d_min = 2.0 } ]
+        (Skew_problem.make ~n:2 ~src:[| 0; 1 |] ~dst:[| 1 |] ~d_max:[| 1.0 |] ~d_min:[| 0.0 |]
            ~period:100.0 ~t_setup:1.0 ~t_hold:1.0))
 
 let test_upper_bound () =
@@ -44,11 +46,7 @@ let test_upper_bound () =
   check_float 1e-9 "two-cycle bound" expect (Skew_problem.slack_upper_bound pr)
 
 let test_self_loop_bound () =
-  let pr =
-    Skew_problem.make ~n:1
-      ~pairs:[ { Skew_problem.i = 0; j = 0; d_max = 400.0; d_min = 50.0 } ]
-      ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
-  in
+  let pr = problem ~n:1 [ (0, 0, 400.0, 50.0) ] in
   (* min(T - dmax - ts, dmin - th) = min(560, 35) *)
   check_float 1e-9 "self-loop caps slack" 35.0 (Skew_problem.slack_upper_bound pr);
   match Max_slack.solve_graph pr with
@@ -75,7 +73,7 @@ let test_graph_vs_lp () =
   check_float 0.01 "same optimum" g.Max_slack.slack l.Max_slack.slack
 
 let test_no_pairs () =
-  let pr = Skew_problem.make ~n:3 ~pairs:[] ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0 in
+  let pr = problem ~n:3 [] in
   match Max_slack.solve_graph pr with
   | Some r -> Alcotest.(check bool) "unbounded slack" true (r.Max_slack.slack = infinity)
   | None -> Alcotest.fail "trivially feasible"
@@ -167,14 +165,14 @@ let random_problem rng n =
   for i = 0 to n - 2 do
     let d_min = Rc_util.Rng.float_in rng 20.0 200.0 in
     let d_max = d_min +. Rc_util.Rng.float_in rng 0.0 400.0 in
-    pairs := { Skew_problem.i; j = i + 1; d_max; d_min } :: !pairs;
+    pairs := (i, i + 1, d_max, d_min) :: !pairs;
     if Reference_kernels.coin rng then begin
       let d_min2 = Rc_util.Rng.float_in rng 20.0 200.0 in
       let d_max2 = d_min2 +. Rc_util.Rng.float_in rng 0.0 400.0 in
-      pairs := { Skew_problem.i = i + 1; j = Rc_util.Rng.int rng (i + 1); d_max = d_max2; d_min = d_min2 } :: !pairs
+      pairs := (i + 1, Rc_util.Rng.int rng (i + 1), d_max2, d_min2) :: !pairs
     end
   done;
-  Skew_problem.make ~n ~pairs:!pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+  problem ~n !pairs
 
 let prop_graph_matches_lp =
   QCheck.Test.make ~name:"max-slack: graph engine matches LP engine" ~count:40
@@ -267,15 +265,13 @@ let random_problem_loops rng n =
   let pairs =
     List.init (Rc_util.Rng.int_in rng 0 (3 * n)) (fun _ ->
         let d_min = Rc_util.Rng.float_in rng 20.0 300.0 in
-        {
-          Skew_problem.i = Rc_util.Rng.int rng n;
-          j = Rc_util.Rng.int rng n;
-          d_max = d_min +. Rc_util.Rng.float_in rng 0.0 500.0;
-          d_min;
-        })
+        let d_max = d_min +. Rc_util.Rng.float_in rng 0.0 500.0 in
+        let j = Rc_util.Rng.int rng n in
+        let i = Rc_util.Rng.int rng n in
+        (i, j, d_max, d_min))
   in
   let pairs = match pairs with p :: _ when Reference_kernels.coin rng -> p :: pairs | _ -> pairs in
-  Skew_problem.make ~n ~pairs ~period:1000.0 ~t_setup:40.0 ~t_hold:15.0
+  problem ~n pairs
 
 let random_anchors rng n =
   Array.init n (fun _ ->
@@ -329,7 +325,7 @@ let prop_max_slack_matches_reference =
           let lo = Array.fold_left Float.min infinity p in
           bits r.Max_slack.skews = bits (Array.map (fun s -> s -. lo) p)
           && Int64.bits_of_float r.Max_slack.slack = Int64.bits_of_float slack
-      | Some r, None -> pr.Skew_problem.pairs = [] && r.Max_slack.slack = infinity
+      | Some r, None -> Skew_problem.n_pairs pr = 0 && r.Max_slack.slack = infinity
       | None, None -> true
       | None, Some _ -> false)
 

@@ -28,6 +28,13 @@ let test_sink_load () =
   check_float 1e-9 "logic load" tech.Rc_tech.Tech.c_gate (Rc_timing.Elmore.sink_load tech nl 0);
   check_float 1e-9 "ff load" tech.Rc_tech.Tech.c_ff (Rc_timing.Elmore.sink_load tech nl 1)
 
+(* The STA's pairs as (launching cell, capturing cell, D_max, D_min), in
+   the result's order. *)
+let cell_pairs nl (sta : Rc_timing.Sta.t) =
+  let ffs = Netlist.flip_flops nl in
+  List.init (Array.length sta.src) (fun p ->
+      (ffs.(sta.src.(p)), ffs.(sta.dst.(p)), sta.d_max.(p), sta.d_min.(p)))
+
 (* A hand-built two-FF netlist:
      FF0 -> G (logic) -> FF1, all at known positions. *)
 let two_ff_netlist () =
@@ -40,22 +47,21 @@ let two_ff_netlist () =
 let test_sta_two_ffs () =
   let nl, positions = two_ff_netlist () in
   let sta = Rc_timing.Sta.analyze tech nl ~positions in
-  Alcotest.(check int) "one pair" 1 (List.length (Rc_timing.Sta.adjacencies sta));
-  match Rc_timing.Sta.adjacencies sta with
-  | [ a ] ->
-      Alcotest.(check int) "src" 0 a.Rc_timing.Sta.src_ff;
-      Alcotest.(check int) "dst" 2 a.Rc_timing.Sta.dst_ff;
+  Alcotest.(check int) "one pair" 1 (List.length (cell_pairs nl sta));
+  match cell_pairs nl sta with
+  | [ (src, dst, d_max, d_min) ] ->
+      Alcotest.(check int) "src" 0 src;
+      Alcotest.(check int) "dst" 2 dst;
       (* wire 0->1 (load gate) + gate delay of 1 + wire 1->2 (load ff);
          the gate factor is within [0.9, 1.1] *)
       let w01 = Rc_timing.Elmore.point_delay tech positions.(0) positions.(1) ~load:tech.Rc_tech.Tech.c_gate in
       let w12 = Rc_timing.Elmore.point_delay tech positions.(1) positions.(2) ~load:tech.Rc_tech.Tech.c_ff in
       Alcotest.(check bool) "d_max bounds" true
-        (a.Rc_timing.Sta.d_max >= w01 +. w12 +. (0.9 *. tech.Rc_tech.Tech.gate_delay)
-        && a.Rc_timing.Sta.d_max <= w01 +. w12 +. (1.1 *. tech.Rc_tech.Tech.gate_delay));
-      Alcotest.(check bool) "d_min uses fast gate" true
-        (a.Rc_timing.Sta.d_min < a.Rc_timing.Sta.d_max);
+        (d_max >= w01 +. w12 +. (0.9 *. tech.Rc_tech.Tech.gate_delay)
+        && d_max <= w01 +. w12 +. (1.1 *. tech.Rc_tech.Tech.gate_delay));
+      Alcotest.(check bool) "d_min uses fast gate" true (d_min < d_max);
       Alcotest.(check bool) "d_min bounds" true
-        (a.Rc_timing.Sta.d_min >= w01 +. w12 +. (0.9 *. tech.Rc_tech.Tech.gate_delay_min))
+        (d_min >= w01 +. w12 +. (0.9 *. tech.Rc_tech.Tech.gate_delay_min))
   | _ -> Alcotest.fail "expected exactly one pair"
 
 let test_sta_direct_ff_to_ff () =
@@ -64,11 +70,11 @@ let test_sta_direct_ff_to_ff () =
   let nl = Netlist.make ~name:"d" ~kinds ~nets ~pad_positions:[] in
   let positions = [| p 0.0 0.0; p 50.0 0.0 |] in
   let sta = Rc_timing.Sta.analyze tech nl ~positions in
-  match Rc_timing.Sta.adjacencies sta with
-  | [ a ] ->
+  match cell_pairs nl sta with
+  | [ (_, _, d_max, d_min) ] ->
       let w = Rc_timing.Elmore.point_delay tech positions.(0) positions.(1) ~load:tech.Rc_tech.Tech.c_ff in
-      check_float 1e-9 "wire-only d_max" w a.Rc_timing.Sta.d_max;
-      check_float 1e-9 "wire-only d_min" w a.Rc_timing.Sta.d_min
+      check_float 1e-9 "wire-only d_max" w d_max;
+      check_float 1e-9 "wire-only d_min" w d_min
   | _ -> Alcotest.fail "expected one pair"
 
 let test_sta_reconvergence () =
@@ -87,12 +93,11 @@ let test_sta_reconvergence () =
   let nl = Netlist.make ~name:"r" ~kinds ~nets ~pad_positions:[] in
   let positions = [| p 0.0 0.0; p 10.0 0.0; p 10.0 10.0; p 20.0 0.0; p 20.0 10.0 |] in
   let sta = Rc_timing.Sta.analyze tech nl ~positions in
-  match Rc_timing.Sta.adjacencies sta with
-  | [ a ] ->
+  match cell_pairs nl sta with
+  | [ (_, _, d_max, d_min) ] ->
       (* two gates on the deep path vs one on the shallow *)
       Alcotest.(check bool) "spread reflects depths" true
-        (a.Rc_timing.Sta.d_max -. a.Rc_timing.Sta.d_min
-        > tech.Rc_tech.Tech.gate_delay_min *. 0.5)
+        (d_max -. d_min > tech.Rc_tech.Tech.gate_delay_min *. 0.5)
   | l -> Alcotest.failf "expected one pair, got %d" (List.length l)
 
 let test_sta_stops_at_ffs () =
@@ -104,8 +109,7 @@ let test_sta_stops_at_ffs () =
   let positions = [| p 0.0 0.0; p 10.0 0.0; p 20.0 0.0 |] in
   let sta = Rc_timing.Sta.analyze tech nl ~positions in
   let pairs =
-    List.map (fun a -> (a.Rc_timing.Sta.src_ff, a.Rc_timing.Sta.dst_ff)) (Rc_timing.Sta.adjacencies sta)
-    |> List.sort compare
+    List.map (fun (src, dst, _, _) -> (src, dst)) (cell_pairs nl sta) |> List.sort compare
   in
   Alcotest.(check (list (pair int int))) "only direct pairs" [ (0, 1); (1, 2) ] pairs
 
@@ -128,9 +132,96 @@ let prop_sta_dmin_le_dmax =
         Rc_place.Qplace.initial nl ~chip:cfg.Rc_netlist.Generator.chip
       in
       let sta = Rc_timing.Sta.analyze tech nl ~positions:placed.Rc_place.Qplace.positions in
-      List.for_all
-        (fun a -> a.Rc_timing.Sta.d_min <= a.Rc_timing.Sta.d_max +. 1e-9)
-        (Rc_timing.Sta.adjacencies sta))
+      List.for_all (fun (_, _, d_max, d_min) -> d_min <= d_max +. 1e-9) (cell_pairs nl sta))
+
+(* --- oracles: the flat result against the hash-table reference --- *)
+
+let bits = Array.map Int64.bits_of_float
+
+(* a generated circuit with [n_ffs] flip-flops and cells at random
+   points of its die.  Odd seeds have no output pads, so the generator
+   hangs drivers left without a sink on flip-flops: those flip-flops
+   have several fanin nets, and a cone can reach them more than once *)
+let random_circuit ~seed ~n_ffs =
+  let n_logic = 5 * n_ffs in
+  let cfg =
+    {
+      Rc_netlist.Generator.default_config with
+      Rc_netlist.Generator.seed;
+      n_logic;
+      n_ffs;
+      n_nets = n_ffs + 8 + (n_logic - (n_logic / 10));
+      n_inputs = 8;
+      n_outputs = (if seed land 1 = 0 then 8 else 0);
+      clusters = max 2 (n_ffs / 8);
+    }
+  in
+  let nl = Rc_netlist.Generator.generate cfg in
+  let rng = Rc_util.Rng.create (seed + 101) in
+  let side = 2200.0 in
+  let positions =
+    Array.init (Netlist.n_cells nl) (fun _ ->
+        p (Float.round (Rc_util.Rng.float_in rng 0.0 side)) (Rc_util.Rng.float_in rng 0.0 side))
+  in
+  (nl, positions)
+
+let sorted_bits l =
+  List.map (fun (s, d, dmax, dmin) -> (s, d, Int64.bits_of_float dmax, Int64.bits_of_float dmin)) l
+  |> List.sort compare
+
+let prop_sta_matches_reference =
+  QCheck.Test.make ~name:"flat STA pairs equal the hash-table reference" ~count:30
+    QCheck.(pair small_int (int_range 2 90))
+    (fun (seed, n_ffs) ->
+      let nl, positions = random_circuit ~seed:(seed + 7) ~n_ffs in
+      let sta = Rc_timing.Sta.analyze tech nl ~positions in
+      let want = Reference_kernels.sta_pairs tech nl ~positions in
+      let src = sta.Rc_timing.Sta.src in
+      let in_ff_order = ref true in
+      for q = 1 to Array.length src - 1 do
+        if src.(q) < src.(q - 1) then in_ff_order := false
+      done;
+      let critical = List.fold_left (fun acc (_, _, dmax, _) -> Float.max acc dmax) 0.0 want in
+      sorted_bits (cell_pairs nl sta) = sorted_bits want
+      && !in_ff_order
+      && Int64.bits_of_float sta.Rc_timing.Sta.critical = Int64.bits_of_float critical)
+
+let flat_bits (sta : Rc_timing.Sta.t) =
+  (sta.src, sta.dst, bits sta.d_max, bits sta.d_min, Int64.bits_of_float sta.critical)
+
+let prop_sta_jobs_and_sessions =
+  QCheck.Test.make ~name:"cold, incremental and jobs 1/2/4 STA arrays are identical" ~count:6
+    QCheck.small_int (fun seed ->
+      (* enough flip-flops that the cones fan out to the pool *)
+      let nl, p0 = random_circuit ~seed:(seed + 11) ~n_ffs:(96 + (seed mod 40)) in
+      let rng = Rc_util.Rng.create seed in
+      let p1 =
+        Array.map
+          (fun (q : Rc_geom.Point.t) ->
+            if Rc_util.Rng.int rng 4 = 0 then p (q.x +. Rc_util.Rng.float_in rng (-50.0) 50.0) q.y
+            else q)
+          p0
+      in
+      let run jobs =
+        let before = Rc_par.Pool.jobs () in
+        Rc_par.Pool.set_jobs jobs;
+        Fun.protect ~finally:(fun () -> Rc_par.Pool.set_jobs before) (fun () ->
+            let sess = Rc_timing.Sta.make_session tech nl in
+            let warm0 = Rc_timing.Sta.analyze_batch sess ~positions:p0 in
+            let warm1 = Rc_timing.Sta.analyze_batch sess ~positions:p1 in
+            let replay = Rc_timing.Sta.analyze_batch sess ~positions:p1 in
+            [
+              flat_bits (Rc_timing.Sta.analyze tech nl ~positions:p0);
+              flat_bits warm0;
+              flat_bits (Rc_timing.Sta.analyze tech nl ~positions:p1);
+              flat_bits warm1;
+              flat_bits replay;
+            ])
+      in
+      let r1 = run 1 in
+      let same_at_p0 = List.nth r1 0 = List.nth r1 1 in
+      let same_at_p1 = List.for_all (( = ) (List.nth r1 2)) [ List.nth r1 3; List.nth r1 4 ] in
+      same_at_p0 && same_at_p1 && run 2 = r1 && run 4 = r1)
 
 (* --- van Ginneken buffering --- *)
 
@@ -217,6 +308,11 @@ let () =
           Alcotest.test_case "reconvergence" `Quick test_sta_reconvergence;
           Alcotest.test_case "stops at flip-flops" `Quick test_sta_stops_at_ffs;
           QCheck_alcotest.to_alcotest prop_sta_dmin_le_dmax;
+        ] );
+      ( "oracles",
+        [
+          QCheck_alcotest.to_alcotest prop_sta_matches_reference;
+          QCheck_alcotest.to_alcotest prop_sta_jobs_and_sessions;
         ] );
       ( "buffering",
         [
