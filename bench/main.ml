@@ -30,6 +30,10 @@
    CI scaling floor). *)
 
 open Rc_core
+module R = Rc_obs.Report
+
+let print_table t = print_endline (R.to_text t)
+let imp from to_ = R.Pct (Rc_util.Stats.pct_improvement ~from ~to_)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let micro_only = Array.exists (( = ) "--micro-only") Sys.argv
@@ -96,40 +100,39 @@ let reproduce () =
   Printf.printf
     "=== Reproduction: Integrated Placement and Skew Optimization for Rotary Clocking ===\n\n%!";
   let _, t2 = Experiments.table2 ~benches () in
-  print_endline t2;
+  print_table t2;
   print_newline ();
   let _, t1 = Experiments.table1 ~benches ~bb_seconds:(if quick then 5.0 else 120.0) () in
-  print_endline t1;
+  print_table t1;
   print_newline ();
   Printf.eprintf "[bench] running flow suite (netflow + ILP) on %d circuits...\n%!"
     (List.length benches);
   let suite = Experiments.run_suite ~benches ~with_ilp:true ~log:true () in
-  print_endline (Experiments.table3 suite);
+  print_table (Experiments.table3 suite);
   print_newline ();
-  print_endline (Experiments.table4 suite);
+  print_table (Experiments.table4 suite);
   print_newline ();
-  print_endline (Experiments.table5 suite);
+  print_table (Experiments.table5 suite);
   print_newline ();
-  print_endline (Experiments.table6 suite);
+  print_table (Experiments.table6 suite);
   print_newline ();
-  print_endline (Experiments.table7 suite);
+  print_table (Experiments.table7 suite);
   print_newline ();
   let _, fig2 = Experiments.fig2 () in
   print_endline fig2;
   print_newline ();
   (* design-choice ablations (DESIGN.md section 6) *)
   Printf.eprintf "[bench] running ablations...\n%!";
-  print_endline (Ablation.all ());
+  print_endline (String.concat "\n\n" (List.map R.to_text (Ablation.all ())));
   print_newline ();
   (* Section IX future-work extensions *)
   Printf.eprintf "[bench] running extensions (ring sweep, local trees)...\n%!";
-  print_endline (Ring_sweep.report (Ring_sweep.sweep Bench_suite.tiny ~grids:[ 1; 2; 3; 4 ]));
+  print_table (Ring_sweep.report (Ring_sweep.sweep Bench_suite.tiny ~grids:[ 1; 2; 3; 4 ]));
   print_newline ();
   let o = Flow.run (Flow.default_config Bench_suite.tiny) in
   (* per-stage regression surface: aggregated stage timings of the flow
      just run, independent of the end-to-end numbers above *)
-  print_endline
-    (Flow_trace.summary ~title:"Per-stage summary (tiny, default flow)" o.Flow.trace);
+  print_table (Flow_trace.summary ~title:"Per-stage summary (tiny, default flow)" o.Flow.trace);
   print_newline ();
   let ffs, _ = Flow.ff_index o.Flow.netlist in
   let ff_positions = Array.map (fun c -> o.Flow.positions.(c)) ffs in
@@ -144,7 +147,7 @@ let reproduce () =
         "  tolerance %5.1f ps: %2d taps for %d FFs, wire %6.0f um (plain %6.0f, %+.1f%%)\n" tol
         lt.Rc_assign.Local_trees.n_taps (Array.length ffs)
         lt.Rc_assign.Local_trees.total_wirelength lt.Rc_assign.Local_trees.plain_wirelength
-        (-.Report.pct_improvement ~from:lt.Rc_assign.Local_trees.plain_wirelength
+        (-.Rc_util.Stats.pct_improvement ~from:lt.Rc_assign.Local_trees.plain_wirelength
              ~to_:lt.Rc_assign.Local_trees.total_wirelength))
     [ 1.0; 3.0; 5.0; 10.0 ];
   print_newline ();
@@ -153,39 +156,38 @@ let reproduce () =
   let ov = Flow.run (Flow.default_config Bench_suite.s9234) in
   print_string (Variation_study.run ov).Variation_study.report;
   print_newline ();
-  print_endline (snd (Clocking_compare.run ov));
+  print_table (snd (Clocking_compare.run ov));
   print_newline ();
   Printf.eprintf "[bench] routing study (s9234)...\n%!";
   print_string (Routing_study.run ov).Routing_study.report;
   print_newline ();
   (* beyond the paper: detailed placement + relocate-and-heal stage 6 *)
   Printf.eprintf "[bench] running beyond-paper flow comparison...\n%!";
-  print_endline
-    (Report.render
-       ~title:
-         "Beyond the paper: detailed placement + relocate-and-heal stage 6 vs the paper's pseudo-net flow"
-       ~header:
-         [ "Circuit"; "Paper flow tap WL"; "Tap red."; "Improved tap WL"; "Tap red.";
-           "Improved signal vs paper's" ]
-       (List.map
+  print_table
+    {
+      R.title =
+        "Beyond the paper: detailed placement + relocate-and-heal stage 6 vs the paper's \
+         pseudo-net flow";
+      columns =
+        [ "Circuit"; "Paper flow tap WL"; "Paper tap red."; "Improved tap WL"; "Improved tap red.";
+          "Improved signal vs paper's" ];
+      rows =
+        List.map
           (fun bench ->
             let d = Flow.run (Flow.default_config bench) in
             let i = Flow.run (Flow.improved_config bench) in
             [
-              bench.Bench_suite.bname;
-              Report.fmt_f ~dp:0 d.Flow.final.Flow.tapping_wl;
-              Report.fmt_pct
-                (Report.pct_improvement ~from:d.Flow.base.Flow.tapping_wl
-                   ~to_:d.Flow.final.Flow.tapping_wl);
-              Report.fmt_f ~dp:0 i.Flow.final.Flow.tapping_wl;
-              Report.fmt_pct
-                (Report.pct_improvement ~from:i.Flow.base.Flow.tapping_wl
-                   ~to_:i.Flow.final.Flow.tapping_wl);
-              Report.fmt_pct
-                (-.Report.pct_improvement ~from:d.Flow.final.Flow.signal_wl
+              R.Str bench.Bench_suite.bname;
+              R.Float (d.Flow.final.Flow.tapping_wl, 0);
+              imp d.Flow.base.Flow.tapping_wl d.Flow.final.Flow.tapping_wl;
+              R.Float (i.Flow.final.Flow.tapping_wl, 0);
+              imp i.Flow.base.Flow.tapping_wl i.Flow.final.Flow.tapping_wl;
+              R.Pct
+                (-.Rc_util.Stats.pct_improvement ~from:d.Flow.final.Flow.signal_wl
                      ~to_:i.Flow.final.Flow.signal_wl);
             ])
-          benches))
+          benches;
+    }
 
 (* ---- part 2: Bechamel micro-benchmarks ------------------------------- *)
 
@@ -547,21 +549,23 @@ let compare_walls () =
       sweep_jobs
   in
   Rc_par.Pool.set_jobs top_jobs;
-  print_endline
-    (Report.render
-       ~title:
-         (Printf.sprintf "Wall time: sequential (--jobs 1) vs parallel (--jobs %s)"
-            (String.concat "," (List.map string_of_int sweep_jobs)))
-       ~header:[ "Run"; "Jobs"; "Seq (s)"; "Par (s)"; "Speedup" ]
-       (List.concat_map
+  print_table
+    {
+      R.title =
+        Printf.sprintf "Wall time: sequential (--jobs 1) vs parallel (--jobs %s)"
+          (String.concat "," (List.map string_of_int sweep_jobs));
+      columns = [ "Run"; "Jobs"; "Seq (s)"; "Par (s)"; "Speedup" ];
+      rows =
+        List.concat_map
           (fun (name, seq, runs) ->
             List.map
               (fun (j, par) ->
-                [ name; string_of_int j; Report.fmt_f ~dp:2 seq; Report.fmt_f ~dp:2 par;
-                  Report.fmt_f ~dp:2 (speedup_of seq par) ])
+                [ R.Str name; R.Int j; R.Float (seq, 2); R.Float (par, 2);
+                  R.Float (speedup_of seq par, 2) ])
               runs)
           (List.map (fun (name, seq, runs, _, _) -> (name, seq, runs)) flows
-          @ [ ("suite", suite_seq, suite_runs) ])));
+          @ [ ("suite", suite_seq, suite_runs) ]);
+    };
   print_newline ();
   (flows, (suite_seq, suite_runs))
 
@@ -601,19 +605,19 @@ let run_sizes benches =
         (bench.Bench_suite.bname, n_cells, n_ffs, gen_s, flow_s, o))
       benches
   in
-  print_endline
-    (Report.render
-       ~title:(Printf.sprintf "Scaling suite: full flow at jobs=%d" top_jobs)
-       ~header:[ "Circuit"; "Cells"; "FFs"; "Gen (s)"; "Flow (s)"; "Tap WL (um)"; "AFD (um)" ]
-       (List.map
+  print_table
+    {
+      R.title = Printf.sprintf "Scaling suite: full flow at jobs=%d" top_jobs;
+      columns = [ "Circuit"; "Cells"; "FFs"; "Gen (s)"; "Flow (s)"; "Tap WL (um)"; "AFD (um)" ];
+      rows =
+        List.map
           (fun (name, n_cells, n_ffs, gen_s, flow_s, (o : Flow.outcome)) ->
             [
-              name; string_of_int n_cells; string_of_int n_ffs;
-              Report.fmt_f ~dp:1 gen_s; Report.fmt_f ~dp:1 flow_s;
-              Report.fmt_f ~dp:0 o.Flow.final.Flow.tapping_wl;
-              Report.fmt_f ~dp:1 o.Flow.final.Flow.afd;
+              R.Str name; R.Int n_cells; R.Int n_ffs; R.Float (gen_s, 1); R.Float (flow_s, 1);
+              R.Float (o.Flow.final.Flow.tapping_wl, 0); R.Float (o.Flow.final.Flow.afd, 1);
             ])
-          rows));
+          rows;
+    };
   print_newline ();
   rows
 

@@ -105,11 +105,12 @@ let run_flow_checked jobs bench mode trace metrics no_incremental checkpoint_eve
     List.iter (fun l -> print_endline ("  " ^ l)) (Flow.describe_plan plan);
     print_newline ();
     print_endline
-      (Flow_trace.render
-         ~title:(Printf.sprintf "Per-stage trace (%s)" bench.Bench_suite.bname)
-         o.Flow.trace);
+      (Rc_obs.Report.to_text
+         (Flow_trace.render
+            ~title:(Printf.sprintf "Per-stage trace (%s)" bench.Bench_suite.bname)
+            o.Flow.trace));
     print_newline ();
-    print_endline (Flow_trace.summary o.Flow.trace)
+    print_endline (Rc_obs.Report.to_text (Flow_trace.summary o.Flow.trace))
   end;
   if metrics then begin
     print_newline ();
@@ -217,13 +218,13 @@ let run_tables jobs tables benches quick bb_seconds =
     (fun t ->
       let text =
         match t with
-        | `T1 -> snd (Experiments.table1 ~benches ~bb_seconds ())
-        | `T2 -> snd (Experiments.table2 ~benches ())
-        | `T3 -> Experiments.table3 suite
-        | `T4 -> Experiments.table4 suite
-        | `T5 -> Experiments.table5 suite
-        | `T6 -> Experiments.table6 suite
-        | `T7 -> Experiments.table7 suite
+        | `T1 -> Rc_obs.Report.to_text (snd (Experiments.table1 ~benches ~bb_seconds ()))
+        | `T2 -> Rc_obs.Report.to_text (snd (Experiments.table2 ~benches ()))
+        | `T3 -> Rc_obs.Report.to_text (Experiments.table3 suite)
+        | `T4 -> Rc_obs.Report.to_text (Experiments.table4 suite)
+        | `T5 -> Rc_obs.Report.to_text (Experiments.table5 suite)
+        | `T6 -> Rc_obs.Report.to_text (Experiments.table6 suite)
+        | `T7 -> Rc_obs.Report.to_text (Experiments.table7 suite)
         | `Fig2 -> snd (Experiments.fig2 ())
       in
       print_endline text;
@@ -248,7 +249,7 @@ let tables_cmd =
 let run_info jobs benches quick =
   setup_jobs jobs;
   let benches = effective_benches benches quick in
-  print_endline (snd (Experiments.table2 ~benches ()))
+  print_endline (Rc_obs.Report.to_text (snd (Experiments.table2 ~benches ())))
 
 let info_cmd =
   Cmd.v
@@ -259,17 +260,17 @@ let info_cmd =
 
 let run_ablation jobs which =
   setup_jobs jobs;
-  let text =
+  let tables =
     match which with
-    | `Pseudo -> Ablation.pseudo_weight_schedule ()
-    | `Candidates -> Ablation.candidate_rings ()
-    | `Objective -> Ablation.skew_objectives ()
-    | `Incremental -> Ablation.incremental_engines ()
-    | `Engine -> Ablation.scheduling_engines ()
-    | `Complement -> Ablation.complementary_phase ()
+    | `Pseudo -> [ Ablation.pseudo_weight_schedule () ]
+    | `Candidates -> [ Ablation.candidate_rings () ]
+    | `Objective -> [ Ablation.skew_objectives () ]
+    | `Incremental -> [ Ablation.incremental_engines () ]
+    | `Engine -> [ Ablation.scheduling_engines () ]
+    | `Complement -> [ Ablation.complementary_phase () ]
     | `All -> Ablation.all ()
   in
-  print_endline text
+  print_endline (String.concat "\n\n" (List.map Rc_obs.Report.to_text tables))
 
 let ablation_cmd =
   (* like table_conv: an unknown WHICH is a cmdliner usage error *)
@@ -300,7 +301,7 @@ let ablation_cmd =
 let run_sweep jobs bench grids =
   setup_jobs jobs;
   let grids = match grids with [] -> [ 2; 3; 4; 5; 6 ] | l -> l in
-  print_endline (Ring_sweep.report (Ring_sweep.sweep bench ~grids))
+  print_endline (Rc_obs.Report.to_text (Ring_sweep.report (Ring_sweep.sweep bench ~grids)))
 
 let sweep_cmd =
   let bench =

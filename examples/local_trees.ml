@@ -42,7 +42,7 @@ let () =
       Printf.printf "%-12s %8d %10d %12.0f %14.0f %11.1f%%  (max phase err %.2f ps)\n"
         (Printf.sprintf "%.1f ps" tol)
         lt.Rc_assign.Local_trees.n_taps multi tree_wl lt.Rc_assign.Local_trees.total_wirelength
-        (Report.pct_improvement ~from:lt.Rc_assign.Local_trees.plain_wirelength
+        (Rc_util.Stats.pct_improvement ~from:lt.Rc_assign.Local_trees.plain_wirelength
            ~to_:lt.Rc_assign.Local_trees.total_wirelength)
         err)
     [ 0.5; 2.0; 5.0; 10.0; 25.0 ];

@@ -31,10 +31,10 @@ let () =
   let b = o.Flow.base and f = o.Flow.final in
   Printf.printf "\ntapping wirelength: %.0f -> %.0f um (%.1f%% reduction)\n" b.Flow.tapping_wl
     f.Flow.tapping_wl
-    (Report.pct_improvement ~from:b.Flow.tapping_wl ~to_:f.Flow.tapping_wl);
+    (Rc_util.Stats.pct_improvement ~from:b.Flow.tapping_wl ~to_:f.Flow.tapping_wl);
   Printf.printf "signal wirelength : %.0f -> %.0f um (%.1f%% change)\n" b.Flow.signal_wl
     f.Flow.signal_wl
-    (-.Report.pct_improvement ~from:b.Flow.signal_wl ~to_:f.Flow.signal_wl);
+    (-.Rc_util.Stats.pct_improvement ~from:b.Flow.signal_wl ~to_:f.Flow.signal_wl);
 
   (* every flip-flop ends up with a tap realizing its delay target *)
   let ffs, _ = Flow.ff_index o.Flow.netlist in

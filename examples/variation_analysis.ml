@@ -19,7 +19,7 @@ let () =
   print_newline ();
 
   let _, table = Clocking_compare.run o in
-  print_endline table;
+  print_endline (Rc_obs.Report.to_text table);
 
   (* sensitivity: how the rotary advantage scales with variation *)
   Printf.printf "\nsensitivity to the wire-variation sigma:\n";

@@ -1,3 +1,7 @@
+module R = Rc_obs.Report
+
+let imp from to_ = R.Pct (Rc_util.Stats.pct_improvement ~from ~to_)
+
 let pseudo_weight_schedule ?(bench = Bench_suite.tiny) () =
   let rows =
     List.map
@@ -6,37 +10,21 @@ let pseudo_weight_schedule ?(bench = Bench_suite.tiny) () =
         let o = Flow.run cfg in
         let b = o.Flow.base and f = o.Flow.final in
         [
-          Printf.sprintf "w=%.2f growth=%.1f" w g;
-          Report.fmt_f f.Flow.afd;
-          Report.fmt_pct (Report.pct_improvement ~from:b.Flow.tapping_wl ~to_:f.Flow.tapping_wl);
-          Report.fmt_pct (-.Report.pct_improvement ~from:b.Flow.signal_wl ~to_:f.Flow.signal_wl);
+          R.Str (Printf.sprintf "w=%.2f growth=%.1f" w g);
+          R.Float (f.Flow.afd, 1);
+          imp b.Flow.tapping_wl f.Flow.tapping_wl;
+          R.Pct (-.Rc_util.Stats.pct_improvement ~from:b.Flow.signal_wl ~to_:f.Flow.signal_wl);
         ])
       [ (0.05, 1.0); (0.35, 1.0); (0.35, 1.8); (1.0, 1.8); (3.0, 1.8) ]
   in
-  Report.render
-    ~title:
-      (Printf.sprintf "Ablation: pseudo-net weight schedule (%s)" bench.Bench_suite.bname)
-    ~header:[ "Schedule"; "final AFD"; "tapping reduction"; "signal WL penalty" ]
-    rows
-
-let stage2_state bench =
-  let tech = Rc_tech.Tech.default in
-  let netlist = Bench_suite.netlist bench in
-  let chip = Bench_suite.chip bench in
-  let rings =
-    Rc_rotary.Ring_array.create ~period:tech.Rc_tech.Tech.clock_period ~chip
-      ~grid:bench.Bench_suite.ring_grid ()
-  in
-  let placed = Rc_place.Qplace.initial netlist ~chip in
-  let sta = Rc_timing.Sta.analyze tech netlist ~positions:placed.Rc_place.Qplace.positions in
-  let problem = Flow.skew_problem_of_sta tech netlist sta in
-  let schedule = Option.get (Rc_skew.Max_slack.solve_graph problem) in
-  let ffs, _ = Flow.ff_index netlist in
-  let ff_positions = Array.map (fun c -> placed.Rc_place.Qplace.positions.(c)) ffs in
-  (tech, rings, problem, ff_positions, schedule.Rc_skew.Max_slack.skews)
+  {
+    R.title = Printf.sprintf "Ablation: pseudo-net weight schedule (%s)" bench.Bench_suite.bname;
+    columns = [ "Schedule"; "final AFD"; "tapping reduction"; "signal WL penalty" ];
+    rows;
+  }
 
 let candidate_rings ?(bench = Bench_suite.s9234) () =
-  let tech, rings, _, ff_positions, targets = stage2_state bench in
+  let { Experiments.tech; rings; ff_positions; targets; _ } = Experiments.stage2_state bench in
   let rows =
     List.map
       (fun k ->
@@ -45,17 +33,18 @@ let candidate_rings ?(bench = Bench_suite.s9234) () =
               Rc_assign.Assign.by_netflow ~candidates:k tech rings ~ff_positions ~targets)
         in
         [
-          string_of_int k;
-          Report.fmt_f ~dp:0 a.Rc_assign.Assign.total_cost;
-          Report.fmt_f ~dp:1 a.Rc_assign.Assign.max_load;
-          Report.fmt_f ~dp:3 cpu;
+          R.Int k;
+          R.Float (a.Rc_assign.Assign.total_cost, 0);
+          R.Float (a.Rc_assign.Assign.max_load, 1);
+          R.Float (cpu, 3);
         ])
       [ 1; 2; 4; 6; 9; 16 ]
   in
-  Report.render
-    ~title:(Printf.sprintf "Ablation: candidate rings per flip-flop (%s)" bench.Bench_suite.bname)
-    ~header:[ "k nearest"; "tapping WL"; "max load fF"; "CPU(s)" ]
-    rows
+  {
+    R.title = Printf.sprintf "Ablation: candidate rings per flip-flop (%s)" bench.Bench_suite.bname;
+    columns = [ "k nearest"; "tapping WL"; "max load fF"; "CPU(s)" ];
+    rows;
+  }
 
 let skew_objectives ?(bench = Bench_suite.tiny) () =
   (* swap the stage-4 slot of the plan rather than re-branching on a
@@ -68,25 +57,21 @@ let skew_objectives ?(bench = Bench_suite.tiny) () =
   in
   let minmax, t1 = run Flow_stages.cost_driven_minmax in
   let weighted, t2 = run Flow_stages.cost_driven_weighted in
-  Report.render
-    ~title:(Printf.sprintf "Ablation: stage-4 objective (%s)" bench.Bench_suite.bname)
-    ~header:[ "Objective"; "final tapping WL"; "final AFD"; "signal WL"; "CPU(s)" ]
+  let row name (o : Flow.outcome) cpu =
     [
-      [
-        "min-max Delta (graph)";
-        Report.fmt_f ~dp:0 minmax.Flow.final.Flow.tapping_wl;
-        Report.fmt_f minmax.Flow.final.Flow.afd;
-        Report.fmt_f ~dp:0 minmax.Flow.final.Flow.signal_wl;
-        Report.fmt_f ~dp:2 t1;
-      ];
-      [
-        "weighted-sum (MCF dual)";
-        Report.fmt_f ~dp:0 weighted.Flow.final.Flow.tapping_wl;
-        Report.fmt_f weighted.Flow.final.Flow.afd;
-        Report.fmt_f ~dp:0 weighted.Flow.final.Flow.signal_wl;
-        Report.fmt_f ~dp:2 t2;
-      ];
+      R.Str name;
+      R.Float (o.Flow.final.Flow.tapping_wl, 0);
+      R.Float (o.Flow.final.Flow.afd, 1);
+      R.Float (o.Flow.final.Flow.signal_wl, 0);
+      R.Float (cpu, 2);
     ]
+  in
+  {
+    R.title = Printf.sprintf "Ablation: stage-4 objective (%s)" bench.Bench_suite.bname;
+    columns = [ "Objective"; "final tapping WL"; "final AFD"; "signal WL"; "CPU(s)" ];
+    rows =
+      [ row "min-max Delta (graph)" minmax t1; row "weighted-sum (MCF dual)" weighted t2 ];
+  }
 
 let incremental_engines ?(bench = Bench_suite.tiny) () =
   (* swap only the stage-6 slot: pseudo-net quadratic re-solve vs direct
@@ -102,41 +87,42 @@ let incremental_engines ?(bench = Bench_suite.tiny) () =
       (fun stage ->
         let o = run stage in
         [
-          stage.Flow_stage.variant;
-          Report.fmt_f ~dp:0 o.Flow.final.Flow.tapping_wl;
-          Report.fmt_pct
-            (Report.pct_improvement ~from:o.Flow.base.Flow.tapping_wl
-               ~to_:o.Flow.final.Flow.tapping_wl);
-          Report.fmt_f ~dp:0 o.Flow.final.Flow.signal_wl;
-          Report.fmt_f ~dp:2 o.Flow.cpu_placer_s;
-          Report.fmt_f ~dp:2 o.Flow.cpu_flow_s;
+          R.Str stage.Flow_stage.variant;
+          R.Float (o.Flow.final.Flow.tapping_wl, 0);
+          imp o.Flow.base.Flow.tapping_wl o.Flow.final.Flow.tapping_wl;
+          R.Float (o.Flow.final.Flow.signal_wl, 0);
+          R.Float (o.Flow.cpu_placer_s, 2);
+          R.Float (o.Flow.cpu_flow_s, 2);
         ])
       [ Flow_stages.incremental_qplace; Flow_stages.incremental_relocate ]
   in
-  Report.render
-    ~title:(Printf.sprintf "Ablation: stage-6 slot (%s)" bench.Bench_suite.bname)
-    ~header:
+  {
+    R.title = Printf.sprintf "Ablation: stage-6 slot (%s)" bench.Bench_suite.bname;
+    columns =
       [ "Stage-6 variant"; "final tap WL"; "tap reduction"; "signal WL"; "CPU placer(s)";
-        "CPU flow(s)" ]
-    rows
+        "CPU flow(s)" ];
+    rows;
+  }
 
 let scheduling_engines ?(bench = Bench_suite.tiny) () =
-  let _, _, problem, _, _ = stage2_state bench in
+  let { Experiments.problem; _ } = Experiments.stage2_state bench in
   let g, tg = Rc_util.Timer.time (fun () -> Rc_skew.Max_slack.solve_graph problem) in
   let l, tl = Rc_util.Timer.time (fun () -> Rc_skew.Max_slack.solve_lp problem) in
   let slack = function Some r -> r.Rc_skew.Max_slack.slack | None -> nan in
-  Report.render
-    ~title:
-      (Printf.sprintf "Ablation: max-slack engine (%s, %d pairs)" bench.Bench_suite.bname
-         (Rc_skew.Skew_problem.n_pairs problem))
-    ~header:[ "Engine"; "slack M (ps)"; "CPU(s)" ]
-    [
-      [ "graph (SPFA binary search)"; Report.fmt_f ~dp:3 (slack g); Report.fmt_f ~dp:3 tg ];
-      [ "LP (revised simplex)"; Report.fmt_f ~dp:3 (slack l); Report.fmt_f ~dp:3 tl ];
-    ]
+  {
+    R.title =
+      Printf.sprintf "Ablation: max-slack engine (%s, %d pairs)" bench.Bench_suite.bname
+        (Rc_skew.Skew_problem.n_pairs problem);
+    columns = [ "Engine"; "slack M (ps)"; "CPU(s)" ];
+    rows =
+      [
+        [ R.Str "graph (SPFA binary search)"; R.Float (slack g, 3); R.Float (tg, 3) ];
+        [ R.Str "LP (revised simplex)"; R.Float (slack l, 3); R.Float (tl, 3) ];
+      ];
+  }
 
 let complementary_phase ?(bench = Bench_suite.s9234) () =
-  let tech, rings, _, ff_positions, targets = stage2_state bench in
+  let { Experiments.tech; rings; ff_positions; targets; _ } = Experiments.stage2_state bench in
   let cost use_complement =
     let acc = ref 0.0 in
     Array.iteri
@@ -150,27 +136,28 @@ let complementary_phase ?(bench = Bench_suite.s9234) () =
     !acc
   in
   let with_c = cost true and without_c = cost false in
-  Report.render
-    ~title:
-      (Printf.sprintf "Ablation: complementary-phase tapping (%s, containing ring per FF)"
-         bench.Bench_suite.bname)
-    ~header:[ "Mode"; "total tapping WL"; "vs both conductors" ]
-    [
-      [ "both conductors (polarity flip)"; Report.fmt_f ~dp:0 with_c; "--" ];
+  {
+    R.title =
+      Printf.sprintf "Ablation: complementary-phase tapping (%s, containing ring per FF)"
+        bench.Bench_suite.bname;
+    columns = [ "Mode"; "total tapping WL"; "vs both conductors" ];
+    rows =
       [
-        "outer conductor only";
-        Report.fmt_f ~dp:0 without_c;
-        Report.fmt_pct (-.Report.pct_improvement ~from:with_c ~to_:without_c);
+        [ R.Str "both conductors (polarity flip)"; R.Float (with_c, 0); R.Pct nan ];
+        [
+          R.Str "outer conductor only";
+          R.Float (without_c, 0);
+          R.Pct (-.Rc_util.Stats.pct_improvement ~from:with_c ~to_:without_c);
+        ];
       ];
-    ]
+  }
 
 let all ?bench () =
-  String.concat "\n\n"
-    [
-      pseudo_weight_schedule ?bench ();
-      candidate_rings ();
-      skew_objectives ?bench ();
-      incremental_engines ?bench ();
-      scheduling_engines ();
-      complementary_phase ();
-    ]
+  [
+    pseudo_weight_schedule ?bench ();
+    candidate_rings ();
+    skew_objectives ?bench ();
+    incremental_engines ?bench ();
+    scheduling_engines ();
+    complementary_phase ();
+  ]

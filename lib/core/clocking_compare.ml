@@ -85,23 +85,27 @@ let run ?(model = Rc_variation.Variation.default_model) (o : Flow.outcome) =
     }
   in
   let rows = [ tree_row; mesh_row; rotary_row ] in
-  let text =
-    Report.render
-      ~title:
-        (Printf.sprintf "Clocking-scheme comparison (%s): Section I motivation quantified"
-           o.Flow.cfg.Flow.bench.Bench_suite.bname)
-      ~header:
-        [ "Scheme"; "Clock wire (um)"; "Switched cap (fF)"; "Power (mW)"; "Skew spread (ps)"; "Note" ]
-      (List.map
-         (fun r ->
-           [
-             r.scheme;
-             Report.fmt_f ~dp:0 r.clock_wire;
-             Report.fmt_f ~dp:0 r.clock_cap;
-             Report.fmt_f ~dp:2 r.clock_power;
-             Report.fmt_f ~dp:2 r.skew_spread;
-             r.extra;
-           ])
-         rows)
+  let table =
+    let module R = Rc_obs.Report in
+    {
+      R.title =
+        Printf.sprintf "Clocking-scheme comparison (%s): Section I motivation quantified"
+          o.Flow.cfg.Flow.bench.Bench_suite.bname;
+      columns =
+        [ "Scheme"; "Clock wire (um)"; "Switched cap (fF)"; "Power (mW)"; "Skew spread (ps)";
+          "Note" ];
+      rows =
+        List.map
+          (fun r ->
+            [
+              R.Str r.scheme;
+              R.Float (r.clock_wire, 0);
+              R.Float (r.clock_cap, 0);
+              R.Float (r.clock_power, 2);
+              R.Float (r.skew_spread, 2);
+              R.Str r.extra;
+            ])
+          rows;
+    }
   in
-  (rows, text)
+  (rows, table)

@@ -16,6 +16,7 @@ type row = {
 }
 
 val run :
-  ?model:Rc_variation.Variation.model -> Flow.outcome -> row list * string
-(** Evaluate all three schemes over the outcome's flip-flops. The mesh uses a
-    realistic ~100 µm pitch (dense grids are how meshes achieve low skew). *)
+  ?model:Rc_variation.Variation.model -> Flow.outcome -> row list * Rc_obs.Report.table
+(** Evaluate all three schemes over the outcome's flip-flops; the table
+    has one row per scheme. The mesh uses a realistic ~100 µm pitch
+    (dense grids are how meshes achieve low skew). *)

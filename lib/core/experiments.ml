@@ -1,3 +1,5 @@
+module R = Rc_obs.Report
+
 type suite_entry = {
   bench : Bench_suite.bench;
   netflow : Flow.outcome;
@@ -25,8 +27,9 @@ let run_suite ?plan ?(benches = Bench_suite.all) ?(with_ilp = true) ?(log = fals
           let ffs, _ = Flow.ff_index netflow.Flow.netlist in
           let ff_positions = Array.map (fun c -> netflow.Flow.positions.(c)) ffs in
           Some
-            (Rc_assign.Assign.by_ilp netflow.Flow.cfg.Flow.tech netflow.Flow.rings
-               ~ff_positions ~targets:netflow.Flow.skews)
+            (Rc_assign.Assign.by_ilp ~candidates:netflow.Flow.cfg.Flow.candidates
+               netflow.Flow.cfg.Flow.tech netflow.Flow.rings ~ff_positions
+               ~targets:netflow.Flow.skews)
         end
         else None
       in
@@ -42,6 +45,18 @@ type table1_row = {
   bb_ig : float;
   bb_cpu : float;
   bb_optimal : bool;
+}
+
+(* signed percentage cell in the paper's sign convention: positive when
+   [to_] is smaller than [from] *)
+let imp from to_ = R.Pct (Rc_util.Stats.pct_improvement ~from ~to_)
+
+type stage2 = {
+  tech : Rc_tech.Tech.t;
+  rings : Rc_rotary.Ring_array.t;
+  problem : Rc_skew.Skew_problem.t;
+  ff_positions : Rc_geom.Point.t array;
+  targets : float array;
 }
 
 let stage2_state bench =
@@ -62,13 +77,13 @@ let stage2_state bench =
   in
   let ffs, _ = Flow.ff_index netlist in
   let ff_positions = Array.map (fun c -> placed.Rc_place.Qplace.positions.(c)) ffs in
-  (tech, rings, ff_positions, schedule.Rc_skew.Max_slack.skews)
+  { tech; rings; problem; ff_positions; targets = schedule.Rc_skew.Max_slack.skews }
 
 let table1 ?(benches = Bench_suite.all) ?(bb_seconds = 120.0) () =
   let rows =
     List.map
       (fun bench ->
-        let tech, rings, ff_positions, targets = stage2_state bench in
+        let { tech; rings; ff_positions; targets; _ } = stage2_state bench in
         let _, greedy =
           Rc_assign.Assign.by_ilp tech rings ~ff_positions ~targets
         in
@@ -86,28 +101,23 @@ let table1 ?(benches = Bench_suite.all) ?(bb_seconds = 120.0) () =
         })
       benches
   in
-  let text =
-    Report.render
-      ~title:
-        (Printf.sprintf
-           "Table I: IG of greedy rounding and generic ILP solver (B&B, %.0f s budget)"
-           bb_seconds)
-      ~header:[ "Circuit"; "Greedy IG"; "Greedy CPU(s)"; "B&B IG"; "B&B CPU(s)"; "B&B status" ]
-      (List.map
-         (fun r ->
-           [
-             r.t1_name;
-             Report.fmt_f ~dp:2 r.greedy_ig;
-             Report.fmt_f ~dp:2 r.greedy_cpu;
-             (if Float.is_nan r.bb_ig then "no soln" else Report.fmt_f ~dp:2 r.bb_ig);
-             Report.fmt_f ~dp:2 r.bb_cpu;
-             (if r.bb_optimal then "optimal"
-              else if Float.is_nan r.bb_ig then "budget, none"
-              else "budget, best");
-           ])
-         rows)
+  let bb_ig r = if Float.is_nan r.bb_ig then R.Str "no soln" else R.Float (r.bb_ig, 2) in
+  let status r =
+    if r.bb_optimal then "optimal" else if Float.is_nan r.bb_ig then "budget, none" else "budget, best"
   in
-  (rows, text)
+  ( rows,
+    {
+      R.title =
+        Printf.sprintf
+          "Table I: IG of greedy rounding and generic ILP solver (B&B, %.0f s budget)" bb_seconds;
+      columns = [ "Circuit"; "Greedy IG"; "Greedy CPU(s)"; "B&B IG"; "B&B CPU(s)"; "B&B status" ];
+      rows =
+        List.map
+          (fun r ->
+            [ R.Str r.t1_name; R.Float (r.greedy_ig, 2); R.Float (r.greedy_cpu, 2); bb_ig r;
+              R.Float (r.bb_cpu, 2); R.Str (status r) ])
+          rows;
+    } )
 
 (* ---- Table II -------------------------------------------------------- *)
 
@@ -147,162 +157,128 @@ let table2 ?(benches = Bench_suite.all) () =
         })
       benches
   in
-  let text =
-    Report.render ~title:"Table II: test cases (PL = avg source-sink path in a zero-skew clock tree)"
-      ~header:[ "Circuit"; "#Cells"; "#Flip-flops"; "#Nets"; "PL(um)"; "#Rings" ]
-      (List.map
-         (fun r ->
-           [
-             r.t2_name;
-             string_of_int r.cells;
-             string_of_int r.ffs;
-             string_of_int r.nets;
-             Report.fmt_f ~dp:0 r.pl;
-             string_of_int r.rings;
-           ])
-         rows)
-  in
-  (rows, text)
+  ( rows,
+    {
+      R.title = "Table II: test cases (PL = avg source-sink path in a zero-skew clock tree)";
+      columns = [ "Circuit"; "#Cells"; "#Flip-flops"; "#Nets"; "PL(um)"; "#Rings" ];
+      rows =
+        List.map
+          (fun r ->
+            [ R.Str r.t2_name; R.Int r.cells; R.Int r.ffs; R.Int r.nets; R.Float (r.pl, 0);
+              R.Int r.rings ])
+          rows;
+    } )
 
 (* ---- Tables III-VII -------------------------------------------------- *)
 
+let name e = R.Str e.bench.Bench_suite.bname
+
 let table3 suite =
-  Report.render
-    ~title:"Table III: base case (stages 1-3, network flow), wirelength um, power mW"
-    ~header:
-      [ "Circuit"; "AFD"; "Tap. WL"; "Signal WL"; "Tot. WL"; "Clock Pwr"; "Signal Pwr"; "Tot. Pwr"; "CPU(s)" ]
-    (List.map
-       (fun e ->
-         let b = e.netflow.Flow.base in
-         [
-           e.bench.Bench_suite.bname;
-           Report.fmt_f b.Flow.afd;
-           Report.fmt_f ~dp:0 b.Flow.tapping_wl;
-           Report.fmt_f ~dp:0 b.Flow.signal_wl;
-           Report.fmt_f ~dp:0 b.Flow.total_wl;
-           Report.fmt_f ~dp:2 b.Flow.clock_mw;
-           Report.fmt_f ~dp:2 b.Flow.signal_mw;
-           Report.fmt_f ~dp:2 b.Flow.total_mw;
-           Report.fmt_f ~dp:1 (e.netflow.Flow.cpu_flow_s +. e.netflow.Flow.cpu_placer_s);
-         ])
-       suite)
+  {
+    R.title = "Table III: base case (stages 1-3, network flow), wirelength um, power mW";
+    columns =
+      [ "Circuit"; "AFD"; "Tap. WL"; "Signal WL"; "Tot. WL"; "Clock Pwr"; "Signal Pwr"; "Tot. Pwr";
+        "CPU(s)" ];
+    rows =
+      List.map
+        (fun e ->
+          let b = e.netflow.Flow.base in
+          [ name e; R.Float (b.Flow.afd, 1); R.Float (b.Flow.tapping_wl, 0);
+            R.Float (b.Flow.signal_wl, 0); R.Float (b.Flow.total_wl, 0); R.Float (b.Flow.clock_mw, 2);
+            R.Float (b.Flow.signal_mw, 2); R.Float (b.Flow.total_mw, 2);
+            R.Float (e.netflow.Flow.cpu_flow_s +. e.netflow.Flow.cpu_placer_s, 1) ])
+        suite;
+  }
 
 let table4 suite =
-  Report.render
-    ~title:"Table IV: network-flow optimization after stage 4-6 iterations (improvement vs base)"
-    ~header:
+  {
+    R.title =
+      "Table IV: network-flow optimization after stage 4-6 iterations (improvement vs base)";
+    columns =
       [ "Circuit"; "AFD"; "Tap. WL"; "Tap Imp"; "Signal WL"; "Sig Imp"; "Tot. WL"; "Tot Imp";
-        "CPU flow(s)"; "CPU placer(s)" ]
-    (List.map
-       (fun e ->
-         let b = e.netflow.Flow.base and f = e.netflow.Flow.final in
-         [
-           e.bench.Bench_suite.bname;
-           Report.fmt_f f.Flow.afd;
-           Report.fmt_f ~dp:0 f.Flow.tapping_wl;
-           Report.fmt_pct (Report.pct_improvement ~from:b.Flow.tapping_wl ~to_:f.Flow.tapping_wl);
-           Report.fmt_f ~dp:0 f.Flow.signal_wl;
-           Report.fmt_pct (Report.pct_improvement ~from:b.Flow.signal_wl ~to_:f.Flow.signal_wl);
-           Report.fmt_f ~dp:0 f.Flow.total_wl;
-           Report.fmt_pct (Report.pct_improvement ~from:b.Flow.total_wl ~to_:f.Flow.total_wl);
-           Report.fmt_f ~dp:1 e.netflow.Flow.cpu_flow_s;
-           Report.fmt_f ~dp:1 e.netflow.Flow.cpu_placer_s;
-         ])
-       suite)
+        "CPU flow(s)"; "CPU placer(s)" ];
+    rows =
+      List.map
+        (fun e ->
+          let b = e.netflow.Flow.base and f = e.netflow.Flow.final in
+          [ name e; R.Float (f.Flow.afd, 1); R.Float (f.Flow.tapping_wl, 0);
+            imp b.Flow.tapping_wl f.Flow.tapping_wl; R.Float (f.Flow.signal_wl, 0);
+            imp b.Flow.signal_wl f.Flow.signal_wl; R.Float (f.Flow.total_wl, 0);
+            imp b.Flow.total_wl f.Flow.total_wl; R.Float (e.netflow.Flow.cpu_flow_s, 1);
+            R.Float (e.netflow.Flow.cpu_placer_s, 1) ])
+        suite;
+  }
+
+(* Tables V-VII: one row per entry with an ILP run, from the entry, the
+   ILP assignment and its stats, and the ILP's total wirelength (the
+   flow's final signal nets plus the ILP's taps) *)
+let ilp_rows suite row =
+  List.filter_map
+    (fun e ->
+      Option.map
+        (fun ((ilp : Rc_assign.Assign.t), stats) ->
+          row e ilp stats (e.netflow.Flow.final.Flow.signal_wl +. ilp.Rc_assign.Assign.total_cost))
+        e.ilp)
+    suite
 
 let table5 suite =
-  Report.render
-    ~title:
-      "Table V: max load capacitance (fF), network flow vs ILP formulation on the final state (improvements vs network flow)"
-    ~header:
+  {
+    R.title =
+      "Table V: max load capacitance (fF), network flow vs ILP formulation on the final state \
+       (improvements vs network flow)";
+    columns =
       [ "Circuit"; "NF Cap"; "NF AFD"; "ILP AFD"; "AFD Imp"; "ILP Cap"; "Cap Imp"; "ILP Tot WL";
-        "WL Imp"; "ILP CPU(s)" ]
-    (List.filter_map
-       (fun e ->
-         Option.map
-           (fun ((ilp : Rc_assign.Assign.t), (stats : Rc_assign.Assign.ilp_stats)) ->
-             let nf = e.netflow.Flow.final in
-             let n_ffs = Rc_netlist.Netlist.n_ffs e.netflow.Flow.netlist in
-             let ilp_afd = ilp.Rc_assign.Assign.total_cost /. float_of_int (max n_ffs 1) in
-             let ilp_tot = nf.Flow.signal_wl +. ilp.Rc_assign.Assign.total_cost in
-             [
-               e.bench.Bench_suite.bname;
-               Report.fmt_f ~dp:1 nf.Flow.max_load_ff;
-               Report.fmt_f nf.Flow.afd;
-               Report.fmt_f ilp_afd;
-               Report.fmt_pct (Report.pct_improvement ~from:nf.Flow.afd ~to_:ilp_afd);
-               Report.fmt_f ~dp:1 ilp.Rc_assign.Assign.max_load;
-               Report.fmt_pct
-                 (Report.pct_improvement ~from:nf.Flow.max_load_ff
-                    ~to_:ilp.Rc_assign.Assign.max_load);
-               Report.fmt_f ~dp:0 ilp_tot;
-               Report.fmt_pct (Report.pct_improvement ~from:nf.Flow.total_wl ~to_:ilp_tot);
-               Report.fmt_f ~dp:2 stats.Rc_assign.Assign.elapsed_s;
-             ])
-           e.ilp)
-       suite)
+        "WL Imp"; "ILP CPU(s)" ];
+    rows =
+      ilp_rows suite (fun e ilp (stats : Rc_assign.Assign.ilp_stats) ilp_tot ->
+          let nf = e.netflow.Flow.final in
+          let n_ffs = Rc_netlist.Netlist.n_ffs e.netflow.Flow.netlist in
+          let ilp_afd = ilp.Rc_assign.Assign.total_cost /. float_of_int (max n_ffs 1) in
+          [ name e; R.Float (nf.Flow.max_load_ff, 1); R.Float (nf.Flow.afd, 1);
+            R.Float (ilp_afd, 1); imp nf.Flow.afd ilp_afd; R.Float (ilp.Rc_assign.Assign.max_load, 1);
+            imp nf.Flow.max_load_ff ilp.Rc_assign.Assign.max_load; R.Float (ilp_tot, 0);
+            imp nf.Flow.total_wl ilp_tot; R.Float (stats.Rc_assign.Assign.elapsed_s, 2) ]);
+  }
 
 let table6 suite =
-  Report.render
-    ~title:"Table VI: power dissipation (mW) for network flow and ILP formulations vs base"
-    ~header:
-      [ "Circuit"; "NF Clock"; "Imp"; "NF Signal"; "Imp"; "NF Total"; "Imp"; "ILP Clock"; "Imp";
-        "ILP Signal"; "Imp"; "ILP Total"; "Imp" ]
-    (List.filter_map
-       (fun e ->
-         Option.map
-           (fun ((ilp : Rc_assign.Assign.t), _) ->
-             let tech = e.netflow.Flow.cfg.Flow.tech in
-             let b = e.netflow.Flow.base in
-             let nf = e.netflow.Flow.final in
-             let n_ffs = Rc_netlist.Netlist.n_ffs e.netflow.Flow.netlist in
-             let ilp_clock =
-               Rc_power.Power.clock_power_mw tech
-                 ~tapping_wirelength:ilp.Rc_assign.Assign.total_cost ~n_ffs
-             in
-             (* same placement, same signal net *)
-             let ilp_signal = nf.Flow.signal_mw in
-             let ilp_total = ilp_clock +. ilp_signal in
-             let imp from to_ = Report.fmt_pct (Report.pct_improvement ~from ~to_) in
-             [
-               e.bench.Bench_suite.bname;
-               Report.fmt_f ~dp:2 nf.Flow.clock_mw;
-               imp b.Flow.clock_mw nf.Flow.clock_mw;
-               Report.fmt_f ~dp:2 nf.Flow.signal_mw;
-               imp b.Flow.signal_mw nf.Flow.signal_mw;
-               Report.fmt_f ~dp:2 nf.Flow.total_mw;
-               imp b.Flow.total_mw nf.Flow.total_mw;
-               Report.fmt_f ~dp:2 ilp_clock;
-               imp b.Flow.clock_mw ilp_clock;
-               Report.fmt_f ~dp:2 ilp_signal;
-               imp b.Flow.signal_mw ilp_signal;
-               Report.fmt_f ~dp:2 ilp_total;
-               imp b.Flow.total_mw ilp_total;
-             ])
-           e.ilp)
-       suite)
+  {
+    R.title = "Table VI: power dissipation (mW) for network flow and ILP formulations vs base";
+    columns =
+      [ "Circuit"; "NF Clock"; "NF Clock Imp"; "NF Signal"; "NF Signal Imp"; "NF Total";
+        "NF Total Imp"; "ILP Clock"; "ILP Clock Imp"; "ILP Signal"; "ILP Signal Imp"; "ILP Total";
+        "ILP Total Imp" ];
+    rows =
+      ilp_rows suite (fun e ilp _ _ ->
+          let b = e.netflow.Flow.base and nf = e.netflow.Flow.final in
+          let ilp_clock =
+            Rc_power.Power.clock_power_mw e.netflow.Flow.cfg.Flow.tech
+              ~tapping_wirelength:ilp.Rc_assign.Assign.total_cost
+              ~n_ffs:(Rc_netlist.Netlist.n_ffs e.netflow.Flow.netlist)
+          in
+          (* same placement, same signal net *)
+          let ilp_signal = nf.Flow.signal_mw in
+          let ilp_total = ilp_clock +. ilp_signal in
+          (* each power with its improvement over the base case *)
+          let power base v = [ R.Float (v, 2); imp base v ] in
+          List.concat
+            [ [ name e ]; power b.Flow.clock_mw nf.Flow.clock_mw;
+              power b.Flow.signal_mw nf.Flow.signal_mw; power b.Flow.total_mw nf.Flow.total_mw;
+              power b.Flow.clock_mw ilp_clock; power b.Flow.signal_mw ilp_signal;
+              power b.Flow.total_mw ilp_total ]);
+  }
 
 let table7 suite =
-  Report.render
-    ~title:"Table VII: wirelength-capacitance product (um x pF; lower is better)"
-    ~header:[ "Circuit"; "Network Flow WCP"; "ILP WCP"; "Imp" ]
-    (List.filter_map
-       (fun e ->
-         Option.map
-           (fun ((ilp : Rc_assign.Assign.t), _) ->
-             let nf = e.netflow.Flow.final in
-             let ilp_tot = nf.Flow.signal_wl +. ilp.Rc_assign.Assign.total_cost in
-             let wcp wl cap = wl *. (cap /. 1000.0) in
-             let nf_wcp = wcp nf.Flow.total_wl nf.Flow.max_load_ff in
-             let ilp_wcp = wcp ilp_tot ilp.Rc_assign.Assign.max_load in
-             [
-               e.bench.Bench_suite.bname;
-               Report.fmt_f ~dp:1 nf_wcp;
-               Report.fmt_f ~dp:1 ilp_wcp;
-               Report.fmt_pct (Report.pct_improvement ~from:nf_wcp ~to_:ilp_wcp);
-             ])
-           e.ilp)
-       suite)
+  {
+    R.title = "Table VII: wirelength-capacitance product (um x pF; lower is better)";
+    columns = [ "Circuit"; "Network Flow WCP"; "ILP WCP"; "Imp" ];
+    rows =
+      ilp_rows suite (fun e ilp _ ilp_tot ->
+          let nf = e.netflow.Flow.final in
+          let wcp wl cap = wl *. (cap /. 1000.0) in
+          let nf_wcp = wcp nf.Flow.total_wl nf.Flow.max_load_ff in
+          let ilp_wcp = wcp ilp_tot ilp.Rc_assign.Assign.max_load in
+          [ name e; R.Float (nf_wcp, 1); R.Float (ilp_wcp, 1); imp nf_wcp ilp_wcp ]);
+  }
 
 (* ---- Fig. 2 ---------------------------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (** One driver per table and figure of the paper's evaluation
-    (Section VIII). Each returns the rendered table plus the structured
-    numbers, so the benchmark harness can both print and post-process.
+    (Section VIII). Each table is an {!Rc_obs.Report.table}, so it can
+    be both printed and checked cell by cell.
 
     Flow executions are the expensive part; {!run_suite} runs each
     circuit once per assignment mode and the table builders share the
@@ -29,6 +29,18 @@ val run_suite :
     for every run (default: each config's own [Flow.plan_of_config]).
     [log] prints per-circuit progress to stderr. *)
 
+type stage2 = {
+  tech : Rc_tech.Tech.t;
+  rings : Rc_rotary.Ring_array.t;
+  problem : Rc_skew.Skew_problem.t;
+  ff_positions : Rc_geom.Point.t array;
+  targets : float array;  (** The stage-2 maximum-slack schedule. *)
+}
+
+val stage2_state : Bench_suite.bench -> stage2
+(** Stage 1 (initial placement) and stage 2 of one circuit: the input of
+    Table I and of the ablations. @raise Failure if stage 2 is infeasible. *)
+
 (** {1 Table I — integrality gap of greedy rounding vs. a generic ILP solver} *)
 
 type table1_row = {
@@ -40,12 +52,13 @@ type table1_row = {
   bb_optimal : bool;
 }
 
-val table1 : ?benches:Bench_suite.bench list -> ?bb_seconds:float -> unit -> table1_row list * string
-(** Standalone (does not need {!run_suite}): initial placement + stage-2
-    scheduling per circuit, then the min-max-capacitance assignment by
-    greedy rounding and by branch & bound with a [bb_seconds] budget
-    (default 120 s — standing in for the paper's 10-hour GLPK cap; big
-    circuits overshoot it by one LP solve, exactly as GLPK overshot). *)
+val table1 :
+  ?benches:Bench_suite.bench list -> ?bb_seconds:float -> unit -> table1_row list * Rc_obs.Report.table
+(** Standalone (does not need {!run_suite}): {!stage2_state} per
+    circuit, then the min-max-capacitance assignment by greedy rounding
+    and by branch & bound with a [bb_seconds] budget (default 120 s —
+    standing in for the paper's 10-hour GLPK cap; big circuits overshoot
+    it by one LP solve, exactly as GLPK overshot). *)
 
 (** {1 Table II — benchmark characteristics} *)
 
@@ -58,26 +71,27 @@ type table2_row = {
   rings : int;
 }
 
-val table2 : ?benches:Bench_suite.bench list -> unit -> table2_row list * string
+val table2 : ?benches:Bench_suite.bench list -> unit -> table2_row list * Rc_obs.Report.table
 
 (** {1 Tables III-VII — flow results} *)
 
-val table3 : suite_entry list -> string
+val table3 : suite_entry list -> Rc_obs.Report.table
 (** Base case (stage 1-3) metrics: AFD, tapping/signal/total WL, clock/
     signal/total power, CPU. *)
 
-val table4 : suite_entry list -> string
+val table4 : suite_entry list -> Rc_obs.Report.table
 (** Network-flow optimization after the stage 4-6 iterations, with
     improvements over the base case and the CPU split (flow vs placer). *)
 
-val table5 : suite_entry list -> string
+val table5 : suite_entry list -> Rc_obs.Report.table
 (** Max load capacitance: network flow vs ILP (AFD, cap, total WL, CPU).
     Rows are omitted for entries without an ILP run. *)
 
-val table6 : suite_entry list -> string
-(** Power dissipation for both formulations vs the base case. *)
+val table6 : suite_entry list -> Rc_obs.Report.table
+(** Power dissipation for both formulations, each followed by its
+    improvement vs the base case. *)
 
-val table7 : suite_entry list -> string
+val table7 : suite_entry list -> Rc_obs.Report.table
 (** Wirelength-capacitance product comparison. *)
 
 (** {1 Fig. 2 — the tapping-delay curve} *)

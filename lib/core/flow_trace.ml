@@ -54,27 +54,29 @@ let stage_names t =
        (fun acc e -> if List.mem e.stage acc then acc else e.stage :: acc)
        [] (events t))
 
-let fmt_delta = function
-  | None -> "--"
-  | Some d -> Printf.sprintf "%+.0f" d
+module R = Rc_obs.Report
+
+let ms s = R.Float (s *. 1000.0, 3)
 
 (* per-event table: one row per stage execution, chronological *)
 let render ?(title = "Per-stage trace") t =
-  Report.render ~title
-    ~header:[ "Iter"; "Stage"; "Variant"; "Wall (ms)"; "Pool (ms)"; "dCost (um)"; "Note" ]
-    ~aligns:[ Report.R; L; L; R; R; R; L ]
-    (List.map
-       (fun e ->
-         [
-           string_of_int e.iteration;
-           e.stage;
-           e.variant;
-           Printf.sprintf "%.3f" (e.wall_s *. 1000.0);
-           Printf.sprintf "%.3f" (e.pool_s *. 1000.0);
-           fmt_delta e.cost_delta;
-           e.note;
-         ])
-       (events t))
+  {
+    R.title;
+    columns = [ "Iter"; "Stage"; "Variant"; "Wall (ms)"; "Pool (ms)"; "dCost (um)"; "Note" ];
+    rows =
+      List.map
+        (fun e ->
+          [
+            R.Int e.iteration;
+            R.Str e.stage;
+            R.Str e.variant;
+            ms e.wall_s;
+            ms e.pool_s;
+            R.Float (Option.value e.cost_delta ~default:nan, 0);
+            R.Str e.note;
+          ])
+        (events t);
+  }
 
 (* aggregate table: one row per (stage, variant) with call count, total
    and mean wall time, the total inside pool fan-outs and the serial
@@ -104,19 +106,21 @@ let summary ?(title = "Per-stage summary") t =
             0.0 es
         in
         [
-          stage;
-          variant;
-          string_of_int calls;
-          Printf.sprintf "%.3f" (wall *. 1000.0);
-          Printf.sprintf "%.3f" (pool *. 1000.0);
-          (if wall > 0.0 then Printf.sprintf "%.1f%%" (100.0 *. (wall -. pool) /. wall) else "--");
-          Printf.sprintf "%.3f" (wall /. float_of_int (max calls 1) *. 1000.0);
-          Printf.sprintf "%+.0f" delta;
+          R.Str stage;
+          R.Str variant;
+          R.Int calls;
+          ms wall;
+          ms pool;
+          R.Pct (if wall > 0.0 then 100.0 *. (wall -. pool) /. wall else nan);
+          ms (wall /. float_of_int (max calls 1));
+          R.Float (delta, 0);
         ])
       keys
   in
-  Report.render ~title
-    ~header:
-      [ "Stage"; "Variant"; "Calls"; "Total (ms)"; "Pool (ms)"; "Serial"; "Mean (ms)"; "Sum dCost (um)" ]
-    ~aligns:[ Report.L; L; R; R; R; R; R; R ]
-    rows
+  {
+    R.title;
+    columns =
+      [ "Stage"; "Variant"; "Calls"; "Total (ms)"; "Pool (ms)"; "Serial"; "Mean (ms)";
+        "Sum dCost (um)" ];
+    rows;
+  }

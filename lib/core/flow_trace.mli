@@ -46,11 +46,12 @@ val total_wall : ?category:category -> t -> float
 val stage_names : t -> string list
 (** Distinct canonical stage names, in first-appearance order. *)
 
-val render : ?title:string -> t -> string
+val render : ?title:string -> t -> Rc_obs.Report.table
 (** Per-event table: one row per stage execution, chronological, with
-    its wall and pool time. *)
+    its wall and pool time; [dCost] is [nan] (rendered ["-"]) while the
+    objective is undefined. *)
 
-val summary : ?title:string -> t -> string
+val summary : ?title:string -> t -> Rc_obs.Report.table
 (** Aggregate table: one row per (stage, variant) with call count,
     total wall time, the part inside pool fan-outs, the serial share
     (the rest, as a percentage of the total), mean wall time, and

@@ -1,8 +1,9 @@
-(* The paper-table report: run the flow per circuit, collect per-circuit
-   solver-metric deltas, and assemble a Rc_obs.Report document with the
-   paper's headline tables (skew-scheduling slack, tapping wirelength /
-   ring load, Table-I-style ILP vs greedy rounding) plus the solver
-   metrics behind them.
+(* The paper-table report: run the experiment suite (Experiments.run_suite:
+   the netflow flow plus the ILP on its final state) per circuit, collect
+   per-circuit solver-metric deltas, and assemble a Rc_obs.Report document
+   with the paper's headline tables (skew-scheduling slack, tapping
+   wirelength / ring load, Table-I-style ILP vs greedy rounding) plus the
+   solver metrics behind them.
 
    Determinism: circuits run sequentially here (the kernels inside each
    flow still fan out over the domain pool), so per-circuit metric
@@ -32,18 +33,18 @@ let collect ?(benches = Bench_suite.all) () =
       List.map
         (fun bench ->
           let before = Metrics.snapshot () in
-          let cfg = Flow.default_config ~mode:Flow.Netflow bench in
-          let outcome = Flow.run ~arm:(bench.Bench_suite.bname ^ "/report") cfg in
-          (* Table-I comparison: the min-max-load ILP heuristic on the
-             same final placement and schedule the netflow flow produced *)
-          let ffs, _ = Flow.ff_index outcome.Flow.netlist in
-          let ff_positions = Array.map (fun c -> outcome.Flow.positions.(c)) ffs in
-          let ilp_result, ilp_stats =
-            Rc_assign.Assign.by_ilp ~candidates:cfg.Flow.candidates cfg.Flow.tech
-              outcome.Flow.rings ~ff_positions ~targets:outcome.Flow.skews
-          in
+          (* the suite's two arms: the netflow flow, then the Table-I
+             min-max-load ILP on its final placement and schedule *)
+          let e = List.hd (Experiments.run_suite ~benches:[ bench ] ()) in
           let after = Metrics.snapshot () in
-          { bench; outcome; ilp_result; ilp_stats; metrics = Metrics.diff ~before ~after })
+          let ilp_result, ilp_stats = Option.get e.Experiments.ilp in
+          {
+            bench;
+            outcome = e.Experiments.netflow;
+            ilp_result;
+            ilp_stats;
+            metrics = Metrics.diff ~before ~after;
+          })
         benches)
 
 (* ---- metric lookup helpers ------------------------------------------- *)
@@ -59,9 +60,6 @@ let hist_mean snap name =
   | Some (Metrics.Hist { n; sum; _ }) when n > 0 ->
       float_of_int sum /. float_of_int n
   | _ -> nan
-
-let pct_reduction ~base ~final =
-  if Float.abs base < 1e-300 then nan else (base -. final) /. base *. 100.0
 
 (* ---- the document ----------------------------------------------------- *)
 
@@ -109,9 +107,11 @@ let tapping_section reports =
           R.Float (base.Flow.tapping_wl, 0);
           R.Float (final.Flow.tapping_wl, 0);
           R.Pct
-            (pct_reduction ~base:base.Flow.tapping_wl ~final:final.Flow.tapping_wl);
+            (Rc_util.Stats.pct_improvement ~from:base.Flow.tapping_wl
+               ~to_:final.Flow.tapping_wl);
           R.Pct
-            (-.pct_reduction ~base:base.Flow.signal_wl ~final:final.Flow.signal_wl);
+            (-.Rc_util.Stats.pct_improvement ~from:base.Flow.signal_wl
+                ~to_:final.Flow.signal_wl);
           R.Float (final.Flow.afd, 2);
           R.Float (final.Flow.max_load_ff, 1);
         ])
@@ -156,7 +156,9 @@ let ilp_section ~timings reports =
             R.Float (s.Rc_assign.Assign.integrality_gap, 3);
             R.Int s.Rc_assign.Assign.lp_iterations;
             R.Float (nf_load, 1);
-            R.Pct (pct_reduction ~base:nf_load ~final:r.ilp_result.Rc_assign.Assign.max_load);
+            R.Pct
+              (Rc_util.Stats.pct_improvement ~from:nf_load
+                 ~to_:r.ilp_result.Rc_assign.Assign.max_load);
           ]
         in
         if timings then base @ [ R.Float (s.Rc_assign.Assign.elapsed_s, 2) ] else base)

@@ -1,5 +1,6 @@
-(** The paper-table report behind [rotary_cli report]: run the flow per
-    circuit with the metrics registry enabled, and assemble an
+(** The paper-table report behind [rotary_cli report]: run
+    {!Experiments.run_suite} per circuit (the netflow flow plus the ILP
+    on its final state) with the metrics registry enabled, and assemble an
     {!Rc_obs.Report.doc} with the paper's headline tables —
     skew-scheduling slack, tapping wirelength / ring load, the
     Table-I-style ILP-vs-greedy comparison — plus the solver metrics

@@ -39,22 +39,26 @@ let sweep ?(mode = Flow.Netflow) bench ~grids =
   (points, best)
 
 let report (points, best) =
+  let module R = Rc_obs.Report in
   let rows =
     List.map
       (fun p ->
         [
-          string_of_int p.grid ^ "x" ^ string_of_int p.grid
-          ^ (if p.grid = best.grid then " *" else "");
-          string_of_int p.n_rings;
-          Report.fmt_f ~dp:1 p.final.Flow.afd;
-          Report.fmt_f ~dp:0 p.final.Flow.tapping_wl;
-          Report.fmt_f ~dp:0 p.final.Flow.signal_wl;
-          Report.fmt_f ~dp:0 p.ring_metal;
-          Report.fmt_f ~dp:0 (p.final.Flow.total_wl +. p.ring_metal);
-          Report.fmt_f ~dp:2 p.final.Flow.total_mw;
+          R.Str
+            (string_of_int p.grid ^ "x" ^ string_of_int p.grid
+            ^ if p.grid = best.grid then " *" else "");
+          R.Int p.n_rings;
+          R.Float (p.final.Flow.afd, 1);
+          R.Float (p.final.Flow.tapping_wl, 0);
+          R.Float (p.final.Flow.signal_wl, 0);
+          R.Float (p.ring_metal, 0);
+          R.Float (p.final.Flow.total_wl +. p.ring_metal, 0);
+          R.Float (p.final.Flow.total_mw, 2);
         ])
       points
   in
-  Report.render ~title:"Ring-count sweep (* = best by total wire incl. ring metal)"
-    ~header:[ "Array"; "#Rings"; "AFD"; "Tap WL"; "Signal WL"; "Ring metal"; "Total"; "Power(mW)" ]
-    rows
+  {
+    R.title = "Ring-count sweep (* = best by total wire incl. ring metal)";
+    columns = [ "Array"; "#Rings"; "AFD"; "Tap WL"; "Signal WL"; "Ring metal"; "Total"; "Power(mW)" ];
+    rows;
+  }

@@ -19,5 +19,6 @@ val sweep :
     winner by total wirelength including ring metal.
     @raise Invalid_argument on an empty grid list. *)
 
-val report : point list * point -> string
-(** Render the sweep as a table. *)
+val report : point list * point -> Rc_obs.Report.table
+(** The sweep as a table, one row per grid; the winner's array is
+    marked with [*]. *)

@@ -1,6 +1,7 @@
-(* A tiny report-document model: titled sections of prose + tables,
-   rendered to GitHub Markdown or JSON.  Deliberately knows nothing
-   about the flow — lib/core/paper_report.ml builds the docs. *)
+(* The one table model of the repository: typed cells in titled
+   tables, grouped into documents of titled sections, rendered to fixed
+   width text, GitHub Markdown or JSON.  Deliberately knows nothing
+   about the flow — lib/core builds the tables and documents. *)
 
 type cell =
   | Str of string
@@ -29,8 +30,44 @@ let cell_text = function
       if Float.is_nan v then "-" else Printf.sprintf "%.*f" dp v
   | Pct v -> if Float.is_nan v then "-" else Printf.sprintf "%.1f %%" v
 
-(* numbers right-align in GitHub pipe tables via the delimiter row *)
 let cell_is_num = function Str _ -> false | Int _ | Float _ | Pct _ -> true
+
+(* every renderer refuses a row that does not fill the header *)
+let check_rows (t : table) =
+  let ncols = List.length t.columns in
+  List.iter
+    (fun row ->
+      if List.length row <> ncols then
+        invalid_arg (Printf.sprintf "Report: ragged row in table %S" t.title))
+    t.rows
+
+(* a column right-aligns when it has rows and every cell in it is a number *)
+let numeric_columns (t : table) =
+  List.mapi
+    (fun i _ ->
+      t.rows <> [] && List.for_all (fun row -> cell_is_num (List.nth row i)) t.rows)
+    t.columns
+
+let to_text (t : table) =
+  check_rows t;
+  let rows = List.map (List.map cell_text) t.rows in
+  let widths = Array.of_list (List.map String.length t.columns) in
+  List.iter (List.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s))) rows;
+  let right = Array.of_list (numeric_columns t) in
+  let line cells =
+    let pad i s =
+      let gap = String.make (widths.(i) - String.length s) ' ' in
+      if right.(i) then gap ^ s else s ^ gap
+    in
+    "| " ^ String.concat " | " (List.mapi pad cells) ^ " |"
+  in
+  let rule =
+    "+"
+    ^ String.concat "+" (Array.to_list (Array.map (fun w -> String.make (w + 2) '-') widths))
+    ^ "+"
+  in
+  String.concat "\n"
+    ((t.title :: rule :: line t.columns :: rule :: List.map line rows) @ [ rule ])
 
 let to_markdown doc =
   let buf = Buffer.create 4096 in
@@ -55,21 +92,10 @@ let to_markdown doc =
             line "### %s" t.title;
             line ""
           end;
+          check_rows t;
           line "| %s |" (String.concat " | " t.columns);
           let aligns =
-            List.mapi
-              (fun i _ ->
-                let numeric =
-                  t.rows <> []
-                  && List.for_all
-                       (fun row ->
-                         match List.nth_opt row i with
-                         | Some c -> cell_is_num c
-                         | None -> true)
-                       t.rows
-                in
-                if numeric then "---:" else "---")
-              t.columns
+            List.map (fun num -> if num then "---:" else "---") (numeric_columns t)
           in
           line "| %s |" (String.concat " | " aligns);
           List.iter
@@ -89,6 +115,7 @@ let cell_json =
 
 let table_json (t : table) =
   let module J = Rc_util.Json in
+  check_rows t;
   J.Obj
     [
       ("title", J.String t.title);

@@ -116,7 +116,9 @@ let solve_weighted_lp problem ~slack ~anchors =
       Some { skews = Array.map (fun v -> x.(v)) t_vars; objective }
   | _ -> None
 
-let refine_toward_anchors ?(sweeps = 8) problem ~slack ~anchors ~skews =
+let refine_sweeps = 8
+
+let refine_toward_anchors problem ~slack ~anchors ~skews =
   check_sizes problem anchors;
   let n = problem.Skew_problem.n in
   let t = Array.copy skews in
@@ -163,7 +165,13 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~anchors ~skews =
       add j i (-.hold) (-.setup)
     end
   done;
-  for _ = 1 to sweeps do
+  (* up to [refine_sweeps] sweeps; a sweep that changes no target's bits
+     leaves the next one the same input, so stopping there returns what
+     the remaining sweeps would (bits, not [=]: 0.0 = -0.0) *)
+  let sweep = ref 0 and changed = ref true in
+  while !changed && !sweep < refine_sweeps do
+    incr sweep;
+    changed := false;
     for i = 0 to n - 1 do
       let hi = ref infinity and lo = ref neg_infinity in
       for k = ptr.(i) to ptr.(i + 1) - 1 do
@@ -172,7 +180,11 @@ let refine_toward_anchors ?(sweeps = 8) problem ~slack ~anchors ~skews =
       done;
       if !lo <= !hi then begin
         let ideal = anchors.(i).t_c +. anchors.(i).t_ci in
-        t.(i) <- Float.min !hi (Float.max !lo ideal)
+        let v = Float.min !hi (Float.max !lo ideal) in
+        if Int64.bits_of_float v <> Int64.bits_of_float t.(i) then begin
+          t.(i) <- v;
+          changed := true
+        end
       end
     done
   done;

@@ -56,7 +56,6 @@ val solve_weighted_mcf :
     the given slack. *)
 
 val refine_toward_anchors :
-  ?sweeps:int ->
   Skew_problem.t ->
   slack:float ->
   anchors:anchor array ->
@@ -68,4 +67,5 @@ val refine_toward_anchors :
     the point of its current feasible interval closest to its ideal
     [t_c + t_ci] — monotone, feasibility-preserving, and linear-time per
     sweep. Returns the refined schedule (the input array is not
-    modified). Defaults to 8 sweeps. *)
+    modified). Runs at most 8 sweeps and stops after a sweep that
+    changes no target, which returns the same bits as the full 8. *)

@@ -40,3 +40,6 @@ let percentile a p =
     let frac = rank -. float_of_int lo in
     s.(lo) +. (frac *. (s.(hi) -. s.(lo)))
   end
+
+let pct_improvement ~from ~to_ =
+  if Float.abs from < 1e-300 then nan else (from -. to_) /. from *. 100.0

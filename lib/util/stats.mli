@@ -13,3 +13,8 @@ val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [0,100], linear interpolation between
     order statistics. Copies and sorts internally.
     @raise Invalid_argument on empty input or [p] outside [0,100]. *)
+
+val pct_improvement : from:float -> to_:float -> float
+(** [(from - to_) / from * 100]: positive when [to_] is smaller (an
+    improvement in the paper's sign convention); [nan] when [from] is
+    zero. *)

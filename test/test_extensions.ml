@@ -108,7 +108,7 @@ let test_ring_sweep () =
         <= p.Ring_sweep.final.Flow.total_wl +. p.Ring_sweep.ring_metal +. 1e-6))
     points;
   Alcotest.(check bool) "report renders" true
-    (String.length (Ring_sweep.report (points, best)) > 100)
+    (String.length (Rc_obs.Report.to_text (Ring_sweep.report (points, best))) > 100)
 
 let test_complement_never_hurts () =
   (* with both conductors available the best tap can only be cheaper *)
@@ -149,10 +149,11 @@ let test_load_aware_tapping () =
     [ 25.0; 150.0; 600.0 ]
 
 let test_ablation_tables_render () =
+  let text t = Rc_obs.Report.to_text t in
   Alcotest.(check bool) "pseudo table" true
-    (String.length (Ablation.pseudo_weight_schedule ~bench:Bench_suite.tiny ()) > 100);
+    (String.length (text (Ablation.pseudo_weight_schedule ~bench:Bench_suite.tiny ())) > 100);
   Alcotest.(check bool) "objective table" true
-    (String.length (Ablation.skew_objectives ~bench:Bench_suite.tiny ()) > 100)
+    (String.length (text (Ablation.skew_objectives ~bench:Bench_suite.tiny ())) > 100)
 
 let () =
   Alcotest.run "rc_extensions"

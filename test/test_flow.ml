@@ -306,7 +306,9 @@ let test_determinism () =
 let test_experiments_tables_render () =
   let suite = Experiments.run_suite ~benches:[ Bench_suite.tiny ] ~with_ilp:true () in
   List.iter
-    (fun s -> Alcotest.(check bool) "non-empty table" true (String.length s > 100))
+    (fun t ->
+      Alcotest.(check bool) "non-empty table" true
+        (String.length (Rc_obs.Report.to_text t) > 100))
     [
       Experiments.table3 suite;
       Experiments.table4 suite;
@@ -314,9 +316,9 @@ let test_experiments_tables_render () =
       Experiments.table6 suite;
       Experiments.table7 suite;
     ];
-  let rows, text = Experiments.table2 ~benches:[ Bench_suite.tiny ] () in
+  let rows, table = Experiments.table2 ~benches:[ Bench_suite.tiny ] () in
   Alcotest.(check int) "table2 rows" 1 (List.length rows);
-  Alcotest.(check bool) "table2 text" true (String.length text > 50);
+  Alcotest.(check bool) "table2 text" true (String.length (Rc_obs.Report.to_text table) > 50);
   let curve, fig = Experiments.fig2 () in
   Alcotest.(check bool) "fig2 has curve" true (List.length curve > 10);
   Alcotest.(check bool) "fig2 text" true (String.length fig > 100)
@@ -350,12 +352,22 @@ let test_improved_flow_beats_default () =
     i.Flow.assignment.Rc_assign.Assign.taps
 
 let test_table1_small () =
-  let rows, text = Experiments.table1 ~benches:[ Bench_suite.tiny ] ~bb_seconds:5.0 () in
+  let rows, table = Experiments.table1 ~benches:[ Bench_suite.tiny ] ~bb_seconds:5.0 () in
+  let text = Rc_obs.Report.to_text table in
   Alcotest.(check int) "one row" 1 (List.length rows);
   let r = List.hd rows in
   Alcotest.(check bool) "greedy IG sane" true
     (r.Experiments.greedy_ig >= 1.0 -. 1e-9 && r.Experiments.greedy_ig < 5.0);
   Alcotest.(check bool) "text" true (String.length text > 50)
+
+(* The digest-pinned circuits as experiment-suite arms, shared by the
+   digest pins and the shape check: s9234 and s5378 with the ILP arm,
+   s15850 without it (its ILP arm takes about 45 s, too slow here). *)
+let paper_suite =
+  lazy
+    (let find name = Option.get (Bench_suite.find name) in
+     Experiments.run_suite ~benches:[ Bench_suite.s9234; find "s5378" ] ()
+     @ Experiments.run_suite ~benches:[ find "s15850" ] ~with_ilp:false ())
 
 (* Table II digests, the same pins as the layered benchmark's paper_flow
    workload (its s38417, s35932 and ILP arms are too slow here).  The
@@ -365,15 +377,64 @@ let test_table1_small () =
    the placer that legalization absorbs does not, which is what the
    "oracles" properties in test_place and test_skew are for. *)
 let test_table2_digests () =
-  List.iter
-    (fun (bench, pin) ->
-      let o = Flow.run (Flow.default_config bench) in
-      Alcotest.(check string) bench.Bench_suite.bname pin (Rc_serve.Checkpoint.digest_of_outcome o))
+  let pins =
     [
-      (Bench_suite.s9234, "8e6041d5e058485ce95bfa934681807a");
-      (Option.get (Bench_suite.find "s5378"), "addcc0a40f27f4795feaa77725558568");
-      (Option.get (Bench_suite.find "s15850"), "fd5501e0d8a15a9b226548b14171e1b0");
+      ("s9234", "8e6041d5e058485ce95bfa934681807a");
+      ("s5378", "addcc0a40f27f4795feaa77725558568");
+      ("s15850", "fd5501e0d8a15a9b226548b14171e1b0");
     ]
+  in
+  List.iter
+    (fun (e : Experiments.suite_entry) ->
+      let name = e.Experiments.bench.Bench_suite.bname in
+      Alcotest.(check string) name (List.assoc name pins)
+        (Rc_serve.Checkpoint.digest_of_outcome e.Experiments.netflow))
+    (Lazy.force paper_suite)
+
+(* The paper's shape (EXPERIMENTS.shape) on Tables III-VII of the pinned
+   circuits, read back from the tables' Rc_obs.Report JSON.  s15850 has
+   no ILP arm here, so only its Table IV bounds can be checked; the test
+   lists the skipped bounds and fails if any other bound is skipped. *)
+let test_paper_shape () =
+  let module R = Rc_obs.Report in
+  let suite = Lazy.force paper_suite in
+  let doc =
+    {
+      R.title = "Tables III-VII";
+      intro = "";
+      sections =
+        [
+          R.section "tables"
+            ~tables:
+              [
+                Experiments.table3 suite;
+                Experiments.table4 suite;
+                Experiments.table5 suite;
+                Experiments.table6 suite;
+                Experiments.table7 suite;
+              ];
+        ];
+    }
+  in
+  let json =
+    match Rc_util.Json.of_string (Rc_util.Json.to_string (R.to_json doc)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let circuits = List.map (fun (e : Experiments.suite_entry) -> e.bench.Bench_suite.bname) suite in
+  let r = Shape_check.check ~circuits (Shape_check.load ()) json in
+  Printf.printf "%d (bound, circuit) pairs checked\n" r.Shape_check.checked;
+  List.iter (Printf.printf "skipped (no row): %s\n") r.Shape_check.skipped;
+  Alcotest.(check (list string)) "bounds met" [] r.Shape_check.failures;
+  Alcotest.(check bool) "something checked" true (r.Shape_check.checked > 0);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool)
+        ("only s15850's ILP-arm bounds are skipped: " ^ line)
+        true
+        (String.ends_with ~suffix:"| s15850" line
+        && not (String.starts_with ~prefix:"Table IV " line)))
+    r.Shape_check.skipped
 
 let () =
   Alcotest.run "rc_flow"
@@ -392,6 +453,7 @@ let () =
           Alcotest.test_case "best state restored" `Quick test_best_state_restored;
           Alcotest.test_case "deterministic" `Quick test_determinism;
           Alcotest.test_case "Table II digests" `Quick test_table2_digests;
+          Alcotest.test_case "paper shape" `Quick test_paper_shape;
         ] );
       ( "trace",
         [

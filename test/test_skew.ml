@@ -293,6 +293,33 @@ let prop_refine_matches_reference =
       bits (Cost_driven.refine_toward_anchors pr ~slack ~anchors ~skews)
       = bits (Reference_kernels.refine_toward_anchors pr ~slack ~anchors ~skews))
 
+(* The array refine stops after a sweep that changes no target; the
+   reference always runs its 8.  Over the property's problem family,
+   some problems settle before sweep 8 (the stop is taken) and some
+   still move at sweep 8 (it is not); both must match the reference. *)
+let test_refine_settling_mix () =
+  let settled = ref 0 and unsettled = ref 0 and mismatches = ref [] in
+  for seed = 0 to 199 do
+    let n = 1 + (seed mod 25) in
+    let rng = Rc_util.Rng.create ((seed * 131) + 17) in
+    let pr = random_problem_loops rng n in
+    let anchors = random_anchors rng n in
+    let skews = Array.init n (fun _ -> Rc_util.Rng.float_in rng (-500.0) 1500.0) in
+    let slack = Rc_util.Rng.float_in rng (-50.0) 100.0 in
+    let reference sweeps =
+      bits (Reference_kernels.refine_toward_anchors ~sweeps pr ~slack ~anchors ~skews)
+    in
+    let full = reference 8 in
+    if reference 6 = reference 7 then incr settled;
+    if reference 7 <> full then incr unsettled;
+    if bits (Cost_driven.refine_toward_anchors pr ~slack ~anchors ~skews) <> full then
+      mismatches := seed :: !mismatches
+  done;
+  Alcotest.(check (list int)) "seeds differing from the 8-sweep reference" [] !mismatches;
+  Printf.printf "settled before sweep 8: %d, still moving at sweep 8: %d\n" !settled !unsettled;
+  Alcotest.(check bool) "some settle before sweep 8" true (!settled > 0);
+  Alcotest.(check bool) "some still move at sweep 8" true (!unsettled > 0)
+
 let prop_minmax_matches_reference =
   QCheck.Test.make ~name:"frozen min-max search is bit-identical to per-probe rebuilds"
     ~count:150
@@ -361,6 +388,7 @@ let () =
       ( "oracles",
         [
           QCheck_alcotest.to_alcotest prop_refine_matches_reference;
+          Alcotest.test_case "refine settling mix" `Quick test_refine_settling_mix;
           QCheck_alcotest.to_alcotest prop_minmax_matches_reference;
           QCheck_alcotest.to_alcotest prop_max_slack_matches_reference;
         ] );

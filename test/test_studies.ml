@@ -30,7 +30,8 @@ let test_variation_rotary_beats_tree_relatively () =
     < r.Variation_study.tree.Rc_variation.Variation.relative_spread)
 
 let test_clocking_compare () =
-  let rows, text = Clocking_compare.run ~model:small_model (Lazy.force outcome) in
+  let rows, table = Clocking_compare.run ~model:small_model (Lazy.force outcome) in
+  let text = Rc_obs.Report.to_text table in
   Alcotest.(check int) "three schemes" 3 (List.length rows);
   let find s = List.find (fun r -> r.Clocking_compare.scheme = s) rows in
   let tree = find "zero-skew tree"
@@ -67,7 +68,7 @@ let test_routing_study () =
 
 let test_ring_sweep_report_marks_best () =
   let points, best = Ring_sweep.sweep Bench_suite.tiny ~grids:[ 1; 2 ] in
-  let text = Ring_sweep.report (points, best) in
+  let text = Rc_obs.Report.to_text (Ring_sweep.report (points, best)) in
   Alcotest.(check bool) "star marks the winner" true
     (String.length text > 0
     &&
