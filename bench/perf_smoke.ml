@@ -2,9 +2,10 @@
 
    Two checks per --quick circuit, fast enough for every push:
 
-   1. Correctness: the flow's final quality snapshot with the
-      cross-iteration caches enabled is bit-identical to the flow with
-      them disabled (incremental = false is the original cold path).
+   1. Correctness: the flow's final quality snapshot is bit-identical
+      to a cold run of the same plan, whose every stage starts from
+      emptied caches (Flow_cache.reset), so no result can come from
+      one.
    2. Reuse actually happens: on the medium circuit (s9234) the reuse
       counters — STA replays, assignment-network replays, tap-cache
       hits — must all be non-zero.  A refactor that silently stops the
@@ -41,9 +42,26 @@ let check_reuse snap circuit name =
   if n > 0 then ok "%s %s = %d" circuit name n
   else fail "%s %s = 0: the incremental layer never fired" circuit name
 
-let run_flow ~incremental bench =
-  let cfg = { (Flow.default_config bench) with Flow.incremental } in
-  Flow.run cfg
+(* the flow's own plan with every stage run on emptied caches *)
+let cold_plan cfg =
+  let cold (st : Flow_stage.t) =
+    {
+      st with
+      Flow_stage.run =
+        (fun ctx ->
+          Flow_cache.reset ctx.Flow_ctx.caches;
+          st.Flow_stage.run ctx);
+    }
+  in
+  let p = Flow.plan_of_config cfg in
+  {
+    Flow.place = cold p.Flow.place;
+    schedule = cold p.Flow.schedule;
+    assign = cold p.Flow.assign;
+    cost_schedule = cold p.Flow.cost_schedule;
+    evaluate = cold p.Flow.evaluate;
+    replace = cold p.Flow.replace;
+  }
 
 let jobs =
   let n = Array.length Sys.argv in
@@ -66,10 +84,11 @@ let () =
       let name = bench.Bench_suite.bname in
       Rc_obs.Metrics.set_enabled true;
       let before = Rc_obs.Metrics.snapshot () in
-      let inc = run_flow ~incremental:true bench in
+      let cfg = Flow.default_config bench in
+      let inc = Flow.run cfg in
       let snap = Rc_obs.Metrics.diff ~before ~after:(Rc_obs.Metrics.snapshot ()) in
       Rc_obs.Metrics.set_enabled false;
-      let cold = run_flow ~incremental:false bench in
+      let cold = Flow.run ~plan:(cold_plan cfg) cfg in
       let a = inc.Flow.final and b = cold.Flow.final in
       check_field "tapping_wl" name a.Flow.tapping_wl b.Flow.tapping_wl;
       check_field "signal_wl" name a.Flow.signal_wl b.Flow.signal_wl;

@@ -60,11 +60,11 @@ let mode_arg =
     value & opt mode_conv Flow.Netflow
     & info [ "mode" ] ~docv:"MODE" ~doc:"Assignment mode: netflow or ilp")
 
-let run_flow_checked jobs bench mode trace metrics no_incremental checkpoint_every
-    checkpoint_dir resume digest =
+let run_flow_checked jobs bench mode trace metrics checkpoint_every checkpoint_dir resume
+    digest =
   setup_jobs jobs;
   if metrics then Rc_obs.Metrics.set_enabled true;
-  let cfg = { (Flow.default_config ~mode bench) with Flow.incremental = not no_incremental } in
+  let cfg = Flow.default_config ~mode bench in
   let plan = Flow.plan_of_config cfg in
   let o, checkpoints =
     match resume with
@@ -122,14 +122,13 @@ let run_flow_checked jobs bench mode trace metrics no_incremental checkpoint_eve
 
 (* a resumed flow writes no checkpoints, so asking for them is a usage
    error rather than a silent no-op *)
-let run_flow jobs bench mode trace metrics no_incremental checkpoint_every checkpoint_dir
-    resume digest =
+let run_flow jobs bench mode trace metrics checkpoint_every checkpoint_dir resume digest =
   match (resume, checkpoint_every) with
   | Some _, Some _ ->
       `Error (true, "--resume cannot be combined with --checkpoint-every")
   | _ ->
-      run_flow_checked jobs bench mode trace metrics no_incremental checkpoint_every
-        checkpoint_dir resume digest;
+      run_flow_checked jobs bench mode trace metrics checkpoint_every checkpoint_dir resume
+        digest;
       `Ok ()
 
 let flow_cmd =
@@ -149,13 +148,6 @@ let flow_cmd =
       & info [ "metrics" ]
           ~doc:"Enable the solver-metrics registry and print the merged totals after the run \
                 (CG iterations, simplex pivots, netflow augmentations, Eq. 1 tapping cases, ...)")
-  in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:"Disable the cross-iteration incremental caches (dirty-set STA, Eq. 1 tap cache, \
-                assignment replay); results are bit-identical either way, only slower")
   in
   let checkpoint_every =
     Arg.(
@@ -190,8 +182,8 @@ let flow_cmd =
     (Cmd.info "flow" ~doc:"Run the six-stage flow on one circuit and print per-iteration metrics")
     Term.(
       ret
-        (const run_flow $ jobs_arg $ bench $ mode_arg $ trace $ metrics $ no_incremental
-       $ checkpoint_every $ checkpoint_dir $ resume $ digest))
+        (const run_flow $ jobs_arg $ bench $ mode_arg $ trace $ metrics $ checkpoint_every
+       $ checkpoint_dir $ resume $ digest))
 
 (* --- tables command --- *)
 
@@ -325,7 +317,7 @@ let run_render jobs bench mode out =
   in
   Rc_viz.Layout.write ~path:out
     ~chip:(Rc_core.Bench_suite.chip bench)
-    ~netlist:o.Flow.netlist ~positions:o.Flow.positions ~rings:o.Flow.rings ~taps ();
+    ~netlist:o.Flow.netlist ~positions:o.Flow.positions ~rings:o.Flow.rings ~taps;
   Printf.printf "wrote %s (%d flip-flops, %d rings, tapping WL %.0f um)\n" out
     (Array.length ffs)
     (Rc_rotary.Ring_array.n_rings o.Flow.rings)

@@ -2,7 +2,8 @@ module R = Rc_obs.Report
 
 let imp from to_ = R.Pct (Rc_util.Stats.pct_improvement ~from ~to_)
 
-let pseudo_weight_schedule ?(bench = Bench_suite.tiny) () =
+let pseudo_weight_schedule () =
+  let bench = Bench_suite.tiny in
   let rows =
     List.map
       (fun (w, g) ->
@@ -23,7 +24,8 @@ let pseudo_weight_schedule ?(bench = Bench_suite.tiny) () =
     rows;
   }
 
-let candidate_rings ?(bench = Bench_suite.s9234) () =
+let candidate_rings () =
+  let bench = Bench_suite.s9234 in
   let { Experiments.tech; rings; ff_positions; targets; _ } = Experiments.stage2_state bench in
   let rows =
     List.map
@@ -46,7 +48,8 @@ let candidate_rings ?(bench = Bench_suite.s9234) () =
     rows;
   }
 
-let skew_objectives ?(bench = Bench_suite.tiny) () =
+let skew_objectives () =
+  let bench = Bench_suite.tiny in
   (* swap the stage-4 slot of the plan rather than re-branching on a
      behavior flag: both runs share every other stage implementation *)
   let run stage =
@@ -73,7 +76,8 @@ let skew_objectives ?(bench = Bench_suite.tiny) () =
       [ row "min-max Delta (graph)" minmax t1; row "weighted-sum (MCF dual)" weighted t2 ];
   }
 
-let incremental_engines ?(bench = Bench_suite.tiny) () =
+let incremental_engines () =
+  let bench = Bench_suite.tiny in
   (* swap only the stage-6 slot: pseudo-net quadratic re-solve vs direct
      relocate-and-heal, under the same placement/assignment/scheduling
      stages; the trace supplies the per-category CPU split *)
@@ -104,7 +108,8 @@ let incremental_engines ?(bench = Bench_suite.tiny) () =
     rows;
   }
 
-let scheduling_engines ?(bench = Bench_suite.tiny) () =
+let scheduling_engines () =
+  let bench = Bench_suite.tiny in
   let { Experiments.problem; _ } = Experiments.stage2_state bench in
   let g, tg = Rc_util.Timer.time (fun () -> Rc_skew.Max_slack.solve_graph problem) in
   let l, tl = Rc_util.Timer.time (fun () -> Rc_skew.Max_slack.solve_lp problem) in
@@ -121,7 +126,8 @@ let scheduling_engines ?(bench = Bench_suite.tiny) () =
       ];
   }
 
-let complementary_phase ?(bench = Bench_suite.s9234) () =
+let complementary_phase () =
+  let bench = Bench_suite.s9234 in
   let { Experiments.tech; rings; ff_positions; targets; _ } = Experiments.stage2_state bench in
   let cost use_complement =
     let acc = ref 0.0 in
@@ -152,12 +158,12 @@ let complementary_phase ?(bench = Bench_suite.s9234) () =
       ];
   }
 
-let all ?bench () =
+let all () =
   [
-    pseudo_weight_schedule ?bench ();
+    pseudo_weight_schedule ();
     candidate_rings ();
-    skew_objectives ?bench ();
-    incremental_engines ?bench ();
+    skew_objectives ();
+    incremental_engines ();
     scheduling_engines ();
     complementary_phase ();
   ]

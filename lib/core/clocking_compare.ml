@@ -7,7 +7,8 @@ type row = {
   extra : string;
 }
 
-let run ?(model = Rc_variation.Variation.default_model) (o : Flow.outcome) =
+let run (o : Flow.outcome) =
+  let model = Rc_variation.Variation.default_model in
   let tech = o.Flow.cfg.Flow.tech in
   let ffs, _ = Flow.ff_index o.Flow.netlist in
   let n_ffs = Array.length ffs in
@@ -67,7 +68,7 @@ let run ?(model = Rc_variation.Variation.default_model) (o : Flow.outcome) =
   (* rotary: switched load = tapping stubs + pins; ring metal recirculates *)
   let tap_wl = o.Flow.final.Flow.tapping_wl in
   let rot_cap = (tap_wl *. tech.Rc_tech.Tech.c_wire) +. pin_cap in
-  let vs = Variation_study.run ~model o in
+  let vs = Variation_study.run o in
   let ring_metal =
     Array.fold_left
       (fun acc r -> acc +. (2.0 *. Rc_rotary.Ring.perimeter r))

@@ -15,8 +15,8 @@ type row = {
   extra : string;  (** Scheme-specific note. *)
 }
 
-val run :
-  ?model:Rc_variation.Variation.model -> Flow.outcome -> row list * Rc_obs.Report.table
-(** Evaluate all three schemes over the outcome's flip-flops; the table
+val run : Flow.outcome -> row list * Rc_obs.Report.table
+(** Evaluate all three schemes over the outcome's flip-flops, under the
+    default Monte-Carlo model; the table
     has one row per scheme. The mesh uses a realistic ~100 µm pitch
     (dense grids are how meshes achieve low skew). *)

@@ -14,12 +14,12 @@ let log_progress log fmt =
    they fan out across the domain pool; results come back in bench
    order, and each run's trace events are tagged with its arm, so suite
    output is identical for any job count. *)
-let run_suite ?plan ?(benches = Bench_suite.all) ?(with_ilp = true) ?(log = false) () =
+let run_suite ?(benches = Bench_suite.all) ?(with_ilp = true) ?(log = false) () =
   Rc_par.Pool.map_list
     (fun bench ->
       log_progress log "[suite] %s: network-flow flow..." bench.Bench_suite.bname;
       let arm = bench.Bench_suite.bname ^ "/netflow" in
-      let netflow = Flow.run ?plan ~arm (Flow.default_config ~mode:Flow.Netflow bench) in
+      let netflow = Flow.run ~arm (Flow.default_config ~mode:Flow.Netflow bench) in
       let ilp =
         if with_ilp then begin
           log_progress log "[suite] %s: ILP assignment on the final state..."
@@ -282,7 +282,8 @@ let table7 suite =
 
 (* ---- Fig. 2 ---------------------------------------------------------- *)
 
-let fig2 ?(samples = 81) () =
+let fig2 () =
+  let samples = 81 in
   let tech = Rc_tech.Tech.default in
   let ring =
     Rc_rotary.Ring.make ~id:0

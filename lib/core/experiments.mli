@@ -17,7 +17,6 @@ type suite_entry = {
 }
 
 val run_suite :
-  ?plan:Flow.plan ->
   ?benches:Bench_suite.bench list ->
   ?with_ilp:bool ->
   ?log:bool ->
@@ -25,9 +24,8 @@ val run_suite :
   suite_entry list
 (** Run the full flow on each benchmark (default: the five Table II
     circuits); when [with_ilp] (default true) also evaluate the ILP
-    assignment on each final state. [plan] swaps stage implementations
-    for every run (default: each config's own [Flow.plan_of_config]).
-    [log] prints per-circuit progress to stderr. *)
+    assignment on each final state.  [log] prints per-circuit progress
+    to stderr. *)
 
 type stage2 = {
   tech : Rc_tech.Tech.t;
@@ -96,7 +94,7 @@ val table7 : suite_entry list -> Rc_obs.Report.table
 
 (** {1 Fig. 2 — the tapping-delay curve} *)
 
-val fig2 : ?samples:int -> unit -> (float * float) list * string
-(** Sample [t_f(x)] of Eq. 1 along one ring segment for a
+val fig2 : unit -> (float * float) list * string
+(** Sample [t_f(x)] of Eq. 1 at 81 points along one ring segment for a
     representative flip-flop, and solve the four target cases; returns
     the curve points and a small report locating each case's tap. *)

@@ -29,13 +29,7 @@ type config = Flow_ctx.config = {
   max_iterations : int;
   pseudo_weight : float;
   pseudo_growth : float;
-  stability : float;
-  slack_fraction : float;
-  use_weighted_skew : bool;
-  convergence_tol : float;
   detail_passes : int;
-  tapping_weight : float;
-  incremental : bool;
 }
 
 let default_config ?(mode = Netflow) bench =
@@ -48,20 +42,14 @@ let default_config ?(mode = Netflow) bench =
     max_iterations = 5;
     pseudo_weight = 0.08;
     pseudo_growth = 1.8;
-    stability = 0.004;
-    slack_fraction = 0.5;
-    use_weighted_skew = false;
-    convergence_tol = 0.002;
     detail_passes = 0;
-    tapping_weight = 8.0;
-    incremental = true;
   }
 
 (* Beyond-paper configuration: detailed-placement refinement after the
    global placement, and a direct relocate-and-heal stage 6 instead of
    pseudo-net springs in a quadratic re-solve. *)
-let improved_config ?mode bench =
-  { (default_config ?mode bench) with detail_passes = 3; pseudo_weight = 0.35 }
+let improved_config bench =
+  { (default_config bench) with detail_passes = 3; pseudo_weight = 0.35 }
 
 type snapshot = Flow_ctx.snapshot = {
   iteration : int;
@@ -117,7 +105,7 @@ let plan_of_config cfg =
     place = Flow_stages.placement_of cfg;
     schedule = Flow_stages.max_slack_scheduling;
     assign = Flow_stages.assignment_of cfg.mode;
-    cost_schedule = Flow_stages.cost_driven_of cfg;
+    cost_schedule = Flow_stages.cost_driven_minmax;
     evaluate = Flow_stages.evaluation;
     replace = Flow_stages.incremental_of cfg;
   }
@@ -155,9 +143,8 @@ let outcome_of (ctx : Flow_ctx.t) =
 (* stage 4-6 iterations plus the epilogue, shared by a fresh run and a
    checkpoint resume: from an iteration-boundary context both paths are
    literally the same code, which is what makes resume bit-identical *)
-let finish ?plan ?guard ?on_iteration (ctx : Flow_ctx.t) =
+let finish ~plan ?guard ?on_iteration (ctx : Flow_ctx.t) =
   let cfg = ctx.Flow_ctx.cfg in
-  let plan = match plan with Some p -> p | None -> plan_of_config cfg in
   (* one batch region across the whole stage 4-6 loop and epilogue:
      every parallel kernel inside (CG solve pairs, candidate-tap
      batches, STA cone sweeps) publishes a sub-job to the same captive
@@ -190,7 +177,7 @@ let run_on ?plan ?arm ?guard ?on_iteration cfg netlist =
   (match on_iteration with Some f -> f ctx | None -> ());
   finish ~plan ?guard ?on_iteration ctx
 
-let resume_on ?plan ?guard ?on_iteration ctx = finish ?plan ?guard ?on_iteration ctx
+let resume_on ?guard (ctx : Flow_ctx.t) = finish ~plan:(plan_of_config ctx.Flow_ctx.cfg) ?guard ctx
 
 let run ?plan ?arm ?guard ?on_iteration cfg =
   run_on ?plan ?arm ?guard ?on_iteration cfg
@@ -223,7 +210,7 @@ type edit_report = {
   er_slack : float;  (* stage-2 maximum slack after the batch *)
 }
 
-let apply_edits ?plan ?guard (ctx : Flow_ctx.t) (edits : edit list) =
+let apply_edits ?guard (ctx : Flow_ctx.t) (edits : edit list) =
   let cfg = ctx.Flow_ctx.cfg in
   if Array.length ctx.Flow_ctx.positions = 0 then
     invalid_arg "Flow.apply_edits: context has no placement";
@@ -297,7 +284,7 @@ let apply_edits ?plan ?guard (ctx : Flow_ctx.t) (edits : edit list) =
      "moved" onto its own coordinates) and drop the retargeted
      flip-flops' cached taps.  Forced recomputation is bit-identical,
      so these are work hints, not correctness hooks. *)
-  if cfg.incremental && not period_changed then begin
+  if not period_changed then begin
     if !moved <> [] then
       Rc_timing.Sta.invalidate_cells
         (Flow_cache.sta_session ctx.Flow_ctx.caches cfg.tech ctx.Flow_ctx.netlist)
@@ -312,7 +299,7 @@ let apply_edits ?plan ?guard (ctx : Flow_ctx.t) (edits : edit list) =
      and re-assigns against the new rings before the cost-driven pass;
      a placement change replays one loop body (stage 4 then 3), the
      paper's own reconvergence step. *)
-  let plan = match plan with Some p -> p | None -> plan_of_config cfg in
+  let plan = plan_of_config cfg in
   let stages =
     (if period_changed then [ plan.schedule; plan.assign ] else [])
     @
@@ -358,12 +345,12 @@ let apply_edits ?plan ?guard (ctx : Flow_ctx.t) (edits : edit list) =
 (* An edit-session context over a finished flow: the outcome's shipped
    state (the minimum-cost snapshot) becomes the session baseline, the
    iteration counter restarts at 0 (it counts applied edit batches from
-   here), and the caches are fresh — [warm] primes the incremental STA
-   session from the restored placement so the first edit does an
-   incremental, not cold, timing update.  Two contexts built from
-   equal outcomes are digest-equal by construction. *)
-let context_of_outcome ?(arm = "") ?(warm = true) (o : outcome) =
-  let ctx = Flow_ctx.create ~arm o.cfg o.netlist in
+   here), and the caches are fresh, with the STA session primed from the
+   restored placement so the first edit does an incremental, not cold,
+   timing update.  Two contexts built from equal outcomes are
+   digest-equal by construction. *)
+let context_of_outcome (o : outcome) =
+  let ctx = Flow_ctx.create o.cfg o.netlist in
   let ctx =
     {
       ctx with
@@ -378,9 +365,5 @@ let context_of_outcome ?(arm = "") ?(warm = true) (o : outcome) =
       history = [ o.final ];
     }
   in
-  if warm && o.cfg.incremental then
-    ignore
-      (Rc_timing.Sta.analyze_batch
-         (Flow_cache.sta_session ctx.Flow_ctx.caches o.cfg.tech o.netlist)
-         ~positions:o.positions);
+  Flow_ctx.warm_sta ctx;
   ctx

@@ -32,22 +32,24 @@ type config = Flow_ctx.config = {
   max_iterations : int;  (** Stage 3-6 loop bound (the paper converges in ≤5). *)
   pseudo_weight : float;  (** Pseudo-net spring weight at iteration 1. *)
   pseudo_growth : float;  (** Multiplier per iteration. *)
-  stability : float;  (** Incremental-placement stability spring. *)
-  slack_fraction : float;  (** Prespecified M for stage 4, as a fraction of the stage-2 maximum slack. *)
-  use_weighted_skew : bool;  (** Stage 4 default: exact weighted-sum scheduling (min-cost-flow dual) instead of min-max Δ. *)
-  convergence_tol : float;  (** Stop when total cost improves less than this fraction. *)
   detail_passes : int;  (** Detailed-placement refinement passes after each placement (0 disables; flip-flops are frozen during incremental refinement). *)
-  tapping_weight : float;  (** Stage-5 evaluates signal_wl + weight × tapping_wl (the paper's "weighted sum of total tapping cost and traditional placement cost"). *)
-  incremental : bool;  (** Reuse STA cones, Eq. 1 candidate taps, and the assignment flow network across loop iterations ({!Flow_cache}). Exact-input caching: results are bit-identical either way. *)
 }
+(** What the callers vary.  The method's one-value settings are
+    constants of the stages ({!Flow_stages}): stage 4 runs at half of
+    stage 2's maximum slack, stage 5 weighs tapping wirelength 8× signal
+    wirelength ({!Flow_ctx.cost_of}) and converges below a 0.2 % cost
+    improvement, and stage 6 keeps {!Rc_place.Qplace.incremental}'s
+    stability spring.  Every stage reuses work across iterations through
+    {!Flow_cache}, whose exact-input caches cannot change a result. *)
 
 val default_config : ?mode:mode -> Bench_suite.bench -> config
 (** The paper's methodology: quadratic incremental placement with
     pseudo-net springs (no detailed placement). *)
 
-val improved_config : ?mode:mode -> Bench_suite.bench -> config
-(** Beyond-paper variant: detailed-placement refinement after global
-    placement, and stage 6 replaced by direct flip-flop relocation plus
+val improved_config : Bench_suite.bench -> config
+(** Beyond-paper variant, in network-flow mode: detailed-placement
+    refinement after global placement, and stage 6 replaced by direct
+    flip-flop relocation plus
     flip-flop-frozen healing — cuts tapping wirelength much harder at no
     signal cost (see the bench's "beyond the paper" section). *)
 
@@ -98,8 +100,10 @@ type plan = {
 
 val plan_of_config : config -> plan
 (** Select the stage variant for every swappable slot from the config:
-    [detail_passes] picks the placement/replacement pair, [mode] the
-    assignment engine, [use_weighted_skew] the stage-4 objective. *)
+    [detail_passes] picks the placement/replacement pair and [mode] the
+    assignment engine; stage 4 is always the min-max objective
+    ({!Flow_stages.cost_driven_minmax}) — swap the slot for the
+    weighted one. *)
 
 val describe_plan : plan -> string list
 (** One line per stage: name, variant, declared inputs/outputs. *)
@@ -137,17 +141,13 @@ val run_on :
     ISCAS89 .bench circuit). The config's benchmark record still
     provides the die outline and ring grid. *)
 
-val resume_on :
-  ?plan:plan ->
-  ?guard:(Flow_ctx.t -> unit) ->
-  ?on_iteration:(Flow_ctx.t -> unit) ->
-  Flow_ctx.t ->
-  outcome
+val resume_on : ?guard:(Flow_ctx.t -> unit) -> Flow_ctx.t -> outcome
 (** Continue a flow from an iteration-boundary context (as restored by
     [Rc_serve.Checkpoint.load]): runs the remaining stage 4-6
     iterations and the epilogue through exactly the code path of an
     uninterrupted {!run}, so the outcome is bit-identical to never
-    having stopped.  The context's [cfg] provides the plan defaults. *)
+    having stopped.  The plan is {!plan_of_config} of the context's
+    [cfg]. *)
 
 (** {1 ECO edits}
 
@@ -186,25 +186,24 @@ type edit_report = {
 }
 
 val apply_edits :
-  ?plan:plan ->
   ?guard:(Flow_ctx.t -> unit) ->
   Flow_ctx.t ->
   edit list ->
   Flow_ctx.t * edit_report
 (** Apply one edit batch: position/period mutations first, then the
     dirty stages (a period change replays stages 2-3, any placement
-    change replays one stage 4-3 loop body), then retarget patches,
-    then a snapshot push.  [Flow_ctx.iteration] counts applied batches.
+    change replays one stage 4-3 loop body) of {!plan_of_config}'s
+    plan, then retarget patches, then a snapshot push.  [Flow_ctx.iteration] counts applied batches.
     [guard] is the cooperative-cancellation hook, as in {!run}.
     @raise Invalid_argument on an unplaced context, out-of-range cell,
     flip-flop or ring ids, or a non-positive clock period. *)
 
-val context_of_outcome : ?arm:string -> ?warm:bool -> outcome -> Flow_ctx.t
+val context_of_outcome : outcome -> Flow_ctx.t
 (** An edit-session context over a finished flow: the outcome's shipped
     state becomes the baseline, [Flow_ctx.iteration] restarts at 0 (it
-    counts applied edit batches), and fresh caches are attached —
-    [warm] (default true) primes the incremental STA session from the
-    restored placement.  Contexts built from equal outcomes are
+    counts applied edit batches), and fresh caches are attached, the
+    STA session primed from the restored placement
+    ({!Flow_ctx.warm_sta}).  Contexts built from equal outcomes are
     digest-equal. *)
 
 val ff_index : Rc_netlist.Netlist.t -> int array * (int -> int)

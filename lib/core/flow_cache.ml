@@ -6,9 +6,11 @@
    stage 6's net Laplacian, and the dirty-set tracker fed by stage 6's
    displacement vector.
 
-   Every cache matches on exact inputs, so a flow run with caching
-   enabled is bit-identical to one without — the caches only skip
-   recomputation of values they can prove unchanged. *)
+   Every cache matches on exact inputs, so the flow's results are
+   bit-identical to a run whose every stage starts from emptied caches
+   (the cold reference test_incremental and bench/perf_smoke run) —
+   the caches only skip recomputation of values they can prove
+   unchanged. *)
 
 let m_dirty_cells = Rc_obs.Metrics.counter "flow.dirty.cells"
 let m_moved = Rc_obs.Metrics.histogram "flow.dirty.displacement_um"
@@ -20,18 +22,11 @@ type t = {
   mutable lap : Rc_place.Qplace.laplacian option;
       (* built on the flow's first stage-6 call; the netlist and die it
          depends on are fixed for the flow's lifetime *)
-  epsilon : float;  (* movement threshold for the dirty set, um *)
-  mutable dirty_cells : int;  (* cells moved > epsilon in the last stage-6 pass *)
+  mutable dirty_cells : int;  (* cells moved at all in the last stage-6 pass *)
 }
 
-let create ?(epsilon = 0.0) () =
-  {
-    sta = None;
-    assign = Rc_assign.Assign.make_cache ();
-    lap = None;
-    epsilon;
-    dirty_cells = 0;
-  }
+let create () =
+  { sta = None; assign = Rc_assign.Assign.make_cache (); lap = None; dirty_cells = 0 }
 
 let sta_session t tech netlist =
   match t.sta with
@@ -63,17 +58,15 @@ let reset t =
   t.dirty_cells <- 0
 
 (* Stage 6 reports its displacement vector here: the dirty set of the
-   iteration is every cell that moved more than epsilon. The counts and
-   magnitudes surface in the metrics registry; the per-subsystem caches
-   detect staleness themselves from exact positions, so an epsilon
-   greater than 0 only coarsens the *reported* dirty set, never the
-   recomputation. *)
+   iteration is every cell that moved at all. The counts and magnitudes
+   surface in the metrics registry; the per-subsystem caches detect
+   staleness themselves from exact positions. *)
 let note_displacement t ~prev ~next =
   let n = min (Array.length prev) (Array.length next) in
   let dirty = ref 0 and max_d = ref 0.0 in
   for c = 0 to n - 1 do
     let d = Rc_geom.Point.manhattan prev.(c) next.(c) in
-    if d > t.epsilon then begin
+    if d > 0.0 then begin
       incr dirty;
       if d > !max_d then max_d := d
     end

@@ -11,16 +11,14 @@
     call and held for that flow only), and the dirty-set tracker that
     stage 6 feeds with its displacement vector.
 
-    All caches validate against exact inputs, so enabling them cannot
-    change any flow result — see [docs/incremental.md]. *)
+    All caches validate against exact inputs, so they cannot change any
+    flow result: a run whose every stage starts from emptied caches
+    ({!reset}) is bit-identical — see [docs/incremental.md]. *)
 
 type t
 
-val create : ?epsilon:float -> unit -> t
-(** Fresh, empty caches. [epsilon] (default 0) is the movement
-    threshold, in um, above which a cell counts as dirty in the
-    *reported* dirty set; the caches themselves always compare exact
-    positions. *)
+val create : unit -> t
+(** Fresh, empty caches. *)
 
 val sta_session : t -> Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_timing.Sta.session
 (** The lazily created incremental STA session for this flow's
@@ -46,4 +44,4 @@ val note_displacement : t -> prev:Rc_geom.Point.t array -> next:Rc_geom.Point.t 
     the [flow.dirty.*] metrics. *)
 
 val dirty_cells : t -> int
-(** Cells that moved more than epsilon in the last reported pass. *)
+(** Cells that moved at all in the last reported pass. *)

@@ -20,13 +20,7 @@ type config = {
   max_iterations : int;
   pseudo_weight : float;
   pseudo_growth : float;
-  stability : float;
-  slack_fraction : float;
-  use_weighted_skew : bool;
-  convergence_tol : float;
   detail_passes : int;
-  tapping_weight : float;
-  incremental : bool;
 }
 
 type snapshot = {
@@ -70,14 +64,10 @@ type t = {
   converged : bool;
   trace : Flow_trace.t;
   note : string;  (* set by a stage, moved into the trace by the driver *)
-  obs : Rc_obs.Metrics.t;
-      (* the solver-metrics registry the stage driver snapshots around
-         each stage; the process-global one — stages record into it
-         implicitly through the instrumented solver layers *)
   caches : Flow_cache.t;
       (* cross-iteration recomputation state (incremental STA session,
-         tap cache, cached assignment solver, dirty-set tracker); consulted
-         by stages only when [cfg.incremental] is set *)
+         tap cache, cached assignment solver, stage 6's Laplacian,
+         dirty-set tracker): the only path stages 2-4 and 6 take *)
 }
 
 let ff_index netlist =
@@ -114,7 +104,6 @@ let create ?(arm = "") cfg netlist =
     converged = false;
     trace = Flow_trace.empty;
     note = "";
-    obs = Rc_obs.Metrics.global;
     caches = Flow_cache.create ();
   }
 
@@ -129,6 +118,19 @@ let best_exn ctx =
   | None -> invalid_arg "Flow_ctx.best_exn: no snapshot evaluated yet (stage 5 has not run)"
 
 let ff_positions ctx = Array.map (fun c -> ctx.positions.(c)) ctx.ffs
+
+(* the STA of stages 2 and 4, through the context's incremental session:
+   bit-identical to a cold [Sta.analyze], since the session compares
+   exact positions *)
+let sta ctx =
+  Rc_timing.Sta.analyze_batch
+    (Flow_cache.sta_session ctx.caches ctx.cfg.tech ctx.netlist)
+    ~positions:ctx.positions
+
+(* prime the STA session of a restored context (an edit session over a
+   finished flow, a loaded checkpoint) from its placement, so its first
+   stage does an incremental, not cold, timing update *)
+let warm_sta ctx = if Array.length ctx.positions > 0 then ignore (sta ctx)
 
 let skew_problem_of_sta tech netlist (sta : Rc_timing.Sta.t) =
   Rc_skew.Skew_problem.make
@@ -181,8 +183,11 @@ let take_snapshot ctx ~iteration =
     max_load_ff = assignment.Rc_assign.Assign.max_load;
   }
 
-(* stage-5 objective: weighted sum of tapping and signal wirelength *)
-let cost_of cfg snap = snap.signal_wl +. (cfg.tapping_weight *. snap.tapping_wl)
+(* stage-5 objective: the paper's "weighted sum of total tapping cost and
+   traditional placement cost", signal_wl + tapping_weight × tapping_wl *)
+let tapping_weight = 8.0
+
+let cost_of snap = snap.signal_wl +. (tapping_weight *. snap.tapping_wl)
 
 (* same objective read directly off the context, for stage-boundary
    deltas in the trace; undefined until placement + assignment exist *)
@@ -194,12 +199,12 @@ let current_objective ctx =
       else
         Some
           (Rc_place.Wirelength.total ctx.netlist ctx.positions
-          +. (ctx.cfg.tapping_weight *. a.Rc_assign.Assign.total_cost))
+          +. (tapping_weight *. a.Rc_assign.Assign.total_cost))
 
 (* the stage-5 best-state-keeping rule: keep the cheapest snapshot's
    state; ties keep the earlier one *)
 let remember ctx snap =
-  let cost = cost_of ctx.cfg snap in
+  let cost = cost_of snap in
   match ctx.best with
   | Some b when b.best_cost <= cost -> ctx
   | _ ->

@@ -15,13 +15,7 @@ type config = {
   max_iterations : int;
   pseudo_weight : float;
   pseudo_growth : float;
-  stability : float;
-  slack_fraction : float;
-  use_weighted_skew : bool;
-  convergence_tol : float;
   detail_passes : int;
-  tapping_weight : float;
-  incremental : bool;
 }
 (** See {!Flow.config} for per-field documentation. *)
 
@@ -68,14 +62,11 @@ type t = {
   converged : bool;
   trace : Flow_trace.t;
   note : string;  (** set by a stage, moved into the trace by the driver *)
-  obs : Rc_obs.Metrics.t;
-      (** solver-metrics registry ({!Rc_obs.Metrics.global}); the stage
-          driver snapshots it around each stage so trace events carry
-          per-stage metric deltas when recording is enabled *)
   caches : Flow_cache.t;
       (** cross-iteration recomputation state (incremental STA session,
-          candidate-tap cache, cached assignment solver, dirty-set
-          tracker); consulted by stages only when [cfg.incremental] *)
+          candidate-tap cache, cached assignment solver, stage 6's
+          Laplacian, dirty-set tracker): the only path stages 2-4 and 6
+          take *)
 }
 
 val create : ?arm:string -> config -> Rc_netlist.Netlist.t -> t
@@ -91,6 +82,18 @@ val best_exn : t -> best
 
 val ff_positions : t -> Rc_geom.Point.t array
 (** Current position of every flip-flop, in flip-flop index order. *)
+
+val sta : t -> Rc_timing.Sta.t
+(** The timing analysis of stages 2 and 4 at the current positions,
+    through the context's incremental STA session
+    ({!Flow_cache.sta_session}); bit-identical to
+    {!Rc_timing.Sta.analyze}. *)
+
+val warm_sta : t -> unit
+(** Prime the STA session of a restored context from its placement (a
+    no-op before stage 1), so its first stage updates the timing
+    incrementally.  The one re-warm of {!Flow.context_of_outcome} and
+    [Rc_serve.Checkpoint.load]. *)
 
 val ff_index : Rc_netlist.Netlist.t -> int array * (int -> int)
 (** See {!Flow.ff_index}. *)
@@ -111,8 +114,9 @@ val anchors_of_assignment :
 val take_snapshot : t -> iteration:int -> snapshot
 (** Evaluate the current placement + assignment into a snapshot. *)
 
-val cost_of : config -> snapshot -> float
-(** The stage-5 objective: signal WL + [tapping_weight] × tapping WL. *)
+val cost_of : snapshot -> float
+(** The stage-5 objective: signal WL + 8 × tapping WL, the paper's
+    weighted sum of tapping and placement cost. *)
 
 val current_objective : t -> float option
 (** Same objective read directly off the context; [None] until placement

@@ -36,7 +36,7 @@ let describe st =
    every input of the objective physically as it was (the schedulers)
    leaves the objective too, so it is not folded again. *)
 let exec_from cost_before st (ctx : Flow_ctx.t) =
-  let metrics_before = Rc_obs.Metrics.snapshot ~reg:ctx.Flow_ctx.obs () in
+  let metrics_before = Rc_obs.Metrics.snapshot () in
   let pool_before = Rc_par.Pool.fanout_wall_s () in
   let ctx', wall_s = Rc_util.Timer.time (fun () -> st.run ctx) in
   let pool_s = Rc_par.Pool.fanout_wall_s () -. pool_before in
@@ -57,8 +57,7 @@ let exec_from cost_before st (ctx : Flow_ctx.t) =
   let metrics =
     if metrics_before = [] then []
     else
-      Rc_obs.Metrics.diff ~before:metrics_before
-        ~after:(Rc_obs.Metrics.snapshot ~reg:ctx'.Flow_ctx.obs ())
+      Rc_obs.Metrics.diff ~before:metrics_before ~after:(Rc_obs.Metrics.snapshot ())
   in
   let event =
     {

@@ -1,25 +1,22 @@
 (* The six stage implementations of the paper's Fig. 3 flow, as
    pluggable Flow_stage values.  Slots with more than one implementation
    (placement, assignment, cost-driven scheduling, incremental
-   placement) expose each variant as its own stage value plus an
-   `*_of` selector that picks the config's default; Ablation and
-   Experiments swap variants by building a custom Flow.plan instead of
-   branching on behavior flags inside the driver loop. *)
+   placement) expose each variant as its own stage value; the
+   placement, assignment and incremental slots also have an `*_of`
+   selector that picks the config's default.  Ablation and Experiments
+   swap variants by building a custom Flow.plan instead of branching on
+   behavior flags inside the driver loop. *)
 
 open Rc_rotary
 
 let site = 10.0 (* legalization site pitch, um *)
 
-(* STA entry point shared by stages 2 and 4: the incremental session
-   when the config enables reuse (bit-identical to the cold path — the
-   session compares exact positions), the plain analyze otherwise. *)
-let run_sta ctx =
-  let cfg = ctx.Flow_ctx.cfg in
-  let tech = cfg.Flow_ctx.tech in
-  if cfg.Flow_ctx.incremental then
-    let session = Flow_cache.sta_session ctx.Flow_ctx.caches tech ctx.Flow_ctx.netlist in
-    Rc_timing.Sta.analyze_batch session ~positions:ctx.Flow_ctx.positions
-  else Rc_timing.Sta.analyze tech ctx.Flow_ctx.netlist ~positions:ctx.Flow_ctx.positions
+(* stage 4's prespecified slack M, as a fraction of stage 2's M* *)
+let slack_fraction = 0.5
+
+(* stage 5 declares convergence when the cost improves by less than
+   this fraction *)
+let convergence_tol = 0.002
 
 (* ---- stage 1: initial placement -------------------------------------- *)
 
@@ -52,17 +49,14 @@ let max_slack_scheduling =
   Flow_stage.make ~name:"max-slack scheduling" ~variant:"graph" ~category:Flow_trace.Optimizer
     ~inputs:[ "positions" ] ~outputs:[ "skews"; "slack"; "stage4_slack"; "n_pairs" ]
     (fun ctx ->
-      let cfg = ctx.Flow_ctx.cfg in
-      let tech = cfg.Flow_ctx.tech in
-      let sta = run_sta ctx in
-      let problem = Flow_ctx.skew_problem_of_sta tech ctx.Flow_ctx.netlist sta in
+      let tech = ctx.Flow_ctx.cfg.Flow_ctx.tech in
+      let problem = Flow_ctx.skew_problem_of_sta tech ctx.Flow_ctx.netlist (Flow_ctx.sta ctx) in
       match Rc_skew.Max_slack.solve_graph problem with
       | None -> failwith "Flow.run: max-slack scheduling infeasible"
       | Some schedule ->
           let slack_star = schedule.Rc_skew.Max_slack.slack in
           let stage4_slack =
-            if Float.is_finite slack_star then
-              cfg.Flow_ctx.slack_fraction *. Float.max slack_star 0.0
+            if Float.is_finite slack_star then slack_fraction *. Float.max slack_star 0.0
             else 0.0
           in
           let n_pairs = Rc_skew.Skew_problem.n_pairs problem in
@@ -87,12 +81,9 @@ let assignment_netflow =
           ~n_ffs:(Array.length ctx.Flow_ctx.ffs)
           ~slack:cfg.Flow_ctx.capacity_slack
       in
-      let cache =
-        if cfg.Flow_ctx.incremental then Some (Flow_cache.assign_cache ctx.Flow_ctx.caches)
-        else None
-      in
       let a =
-        Rc_assign.Assign.by_netflow ~candidates:cfg.Flow_ctx.candidates ~capacities ?cache
+        Rc_assign.Assign.by_netflow ~candidates:cfg.Flow_ctx.candidates ~capacities
+          ~cache:(Flow_cache.assign_cache ctx.Flow_ctx.caches)
           cfg.Flow_ctx.tech ctx.Flow_ctx.rings
           ~ff_positions:(Flow_ctx.ff_positions ctx) ~targets:ctx.Flow_ctx.skews
       in
@@ -121,8 +112,7 @@ let cost_driven solver ~variant =
     ~inputs:[ "positions"; "skews"; "assignment"; "stage4_slack" ] ~outputs:[ "skews" ]
     (fun ctx ->
       let tech = ctx.Flow_ctx.cfg.Flow_ctx.tech in
-      let sta = run_sta ctx in
-      let problem = Flow_ctx.skew_problem_of_sta tech ctx.Flow_ctx.netlist sta in
+      let problem = Flow_ctx.skew_problem_of_sta tech ctx.Flow_ctx.netlist (Flow_ctx.sta ctx) in
       let anchors =
         Flow_ctx.anchors_of_assignment tech ctx.Flow_ctx.rings (Flow_ctx.assignment_exn ctx)
           ~ff_positions:(Flow_ctx.ff_positions ctx) ~skews:ctx.Flow_ctx.skews
@@ -152,9 +142,6 @@ let cost_driven_weighted =
       Rc_skew.Cost_driven.solve_weighted_mcf problem ~slack ~anchors)
     ~variant:"weighted MCF"
 
-let cost_driven_of (cfg : Flow_ctx.config) =
-  if cfg.Flow_ctx.use_weighted_skew then cost_driven_weighted else cost_driven_minmax
-
 (* ---- stage 5: evaluation --------------------------------------------- *)
 
 let evaluation =
@@ -163,9 +150,8 @@ let evaluation =
     ~inputs:[ "positions"; "assignment" ]
     ~outputs:[ "history"; "best"; "current_cost"; "converged" ]
     (fun ctx ->
-      let cfg = ctx.Flow_ctx.cfg in
       let snap = Flow_ctx.take_snapshot ctx ~iteration:ctx.Flow_ctx.iteration in
-      let cost = Flow_ctx.cost_of cfg snap in
+      let cost = Flow_ctx.cost_of snap in
       let ctx = Flow_ctx.remember ctx snap in
       let ctx = { ctx with Flow_ctx.history = snap :: ctx.Flow_ctx.history } in
       if ctx.Flow_ctx.iteration = 0 then
@@ -174,9 +160,7 @@ let evaluation =
         let improvement =
           (ctx.Flow_ctx.current_cost -. cost) /. Float.max ctx.Flow_ctx.current_cost 1.0
         in
-        let converged =
-          improvement < cfg.Flow_ctx.convergence_tol && ctx.Flow_ctx.iteration > 1
-        in
+        let converged = improvement < convergence_tol && ctx.Flow_ctx.iteration > 1 in
         {
           ctx with
           Flow_ctx.current_cost = Float.min ctx.Flow_ctx.current_cost cost;
@@ -213,13 +197,10 @@ let incremental_qplace =
       let weight = pseudo_weight_at cfg ~iteration:ctx.Flow_ctx.iteration in
       let pseudo = pseudo_nets ctx weight in
       let netlist = ctx.Flow_ctx.netlist and chip = ctx.Flow_ctx.chip in
-      let lap =
-        if cfg.Flow_ctx.incremental then Flow_cache.laplacian ctx.Flow_ctx.caches netlist ~chip
-        else Rc_place.Qplace.laplacian netlist ~chip
-      in
       let inc =
-        Rc_place.Qplace.incremental ~stability:cfg.Flow_ctx.stability ~lap netlist ~chip
-          ~prev:ctx.Flow_ctx.positions ~pseudo
+        Rc_place.Qplace.incremental
+          ~lap:(Flow_cache.laplacian ctx.Flow_ctx.caches netlist ~chip)
+          netlist ~chip ~prev:ctx.Flow_ctx.positions ~pseudo
       in
       Flow_cache.note_displacement ctx.Flow_ctx.caches ~prev:ctx.Flow_ctx.positions
         ~next:inc.Rc_place.Qplace.positions;

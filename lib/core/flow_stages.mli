@@ -1,8 +1,13 @@
 (** The six stage implementations of the paper's Fig. 3 flow, as
     pluggable {!Flow_stage.t} values.  Slots with multiple
-    implementations expose each variant plus an [*_of] selector that
-    picks the config's default; {!Flow.plan_of_config} wires them into a
-    plan, and callers swap variants by building a custom plan. *)
+    implementations expose each variant, plus an [*_of] selector where
+    a config field picks the default; {!Flow.plan_of_config} wires them
+    into a plan, and callers swap variants by building a custom plan.
+
+    The stages hold the flow's one-value constants: stage 2 sets stage
+    4's prespecified slack to half its maximum slack, stage 5 declares
+    convergence below a 0.2 % cost improvement, and stage 6's stability
+    spring is {!Rc_place.Qplace.incremental}'s default. *)
 
 (** {2 Stage 1: initial placement} *)
 
@@ -21,12 +26,11 @@ val assignment_of : Flow_ctx.mode -> Flow_stage.t
 (** {2 Stage 4: cost-driven skew scheduling} *)
 
 val cost_driven_minmax : Flow_stage.t
-(** Min-max Δ objective on the constraint graph. *)
+(** Min-max Δ objective on the constraint graph: the slot's default. *)
 
 val cost_driven_weighted : Flow_stage.t
-(** Exact weighted-sum objective (min-cost-flow dual). *)
-
-val cost_driven_of : Flow_ctx.config -> Flow_stage.t
+(** Exact weighted-sum objective (min-cost-flow dual), reached by
+    swapping the plan's [cost_schedule] slot. *)
 
 (** {2 Stage 5: evaluation} *)
 

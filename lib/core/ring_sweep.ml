@@ -6,13 +6,13 @@ type point = {
   ring_metal : float;
 }
 
-let sweep ?(mode = Flow.Netflow) bench ~grids =
+let sweep bench ~grids =
   if grids = [] then invalid_arg "Ring_sweep.sweep: no grids";
   let points =
     List.map
       (fun grid ->
         let b = { bench with Bench_suite.ring_grid = grid } in
-        let o = Flow.run (Flow.default_config ~mode b) in
+        let o = Flow.run (Flow.default_config b) in
         let ring_metal =
           Array.fold_left
             (fun acc r -> acc +. (2.0 *. Rc_rotary.Ring.perimeter r))

@@ -13,9 +13,8 @@ type point = {
   ring_metal : float;  (** Total ring conductor length, µm (2 conductors). *)
 }
 
-val sweep :
-  ?mode:Flow.mode -> Bench_suite.bench -> grids:int list -> point list * point
-(** Run the full flow once per grid size and return all points plus the
+val sweep : Bench_suite.bench -> grids:int list -> point list * point
+(** Run the full network-flow flow once per grid size and return all points plus the
     winner by total wirelength including ring metal.
     @raise Invalid_argument on an empty grid list. *)
 

@@ -9,7 +9,12 @@ type result = {
   report : string;
 }
 
-let run ?(nx = 32) ?(ny = 32) ?(capacity = 48) (o : Flow.outcome) =
+(* the clock-stub grid: 32x32 g-cells, 48 tracks per boundary *)
+let nx = 32
+let ny = 32
+let capacity = 48
+
+let run (o : Flow.outcome) =
   let chip = Bench_suite.chip o.Flow.cfg.Flow.bench in
   let grid = Rc_route.Grid.create ~chip ~nx ~ny ~capacity in
   (* signal nets *)

@@ -15,5 +15,6 @@ type result = {
   report : string;
 }
 
-val run : ?nx:int -> ?ny:int -> ?capacity:int -> Flow.outcome -> result
-(** Grid defaults: 32×32 g-cells, 48 tracks per boundary. *)
+val run : Flow.outcome -> result
+(** The clock stubs route on a 32×32 g-cell grid with 48 tracks per
+    boundary; the signal nets on {!Rc_route.Router.route_netlist}'s. *)

@@ -18,5 +18,5 @@ val scale : float -> t -> t
 val manhattan : t -> t -> float
 (** L1 distance — the routing-wire length between two points. *)
 
-val equal : ?eps:float -> t -> t -> bool
-(** Componentwise tolerant equality. *)
+val equal : t -> t -> bool
+(** Componentwise tolerant equality ({!Rc_util.Approx.equal}). *)

@@ -1,4 +1,4 @@
-type edge = { src : int; dst : int; weight : float; tag : int }
+type edge = { src : int; dst : int; weight : float }
 
 type t = { n : int; adj : edge list array; mutable m : int }
 
@@ -14,10 +14,10 @@ let n_edges g = g.m
 let check g v name =
   if v < 0 || v >= g.n then invalid_arg ("Digraph." ^ name ^ ": vertex out of range")
 
-let add_edge ?(tag = -1) g u v w =
+let add_edge g u v w =
   check g u "add_edge";
   check g v "add_edge";
-  g.adj.(u) <- { src = u; dst = v; weight = w; tag } :: g.adj.(u);
+  g.adj.(u) <- { src = u; dst = v; weight = w } :: g.adj.(u);
   g.m <- g.m + 1
 
 let out_edges g v =

@@ -2,10 +2,9 @@
 
     This is the workhorse for static timing (combinational DAGs), skew
     scheduling (difference-constraint graphs), and the min-cost-flow
-    residual network. Edges carry a float weight and an arbitrary
-    payload index so algorithms can report which edge they used. *)
+    residual network. Edges carry a float weight. *)
 
-type edge = { src : int; dst : int; weight : float; tag : int }
+type edge = { src : int; dst : int; weight : float }
 
 type t
 
@@ -16,9 +15,9 @@ val create : int -> t
 val n_vertices : t -> int
 val n_edges : t -> int
 
-val add_edge : ?tag:int -> t -> int -> int -> float -> unit
+val add_edge : t -> int -> int -> float -> unit
 (** [add_edge g u v w] adds a directed edge [u -> v] of weight [w].
-    Parallel edges are allowed. [tag] defaults to -1.
+    Parallel edges are allowed.
     @raise Invalid_argument on out-of-range vertices. *)
 
 val out_edges : t -> int -> edge list

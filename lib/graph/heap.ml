@@ -4,8 +4,7 @@ type 'a t = {
   mutable n : int;
 }
 
-let create ?(capacity = 16) () =
-  { keys = Array.make (max capacity 1) 0.0; vals = Array.make (max capacity 1) None; n = 0 }
+let create () = { keys = Array.make 16 0.0; vals = Array.make 16 None; n = 0 }
 
 let size h = h.n
 let is_empty h = h.n = 0

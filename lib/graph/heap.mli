@@ -4,8 +4,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty heap. *)
+val create : unit -> 'a t
+(** Fresh empty heap (room for 16 entries, doubling as it fills). *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

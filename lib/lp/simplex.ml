@@ -111,9 +111,12 @@ let refactorize st =
 
 exception Done of status
 
-let solve ?max_iter ?(eps = 1e-7) problem =
+(* feasibility/optimality tolerance *)
+let eps = 1e-7
+
+let solve problem =
   let nv = Problem.n_vars problem and m = Problem.n_rows problem in
-  let max_iter = Option.value max_iter ~default:(20000 + (50 * (m + nv))) in
+  let max_iter = 20000 + (50 * (m + nv)) in
   let ncols = nv + m + m in
   let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
   let lo = Array.make ncols neg_infinity and hi = Array.make ncols infinity in

@@ -20,7 +20,7 @@ type solution = {
   iterations : int;
 }
 
-val solve : ?max_iter:int -> ?eps:float -> Problem.t -> solution
-(** Solve a minimization problem. [eps] (default 1e-7) is the
-    feasibility/optimality tolerance; [max_iter] defaults to
-    [20000 + 50 * (rows + vars)]. *)
+val solve : Problem.t -> solution
+(** Solve a minimization problem, to a feasibility/optimality
+    tolerance of 1e-7 and within [20000 + 50 * (rows + vars)]
+    iterations. *)

@@ -58,19 +58,17 @@ type hier_config = {
   hseed : int;
 }
 
-let hier ?(ff_fraction = 0.12) ?(rent_exponent = 0.65) ?(rent_coeff = 3.0)
-    ?(block_cells = 4096) ?(branching = 4) ?(depth = 10) ?(max_fanin = 3) ~name
-    ~n_cells ~chip ~seed () =
+let hier ?(block_cells = 4096) ~name ~n_cells ~chip ~seed () =
   {
     hname = name;
     n_cells;
-    ff_fraction;
-    rent_exponent;
-    rent_coeff;
+    ff_fraction = 0.12;
+    rent_exponent = 0.65;
+    rent_coeff = 3.0;
     block_cells;
-    branching;
-    hdepth = depth;
-    hmax_fanin = max_fanin;
+    branching = 4;
+    hdepth = 10;
+    hmax_fanin = 3;
     hchip = chip;
     hseed = seed;
   }

@@ -44,22 +44,16 @@ type hier_config = {
     of the tree — the million-cell counterpart of {!config}. *)
 
 val hier :
-  ?ff_fraction:float ->
-  ?rent_exponent:float ->
-  ?rent_coeff:float ->
   ?block_cells:int ->
-  ?branching:int ->
-  ?depth:int ->
-  ?max_fanin:int ->
   name:string ->
   n_cells:int ->
   chip:Rc_geom.Rect.t ->
   seed:int ->
   unit ->
   hier_config
-(** [hier ~name ~n_cells ~chip ~seed ()] with defaults: 12% flip-flops,
-    Rent exponent 0.65 / coefficient 3.0, 4096-cell blocks, branching 4,
-    depth 10, max fan-in 3. *)
+(** [hier ~name ~n_cells ~chip ~seed ()]: 12% flip-flops, Rent
+    exponent 0.65 / coefficient 3.0, [block_cells]-cell blocks (default
+    4096), branching 4, depth 10, max fan-in 3. *)
 
 val hier_counts : hier_config -> int * int
 (** [(n_logic, n_ffs)] that {!generate_hier} will emit for this profile

@@ -88,34 +88,34 @@ let kind_name = function
 
 (* ---- the registry ---------------------------------------------------- *)
 
-type t = { cells : (string, cell) Hashtbl.t; lock : Mutex.t }
+(* the one name -> cell table every layer records into *)
+let cells : (string, cell) Hashtbl.t = Hashtbl.create 64
+let lock = Mutex.create ()
 
-let global = { cells = Hashtbl.create 64; lock = Mutex.create () }
-
-let intern ?(reg = global) name make same =
-  Mutex.lock reg.lock;
+let intern name make same =
+  Mutex.lock lock;
   let cell =
-    match Hashtbl.find_opt reg.cells name with
+    match Hashtbl.find_opt cells name with
     | Some c -> c
     | None ->
         let c = make () in
-        Hashtbl.add reg.cells name c;
+        Hashtbl.add cells name c;
         c
   in
-  Mutex.unlock reg.lock;
+  Mutex.unlock lock;
   match same cell with
   | Some v -> v
   | None ->
       invalid_arg
         (Printf.sprintf "Metrics: %s already registered as a %s" name (kind_name cell))
 
-let counter ?reg name =
-  intern ?reg name
+let counter name =
+  intern name
     (fun () -> C { c_name = name; c = Array.make (capacity * stride) 0 })
     (function C c -> Some c | _ -> None)
 
-let gauge ?reg name =
-  intern ?reg name
+let gauge name =
+  intern name
     (fun () ->
       G
         {
@@ -125,8 +125,8 @@ let gauge ?reg name =
         })
     (function G g -> Some g | _ -> None)
 
-let timer ?reg name =
-  intern ?reg name
+let timer name =
+  intern name
     (fun () ->
       T
         {
@@ -136,8 +136,8 @@ let timer ?reg name =
         })
     (function T t -> Some t | _ -> None)
 
-let histogram ?reg name =
-  intern ?reg name
+let histogram name =
+  intern name
     (fun () ->
       let h = Array.make (capacity * h_stride) 0 in
       init_histogram_slots h;
@@ -256,25 +256,25 @@ let value_of_cell = function
 
 type snapshot = (string * value) list
 
-let snapshot ?(reg = global) () =
+let snapshot () =
   if not (Atomic.get on) then []
   else begin
-    Mutex.lock reg.lock;
-    let entries = Hashtbl.fold (fun name cell acc -> (name, cell) :: acc) reg.cells [] in
-    Mutex.unlock reg.lock;
+    Mutex.lock lock;
+    let entries = Hashtbl.fold (fun name cell acc -> (name, cell) :: acc) cells [] in
+    Mutex.unlock lock;
     entries
     |> List.map (fun (name, cell) -> (name, value_of_cell cell))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   end
 
-let value_of ?(reg = global) name =
-  Mutex.lock reg.lock;
-  let cell = Hashtbl.find_opt reg.cells name in
-  Mutex.unlock reg.lock;
+let value_of name =
+  Mutex.lock lock;
+  let cell = Hashtbl.find_opt cells name in
+  Mutex.unlock lock;
   Option.map value_of_cell cell
 
-let reset ?(reg = global) () =
-  Mutex.lock reg.lock;
+let reset () =
+  Mutex.lock lock;
   Hashtbl.iter
     (fun _ cell ->
       match cell with
@@ -288,8 +288,8 @@ let reset ?(reg = global) () =
       | H h ->
           Array.fill h.h 0 (Array.length h.h) 0;
           init_histogram_slots h.h)
-    reg.cells;
-  Mutex.unlock reg.lock
+    cells;
+  Mutex.unlock lock
 
 (* ---- snapshot algebra ------------------------------------------------- *)
 
@@ -369,9 +369,9 @@ let export_value = function
   | Timer { total_s; _ } -> int_of_float (Float.round (total_s *. 1000.0))
   | Hist { n; _ } -> n
 
-let export_values ?reg () =
+let export_values () =
   Array.map
-    (fun name -> match value_of ?reg name with None -> 0 | Some v -> export_value v)
+    (fun name -> match value_of name with None -> 0 | Some v -> export_value v)
     export_names
 
 (* ---- rendering -------------------------------------------------------- *)

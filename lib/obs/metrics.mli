@@ -4,7 +4,9 @@
 
     {1 Model}
 
-    A metric is a named {e cell} interned once (typically in a
+    There is one registry per process, and every function below works
+    on it: no function takes a registry argument.  A metric is a named
+    {e cell} interned once (typically in a
     module-level [let] next to the instrumented code) and updated through
     the recording functions below.  Every cell is sharded per domain:
     recording writes only the calling domain's cache-line-padded slot, so
@@ -29,12 +31,6 @@
     allocation, no clock read, no hash lookup — so instrumentation can
     stay on hot paths unconditionally.  Enable with {!set_enabled}. *)
 
-type t
-(** A registry: a mutable name → cell table. *)
-
-val global : t
-(** The process-global registry all solver layers record into. *)
-
 val enabled : unit -> bool
 (** [enabled ()] is [true] iff recording is on. Useful to guard
     instrumentation whose {e inputs} are expensive to compute. *)
@@ -43,7 +39,7 @@ val set_enabled : bool -> unit
 (** Turn recording on or off (off by default). The flag is global:
     flipping it mid-parallel-region affects all domains. *)
 
-val reset : ?reg:t -> unit -> unit
+val reset : unit -> unit
 (** Zero every cell (the cells stay interned). Call only at sync
     points. *)
 
@@ -68,10 +64,10 @@ type histogram
     significant bits, i.e. [2^(k-1) .. 2^k - 1]; the top bucket is
     open-ended). *)
 
-val counter : ?reg:t -> string -> counter
-val gauge : ?reg:t -> string -> gauge
-val timer : ?reg:t -> string -> timer
-val histogram : ?reg:t -> string -> histogram
+val counter : string -> counter
+val gauge : string -> gauge
+val timer : string -> timer
+val histogram : string -> histogram
 
 (** {1 Recording (hot path)} *)
 
@@ -99,11 +95,11 @@ type value =
 type snapshot = (string * value) list
 (** Merged values, sorted by metric name. *)
 
-val snapshot : ?reg:t -> unit -> snapshot
+val snapshot : unit -> snapshot
 (** All interned cells and their merged values; [[]] when the registry
     is disabled. *)
 
-val value_of : ?reg:t -> string -> value option
+val value_of : string -> value option
 (** The merged value of one metric by name, if interned. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
@@ -128,7 +124,7 @@ val strip_timers : snapshot -> snapshot
 val export_names : string array
 (** The exported metric names, in shm field order. *)
 
-val export_values : ?reg:t -> unit -> int array
+val export_values : unit -> int array
 (** Current merged values in {!export_names} order, collapsed to one
     integer per cell: counters and histogram counts as-is, gauges
     rounded, timers as total milliseconds.  Unlike {!snapshot} this

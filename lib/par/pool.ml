@@ -396,19 +396,17 @@ let unwrap = function Some v -> v | None -> assert false
 
 let parallelizable () = match backend () with `Seq -> false | `Scope _ | `Pool -> true
 
-let mapi ?(min_items = 2) f a =
+let map f a =
   let n = Array.length a in
   if n = 0 then [||]
-  else if n < min_items || not (parallelizable ()) then Array.mapi f a
+  else if n < 2 || not (parallelizable ()) then Array.map f a
   else begin
     let out = Array.make n None in
-    for_ n (fun i -> out.(i) <- Some (f i a.(i)));
+    for_ n (fun i -> out.(i) <- Some (f a.(i)));
     Array.map unwrap out
   end
 
-let map ?min_items f a = mapi ?min_items (fun _ x -> f x) a
-
-let map_list ?min_items f l = Array.to_list (map ?min_items f (Array.of_list l))
+let map_list f l = Array.to_list (map f (Array.of_list l))
 
 let both ?(parallel = true) f g =
   let seq () =

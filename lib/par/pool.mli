@@ -111,10 +111,10 @@ val for_with :
     must pass it only to call sites whose [init] builds compatible
     scratch. *)
 
-val map : ?min_items:int -> ('a -> 'b) -> 'a array -> 'b array
+val map : ('a -> 'b) -> 'a array -> 'b array
 (** Ordered parallel map: result slot [i] is [f a.(i)].  Identical to
-    [Array.map f a] for pure [f], for any job count.  Sequential below
-    [min_items] elements (default 2), like {!for_}. *)
+    [Array.map f a] for pure [f], for any job count.  A one-element
+    array maps in the calling domain. *)
 
-val map_list : ?min_items:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** Ordered parallel map over a list (internally via arrays). *)

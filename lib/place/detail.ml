@@ -44,10 +44,10 @@ let median_target netlist positions c =
       in
       Some (Point.make (med !xs) (med !ys))
 
-let refine ?(max_passes = 4) ?swap_radius ?(seed = 31) ?(frozen = fun _ -> false) netlist ~chip ~site positions =
+let refine ?(max_passes = 4) ?(frozen = fun _ -> false) netlist ~chip ~site positions =
   if site <= 0.0 then invalid_arg "Detail.refine: non-positive site pitch";
-  let swap_radius = Option.value swap_radius ~default:(4.0 *. site) in
-  let rng = Rc_util.Rng.create seed in
+  let swap_radius = 4.0 *. site in
+  let rng = Rc_util.Rng.create 31 in
   let pos = Array.copy positions in
   let nx = max 1 (int_of_float (Rect.width chip /. site)) in
   let ny = max 1 (int_of_float (Rect.height chip /. site)) in

@@ -21,8 +21,6 @@ type stats = {
 
 val refine :
   ?max_passes:int ->
-  ?swap_radius:float ->
-  ?seed:int ->
   ?frozen:(int -> bool) ->
   Rc_netlist.Netlist.t ->
   chip:Rc_geom.Rect.t ->
@@ -32,7 +30,8 @@ val refine :
 (** Refine a placement whose movable cells sit on distinct sites of the
     [site] grid (a legalized {!Qplace} placement); returns the improved
     placement (input not modified) and statistics. [max_passes] defaults
-    to 4, [swap_radius] (µm) to 4 sites. [frozen] cells are never moved
+    to 4; swaps reach 4 sites, and the move order comes from a fixed
+    seed. [frozen] cells are never moved
     or swapped (the flow freezes flip-flops during incremental passes so
     refinement cannot undo the pseudo-net pull). Legality (distinct
     sites inside the die) is preserved. *)

@@ -732,15 +732,14 @@ let initial_flat ~seed ~spread_rounds netlist ~chip =
 
 (* [initial] keeps the paper circuits (well under the threshold) on the
    flat schedule byte for byte; the scaling suite takes the V-cycle *)
-let initial ?(seed = 7) ?(spread_rounds = 5)
-    ?(multilevel_threshold = multilevel_threshold) netlist ~chip =
+let initial ?(multilevel_threshold = multilevel_threshold) netlist ~chip =
   let n = Netlist.n_cells netlist in
   let m = ref 0 in
   for c = 0 to n - 1 do
     if Netlist.movable netlist c then incr m
   done;
-  if !m >= multilevel_threshold then initial_multilevel ~seed netlist ~chip
-  else initial_flat ~seed ~spread_rounds netlist ~chip
+  if !m >= multilevel_threshold then initial_multilevel ~seed:7 netlist ~chip
+  else initial_flat ~seed:7 ~spread_rounds:5 netlist ~chip
 
 let incremental ?(stability = 0.004) ~lap netlist ~chip ~prev ~pseudo =
   let n = Netlist.n_cells netlist in

@@ -22,15 +22,12 @@ type result = {
 }
 
 val initial :
-  ?seed:int ->
-  ?spread_rounds:int ->
   ?multilevel_threshold:int ->
   Rc_netlist.Netlist.t ->
   chip:Rc_geom.Rect.t ->
   result
-(** Global placement from scratch (flow stage 1). [spread_rounds]
-    (default 5) controls how many solve/spread rounds run before
-    legalization.
+(** Global placement from scratch (flow stage 1): five solve/spread
+    rounds, then legalization, from a fixed seed.
 
     Circuits with at least [multilevel_threshold] movable cells
     (default 50 000 — far above every Table II circuit, so the paper

@@ -7,7 +7,7 @@ type t = {
   period : float;
 }
 
-let create ?(period = 1000.0) ?(t_ref = 0.0) ~chip ~grid () =
+let create ?(period = 1000.0) ~chip ~grid () =
   if grid < 1 then invalid_arg "Ring_array.create: grid < 1";
   let pw = Rect.width chip /. float_of_int grid in
   let ph = Rect.height chip /. float_of_int grid in
@@ -23,7 +23,7 @@ let create ?(period = 1000.0) ?(t_ref = 0.0) ~chip ~grid () =
         in
         (* checkerboard direction so abutting edges co-propagate *)
         let clockwise = (gx + gy) mod 2 = 0 in
-        Ring.make ~id ~rect ~clockwise ~t_ref ~period)
+        Ring.make ~id ~rect ~clockwise ~t_ref:0.0 ~period)
   in
   { rings; grid; chip; period }
 

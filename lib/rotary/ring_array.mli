@@ -9,13 +9,12 @@ type t
 
 val create :
   ?period:float ->
-  ?t_ref:float ->
   chip:Rc_geom.Rect.t ->
   grid:int ->
   unit ->
   t
 (** Tile [chip] with [grid × grid] rings. [period] defaults to 1000 ps
-    (1 GHz); [t_ref] (delay at every ring origin) defaults to 0.
+    (1 GHz); the delay at every ring origin is 0.
     @raise Invalid_argument if [grid < 1]. *)
 
 val n_rings : t -> int

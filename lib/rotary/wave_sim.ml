@@ -226,7 +226,10 @@ let measure_two_rings cfg ~mistune ~coupling_g =
   in
   (period_of 0, period_of 1)
 
-let simulate_coupled ?(mistune = 0.04) ?(coupling_r = 40.0) cfg =
+(* the second ring's inductance is scaled by 1 + mistune *)
+let mistune = 0.04
+
+let simulate_coupled ?(coupling_r = 40.0) cfg =
   if cfg.segments < 8 then invalid_arg "Wave_sim.simulate_coupled: need >= 8 segments";
   if coupling_r <= 0.0 then invalid_arg "Wave_sim.simulate_coupled: non-positive coupling";
   let t1u, t2u = measure_two_rings cfg ~mistune ~coupling_g:0.0 in

@@ -60,9 +60,8 @@ type coupled_result = {
   locked_together : bool;  (** Both rings oscillate and the coupled mismatch collapsed. *)
 }
 
-val simulate_coupled :
-  ?mistune:float -> ?coupling_r:float -> config -> coupled_result
-(** [mistune] (default 0.04) scales the second ring's inductance by
-    [1 + mistune]; [coupling_r] (default 40 Ω) is each bridge's
+val simulate_coupled : ?coupling_r:float -> config -> coupled_result
+(** The second ring's inductance is 4 % above the first's;
+    [coupling_r] (default 40 Ω) is each bridge's
     resistance (8 bridges, evenly spaced). Bridges much weaker than
     ~200 Ω fall out of the locking range — observable by sweeping. *)

@@ -80,7 +80,10 @@ let path_length grid path =
   in
   go 0.0 path
 
-let route_connections ?(max_rounds = 5) grid connections =
+(* rip-up-and-reroute rounds after the first pass *)
+let max_rounds = 5
+
+let route_connections grid connections =
   let history = Hashtbl.create 256 in
   let endpoints =
     List.map (fun (a, b) -> (Grid.cell_of grid a, Grid.cell_of grid b)) connections
@@ -112,8 +115,8 @@ let route_connections ?(max_rounds = 5) grid connections =
   let wirelength = List.fold_left (fun acc p -> acc +. path_length grid p) 0.0 !paths in
   { grid; wirelength; overflow = Grid.overflow grid; rounds = !rounds }
 
-let route_netlist ?max_rounds ?(nx = 32) ?(ny = 32) ?(capacity = 24) ~chip netlist positions =
-  let grid = Grid.create ~chip ~nx ~ny ~capacity in
+let route_netlist ~chip netlist positions =
+  let grid = Grid.create ~chip ~nx:32 ~ny:32 ~capacity:24 in
   let connections = ref [] in
   Rc_netlist.Netlist.iter_nets netlist (fun ni _ ->
       let net = Rc_netlist.Netlist.net netlist ni in
@@ -132,4 +135,4 @@ let route_netlist ?max_rounds ?(nx = 32) ?(ny = 32) ?(capacity = 24) ~chip netli
       in
       if List.length distinct >= 2 then
         connections := Rc_place.Steiner.tree distinct @ !connections);
-  route_connections ?max_rounds grid !connections
+  route_connections grid !connections

@@ -14,22 +14,11 @@ type routed = {
   rounds : int;  (** Negotiation rounds executed. *)
 }
 
-val route_connections :
-  ?max_rounds:int ->
-  Grid.t ->
-  (Rc_geom.Point.t * Rc_geom.Point.t) list ->
-  routed
-(** Route the given two-pin connections on the grid (mutates its usage).
-    [max_rounds] defaults to 5. *)
+val route_connections : Grid.t -> (Rc_geom.Point.t * Rc_geom.Point.t) list -> routed
+(** Route the given two-pin connections on the grid (mutates its usage),
+    in at most 5 negotiation rounds. *)
 
-val route_netlist :
-  ?max_rounds:int ->
-  ?nx:int ->
-  ?ny:int ->
-  ?capacity:int ->
-  chip:Rc_geom.Rect.t ->
-  Rc_netlist.Netlist.t ->
-  Rc_geom.Point.t array ->
-  routed
+val route_netlist : chip:Rc_geom.Rect.t -> Rc_netlist.Netlist.t -> Rc_geom.Point.t array -> routed
 (** Decompose every net of a placed netlist into Steiner edges and route
-    them. Grid defaults: 32×32 cells, capacity 24 tracks per boundary. *)
+    them with {!route_connections} on a 32×32 g-cell grid with 24 tracks
+    per boundary. *)

@@ -20,13 +20,14 @@
    (the restored positions/targets) rather than its contents: every
    cache in the flow validates against exact inputs, so a fresh cache
    produces bit-identical results, and [load] re-warms the incremental
-   STA session from the restored placement so the resumed loop performs
-   incremental (not cold) timing updates from the first iteration on.
-   See docs/serving.md for the version policy. *)
+   STA session from the restored placement (Flow_ctx.warm_sta) so the
+   resumed loop performs incremental (not cold) timing updates from the
+   first iteration on.  See docs/serving.md for the version policy:
+   version 3 dropped six Flow.config fields from the payload. *)
 
 open Rc_core
 
-let format_version = 2
+let format_version = 3
 
 let magic = "RCCKPT"
 
@@ -259,28 +260,14 @@ let inspect ~path =
   | r -> r
   | exception Sys_error e -> Error e
 
-(* re-warm the incremental caches from the restored placement: one
-   analyze on identical positions primes the STA session, after which
-   the resumed loop performs the same incremental cone updates an
+(* the context a payload describes, with its caches re-warmed: the STA
+   session is primed from the restored placement, after which the
+   resumed loop performs the same incremental cone updates an
    uninterrupted run would (the candidate-tap and assignment caches
    re-warm on their first in-loop use) *)
-let warm_caches (ctx : Flow_ctx.t) =
-  if ctx.Flow_ctx.cfg.Flow_ctx.incremental && Array.length ctx.Flow_ctx.positions > 0 then begin
-    let session =
-      Flow_cache.sta_session ctx.Flow_ctx.caches ctx.Flow_ctx.cfg.Flow_ctx.tech
-        ctx.Flow_ctx.netlist
-    in
-    ignore (Rc_timing.Sta.analyze_batch session ~positions:ctx.Flow_ctx.positions)
-  end
-
-let ctx_of_payload ?netlist ?(warm = true) p =
+let ctx_of_payload p =
   let cfg = p.p_cfg in
-  let netlist =
-    match netlist with
-    | Some n -> n
-    | None -> Bench_suite.netlist cfg.Flow_ctx.bench
-  in
-  let base = Flow_ctx.create ~arm:p.p_arm cfg netlist in
+  let base = Flow_ctx.create ~arm:p.p_arm cfg (Bench_suite.netlist cfg.Flow_ctx.bench) in
   let ctx =
     {
       base with
@@ -299,17 +286,17 @@ let ctx_of_payload ?netlist ?(warm = true) p =
       trace = List.fold_left Flow_trace.record Flow_trace.empty p.p_trace;
     }
   in
-  if warm then warm_caches ctx;
+  Flow_ctx.warm_sta ctx;
   ctx
 
-let load_blob ?netlist ?warm s =
+let load_blob s =
   let ( let* ) = Result.bind in
   let* meta, payload = parse_blob s in
-  Ok (meta, ctx_of_payload ?netlist ?warm payload)
+  Ok (meta, ctx_of_payload payload)
 
-let load ?netlist ?warm ~path () =
+let load ~path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | s -> load_blob ?netlist ?warm s
+  | s -> load_blob s
   | exception Sys_error e -> Error e
 
 (* ---- session conveniences --------------------------------------------- *)
@@ -329,7 +316,7 @@ let run_with_checkpoints ?(every = 1) ~dir ~name ?guard cfg =
   let outcome = Flow.run ?guard ~on_iteration cfg in
   (outcome, List.rev !saved)
 
-let resume ?guard ?on_iteration ~path () =
-  match load ~path () with
+let resume ?guard ~path () =
+  match load ~path with
   | Error e -> Error e
-  | Ok (_meta, ctx) -> Ok (Flow.resume_on ?guard ?on_iteration ctx)
+  | Ok (_meta, ctx) -> Ok (Flow.resume_on ?guard ctx)

@@ -5,7 +5,7 @@
     {1 Format}
 
     A checkpoint file is:
-    - line 1: ASCII magic + format version (["RCCKPT 2"]);
+    - line 1: ASCII magic + format version (["RCCKPT 3"]);
     - line 2: one-line JSON metadata ({!meta}: bench, mode, iteration,
       payload byte count and MD5) — readable without touching the blob;
     - the rest: a [Marshal] blob of the closure-free payload record
@@ -17,8 +17,9 @@
     incremental caches ({!Rc_core.Flow_cache}) are represented by their
     keys — the restored placement and targets — because every cache
     validates against exact inputs; {!load} re-warms the STA session
-    from the restored placement so a resumed loop does incremental (not
-    cold) timing updates from its first iteration.
+    from the restored placement ({!Rc_core.Flow_ctx.warm_sta}) so a
+    resumed loop does incremental (not cold) timing updates from its
+    first iteration.
 
     {1 Guarantee}
 
@@ -31,7 +32,9 @@
 
     [format_version] bumps on any payload or header change; {!load} and
     {!inspect} reject other versions with a descriptive error, never a
-    crash.  See [docs/serving.md]. *)
+    crash.  Version 3 dropped six {!Rc_core.Flow.config} fields, so a
+    version-2 payload no longer unmarshals into the current record.
+    See [docs/serving.md]. *)
 
 open Rc_core
 
@@ -75,30 +78,20 @@ val inspect : path:string -> (meta, string) result
 (** Read and validate only the header — cheap, no unmarshalling.  The
     same header checks as {!load}, which goes on to the payload. *)
 
-val load :
-  ?netlist:Rc_netlist.Netlist.t ->
-  ?warm:bool ->
-  path:string ->
-  unit ->
-  (meta * Flow_ctx.t, string) result
+val load : path:string -> (meta * Flow_ctx.t, string) result
 (** Rebuild a resumable context: regenerate the netlist from the
-    embedded config (or use [netlist] for flows on imported circuits),
-    restore every loop-visible field, and (unless [warm:false]) prime
-    the incremental STA session from the restored placement.  Errors —
-    unreadable file, wrong magic, unsupported version, truncation,
-    trailing bytes, digest mismatch — are returned, never raised. *)
+    embedded config's benchmark, restore every loop-visible field, and
+    prime the incremental STA session from the restored placement.
+    Errors — unreadable file, wrong magic, unsupported version,
+    truncation, trailing bytes, digest mismatch — are returned, never
+    raised. *)
 
-val load_blob :
-  ?netlist:Rc_netlist.Netlist.t ->
-  ?warm:bool ->
-  string ->
-  (meta * Flow_ctx.t, string) result
+val load_blob : string -> (meta * Flow_ctx.t, string) result
 (** {!load} over in-memory RCCKPT bytes instead of a path; {!load}
     reads the file and calls this, so both validate identically. *)
 
 val resume :
   ?guard:(Flow_ctx.t -> unit) ->
-  ?on_iteration:(Flow_ctx.t -> unit) ->
   path:string ->
   unit ->
   (Flow.outcome, string) result

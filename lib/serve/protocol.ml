@@ -24,7 +24,6 @@ type flow_request = {
   f_bench : Bench_suite.bench;
   f_mode : Flow.mode;
   f_max_iterations : int option;
-  f_incremental : bool option;
   f_checkpoint_every : int option;  (* None = no checkpointing *)
   f_checkpoint_dir : string option;
   f_resume_from : string option;  (* checkpoint path; overrides a fresh run *)
@@ -100,6 +99,11 @@ let opt_field conv = function
   | None -> Ok None
   | Some j -> ( match conv j with Some v -> Ok (Some v) | None -> Error "invalid field")
 
+(* bounds of a sweep request: [Ring_array.create] builds grid² rings,
+   and size1m's 50 is the largest shipped grid *)
+let max_sweep_grid = 64
+let max_sweep_grids = 16
+
 let parse_flow j =
   let resuming =
     match Option.bind (Json.member "resume_from" j) Json.to_string_opt with
@@ -115,14 +119,10 @@ let parse_flow j =
   in
   let* f_mode = mode_of_json (Json.member "mode" j) in
   let* f_max_iterations =
-    Result.map_error
-      (fun _ -> "invalid \"max_iterations\"")
-      (opt_field Json.to_int_opt (Json.member "max_iterations" j))
-  in
-  let* f_incremental =
-    Result.map_error
-      (fun _ -> "invalid \"incremental\"")
-      (opt_field Json.to_bool_opt (Json.member "incremental" j))
+    match opt_field Json.to_int_opt (Json.member "max_iterations" j) with
+    | Ok (Some k) when k < 0 -> Error "invalid \"max_iterations\" (expected >= 0)"
+    | Ok k -> Ok k
+    | Error _ -> Error "invalid \"max_iterations\""
   in
   let* f_checkpoint_every =
     match opt_field Json.to_int_opt (Json.member "checkpoint_every" j) with
@@ -153,7 +153,6 @@ let parse_flow j =
          f_bench;
          f_mode;
          f_max_iterations;
-         f_incremental;
          f_checkpoint_every;
          f_checkpoint_dir;
          f_resume_from;
@@ -198,6 +197,10 @@ let parse_sweep j =
         | _ -> Error "invalid \"grids\" (expected a list of ints)")
   in
   if s_grids = [] then Error "\"grids\" must be non-empty"
+  else if List.length s_grids > max_sweep_grids then
+    Error (Printf.sprintf "invalid \"grids\" (at most %d grids)" max_sweep_grids)
+  else if List.exists (fun g -> g < 1 || g > max_sweep_grid) s_grids then
+    Error (Printf.sprintf "invalid \"grids\" (each grid in 1..%d)" max_sweep_grid)
   else Ok (Sweep_op { s_bench; s_grids })
 
 let parse_variation j =
@@ -294,13 +297,16 @@ let parse_request line =
   let req_id = Option.value (Json.member "id" j) ~default:Json.Null in
   let attach op_result =
     let* op = op_result in
-    let priority =
-      Option.value (Option.bind (Json.member "priority" j) Json.to_int_opt) ~default:0
+    let* priority =
+      match opt_field Json.to_int_opt (Json.member "priority" j) with
+      | Ok p -> Ok (Option.value p ~default:0)
+      | Error _ -> Error "invalid \"priority\" (expected an int)"
     in
-    let deadline_s =
-      Option.map
-        (fun ms -> ms /. 1000.0)
-        (Option.bind (Json.member "deadline_ms" j) Json.to_float_opt)
+    let* deadline_s =
+      match opt_field Json.to_float_opt (Json.member "deadline_ms" j) with
+      | Ok None -> Ok None
+      | Ok (Some ms) when Float.is_finite ms && ms > 0.0 -> Ok (Some (ms /. 1000.0))
+      | _ -> Error "invalid \"deadline_ms\" (expected a number > 0)"
     in
     Ok { req_id; priority; deadline_s; op }
   in
@@ -403,11 +409,7 @@ let guard_of token = fun (_ : Flow_ctx.t) -> Cancel.check token
 
 let config_of_flow_request (r : flow_request) =
   let base = Flow.default_config ~mode:r.f_mode r.f_bench in
-  {
-    base with
-    Flow.max_iterations = Option.value r.f_max_iterations ~default:base.Flow.max_iterations;
-    incremental = Option.value r.f_incremental ~default:base.Flow.incremental;
-  }
+  { base with Flow.max_iterations = Option.value r.f_max_iterations ~default:base.Flow.max_iterations }
 
 (* the flow that seeds a session: a resume or a fresh run, with the
    checkpointing fields ignored (the session store escrows its own

@@ -24,8 +24,7 @@ open Rc_core
 type flow_request = {
   f_bench : Bench_suite.bench;
   f_mode : Flow.mode;
-  f_max_iterations : int option;
-  f_incremental : bool option;
+  f_max_iterations : int option;  (** [>= 0]; [0] runs the prologue only. *)
   f_checkpoint_every : int option;  (** [None] = no checkpointing. *)
   f_checkpoint_dir : string option;
   f_resume_from : string option;
@@ -35,7 +34,12 @@ type flow_request = {
 
 type report_request = { r_benches : Bench_suite.bench list; r_timings : bool }
 
-type sweep_request = { s_bench : Bench_suite.bench; s_grids : int list }
+type sweep_request = {
+  s_bench : Bench_suite.bench;
+  s_grids : int list;
+      (** 1 to 16 grids, each in [1 .. 64]: a [g] grid builds [g²]
+          rings, and size1m's 50 is the largest shipped grid. *)
+}
 
 type variation_request = { v_bench : Bench_suite.bench; v_mode : Flow.mode }
 
@@ -78,7 +82,7 @@ type op =
 type request = {
   req_id : Rc_util.Json.t;  (** Echoed back; [Null] when absent. *)
   priority : int;  (** Default 0; higher runs first. *)
-  deadline_s : float option;  (** From ["deadline_ms"], converted to s. *)
+  deadline_s : float option;  (** From ["deadline_ms"] ([> 0]), converted to s. *)
   op : op;
 }
 
@@ -87,7 +91,10 @@ val parse_request :
 (** Parse one request line.  Errors carry the request id (if one could
     be recovered) so the service can still address its error response,
     and the offending op name (when the request named one) so the error
-    envelope echoes which op was rejected. *)
+    envelope echoes which op was rejected.  Every field is checked at
+    parse time: a wrongly typed or out-of-range ["priority"],
+    ["deadline_ms"], ["max_iterations"] or ["grids"] is an error naming
+    the field, never a silent default.  Unknown fields are ignored. *)
 
 val max_line_bytes : int
 (** The longest client request line the front door reads, newline

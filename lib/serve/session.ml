@@ -116,7 +116,7 @@ let rehydrate t e =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "no escrow for session %d under %s" e.e_sid t.dir)
   else
-    match Checkpoint.load ~path () with
+    match Checkpoint.load ~path with
     | Error msg -> Error (Printf.sprintf "session %d escrow unreadable: %s" e.e_sid msg)
     | Ok (meta, ctx) ->
         e.e_ctx <- Some ctx;

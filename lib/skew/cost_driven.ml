@@ -9,7 +9,10 @@ let check_sizes problem anchors =
 let m_probes = Rc_obs.Metrics.counter "skew.minmax.probes"
 let m_solves = Rc_obs.Metrics.counter "skew.minmax.solves"
 
-let solve_minmax_graph ?(tolerance = 1e-3) problem ~slack ~anchors =
+(* the binary search on Δ stops once its bracket is this narrow, ps *)
+let tolerance = 1e-3
+
+let solve_minmax_graph problem ~slack ~anchors =
   check_sizes problem anchors;
   let n = problem.Skew_problem.n in
   (* Difference-constraint graph extended with a reference vertex [n]

@@ -29,9 +29,8 @@ type result = {
   objective : float;  (** Δ for min-max; Σ w·δ for weighted-sum. *)
 }
 
-val solve_minmax_graph :
-  ?tolerance:float -> Skew_problem.t -> slack:float -> anchors:anchor array -> result option
-(** Binary search on Δ. [None] if the timing constraints alone are
+val solve_minmax_graph : Skew_problem.t -> slack:float -> anchors:anchor array -> result option
+(** Binary search on Δ, to a 1e-3 ps bracket. [None] if the timing constraints alone are
     infeasible at the given slack. @raise Invalid_argument if the anchor
     array size differs from the problem size. *)
 

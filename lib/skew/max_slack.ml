@@ -4,7 +4,10 @@ let normalize skews =
   let lo = Array.fold_left Float.min infinity skews in
   if lo = infinity then skews else Array.map (fun s -> s -. lo) skews
 
-let solve_graph ?(tolerance = 1e-3) problem =
+(* the binary search on M stops once its bracket is this narrow, ps *)
+let tolerance = 1e-3
+
+let solve_graph problem =
   let hi0 = Skew_problem.slack_upper_bound problem in
   if hi0 = infinity then
     (* no pairs: any schedule works, slack unbounded — report zero skews

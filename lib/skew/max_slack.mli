@@ -12,8 +12,8 @@ type result = {
   slack : float;  (** The achieved M. *)
 }
 
-val solve_graph : ?tolerance:float -> Skew_problem.t -> result option
-(** Binary search on M (default tolerance 1e-3 ps). [None] when even
+val solve_graph : Skew_problem.t -> result option
+(** Binary search on M, to a 1e-3 ps bracket. [None] when even
     arbitrarily negative slack admits no schedule (a combinational
     constraint cycle is structurally infeasible — cannot happen for
     [d_min ≤ d_max] inputs with a finite two-cycle bound). *)

@@ -38,11 +38,11 @@ let workspace n =
     bv = Vec.create n;
   }
 
-let solve ?ws ?max_iter ?(tol = 1e-8) ?x0 a b =
+let solve ?ws ?(tol = 1e-8) ?x0 a b =
   let n = Csr.rows a in
   if Csr.cols a <> n then invalid_arg "Cg.solve: matrix not square";
   if Array.length b <> n then invalid_arg "Cg.solve: rhs size mismatch";
-  let max_iter = Option.value max_iter ~default:(4 * n) in
+  let max_iter = 4 * n in
   let ws =
     match ws with
     | Some w ->

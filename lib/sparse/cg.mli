@@ -21,14 +21,13 @@ val workspace : int -> workspace
 
 val solve :
   ?ws:workspace ->
-  ?max_iter:int ->
   ?tol:float ->
   ?x0:float array ->
   Csr.t ->
   float array ->
   outcome
 (** [solve a b] iterates until the relative residual drops below [tol]
-    (default 1e-8) or [max_iter] (default [4 * n]) is reached. [x0]
+    (default 1e-8) or [4 * n] iterations ran. [x0]
     warm-starts the iteration (defaults to the zero vector). [ws]
     provides scratch buffers (default: freshly allocated); the returned
     solution is always a fresh array, so a workspace may be reused for

@@ -3,14 +3,11 @@
     data. *)
 
 val render :
-  ?show_cells:bool ->
-  ?show_taps:bool ->
   chip:Rc_geom.Rect.t ->
   netlist:Rc_netlist.Netlist.t ->
   positions:Rc_geom.Point.t array ->
   rings:Rc_rotary.Ring_array.t ->
   taps:(int * Rc_rotary.Tapping.tap) list ->
-  unit ->
   string
 (** SVG document: die outline, logic cells (dots), flip-flops (squares),
     rings (nested square pair per ring, arrows omitted), and a stub line
@@ -18,13 +15,10 @@ val render :
     ids with taps). *)
 
 val write :
-  ?show_cells:bool ->
-  ?show_taps:bool ->
   path:string ->
   chip:Rc_geom.Rect.t ->
   netlist:Rc_netlist.Netlist.t ->
   positions:Rc_geom.Point.t array ->
   rings:Rc_rotary.Ring_array.t ->
   taps:(int * Rc_rotary.Tapping.tap) list ->
-  unit ->
   unit

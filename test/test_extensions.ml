@@ -151,9 +151,9 @@ let test_load_aware_tapping () =
 let test_ablation_tables_render () =
   let text t = Rc_obs.Report.to_text t in
   Alcotest.(check bool) "pseudo table" true
-    (String.length (text (Ablation.pseudo_weight_schedule ~bench:Bench_suite.tiny ())) > 100);
+    (String.length (text (Ablation.pseudo_weight_schedule ())) > 100);
   Alcotest.(check bool) "objective table" true
-    (String.length (text (Ablation.skew_objectives ~bench:Bench_suite.tiny ())) > 100)
+    (String.length (text (Ablation.skew_objectives ())) > 100)
 
 let () =
   Alcotest.run "rc_extensions"

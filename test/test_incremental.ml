@@ -1,8 +1,9 @@
 (* The incremental layer's contract: every reuse tier — incremental
    STA, the Eq. 1 candidate-tap cache, the cached assignment solver, and
    the rings_near shell search — is bit-identical to the cold path,
-   under randomized displacement sequences and for any job count.  Plus
-   a min-cost flow past an unreachable bin, and the pool's sequential
+   under randomized displacement sequences and for any job count, and
+   the whole flow is bit-identical to its cold reference.  Plus a
+   min-cost flow past an unreachable bin, and the pool's sequential
    cutoffs. *)
 
 open Rc_core
@@ -262,6 +263,62 @@ let test_assignment_empty_bin () =
       check_result_equal (Printf.sprintf "empty bin c0=%.1f" c0) cold cached)
     [ 3.0; 3.0; 11.0; 1.0 ]
 
+(* ---- the flow against its cold reference ------------------------------ *)
+
+(* The flow's own plan with every stage run on emptied caches: no result
+   of this run can come from a cache, so it is the reference the cached
+   flow must match bit for bit.  A cache that replays a value keyed on
+   too little makes the two runs differ. *)
+let cold_plan cfg =
+  let cold (st : Flow_stage.t) =
+    {
+      st with
+      Flow_stage.run =
+        (fun ctx ->
+          Flow_cache.reset ctx.Flow_ctx.caches;
+          st.Flow_stage.run ctx);
+    }
+  in
+  let p = Flow.plan_of_config cfg in
+  {
+    Flow.place = cold p.Flow.place;
+    schedule = cold p.Flow.schedule;
+    assign = cold p.Flow.assign;
+    cost_schedule = cold p.Flow.cost_schedule;
+    evaluate = cold p.Flow.evaluate;
+    replace = cold p.Flow.replace;
+  }
+
+let snapshot_bits (s : Flow.snapshot) =
+  List.map Int64.bits_of_float
+    [
+      s.Flow.afd;
+      s.Flow.tapping_wl;
+      s.Flow.signal_wl;
+      s.Flow.total_wl;
+      s.Flow.clock_mw;
+      s.Flow.signal_mw;
+      s.Flow.total_mw;
+      s.Flow.max_load_ff;
+    ]
+
+let test_flow_matches_cold () =
+  List.iter
+    (fun (bench, pin) ->
+      let name = bench.Bench_suite.bname in
+      let cfg = Flow.default_config bench in
+      let cached = Flow.run cfg in
+      let cold = Flow.run ~plan:(cold_plan cfg) cfg in
+      let digest = Rc_serve.Checkpoint.digest_of_outcome in
+      Alcotest.(check string) (name ^ ": digest") (digest cold) (digest cached);
+      Alcotest.(check (list int64))
+        (name ^ ": final snapshot bits")
+        (snapshot_bits cold.Flow.final) (snapshot_bits cached.Flow.final);
+      Option.iter
+        (fun pin -> Alcotest.(check string) (name ^ ": Table II pin") pin (digest cached))
+        pin)
+    [ (tiny, None); (Bench_suite.s9234, Some "8e6041d5e058485ce95bfa934681807a") ]
+
 (* ---- pool sequential cutoffs ------------------------------------------ *)
 
 let test_pool_min_items_cutoff () =
@@ -273,14 +330,15 @@ let test_pool_min_items_cutoff () =
       Rc_par.Pool.for_ ~min_items:10 100 (fun _ ->
           if Rc_par.Pool.in_parallel_region () then saw_region := true);
       Alcotest.(check bool) "above cutoff uses the pool" true !saw_region;
-      (* results are identical regardless of which side of the cutoff *)
-      let expect = Array.init 100 (fun i -> i * 3) in
+      (* results are identical regardless of which side of the cutoff:
+         map's is fixed at two elements *)
       Alcotest.(check (array int))
-        "map below cutoff" expect
-        (Rc_par.Pool.map ~min_items:1000 (fun i -> i * 3) (Array.init 100 Fun.id));
+        "map below cutoff" [| 21 |]
+        (Rc_par.Pool.map (fun i -> i * 3) [| 7 |]);
       Alcotest.(check (array int))
-        "map above cutoff" expect
-        (Rc_par.Pool.map ~min_items:10 (fun i -> i * 3) (Array.init 100 Fun.id)))
+        "map above cutoff"
+        (Array.init 100 (fun i -> i * 3))
+        (Rc_par.Pool.map (fun i -> i * 3) (Array.init 100 Fun.id)))
 
 let test_pool_both_sequential () =
   with_jobs 4 (fun () ->
@@ -315,6 +373,9 @@ let () =
         ] );
       ( "rotary",
         [ Alcotest.test_case "rings_near shell = full sort" `Quick test_rings_near_equivalence ]
+      );
+      ( "flow",
+        [ Alcotest.test_case "cached = cold plan, tiny and s9234" `Quick test_flow_matches_cold ]
       );
       ( "pool",
         [

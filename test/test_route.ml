@@ -49,7 +49,7 @@ let test_route_negotiation () =
       (Point.make 50.0 350.0, Point.make 750.0 350.0);
     ]
   in
-  let r = Router.route_connections ~max_rounds:12 g conns in
+  let r = Router.route_connections g conns in
   Alcotest.(check int) "congestion resolved" 0 r.Router.overflow;
   Alcotest.(check bool) "detours cost wire" true (r.Router.wirelength > 3.0 *. 700.0)
 
@@ -69,7 +69,7 @@ let test_route_netlist_small () =
   in
   let nl = Rc_netlist.Generator.generate cfg in
   let placed = Rc_place.Qplace.initial nl ~chip in
-  let r = Router.route_netlist ~nx:16 ~ny:16 ~capacity:16 ~chip nl placed.Rc_place.Qplace.positions in
+  let r = Router.route_netlist ~chip nl placed.Rc_place.Qplace.positions in
   Alcotest.(check bool) "routes everything without overflow" true (r.Router.overflow = 0);
   (* routed length is at least the Steiner lower bound's order: the
      g-cell metric quantizes, so just require sane magnitude *)
@@ -80,8 +80,8 @@ let test_route_netlist_small () =
     (r.Router.wirelength < 3.0 *. steiner +. 5000.0);
   (* congestion map shape *)
   let m = Grid.congestion_map r.Router.grid in
-  Alcotest.(check int) "map x" 16 (Array.length m);
-  Alcotest.(check int) "map y" 16 (Array.length m.(0));
+  Alcotest.(check int) "map x" 32 (Array.length m);
+  Alcotest.(check int) "map y" 32 (Array.length m.(0));
   Array.iter
     (Array.iter (fun v -> Alcotest.(check bool) "ratio nonnegative" true (v >= 0.0)))
     m

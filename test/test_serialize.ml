@@ -117,7 +117,7 @@ let test_svg_structure () =
                ~ff:positions.(c) ~target:100.0 ))
          ffs)
   in
-  let doc = Rc_viz.Layout.render ~chip ~netlist:nl ~positions ~rings ~taps () in
+  let doc = Rc_viz.Layout.render ~chip ~netlist:nl ~positions ~rings ~taps in
   Alcotest.(check bool) "xml header" true (String.length doc > 0 && String.sub doc 0 5 = "<?xml");
   let count needle =
     let n = ref 0 and i = ref 0 in
@@ -143,11 +143,11 @@ let test_svg_write () =
         else Netlist.pad_position nl c)
   in
   let path = Filename.temp_file "rcviz" ".svg" in
-  Rc_viz.Layout.write ~path ~chip ~netlist:nl ~positions ~rings ~taps:[] ();
+  Rc_viz.Layout.write ~path ~chip ~netlist:nl ~positions ~rings ~taps:[];
   let text = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
   Alcotest.(check string) "file holds the rendered document"
-    (Rc_viz.Layout.render ~chip ~netlist:nl ~positions ~rings ~taps:[] ())
+    (Rc_viz.Layout.render ~chip ~netlist:nl ~positions ~rings ~taps:[])
     text
 
 let prop_roundtrip_random =

@@ -112,7 +112,7 @@ let test_checkpoint_save_counts () =
   let saves1, failures1 = Checkpoint.save_counts () in
   Alcotest.(check int) "one count per file" (List.length checkpoints) (saves1 - saves0);
   Alcotest.(check int) "no failures" failures0 failures1;
-  let _, ctx = Result.get_ok (Checkpoint.load ~path:(snd (List.hd checkpoints)) ()) in
+  let _, ctx = Result.get_ok (Checkpoint.load ~path:(snd (List.hd checkpoints))) in
   (match Checkpoint.save ~path:(Filename.concat temp_dir "no-such-dir/x.ckpt") ctx with
   | _ -> Alcotest.fail "save into a missing directory succeeded"
   | exception Sys_error _ -> ());
@@ -131,7 +131,7 @@ let write_file path s =
   close_out oc
 
 let check_load_error name path expect =
-  match Checkpoint.load ~path () with
+  match Checkpoint.load ~path with
   | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" name
   | Error e ->
       Alcotest.(check bool)
@@ -162,6 +162,10 @@ let test_checkpoint_rejects_corruption () =
   | Ok _ -> Alcotest.fail "inspect accepted a version-1 header"
   | Error e ->
       Alcotest.(check bool) "inspect names version 1" true (contains e "version 1 unsupported"));
+  (* version 2, whose config record had six more fields: refused too *)
+  let p = Filename.concat temp_dir "version-2.ckpt" in
+  write_file p ("RCCKPT 2" ^ String.sub valid nl (String.length valid - nl));
+  check_load_error "version 2" p "version 2 unsupported";
   (* flipped byte deep in the payload: digest must catch it *)
   let p = Filename.concat temp_dir "flipped.ckpt" in
   let b = Bytes.of_string valid in
@@ -487,9 +491,46 @@ let test_protocol_parse () =
   | Error (_, Some "session_edit", e) ->
       Alcotest.(check bool) "names the bad kind" true (contains e "warp")
   | _ -> Alcotest.fail "bad edit kind accepted or op name lost");
-  match Protocol.parse_request "not json at all" with
+  (match Protocol.parse_request "not json at all" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted"
+  | Ok _ -> Alcotest.fail "garbage accepted");
+  (* every envelope and op field is checked at parse time: a wrongly
+     typed or out-of-range value is an error naming the field and the
+     op, never a silent default *)
+  List.iter
+    (fun (line, op, field) ->
+      match Protocol.parse_request line with
+      | Error (_, Some o, e) ->
+          Alcotest.(check string) (line ^ ": op") op o;
+          Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" line e field) true
+            (contains e field)
+      | Error (_, None, e) -> Alcotest.failf "%s: error lost the op name: %s" line e
+      | Ok _ -> Alcotest.failf "%s: accepted" line)
+    [
+      ({|{"id":1,"op":"flow","bench":"tiny","priority":"high"}|}, "flow", "\"priority\"");
+      ({|{"id":2,"op":"flow","bench":"tiny","priority":1.5}|}, "flow", "\"priority\"");
+      ({|{"id":3,"op":"flow","bench":"tiny","deadline_ms":"soon"}|}, "flow", "\"deadline_ms\"");
+      ({|{"id":4,"op":"flow","bench":"tiny","deadline_ms":-5}|}, "flow", "\"deadline_ms\"");
+      ({|{"id":4,"op":"flow","bench":"tiny","deadline_ms":0}|}, "flow", "\"deadline_ms\"");
+      ({|{"id":5,"op":"flow","bench":"tiny","max_iterations":-4}|}, "flow", "\"max_iterations\"");
+      ({|{"id":6,"op":"sweep","bench":"tiny","grids":[0,-3]}|}, "sweep", "\"grids\"");
+      ({|{"id":7,"op":"sweep","bench":"tiny","grids":[100000]}|}, "sweep", "\"grids\"");
+      ( {|{"id":8,"op":"sweep","bench":"tiny","grids":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]}|},
+        "sweep",
+        "\"grids\"" );
+    ];
+  (* the bounds themselves still parse: a 1 ms deadline, a
+     prologue-only flow, the largest grid, and a retired field *)
+  List.iter
+    (fun line ->
+      match Protocol.parse_request line with
+      | Ok _ -> ()
+      | Error (_, _, e) -> Alcotest.failf "%s: rejected: %s" line e)
+    [
+      {|{"id":9,"op":"flow","bench":"tiny","deadline_ms":1,"max_iterations":0,"priority":-2}|};
+      {|{"id":10,"op":"sweep","bench":"tiny","grids":[1,64]}|};
+      {|{"id":11,"op":"flow","bench":"tiny","incremental":"no"}|};
+    ]
 
 (* a resumed flow writes no checkpoints, and a cadence below 1 means
    nothing: both are refused at parse time, naming the op *)

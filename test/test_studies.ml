@@ -30,7 +30,7 @@ let test_variation_rotary_beats_tree_relatively () =
     < r.Variation_study.tree.Rc_variation.Variation.relative_spread)
 
 let test_clocking_compare () =
-  let rows, table = Clocking_compare.run ~model:small_model (Lazy.force outcome) in
+  let rows, table = Clocking_compare.run (Lazy.force outcome) in
   let text = Rc_obs.Report.to_text table in
   Alcotest.(check int) "three schemes" 3 (List.length rows);
   let find s = List.find (fun r -> r.Clocking_compare.scheme = s) rows in
