@@ -146,6 +146,14 @@ let m_tap_hits = Rc_obs.Metrics.counter "assign.tapcache.hits"
 let m_tap_misses = Rc_obs.Metrics.counter "assign.tapcache.misses"
 let m_tap_invalidations = Rc_obs.Metrics.counter "assign.tapcache.invalidations"
 
+type ilp_stats = {
+  lp_optimum : float;
+  ilp_objective : float;
+  integrality_gap : float;
+  lp_iterations : int;
+  elapsed_s : float;
+}
+
 (* The cache *is* a retained pool: a slot segment is reused only when
    the flip-flop's position, delay target, and the call's candidate
    count match the cached solve bit-for-bit ([c_key] is a quantized
@@ -168,6 +176,9 @@ type cache = {
   mutable sharded : (int * int array * Tapping.tap array * int array) option;
       (* the last sharded result: candidate count, capacities, taps,
          ring_of_ff (copies the caller never sees) *)
+  mutable ilp : (int * Tapping.tap array * int array * ilp_stats) option;
+      (* the last [by_ilp] result: candidate count, taps, ring_of_ff
+         (copies) and its stats *)
 }
 
 let make_cache () =
@@ -181,6 +192,7 @@ let make_cache () =
     c_arr = None;
     solver = None;
     sharded = None;
+    ilp = None;
   }
 
 let cache_invalidate cc ~ff =
@@ -195,7 +207,8 @@ let cache_reset cc =
   cc.c_t <- [||];
   cc.c_arr <- None;
   cc.solver <- None;
-  cc.sharded <- None
+  cc.sharded <- None;
+  cc.ilp <- None
 
 let quantized_key (p : Rc_geom.Point.t) target k =
   let q v = int_of_float (v *. 1024.0) in
@@ -241,7 +254,13 @@ let candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates =
         cc.c_t.(i) <- target
       end);
   cc.c_pool <- Some pl;
-  (pl, Atomic.get resolved)
+  let resolved = Atomic.get resolved in
+  (* a replayed result is valid only for the pool it was solved on *)
+  if resolved > 0 then begin
+    cc.sharded <- None;
+    cc.ilp <- None
+  end;
+  (pl, resolved)
 
 let tap_for pl i rj =
   let m = pool_count pl i in
@@ -530,14 +549,6 @@ let by_netflow ?(candidates = 6) ?capacities ?cache tech arr ~ff_positions ~targ
   in
   attempt candidates
 
-type ilp_stats = {
-  lp_optimum : float;
-  ilp_objective : float;
-  integrality_gap : float;
-  lp_iterations : int;
-  elapsed_s : float;
-}
-
 (* Build the Eq. 3 min-max ILP over the candidate arcs. Returns the LP
    problem, the (ff, ring, var, load) rows and the cap variable.
    Explicit loops keep the LP column order identical to the candidate
@@ -586,11 +597,9 @@ let assignment_from_bins tech arr ~ff_positions pl bins =
   let taps = Array.init n (fun i -> tap_for pl i bins.(i)) in
   finish tech arr ~ff_positions taps (Array.copy bins)
 
-let by_ilp ?(candidates = 6) tech arr ~ff_positions ~targets =
-  check_inputs ~fn:"Assign.by_ilp" ~candidates arr ff_positions targets;
-  let timer = Rc_util.Timer.start () in
-  let n = Array.length ff_positions in
-  let pl = candidate_taps_batch tech arr ~ff_positions ~targets ~candidates in
+(* The LP relaxation of Eq. 3 and the Fig. 5 rounding on one pool. *)
+let solve_ilp tech arr ~ff_positions pl ~timer =
+  let n = pl.n_ffs in
   let p, triples, _cap = build_minmax_problem tech arr pl in
   let sol = Rc_lp.Simplex.solve p in
   if sol.Rc_lp.Simplex.status <> Rc_lp.Simplex.Optimal then
@@ -615,6 +624,30 @@ let by_ilp ?(candidates = 6) tech arr ~ff_positions ~targets =
     }
   in
   (result, stats)
+
+let m_ilp_replays = Rc_obs.Metrics.counter "assign.ilp.replays"
+
+let by_ilp ?(candidates = 6) ?cache tech arr ~ff_positions ~targets =
+  check_inputs ~fn:"Assign.by_ilp" ~candidates arr ff_positions targets;
+  let timer = Rc_util.Timer.start () in
+  let pl, resolved =
+    match cache with
+    | None -> (candidate_taps_batch tech arr ~ff_positions ~targets ~candidates, -1)
+    | Some cc -> candidate_taps_cached cc tech arr ~ff_positions ~targets ~candidates
+  in
+  match cache with
+  | Some { ilp = Some (k, taps, rings, stats); _ } when resolved = 0 && k = candidates ->
+      (* every flip-flop hit the tap cache: the LP and its rounding
+         would re-solve to the previous result bit for bit *)
+      Rc_obs.Metrics.incr m_ilp_replays;
+      (finish tech arr ~ff_positions (Array.copy taps) (Array.copy rings), stats)
+  | _ ->
+      let result, stats = solve_ilp tech arr ~ff_positions pl ~timer in
+      Option.iter
+        (fun cc ->
+          cc.ilp <- Some (candidates, Array.copy result.taps, Array.copy result.ring_of_ff, stats))
+        cache;
+      (result, stats)
 
 type bb_stats = {
   bb_objective : float;

@@ -52,17 +52,20 @@ val pool_tap : pool -> int -> int -> Rc_rotary.Tapping.tap
     bit-identical to the direct [Tapping.solve] result. *)
 
 type cache
-(** Cross-iteration reuse state for {!by_netflow}: a per-flip-flop cache
-    of Eq. 1 candidate-tap solves (a slot is reused only when the
-    flip-flop's position, delay target, and candidate count match the
-    cached solve bit-for-bit) plus a cached
-    {!Rc_netflow.Assignment.solver}. Reuse is reported under the
-    [assign.tapcache.hits] / [misses] / [invalidations] and
-    [netflow.assignment.*] metrics. *)
+(** Cross-iteration reuse state for {!by_netflow} and {!by_ilp}: a
+    per-flip-flop cache of Eq. 1 candidate-tap solves (a slot is reused
+    only when the flip-flop's position, delay target, and candidate
+    count match the cached solve bit-for-bit), a cached
+    {!Rc_netflow.Assignment.solver}, and the last sharded and ILP
+    results for replay.  A call that re-solves any flip-flop's taps
+    drops both replay slots.  Reuse is reported under the
+    [assign.tapcache.hits] / [misses] / [invalidations],
+    [assign.ilp.replays] and [netflow.assignment.*] metrics. *)
 
 val make_cache : unit -> cache
-(** An empty cache; pass it to successive {!by_netflow} calls of the
-    same circuit to skip work whose inputs did not change. *)
+(** An empty cache; pass it to successive {!by_netflow} or {!by_ilp}
+    calls of the same circuit to skip work whose inputs did not
+    change. *)
 
 val cache_invalidate : cache -> ff:int -> unit
 (** Drop flip-flop [ff]'s cached candidate-tap segment so the next
@@ -139,6 +142,7 @@ type ilp_stats = {
 
 val by_ilp :
   ?candidates:int ->
+  ?cache:cache ->
   Rc_tech.Tech.t ->
   Rc_rotary.Ring_array.t ->
   ff_positions:Rc_geom.Point.t array ->
@@ -146,7 +150,12 @@ val by_ilp :
   t * ilp_stats
 (** LP-relaxation + greedy rounding for the min-max-load formulation
     (Eq. 3). No capacity constraints — load balancing is implicit in the
-    objective, as in the paper.
+    objective, as in the paper.  With [cache], unchanged flip-flops
+    reuse their cached candidate taps, and a call on which every
+    flip-flop hit the tap cache, with the previous [by_ilp] call's
+    candidate count, returns a copy of that call's result and its
+    stats (counted under [assign.ilp.replays]) instead of solving the
+    same LP again: its inputs are bit-identical, so is the result.
     @raise Invalid_argument if [candidates < 1]. *)
 
 type bb_stats = {

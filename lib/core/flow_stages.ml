@@ -95,8 +95,9 @@ let assignment_ilp =
     (fun ctx ->
       let cfg = ctx.Flow_ctx.cfg in
       let a, stats =
-        Rc_assign.Assign.by_ilp ~candidates:cfg.Flow_ctx.candidates cfg.Flow_ctx.tech
-          ctx.Flow_ctx.rings
+        Rc_assign.Assign.by_ilp ~candidates:cfg.Flow_ctx.candidates
+          ~cache:(Flow_cache.assign_cache ctx.Flow_ctx.caches)
+          cfg.Flow_ctx.tech ctx.Flow_ctx.rings
           ~ff_positions:(Flow_ctx.ff_positions ctx) ~targets:ctx.Flow_ctx.skews
       in
       { ctx with Flow_ctx.assignment = Some a; ilp_stats = Some stats })

@@ -8,16 +8,22 @@ type solution = {
   iterations : int;
 }
 
-(* Internal column-wise representation. Columns 0..nv-1 are structural,
-   nv..nv+m-1 slacks, nv+m..nv+2m-1 artificials. *)
+(* Internal column-wise representation, in flat CSC arrays: column j's
+   entries are col_start.(j) .. col_start.(j+1)-1, rows ascending.
+   Columns 0..nv-1 are structural, nv..nv+m-1 slacks, nv+m..nv+2m-1
+   artificials. *)
 
-type eta = { pos : int; w : float array }
+(* One product-form update: the entering column's FTRAN result w at
+   the leaving row [pos], kept as its pivot w.(pos) and its other
+   nonzeros in ascending row order. *)
+type eta = { pos : int; piv : float; idx : int array; vals : float array }
 
 type state = {
   m : int;
   ncols : int;
-  col_rows : int array array;  (* per column: row indices *)
-  col_vals : float array array;
+  col_start : int array;
+  col_row : int array;
+  col_val : float array;
   lo : float array;
   hi : float array;
   cost : float array;  (* current-phase costs *)
@@ -28,72 +34,76 @@ type state = {
   nb_val : float array;  (* value of each nonbasic column *)
   x_b : float array;  (* values of basic variables, by row position *)
   mutable lu : Rc_sparse.Sparse_lu.t;
-  mutable etas : eta list;  (* newest first *)
+  etas : eta array;  (* oldest first; the first n_etas are live *)
   mutable n_etas : int;
+  resid : float array;  (* recompute_x_b's right-hand side *)
 }
 
 let refactor_interval = 20
 
-let col_dot st j (y : float array) =
-  let rows = st.col_rows.(j) and vals = st.col_vals.(j) in
-  let acc = ref 0.0 in
-  for k = 0 to Array.length rows - 1 do
-    acc := !acc +. (vals.(k) *. y.(rows.(k)))
+let no_eta = { pos = 0; piv = 1.0; idx = [||]; vals = [||] }
+
+let eta_of pos w =
+  let n = ref 0 in
+  Array.iteri (fun i v -> if i <> pos && v <> 0.0 then incr n) w;
+  let idx = Array.make !n 0 and vals = Array.make !n 0.0 in
+  let q = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if i <> pos && v <> 0.0 then begin
+        idx.(!q) <- i;
+        vals.(!q) <- v;
+        incr q
+      end)
+    w;
+  { pos; piv = w.(pos); idx; vals }
+
+(* FTRAN: u := B⁻¹ v, the etas applied oldest first. A skipped zero of
+   an eta subtracts an exact zero, as in the dense update. *)
+let ftran st v u =
+  Rc_sparse.Sparse_lu.solve st.lu v u;
+  for e = 0 to st.n_etas - 1 do
+    let { pos; piv; idx; vals } = st.etas.(e) in
+    let ur = u.(pos) /. piv in
+    for p = 0 to Array.length idx - 1 do
+      let i = idx.(p) in
+      u.(i) <- u.(i) -. (vals.(p) *. ur)
+    done;
+    u.(pos) <- ur
+  done
+
+(* BTRAN: y := B⁻ᵀ c, the etas applied newest first to [c] in place. *)
+let btran st c y =
+  for e = st.n_etas - 1 downto 0 do
+    let { pos; piv; idx; vals } = st.etas.(e) in
+    let acc = ref c.(pos) in
+    for p = 0 to Array.length idx - 1 do
+      acc := !acc -. (vals.(p) *. c.(idx.(p)))
+    done;
+    c.(pos) <- !acc /. piv
   done;
-  !acc
+  Rc_sparse.Sparse_lu.solve_transpose st.lu c y
 
-let col_to_dense st j =
-  let v = Array.make st.m 0.0 in
-  let rows = st.col_rows.(j) and vals = st.col_vals.(j) in
-  for k = 0 to Array.length rows - 1 do
-    v.(rows.(k)) <- vals.(k)
-  done;
-  v
-
-(* FTRAN: solve B u = v in place of a fresh array. *)
-let ftran st v =
-  let u = Rc_sparse.Sparse_lu.solve st.lu v in
-  List.iter
-    (fun { pos; w } ->
-      let ur = u.(pos) /. w.(pos) in
-      for i = 0 to st.m - 1 do
-        if i <> pos then u.(i) <- u.(i) -. (w.(i) *. ur)
-      done;
-      u.(pos) <- ur)
-    (List.rev st.etas);
-  u
-
-(* BTRAN: solve Bᵀ y = c. *)
-let btran st c =
-  let v = Array.copy c in
-  List.iter
-    (fun { pos; w } ->
-      let acc = ref v.(pos) in
-      for i = 0 to st.m - 1 do
-        if i <> pos then acc := !acc -. (w.(i) *. v.(i))
-      done;
-      v.(pos) <- !acc /. w.(pos))
-    st.etas;
-  Rc_sparse.Sparse_lu.solve_transpose st.lu v
-
-let basis_columns st =
-  Array.init st.m (fun k ->
-      let j = st.basic_of_row.(k) in
-      (st.col_rows.(j), st.col_vals.(j)))
+let factor_basis ~m ~col_start ~col_row ~col_val basic_of_row =
+  Rc_sparse.Sparse_lu.factor ~m
+    ~cols:
+      (Array.init m (fun k ->
+           let j = basic_of_row.(k) in
+           let s = col_start.(j) and len = col_start.(j + 1) - col_start.(j) in
+           (Array.sub col_row s len, Array.sub col_val s len)))
 
 let recompute_x_b st =
   (* x_B = B⁻¹ (rhs - Σ nonbasic A_j v_j) *)
-  let r = Array.copy st.rhs in
+  let r = st.resid in
+  Array.blit st.rhs 0 r 0 st.m;
   for j = 0 to st.ncols - 1 do
-    if st.pos_in_basis.(j) < 0 && st.nb_val.(j) <> 0.0 then begin
-      let rows = st.col_rows.(j) and vals = st.col_vals.(j) in
-      for k = 0 to Array.length rows - 1 do
-        r.(rows.(k)) <- r.(rows.(k)) -. (vals.(k) *. st.nb_val.(j))
+    if st.pos_in_basis.(j) < 0 && st.nb_val.(j) <> 0.0 then
+      for p = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+        let i = st.col_row.(p) in
+        r.(i) <- r.(i) -. (st.col_val.(p) *. st.nb_val.(j))
       done
-    end
   done;
-  let xb = ftran st r in
-  Array.blit xb 0 st.x_b 0 st.m
+  ftran st r st.x_b
 
 let m_solves = Rc_obs.Metrics.counter "lp.simplex.solves"
 let m_pivots = Rc_obs.Metrics.counter "lp.simplex.pivots"
@@ -101,10 +111,12 @@ let m_refactorizations = Rc_obs.Metrics.counter "lp.simplex.refactorizations"
 
 let refactorize st =
   Rc_obs.Metrics.incr m_refactorizations;
-  match Rc_sparse.Sparse_lu.factor ~m:st.m ~cols:(basis_columns st) with
+  match
+    factor_basis ~m:st.m ~col_start:st.col_start ~col_row:st.col_row ~col_val:st.col_val
+      st.basic_of_row
+  with
   | Some lu ->
       st.lu <- lu;
-      st.etas <- [];
       st.n_etas <- 0;
       recompute_x_b st
   | None -> failwith "Simplex: singular basis during refactorization"
@@ -118,7 +130,6 @@ let solve problem =
   let nv = Problem.n_vars problem and m = Problem.n_rows problem in
   let max_iter = 20000 + (50 * (m + nv)) in
   let ncols = nv + m + m in
-  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
   let lo = Array.make ncols neg_infinity and hi = Array.make ncols infinity in
   let real_cost = Array.make ncols 0.0 in
   let rhs = Array.make m 0.0 in
@@ -127,10 +138,18 @@ let solve problem =
   Problem.iter_rows problem (fun i coeffs _sense r ->
       rhs.(i) <- r;
       List.iter (fun (j, v) -> per_col.(j) <- (i, v) :: per_col.(j)) coeffs);
+  let col_start = Array.make (ncols + 1) 0 in
+  for j = 0 to ncols - 1 do
+    let len = if j < nv then List.length per_col.(j) else 1 in
+    col_start.(j + 1) <- col_start.(j) + len
+  done;
+  let col_row = Array.make col_start.(ncols) 0 and col_val = Array.make col_start.(ncols) 0.0 in
   for j = 0 to nv - 1 do
-    let entries = List.rev per_col.(j) in
-    col_rows.(j) <- Array.of_list (List.map fst entries);
-    col_vals.(j) <- Array.of_list (List.map snd entries);
+    List.iteri
+      (fun k (i, v) ->
+        col_row.(col_start.(j) + k) <- i;
+        col_val.(col_start.(j) + k) <- v)
+      (List.rev per_col.(j));
     lo.(j) <- Problem.var_lo problem j;
     hi.(j) <- Problem.var_hi problem j;
     real_cost.(j) <- Problem.var_obj problem j
@@ -138,8 +157,8 @@ let solve problem =
   (* slack columns *)
   Problem.iter_rows problem (fun i _ sense _ ->
       let j = nv + i in
-      col_rows.(j) <- [| i |];
-      col_vals.(j) <- [| 1.0 |];
+      col_row.(col_start.(j)) <- i;
+      col_val.(col_start.(j)) <- 1.0;
       (match sense with
       | Problem.Le ->
           lo.(j) <- 0.0;
@@ -159,19 +178,16 @@ let solve problem =
   (* residuals decide artificial signs *)
   let resid = Array.copy rhs in
   for j = 0 to nv + m - 1 do
-    if nb_val.(j) <> 0.0 then begin
-      let rows = col_rows.(j) and vals = col_vals.(j) in
-      for k = 0 to Array.length rows - 1 do
-        resid.(rows.(k)) <- resid.(rows.(k)) -. (vals.(k) *. nb_val.(j))
+    if nb_val.(j) <> 0.0 then
+      for p = col_start.(j) to col_start.(j + 1) - 1 do
+        resid.(col_row.(p)) <- resid.(col_row.(p)) -. (col_val.(p) *. nb_val.(j))
       done
-    end
   done;
   let cost = Array.make ncols 0.0 in
   for i = 0 to m - 1 do
     let j = nv + m + i in
-    let sign = if resid.(i) >= 0.0 then 1.0 else -1.0 in
-    col_rows.(j) <- [| i |];
-    col_vals.(j) <- [| sign |];
+    col_row.(col_start.(j)) <- i;
+    col_val.(col_start.(j)) <- (if resid.(i) >= 0.0 then 1.0 else -1.0);
     lo.(j) <- 0.0;
     hi.(j) <- infinity;
     cost.(j) <- 1.0
@@ -181,18 +197,19 @@ let solve problem =
   Array.iteri (fun k j -> pos_in_basis.(j) <- k) basic_of_row;
   let x_b = Array.init m (fun i -> Float.abs resid.(i)) in
   let lu =
-    let cols0 = Array.init m (fun k ->
-        let j = basic_of_row.(k) in
-        (col_rows.(j), col_vals.(j)))
-    in
-    match Rc_sparse.Sparse_lu.factor ~m ~cols:cols0 with
+    match factor_basis ~m ~col_start ~col_row ~col_val basic_of_row with
     | Some lu -> lu
     | None -> failwith "Simplex: initial basis singular"
   in
   let st =
-    { m; ncols; col_rows; col_vals; lo; hi; cost; real_cost; rhs; basic_of_row; pos_in_basis;
-      nb_val; x_b; lu; etas = []; n_etas = 0 }
+    { m; ncols; col_start; col_row; col_val; lo; hi; cost; real_cost; rhs; basic_of_row;
+      pos_in_basis; nb_val; x_b; lu; etas = Array.make refactor_interval no_eta; n_etas = 0;
+      resid = Array.make m 0.0 }
   in
+  (* per-pivot work vectors: basic costs, duals, the entering column and
+     its FTRAN *)
+  let cb = Array.make m 0.0 and y = Array.make m 0.0 in
+  let a_e = Array.make m 0.0 and w = Array.make m 0.0 in
   let iterations = ref 0 in
   let stall = ref 0 in
   let last_obj = ref infinity in
@@ -214,51 +231,58 @@ let solve problem =
         incr iterations;
         if st.n_etas >= refactor_interval then refactorize st;
         (* pricing *)
-        let cb = Array.init m (fun k -> st.cost.(st.basic_of_row.(k))) in
-        let y = btran st cb in
+        for k = 0 to m - 1 do
+          cb.(k) <- cost.(basic_of_row.(k))
+        done;
+        btran st cb y;
         let use_bland = !stall > 80 in
         let enter = ref (-1) and enter_dir = ref 1.0 and best_score = ref eps in
-        let examine j =
-          if st.pos_in_basis.(j) < 0 && st.lo.(j) < st.hi.(j) then begin
-            let d = st.cost.(j) -. col_dot st j y in
-            let at_lo = Float.is_finite st.lo.(j) && st.nb_val.(j) <= st.lo.(j) +. 1e-9 in
-            let at_hi = Float.is_finite st.hi.(j) && st.nb_val.(j) >= st.hi.(j) -. 1e-9 in
-            let eligible_dir =
-              if (not at_lo) && not at_hi then
-                (* free variable *)
-                if d < -.eps then Some 1.0 else if d > eps then Some (-1.0) else None
-              else if at_lo && d < -.eps then Some 1.0
-              else if at_hi && d > eps then Some (-1.0)
-              else None
-            in
-            match eligible_dir with
-            | Some dir ->
-                let score = Float.abs d in
-                if use_bland then begin
-                  enter := j;
-                  enter_dir := dir;
-                  raise Exit
-                end
-                else if score > !best_score then begin
-                  best_score := score;
-                  enter := j;
-                  enter_dir := dir
-                end
-            | None -> ()
-          end
-        in
         (* full Dantzig pricing: the worse entering choices of partial
            pricing cost more in extra degenerate pivots than the scan
            saves on these assignment-structured LPs *)
-
-        (try
-           for j = 0 to ncols - 1 do
-             examine j
-           done
-         with Exit -> ());
+        let j = ref 0 in
+        while !j < ncols do
+          let jj = !j in
+          if pos_in_basis.(jj) < 0 && lo.(jj) < hi.(jj) then begin
+            let dot = ref 0.0 in
+            for p = col_start.(jj) to col_start.(jj + 1) - 1 do
+              dot := !dot +. (col_val.(p) *. y.(col_row.(p)))
+            done;
+            let d = cost.(jj) -. !dot in
+            let at_lo = Float.is_finite lo.(jj) && nb_val.(jj) <= lo.(jj) +. 1e-9 in
+            let at_hi = Float.is_finite hi.(jj) && nb_val.(jj) >= hi.(jj) -. 1e-9 in
+            (* the eligible direction, 0 when none *)
+            let dir =
+              if (not at_lo) && not at_hi then
+                (* free variable *)
+                if d < -.eps then 1.0 else if d > eps then -1.0 else 0.0
+              else if at_lo && d < -.eps then 1.0
+              else if at_hi && d > eps then -1.0
+              else 0.0
+            in
+            if dir <> 0.0 then
+              if use_bland then begin
+                enter := jj;
+                enter_dir := dir;
+                j := ncols
+              end
+              else if Float.abs d > !best_score then begin
+                best_score := Float.abs d;
+                enter := jj;
+                enter_dir := dir
+              end
+          end;
+          incr j
+        done;
         if !enter < 0 then raise (Done Optimal);
         let e = !enter and dir = !enter_dir in
-        let w = ftran st (col_to_dense st e) in
+        for p = col_start.(e) to col_start.(e + 1) - 1 do
+          a_e.(col_row.(p)) <- col_val.(p)
+        done;
+        ftran st a_e w;
+        for p = col_start.(e) to col_start.(e + 1) - 1 do
+          a_e.(col_row.(p)) <- 0.0
+        done;
         (* ratio test: x_b(k) changes by -t * dir * w(k) for step t >= 0 *)
         let t_best = ref infinity and leave = ref (-1) and leave_to_hi = ref false in
         for k = 0 to m - 1 do
@@ -318,7 +342,7 @@ let solve problem =
           st.pos_in_basis.(jb) <- -1;
           st.nb_val.(jb) <- (if !leave_to_hi then st.hi.(jb) else st.lo.(jb));
           st.x_b.(k) <- enter_val;
-          st.etas <- { pos = k; w } :: st.etas;
+          st.etas.(st.n_etas) <- eta_of k w;
           st.n_etas <- st.n_etas + 1
         end;
         let obj = current_obj () in
@@ -342,8 +366,11 @@ let solve problem =
     for j = 0 to nv - 1 do
       objective := !objective +. (st.real_cost.(j) *. x.(j))
     done;
-    let cb = Array.init m (fun k -> st.real_cost.(st.basic_of_row.(k))) in
-    let duals = if m > 0 then btran st cb else [||] in
+    for k = 0 to m - 1 do
+      cb.(k) <- real_cost.(basic_of_row.(k))
+    done;
+    let duals = Array.make m 0.0 in
+    btran st cb duals;
     { status; x; objective = !objective; duals; iterations = !iterations }
   in
   (* Phase 1 *)

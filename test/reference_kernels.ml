@@ -684,6 +684,665 @@ let solve_minmax_lp problem ~slack ~(anchors : Cost_driven.anchor array) =
       Some { Cost_driven.skews = Array.map (fun v -> x.(v)) t_vars; objective = x.(delta) }
   | _ -> None
 
+(* ---- the LP engine on a dense bump -------------------------------------- *)
+
+(* The simplex, basis factorization and dense LU as they were before
+   the bump was stored sparse: every FTRAN and BTRAN walks the dense
+   bump in full, the eta file is a list of dense columns, and pricing
+   reads per-column arrays.  The library engine must take the same
+   pivots and return the same status, iterations, x, objective and
+   duals; its factors and solves must equal these under IEEE [=] (the
+   sign of a zero may differ, nothing else). *)
+
+module Dense_ref = struct
+  type mat = { r : int; c : int; a : float array }
+
+  let create r c =
+    if r < 0 || c < 0 then invalid_arg "Dense.create";
+    { r; c; a = Array.make (max 1 (r * c)) 0.0 }
+
+  let get m i j = m.a.((i * m.c) + j)
+  let set m i j v = m.a.((i * m.c) + j) <- v
+  let copy m = { m with a = Array.copy m.a }
+
+  type lu = { lu_mat : mat; perm : int array }
+
+  let lu_factor m0 =
+    if m0.r <> m0.c then invalid_arg "Dense.lu_factor: not square";
+    let n = m0.r in
+    let m = copy m0 in
+    let perm = Array.init n Fun.id in
+    let singular = ref false in
+    (try
+       for k = 0 to n - 1 do
+         (* partial pivot *)
+         let piv = ref k and best = ref (Float.abs (get m k k)) in
+         for i = k + 1 to n - 1 do
+           let v = Float.abs (get m i k) in
+           if v > !best then begin
+             best := v;
+             piv := i
+           end
+         done;
+         if !best < 1e-12 then begin
+           singular := true;
+           raise Exit
+         end;
+         if !piv <> k then begin
+           for j = 0 to n - 1 do
+             let t = get m k j in
+             set m k j (get m !piv j);
+             set m !piv j t
+           done;
+           let t = perm.(k) in
+           perm.(k) <- perm.(!piv);
+           perm.(!piv) <- t
+         end;
+         let pivot = get m k k in
+         for i = k + 1 to n - 1 do
+           let f = get m i k /. pivot in
+           set m i k f;
+           if f <> 0.0 then
+             for j = k + 1 to n - 1 do
+               set m i j (get m i j -. (f *. get m k j))
+             done
+         done
+       done
+     with Exit -> ());
+    if !singular then None else Some { lu_mat = m; perm }
+
+  let lu_solve { lu_mat = m; perm } b =
+    let n = m.r in
+    if Array.length b <> n then invalid_arg "Dense.lu_solve: size mismatch";
+    let x = Array.init n (fun i -> b.(perm.(i))) in
+    (* forward: L y = Pb, unit diagonal *)
+    for i = 1 to n - 1 do
+      let acc = ref x.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (get m i j *. x.(j))
+      done;
+      x.(i) <- !acc
+    done;
+    (* backward: U x = y *)
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (get m i j *. x.(j))
+      done;
+      x.(i) <- !acc /. get m i i
+    done;
+    x
+
+  let lu_solve_transpose { lu_mat = m; perm } b =
+    (* Aᵀ x = b  with P A = L U  =>  Aᵀ = Uᵀ Lᵀ P, solve Uᵀ y = b,
+       Lᵀ z = y, then x = Pᵀ z. *)
+    let n = m.r in
+    if Array.length b <> n then invalid_arg "Dense.lu_solve_transpose: size mismatch";
+    let y = Array.copy b in
+    for i = 0 to n - 1 do
+      let acc = ref y.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (get m j i *. y.(j))
+      done;
+      y.(i) <- !acc /. get m i i
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref y.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (get m j i *. y.(j))
+      done;
+      y.(i) <- !acc
+    done;
+    let x = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      x.(perm.(i)) <- y.(i)
+    done;
+    x
+end
+
+module Sparse_lu_ref = struct
+  type t = {
+    m : int;
+    col_rows : int array array;  (* per column: row indices *)
+    col_vals : float array array;
+    row_cols : (int * float) array array;  (* per row: (col, value) *)
+    pivots : (int * int) array;  (* peeled (row, col) in peel order *)
+    pivot_val : float array;  (* value at each peeled pivot *)
+    peel_order_of_col : int array;  (* col -> index in pivots, -1 if bump *)
+    bump_rows : int array;
+    bump_cols : int array;
+    bump_pos_of_row : int array;  (* row -> index into bump_rows, -1 otherwise *)
+    bump_pos_of_col : int array;
+    bump_lu : Dense_ref.lu option;  (* None iff bump is empty *)
+  }
+
+  let factor ~m ~cols =
+    if Array.length cols <> m then invalid_arg "Sparse_lu.factor: need m columns";
+    Array.iter
+      (fun (rows, vals) ->
+        if Array.length rows <> Array.length vals then
+          invalid_arg "Sparse_lu.factor: ragged column";
+        Array.iter
+          (fun r -> if r < 0 || r >= m then invalid_arg "Sparse_lu.factor: row out of range")
+          rows)
+      cols;
+    let col_rows = Array.map fst cols and col_vals = Array.map snd cols in
+    (* row-wise view *)
+    let row_acc = Array.make m [] in
+    Array.iteri
+      (fun j (rows, vals) ->
+        Array.iteri (fun k r -> row_acc.(r) <- (j, vals.(k)) :: row_acc.(r)) rows)
+      cols;
+    let row_cols = Array.map Array.of_list row_acc in
+    (* active counts for singleton peeling *)
+    let row_active = Array.make m true and col_active = Array.make m true in
+    let col_cnt = Array.map Array.length col_rows in
+    let queue = Queue.create () in
+    Array.iteri (fun j c -> if c = 1 then Queue.add j queue) col_cnt;
+    let pivots = ref [] and n_peeled = ref 0 in
+    let pivot_val = Array.make m 0.0 in
+    let peel_order_of_col = Array.make m (-1) in
+    let singular = ref false in
+    while not (Queue.is_empty queue) do
+      let j = Queue.pop queue in
+      if col_active.(j) && col_cnt.(j) = 1 then begin
+        (* find the single active row of column j *)
+        let r = ref (-1) and v = ref 0.0 in
+        Array.iteri
+          (fun k ri ->
+            if row_active.(ri) then begin
+              r := ri;
+              v := col_vals.(j).(k)
+            end)
+          col_rows.(j);
+        if !r < 0 then ()
+        else if Float.abs !v < 1e-11 then singular := true
+        else begin
+          peel_order_of_col.(j) <- !n_peeled;
+          pivot_val.(!n_peeled) <- !v;
+          pivots := (!r, j) :: !pivots;
+          incr n_peeled;
+          col_active.(j) <- false;
+          row_active.(!r) <- false;
+          (* deactivating row r may create new column singletons *)
+          Array.iter
+            (fun (jc, _) ->
+              if col_active.(jc) then begin
+                col_cnt.(jc) <- col_cnt.(jc) - 1;
+                if col_cnt.(jc) = 1 then Queue.add jc queue
+              end)
+            row_cols.(!r)
+        end
+      end
+    done;
+    if !singular then None
+    else begin
+      let pivots = Array.of_list (List.rev !pivots) in
+      let bump_rows =
+        Array.of_list (List.filter (fun r -> row_active.(r)) (List.init m Fun.id))
+      in
+      let bump_cols =
+        Array.of_list (List.filter (fun j -> col_active.(j)) (List.init m Fun.id))
+      in
+      let nb = Array.length bump_rows in
+      if nb <> Array.length bump_cols then None
+      else begin
+        let bump_pos_of_row = Array.make m (-1) and bump_pos_of_col = Array.make m (-1) in
+        Array.iteri (fun i r -> bump_pos_of_row.(r) <- i) bump_rows;
+        Array.iteri (fun i j -> bump_pos_of_col.(j) <- i) bump_cols;
+        let bump_lu =
+          if nb = 0 then Some None
+          else begin
+            let s = Dense_ref.create nb nb in
+            Array.iteri
+              (fun bj j ->
+                Array.iteri
+                  (fun k r ->
+                    let br = bump_pos_of_row.(r) in
+                    if br >= 0 then Dense_ref.set s br bj col_vals.(j).(k))
+                  col_rows.(j))
+              bump_cols;
+            match Dense_ref.lu_factor s with None -> None | Some f -> Some (Some f)
+          end
+        in
+        match bump_lu with
+        | None -> None
+        | Some bump_lu ->
+            Some
+              {
+                m;
+                col_rows;
+                col_vals;
+                row_cols;
+                pivots;
+                pivot_val;
+                peel_order_of_col;
+                bump_rows;
+                bump_cols;
+                bump_pos_of_row;
+                bump_pos_of_col;
+                bump_lu;
+              }
+      end
+    end
+
+  let bump_size t = Array.length t.bump_rows
+
+  (* B x = b.  Permuted form: [U11 U12; 0 S] with U11 upper triangular in
+     peel order. Solve S x2 = b2 first, then back-substitute the peeled
+     columns in reverse peel order using the pivot rows. *)
+  let solve t b =
+    if Array.length b <> t.m then invalid_arg "Sparse_lu.solve: size mismatch";
+    let x = Array.make t.m 0.0 in
+    (match t.bump_lu with
+    | None -> ()
+    | Some lu ->
+        let nb = Array.length t.bump_rows in
+        let b2 = Array.make nb 0.0 in
+        Array.iteri (fun i r -> b2.(i) <- b.(r)) t.bump_rows;
+        let x2 = Dense_ref.lu_solve lu b2 in
+        Array.iteri (fun i j -> x.(j) <- x2.(i)) t.bump_cols);
+    for tt = Array.length t.pivots - 1 downto 0 do
+      let r, c = t.pivots.(tt) in
+      let acc = ref b.(r) in
+      Array.iter (fun (jc, v) -> if jc <> c then acc := !acc -. (v *. x.(jc))) t.row_cols.(r);
+      x.(c) <- !acc /. t.pivot_val.(tt)
+    done;
+    x
+
+  (* Bᵀ y = d.  Peeled columns resolve y at their pivot rows in forward
+     peel order; the bump then solves Sᵀ y_b = d_b − U12ᵀ y_peeled. *)
+  let solve_transpose t d =
+    if Array.length d <> t.m then invalid_arg "Sparse_lu.solve_transpose: size mismatch";
+    let y = Array.make t.m 0.0 in
+    for tt = 0 to Array.length t.pivots - 1 do
+      let r, c = t.pivots.(tt) in
+      let acc = ref d.(c) in
+      Array.iteri
+        (fun k ri -> if ri <> r then acc := !acc -. (t.col_vals.(c).(k) *. y.(ri)))
+        t.col_rows.(c);
+      y.(r) <- !acc /. t.pivot_val.(tt)
+    done;
+    (match t.bump_lu with
+    | None -> ()
+    | Some lu ->
+        let nb = Array.length t.bump_rows in
+        let d2 = Array.make nb 0.0 in
+        Array.iteri
+          (fun i j ->
+            let acc = ref d.(j) in
+            Array.iteri
+              (fun k r -> if t.bump_pos_of_row.(r) < 0 then acc := !acc -. (t.col_vals.(j).(k) *. y.(r)))
+              t.col_rows.(j);
+            d2.(i) <- !acc)
+          t.bump_cols;
+        let y2 = Dense_ref.lu_solve_transpose lu d2 in
+        Array.iteri (fun i r -> y.(r) <- y2.(i)) t.bump_rows);
+    y
+end
+
+module Simplex_ref = struct
+  open Rc_lp.Simplex
+
+  (* Internal column-wise representation. Columns 0..nv-1 are structural,
+     nv..nv+m-1 slacks, nv+m..nv+2m-1 artificials. *)
+
+  type eta = { pos : int; w : float array }
+
+  type state = {
+    m : int;
+    ncols : int;
+    col_rows : int array array;  (* per column: row indices *)
+    col_vals : float array array;
+    lo : float array;
+    hi : float array;
+    cost : float array;  (* current-phase costs *)
+    real_cost : float array;
+    rhs : float array;
+    basic_of_row : int array;
+    pos_in_basis : int array;  (* -1 when nonbasic *)
+    nb_val : float array;  (* value of each nonbasic column *)
+    x_b : float array;  (* values of basic variables, by row position *)
+    mutable lu : Sparse_lu_ref.t;
+    mutable etas : eta list;  (* newest first *)
+    mutable n_etas : int;
+  }
+
+  let refactor_interval = 20
+
+  let col_dot st j (y : float array) =
+    let rows = st.col_rows.(j) and vals = st.col_vals.(j) in
+    let acc = ref 0.0 in
+    for k = 0 to Array.length rows - 1 do
+      acc := !acc +. (vals.(k) *. y.(rows.(k)))
+    done;
+    !acc
+
+  let col_to_dense st j =
+    let v = Array.make st.m 0.0 in
+    let rows = st.col_rows.(j) and vals = st.col_vals.(j) in
+    for k = 0 to Array.length rows - 1 do
+      v.(rows.(k)) <- vals.(k)
+    done;
+    v
+
+  (* FTRAN: solve B u = v in place of a fresh array. *)
+  let ftran st v =
+    let u = Sparse_lu_ref.solve st.lu v in
+    List.iter
+      (fun { pos; w } ->
+        let ur = u.(pos) /. w.(pos) in
+        for i = 0 to st.m - 1 do
+          if i <> pos then u.(i) <- u.(i) -. (w.(i) *. ur)
+        done;
+        u.(pos) <- ur)
+      (List.rev st.etas);
+    u
+
+  (* BTRAN: solve Bᵀ y = c. *)
+  let btran st c =
+    let v = Array.copy c in
+    List.iter
+      (fun { pos; w } ->
+        let acc = ref v.(pos) in
+        for i = 0 to st.m - 1 do
+          if i <> pos then acc := !acc -. (w.(i) *. v.(i))
+        done;
+        v.(pos) <- !acc /. w.(pos))
+      st.etas;
+    Sparse_lu_ref.solve_transpose st.lu v
+
+  let basis_columns st =
+    Array.init st.m (fun k ->
+        let j = st.basic_of_row.(k) in
+        (st.col_rows.(j), st.col_vals.(j)))
+
+  let recompute_x_b st =
+    (* x_B = B⁻¹ (rhs - Σ nonbasic A_j v_j) *)
+    let r = Array.copy st.rhs in
+    for j = 0 to st.ncols - 1 do
+      if st.pos_in_basis.(j) < 0 && st.nb_val.(j) <> 0.0 then begin
+        let rows = st.col_rows.(j) and vals = st.col_vals.(j) in
+        for k = 0 to Array.length rows - 1 do
+          r.(rows.(k)) <- r.(rows.(k)) -. (vals.(k) *. st.nb_val.(j))
+        done
+      end
+    done;
+    let xb = ftran st r in
+    Array.blit xb 0 st.x_b 0 st.m
+
+  let refactorize st =
+    match Sparse_lu_ref.factor ~m:st.m ~cols:(basis_columns st) with
+    | Some lu ->
+        st.lu <- lu;
+        st.etas <- [];
+        st.n_etas <- 0;
+        recompute_x_b st
+    | None -> failwith "Simplex: singular basis during refactorization"
+
+  exception Done of status
+
+  (* feasibility/optimality tolerance *)
+  let eps = 1e-7
+
+  let solve problem =
+    let nv = Rc_lp.Problem.n_vars problem and m = Rc_lp.Problem.n_rows problem in
+    let max_iter = 20000 + (50 * (m + nv)) in
+    let ncols = nv + m + m in
+    let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
+    let lo = Array.make ncols neg_infinity and hi = Array.make ncols infinity in
+    let real_cost = Array.make ncols 0.0 in
+    let rhs = Array.make m 0.0 in
+    (* structural columns: gather per-column entries from rows *)
+    let per_col = Array.make nv [] in
+    Rc_lp.Problem.iter_rows problem (fun i coeffs _sense r ->
+        rhs.(i) <- r;
+        List.iter (fun (j, v) -> per_col.(j) <- (i, v) :: per_col.(j)) coeffs);
+    for j = 0 to nv - 1 do
+      let entries = List.rev per_col.(j) in
+      col_rows.(j) <- Array.of_list (List.map fst entries);
+      col_vals.(j) <- Array.of_list (List.map snd entries);
+      lo.(j) <- Rc_lp.Problem.var_lo problem j;
+      hi.(j) <- Rc_lp.Problem.var_hi problem j;
+      real_cost.(j) <- Rc_lp.Problem.var_obj problem j
+    done;
+    (* slack columns *)
+    Rc_lp.Problem.iter_rows problem (fun i _ sense _ ->
+        let j = nv + i in
+        col_rows.(j) <- [| i |];
+        col_vals.(j) <- [| 1.0 |];
+        (match sense with
+        | Rc_lp.Problem.Le ->
+            lo.(j) <- 0.0;
+            hi.(j) <- infinity
+        | Rc_lp.Problem.Ge ->
+            lo.(j) <- neg_infinity;
+            hi.(j) <- 0.0
+        | Rc_lp.Problem.Eq ->
+            lo.(j) <- 0.0;
+            hi.(j) <- 0.0));
+    (* initial nonbasic values for structural + slack columns *)
+    let nb_val = Array.make ncols 0.0 in
+    for j = 0 to nv + m - 1 do
+      nb_val.(j) <-
+        (if Float.is_finite lo.(j) then lo.(j) else if Float.is_finite hi.(j) then hi.(j) else 0.0)
+    done;
+    (* residuals decide artificial signs *)
+    let resid = Array.copy rhs in
+    for j = 0 to nv + m - 1 do
+      if nb_val.(j) <> 0.0 then begin
+        let rows = col_rows.(j) and vals = col_vals.(j) in
+        for k = 0 to Array.length rows - 1 do
+          resid.(rows.(k)) <- resid.(rows.(k)) -. (vals.(k) *. nb_val.(j))
+        done
+      end
+    done;
+    let cost = Array.make ncols 0.0 in
+    for i = 0 to m - 1 do
+      let j = nv + m + i in
+      let sign = if resid.(i) >= 0.0 then 1.0 else -1.0 in
+      col_rows.(j) <- [| i |];
+      col_vals.(j) <- [| sign |];
+      lo.(j) <- 0.0;
+      hi.(j) <- infinity;
+      cost.(j) <- 1.0
+    done;
+    let basic_of_row = Array.init m (fun i -> nv + m + i) in
+    let pos_in_basis = Array.make ncols (-1) in
+    Array.iteri (fun k j -> pos_in_basis.(j) <- k) basic_of_row;
+    let x_b = Array.init m (fun i -> Float.abs resid.(i)) in
+    let lu =
+      let cols0 = Array.init m (fun k ->
+          let j = basic_of_row.(k) in
+          (col_rows.(j), col_vals.(j)))
+      in
+      match Sparse_lu_ref.factor ~m ~cols:cols0 with
+      | Some lu -> lu
+      | None -> failwith "Simplex: initial basis singular"
+    in
+    let st =
+      { m; ncols; col_rows; col_vals; lo; hi; cost; real_cost; rhs; basic_of_row; pos_in_basis;
+        nb_val; x_b; lu; etas = []; n_etas = 0 }
+    in
+    let iterations = ref 0 in
+    let stall = ref 0 in
+    let last_obj = ref infinity in
+    let current_obj () =
+      let acc = ref 0.0 in
+      for k = 0 to m - 1 do
+        acc := !acc +. (st.cost.(st.basic_of_row.(k)) *. st.x_b.(k))
+      done;
+      for j = 0 to ncols - 1 do
+        if st.pos_in_basis.(j) < 0 then acc := !acc +. (st.cost.(j) *. st.nb_val.(j))
+      done;
+      !acc
+    in
+    (* One simplex phase over current costs; returns terminal status. *)
+    let run_phase phase_max =
+      try
+        while true do
+          if !iterations >= phase_max then raise (Done Iteration_limit);
+          incr iterations;
+          if st.n_etas >= refactor_interval then refactorize st;
+          (* pricing *)
+          let cb = Array.init m (fun k -> st.cost.(st.basic_of_row.(k))) in
+          let y = btran st cb in
+          let use_bland = !stall > 80 in
+          let enter = ref (-1) and enter_dir = ref 1.0 and best_score = ref eps in
+          let examine j =
+            if st.pos_in_basis.(j) < 0 && st.lo.(j) < st.hi.(j) then begin
+              let d = st.cost.(j) -. col_dot st j y in
+              let at_lo = Float.is_finite st.lo.(j) && st.nb_val.(j) <= st.lo.(j) +. 1e-9 in
+              let at_hi = Float.is_finite st.hi.(j) && st.nb_val.(j) >= st.hi.(j) -. 1e-9 in
+              let eligible_dir =
+                if (not at_lo) && not at_hi then
+                  (* free variable *)
+                  if d < -.eps then Some 1.0 else if d > eps then Some (-1.0) else None
+                else if at_lo && d < -.eps then Some 1.0
+                else if at_hi && d > eps then Some (-1.0)
+                else None
+              in
+              match eligible_dir with
+              | Some dir ->
+                  let score = Float.abs d in
+                  if use_bland then begin
+                    enter := j;
+                    enter_dir := dir;
+                    raise Exit
+                  end
+                  else if score > !best_score then begin
+                    best_score := score;
+                    enter := j;
+                    enter_dir := dir
+                  end
+              | None -> ()
+            end
+          in
+          (* full Dantzig pricing: the worse entering choices of partial
+             pricing cost more in extra degenerate pivots than the scan
+             saves on these assignment-structured LPs *)
+
+          (try
+             for j = 0 to ncols - 1 do
+               examine j
+             done
+           with Exit -> ());
+          if !enter < 0 then raise (Done Optimal);
+          let e = !enter and dir = !enter_dir in
+          let w = ftran st (col_to_dense st e) in
+          (* ratio test: x_b(k) changes by -t * dir * w(k) for step t >= 0 *)
+          let t_best = ref infinity and leave = ref (-1) and leave_to_hi = ref false in
+          for k = 0 to m - 1 do
+            let g = dir *. w.(k) in
+            let jb = st.basic_of_row.(k) in
+            if g > 1e-9 then begin
+              if Float.is_finite st.lo.(jb) then begin
+                let t = (st.x_b.(k) -. st.lo.(jb)) /. g in
+                if
+                  t < !t_best -. 1e-12
+                  || (t < !t_best +. 1e-12 && !leave >= 0 && jb < st.basic_of_row.(!leave))
+                then begin
+                  t_best := Float.max t 0.0;
+                  leave := k;
+                  leave_to_hi := false
+                end
+              end
+            end
+            else if g < -1e-9 then begin
+              if Float.is_finite st.hi.(jb) then begin
+                let t = (st.x_b.(k) -. st.hi.(jb)) /. g in
+                if
+                  t < !t_best -. 1e-12
+                  || (t < !t_best +. 1e-12 && !leave >= 0 && jb < st.basic_of_row.(!leave))
+                then begin
+                  t_best := Float.max t 0.0;
+                  leave := k;
+                  leave_to_hi := true
+                end
+              end
+            end
+          done;
+          let t_bound =
+            if Float.is_finite st.lo.(e) && Float.is_finite st.hi.(e) then st.hi.(e) -. st.lo.(e)
+            else infinity
+          in
+          if t_bound < !t_best then begin
+            (* bound flip: entering moves to its opposite bound *)
+            let t = t_bound in
+            for k = 0 to m - 1 do
+              st.x_b.(k) <- st.x_b.(k) -. (t *. dir *. w.(k))
+            done;
+            st.nb_val.(e) <- (if dir > 0.0 then st.hi.(e) else st.lo.(e))
+          end
+          else if !leave < 0 then raise (Done Unbounded)
+          else begin
+            let t = !t_best in
+            let k = !leave in
+            let jb = st.basic_of_row.(k) in
+            for i = 0 to m - 1 do
+              st.x_b.(i) <- st.x_b.(i) -. (t *. dir *. w.(i))
+            done;
+            let enter_val = st.nb_val.(e) +. (dir *. t) in
+            (* swap basis *)
+            st.basic_of_row.(k) <- e;
+            st.pos_in_basis.(e) <- k;
+            st.pos_in_basis.(jb) <- -1;
+            st.nb_val.(jb) <- (if !leave_to_hi then st.hi.(jb) else st.lo.(jb));
+            st.x_b.(k) <- enter_val;
+            st.etas <- { pos = k; w } :: st.etas;
+            st.n_etas <- st.n_etas + 1
+          end;
+          let obj = current_obj () in
+          if obj < !last_obj -. 1e-10 then begin
+            stall := 0;
+            last_obj := obj
+          end
+          else incr stall
+        done;
+        assert false
+      with Done s -> s
+    in
+    let finish status =
+      let x = Array.make nv 0.0 in
+      for j = 0 to nv - 1 do
+        x.(j) <- (if st.pos_in_basis.(j) >= 0 then st.x_b.(st.pos_in_basis.(j)) else st.nb_val.(j))
+      done;
+      let objective = ref 0.0 in
+      for j = 0 to nv - 1 do
+        objective := !objective +. (st.real_cost.(j) *. x.(j))
+      done;
+      let cb = Array.init m (fun k -> st.real_cost.(st.basic_of_row.(k))) in
+      let duals = if m > 0 then btran st cb else [||] in
+      { status; x; objective = !objective; duals; iterations = !iterations }
+    in
+    (* Phase 1 *)
+    let phase1_status = run_phase max_iter in
+    (match phase1_status with
+    | Iteration_limit -> ()
+    | Unbounded -> failwith "Simplex: phase 1 unbounded (internal error)"
+    | _ -> ());
+    if phase1_status = Iteration_limit then finish Iteration_limit
+    else begin
+      let phase1_obj = current_obj () in
+      if phase1_obj > 1e-6 then finish Infeasible
+      else begin
+        (* switch to phase 2: real costs, artificials pinned to zero *)
+        for j = 0 to ncols - 1 do
+          st.cost.(j) <- (if j < nv then st.real_cost.(j) else 0.0)
+        done;
+        for i = 0 to m - 1 do
+          let j = nv + m + i in
+          st.hi.(j) <- 0.0;
+          if st.pos_in_basis.(j) < 0 then st.nb_val.(j) <- 0.0
+        done;
+        stall := 0;
+        last_obj := infinity;
+        let status2 = run_phase max_iter in
+        finish status2
+      end
+    end
+end
+
 (* ---- min-cost flow: binary-heap successive shortest paths -------------- *)
 
 (* Successive shortest paths with a full Dijkstra sweep on a binary

@@ -115,6 +115,75 @@ let test_by_netflow_cached_matches () =
           done))
     [ 1; 2; 4 ]
 
+(* ---- cached by_ilp: replay on equal inputs, re-solve otherwise -------- *)
+
+let ilp_replays () = Rc_obs.Metrics.count (Rc_obs.Metrics.counter "assign.ilp.replays")
+
+let test_by_ilp_cached_replays () =
+  let netlist = Lazy.force tiny_netlist in
+  let rings = Rc_rotary.Ring_array.create ~chip:tiny_chip ~grid:tiny.Bench_suite.ring_grid () in
+  let ffs, _ = Flow.ff_index netlist in
+  let pos = (Lazy.force tiny_placed).Rc_place.Qplace.positions in
+  let ffp = Array.map (fun c -> pos.(c)) ffs in
+  let rng = Rc_util.Rng.create 4242 in
+  let targets = Array.map (fun _ -> Rc_util.Rng.float rng 200.0) ffs in
+  let cache = Rc_assign.Assign.make_cache () in
+  let call ffp targets = Rc_assign.Assign.by_ilp ~cache tech rings ~ff_positions:ffp ~targets in
+  (* a cached call must equal the uncached one on the same inputs *)
+  let check_cold name (a, (s : Rc_assign.Assign.ilp_stats)) ffp targets =
+    let cold, cs = Rc_assign.Assign.by_ilp tech rings ~ff_positions:ffp ~targets in
+    check_assign_equal name cold a;
+    Alcotest.(check bool)
+      (name ^ ": LP optimum and iterations")
+      true
+      (cs.Rc_assign.Assign.lp_optimum = s.Rc_assign.Assign.lp_optimum
+      && cs.Rc_assign.Assign.lp_iterations = s.Rc_assign.Assign.lp_iterations)
+  in
+  Rc_obs.Metrics.set_enabled true;
+  Rc_obs.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Rc_obs.Metrics.reset ();
+      Rc_obs.Metrics.set_enabled false)
+    (fun () ->
+      let first = call ffp targets in
+      check_cold "first call" first ffp targets;
+      Alcotest.(check int) "a first call solves" 0 (ilp_replays ());
+      let again = call ffp targets in
+      Alcotest.(check int) "equal inputs replay" 1 (ilp_replays ());
+      check_assign_equal "replay" (fst first) (fst again);
+      Alcotest.(check bool) "the replay's stats are the solve's" true (snd first = snd again);
+      let a = fst first and b = fst again in
+      Alcotest.(check bool)
+        "the replay shares no array with the first result" true
+        (a.Rc_assign.Assign.ring_of_ff != b.Rc_assign.Assign.ring_of_ff
+        && a.Rc_assign.Assign.taps != b.Rc_assign.Assign.taps
+        && a.Rc_assign.Assign.loads != b.Rc_assign.Assign.loads);
+      let moved = Array.copy ffp in
+      moved.(3) <- Point.make (moved.(3).Point.x +. 7.0) moved.(3).Point.y;
+      let r = call moved targets in
+      Alcotest.(check int) "a moved flip-flop re-solves" 1 (ilp_replays ());
+      check_cold "after a move" r moved targets;
+      let retargeted = Array.copy targets in
+      retargeted.(5) <- retargeted.(5) +. 3.0;
+      let r = call moved retargeted in
+      Alcotest.(check int) "a changed target re-solves" 1 (ilp_replays ());
+      check_cold "after a retarget" r moved retargeted;
+      let r2 = call moved retargeted in
+      Alcotest.(check int) "the latest solve replays" 2 (ilp_replays ());
+      check_assign_equal "latest replay" (fst r) (fst r2);
+      (* a netflow call that re-solves taps in between leaves no stale
+         ILP result behind, even when the next ILP call's inputs equal
+         the netflow call's *)
+      ignore (Rc_assign.Assign.by_netflow ~cache tech rings ~ff_positions:ffp ~targets);
+      let back = call ffp targets in
+      Alcotest.(check int) "a pool re-solved by netflow is not replayed" 2 (ilp_replays ());
+      check_cold "after a netflow call" back ffp targets;
+      ignore (call ffp targets);
+      Alcotest.(check int) "which then replays" 3 (ilp_replays ());
+      ignore (Rc_assign.Assign.by_ilp ~candidates:4 ~cache tech rings ~ff_positions:ffp ~targets);
+      Alcotest.(check int) "a changed candidate count re-solves" 3 (ilp_replays ()))
+
 (* ---- cached assignment solver directly ------------------------------- *)
 
 let check_result_equal name (a : Rc_netflow.Assignment.result) (b : Rc_netflow.Assignment.result)
@@ -304,9 +373,10 @@ let snapshot_bits (s : Flow.snapshot) =
 
 let test_flow_matches_cold () =
   List.iter
-    (fun (bench, pin) ->
-      let name = bench.Bench_suite.bname in
-      let cfg = Flow.default_config bench in
+    (fun (cfg, pin) ->
+      let name =
+        cfg.Flow.bench.Bench_suite.bname ^ if cfg.Flow.mode = Flow.Ilp then "/ilp" else ""
+      in
       let cached = Flow.run cfg in
       let cold = Flow.run ~plan:(cold_plan cfg) cfg in
       let digest = Rc_serve.Checkpoint.digest_of_outcome in
@@ -317,7 +387,11 @@ let test_flow_matches_cold () =
       Option.iter
         (fun pin -> Alcotest.(check string) (name ^ ": Table II pin") pin (digest cached))
         pin)
-    [ (tiny, None); (Bench_suite.s9234, Some "8e6041d5e058485ce95bfa934681807a") ]
+    [
+      (Flow.default_config tiny, None);
+      (Flow.default_config ~mode:Flow.Ilp tiny, Some "a0f25ef31e151b07308de9fdc18dbddb");
+      (Flow.default_config Bench_suite.s9234, Some "8e6041d5e058485ce95bfa934681807a");
+    ]
 
 (* ---- pool sequential cutoffs ------------------------------------------ *)
 
@@ -363,6 +437,8 @@ let () =
         [
           Alcotest.test_case "cached by_netflow = cold, jobs 1/2/4" `Quick
             test_by_netflow_cached_matches;
+          Alcotest.test_case "cached by_ilp replays equal inputs only" `Quick
+            test_by_ilp_cached_replays;
         ] );
       ( "netflow",
         [
