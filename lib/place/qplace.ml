@@ -202,8 +202,8 @@ let solve_system ?wsx ?wsy ?x0 ?y0 sys =
   let rx, ry =
     Rc_par.Pool.both
       ~parallel:(Array.length sys.rhs_x >= 512)
-      (fun () -> Rc_sparse.Cg.solve ?ws:wsx ?x0 ~tol:1e-7 sys.matrix sys.rhs_x)
-      (fun () -> Rc_sparse.Cg.solve ?ws:wsy ?x0:y0 ~tol:1e-7 sys.matrix sys.rhs_y)
+      (fun () -> Rc_sparse.Cg.solve ?ws:wsx ?x0 sys.matrix sys.rhs_x)
+      (fun () -> Rc_sparse.Cg.solve ?ws:wsy ?x0:y0 sys.matrix sys.rhs_y)
   in
   (rx.Rc_sparse.Cg.x, ry.Rc_sparse.Cg.x, rx.Rc_sparse.Cg.iterations + ry.Rc_sparse.Cg.iterations)
 

@@ -38,7 +38,10 @@ let workspace n =
     bv = Vec.create n;
   }
 
-let solve ?ws ?(tol = 1e-8) ?x0 a b =
+(* the relative residual at which an iteration stops *)
+let tol = 1e-7
+
+let solve ?ws ?x0 a b =
   let n = Csr.rows a in
   if Csr.cols a <> n then invalid_arg "Cg.solve: matrix not square";
   if Array.length b <> n then invalid_arg "Cg.solve: rhs size mismatch";

@@ -21,13 +21,12 @@ val workspace : int -> workspace
 
 val solve :
   ?ws:workspace ->
-  ?tol:float ->
   ?x0:float array ->
   Csr.t ->
   float array ->
   outcome
-(** [solve a b] iterates until the relative residual drops below [tol]
-    (default 1e-8) or [4 * n] iterations ran. [x0]
+(** [solve a b] iterates until the relative residual drops below 1e-7
+    or [4 * n] iterations ran. [x0]
     warm-starts the iteration (defaults to the zero vector). [ws]
     provides scratch buffers (default: freshly allocated); the returned
     solution is always a fresh array, so a workspace may be reused for

@@ -19,13 +19,13 @@ let render ~chip ~netlist ~positions ~rings ~taps =
   (* tapping stubs then flip-flop markers on top *)
   List.iter
     (fun (cell, (tap : Rc_rotary.Tapping.tap)) ->
-      Svg.line svg ~stroke:"#d62728" ~width:1.2 positions.(cell) tap.Rc_rotary.Tapping.point;
+      Svg.line svg positions.(cell) tap.Rc_rotary.Tapping.point;
       Svg.circle svg ~fill:"#2ca02c" ~r:2.5 tap.Rc_rotary.Tapping.point)
     taps;
   Array.iter
-    (fun c -> Svg.square_marker svg ~fill:"#d62728" ~half:3.0 positions.(c))
+    (fun c -> Svg.square_marker svg positions.(c))
     (Rc_netlist.Netlist.flip_flops netlist);
-  Svg.text svg ~size:24.0
+  Svg.text svg
     (Point.make 10.0 (Rect.height chip -. 10.0))
     (Printf.sprintf "%s: %d cells, %d FFs, %d rings" (Rc_netlist.Netlist.name netlist)
        (Rc_netlist.Netlist.n_cells netlist)

@@ -363,17 +363,17 @@ let test_table1_small () =
     (r.Experiments.greedy_ig >= 1.0 -. 1e-9 && r.Experiments.greedy_ig < 5.0);
   Alcotest.(check bool) "text" true (String.length text > 50)
 
-(* The digest-pinned circuits as experiment-suite arms, shared by the
-   digest pins and the shape check: s9234 and s5378 with the ILP arm,
-   s15850 without it (its ILP arm takes about 45 s, too slow here). *)
+(* The digest-pinned circuits as experiment-suite arms with their ILP
+   arms, shared by the digest pins and the shape check: s9234, s5378
+   and s15850 (whose ILP arm takes about 3 s). *)
 let paper_suite =
   lazy
     (let find name = Option.get (Bench_suite.find name) in
-     Experiments.run_suite ~benches:[ Bench_suite.s9234; find "s5378" ] ()
-     @ Experiments.run_suite ~benches:[ find "s15850" ] ~with_ilp:false ())
+     Experiments.run_suite ~benches:[ Bench_suite.s9234; find "s5378"; find "s15850" ] ())
 
 (* Table II digests, the same pins as the layered benchmark's paper_flow
-   workload (its s38417, s35932 and ILP arms are too slow here).  The
+   workload (its s38417 and s35932 arms and its s9234 ILP flow are left
+   to it).  The
    flow calls no libm transcendental (only sqrt), so the pins hold on
    any x86-64 host.  Moving one bit of the positions, skews or
    assignment a flow returns fails this test; a rounding change inside
@@ -395,9 +395,9 @@ let test_table2_digests () =
     (Lazy.force paper_suite)
 
 (* The paper's shape (EXPERIMENTS.shape) on Tables III-VII of the pinned
-   circuits, read back from the tables' Rc_obs.Report JSON.  s15850 has
-   no ILP arm here, so only its Table IV bounds can be checked; the test
-   lists the skipped bounds and fails if any other bound is skipped. *)
+   circuits, read back from the tables' Rc_obs.Report JSON.  Every
+   circuit has its ILP arm, so every (bound, circuit) pair has a row:
+   the test fails if any is skipped. *)
 let test_paper_shape () =
   let module R = Rc_obs.Report in
   let suite = Lazy.force paper_suite in
@@ -430,14 +430,7 @@ let test_paper_shape () =
   List.iter (Printf.printf "skipped (no row): %s\n") r.Shape_check.skipped;
   Alcotest.(check (list string)) "bounds met" [] r.Shape_check.failures;
   Alcotest.(check bool) "something checked" true (r.Shape_check.checked > 0);
-  List.iter
-    (fun line ->
-      Alcotest.(check bool)
-        ("only s15850's ILP-arm bounds are skipped: " ^ line)
-        true
-        (String.ends_with ~suffix:"| s15850" line
-        && not (String.starts_with ~prefix:"Table IV " line)))
-    r.Shape_check.skipped
+  Alcotest.(check (list string)) "no bound skipped" [] r.Shape_check.skipped
 
 let () =
   Alcotest.run "rc_flow"
