@@ -2,9 +2,17 @@
 
     This is the LP engine behind the paper's LP-relaxation of the
     min-max load-capacitance ILP (Sec. VI) and the LP forms of skew
-    scheduling (Sec. VII) — the role Soplex plays in the paper. The
-    basis is kept as a dense LU factorization plus an eta file,
-    refactorized periodically. *)
+    scheduling (Sec. VII) — the role Soplex plays in the paper.
+
+    Pricing is full Dantzig over the columns, held in flat CSC arrays;
+    after 80 pivots without objective progress it switches to Bland's
+    rule.  The basis is a {!Rc_sparse.Sparse_lu} factorization (peeled
+    column singletons plus an LU of the remaining bump, both stored
+    sparse) and an eta file of at most 20 product-form updates, each
+    stored as its nonzeros; it is refactorized every 20 pivots.  A
+    pivot costs the nonzeros its FTRAN and BTRAN touch plus an O(rows +
+    columns) pricing and ratio-test pass; a refactorization still costs
+    the bump's square.  Work vectors are allocated once per solve. *)
 
 type status =
   | Optimal
